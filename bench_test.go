@@ -260,6 +260,76 @@ func BenchmarkLogObject(b *testing.B) {
 	}
 }
 
+// filledLog returns a log holding messages 1..n at positions 1..n.
+func filledLog(n int) *logobj.Log {
+	l := logobj.New("bench")
+	for i := 1; i <= n; i++ {
+		l.Append(logobj.MsgDatum(msg.ID(i)))
+	}
+	return l
+}
+
+var logSizes = []struct {
+	name string
+	n    int
+}{{"1k", 1000}, {"4k", 4000}}
+
+// BenchmarkLogScanBefore is the predecessor guard's read with its delivered
+// frontier at the tail: the last message's predecessors from two positions
+// below it. It must not allocate and must cost the same at 1k and 4k
+// entries — the walk is the in-flight window, not the log.
+func BenchmarkLogScanBefore(b *testing.B) {
+	for _, sz := range logSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			l, last := filledLog(sz.n), logobj.MsgDatum(msg.ID(sz.n))
+			visited := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.ScanBefore(last, sz.n-2, func(msg.ID, int) bool {
+					visited++
+					return true
+				})
+			}
+			if visited != 2*b.N {
+				b.Fatalf("visited %d entries in %d scans, want 2 each", visited, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkLogMessagesBefore lists every predecessor of the last message:
+// the full-history read, linear in the log by definition (what each guard
+// paid, plus a sort, before ScanBefore).
+func BenchmarkLogMessagesBefore(b *testing.B) {
+	for _, sz := range logSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			l, last := filledLog(sz.n), logobj.MsgDatum(msg.ID(sz.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := l.MessagesBefore(last); len(got) != sz.n-1 {
+					b.Fatalf("%d predecessors, want %d", len(got), sz.n-1)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLogBumpAcrossRanks appends a message and bumps the one appended
+// 64 messages earlier over everything above it: one push plus one rotate
+// across 64 ranks of a 4k-entry log per iteration.
+func BenchmarkLogBumpAcrossRanks(b *testing.B) {
+	const ranks, prefill = 64, 4000
+	l := filledLog(prefill)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := prefill + 1; i <= prefill+b.N; i++ {
+		top := l.Append(logobj.MsgDatum(msg.ID(i)))
+		l.BumpAndLock(logobj.MsgDatum(msg.ID(i-ranks)), top+1)
+	}
+}
+
 // BenchmarkSigmaEmulation: Algorithm 2 over a 3-process group (8 restricted
 // instances per run).
 func BenchmarkSigmaEmulation(b *testing.B) {

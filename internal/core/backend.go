@@ -44,16 +44,16 @@ type LogObject interface {
 	// (locally visible) log state. Nodes snapshot it to skip guard rescans
 	// when nothing they observe has changed.
 	Version() int64
-	// Messages returns the message IDs present as messages, in log order.
-	Messages() []msg.ID
 	// MessagesSince returns the messages appended after the first from
 	// message appends, in first-append order — the incremental discovery
 	// stream (from is the caller's per-log high-water mark).
 	MessagesSince(from int) []msg.ID
-	// MsgCount returns how many distinct messages the log carries.
-	MsgCount() int
-	// MessagesBefore returns the messages strictly before d in log order.
-	MessagesBefore(d logobj.Datum) []msg.ID
+	// ScanBefore visits, in ascending log order and without allocating, the
+	// messages strictly before d that sit at a position of at least minPos,
+	// until fn returns false. The predecessor guards pass their delivered
+	// frontier as minPos, so a visit costs the messages in flight, not the
+	// log's history. fn must not call back into the log.
+	ScanBefore(d logobj.Datum, minPos int, fn func(m msg.ID, pos int) bool)
 	// HasPosTuple reports whether some (m, h, -) tuple is in the log.
 	HasPosTuple(m msg.ID, h groups.GroupID) bool
 	// MaxPosTuple returns max{i : (m,-,i) ∈ L} over position tuples of m.
@@ -175,13 +175,11 @@ func (s simLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Dat
 
 func (s simLog) Contains(d logobj.Datum) bool { return s.l.Inner().Contains(d) }
 func (s simLog) Version() int64               { return s.l.Inner().Version() }
-func (s simLog) Messages() []msg.ID           { return s.l.Inner().Messages() }
 func (s simLog) MessagesSince(from int) []msg.ID {
 	return s.l.Inner().MessagesSince(from)
 }
-func (s simLog) MsgCount() int { return s.l.Inner().MsgCount() }
-func (s simLog) MessagesBefore(d logobj.Datum) []msg.ID {
-	return s.l.Inner().MessagesBefore(d)
+func (s simLog) ScanBefore(d logobj.Datum, minPos int, fn func(m msg.ID, pos int) bool) {
+	s.l.Inner().ScanBefore(d, minPos, fn)
 }
 func (s simLog) HasPosTuple(m msg.ID, h groups.GroupID) bool { return s.l.Inner().HasPosTuple(m, h) }
 func (s simLog) MaxPosTuple(m msg.ID) (int, bool)            { return s.l.Inner().MaxPosTuple(m) }

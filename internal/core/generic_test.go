@@ -29,6 +29,7 @@ func TestRandomScenariosGeneric(t *testing.T) {
 			Conflict: msg.ClassesConflict,
 			FD:       fd.Options{Delay: 8},
 		}, sc.seed)
+		armGuardOracle(t, s)
 		for i, w := range sc.work {
 			class := msg.ClassFree
 			if i%3 == 0 {

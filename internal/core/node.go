@@ -62,19 +62,64 @@ type Node struct {
 	// (waiting behind their L_g predecessors), per destination group. The
 	// mutex covers it: clients enqueue from outside the stepping goroutine.
 	boxMu  sync.Mutex
-	outbox map[groups.GroupID][]msg.ID
+	outbox map[groups.GroupID][]request
+
+	// seqFront is the delivered frontier of each L_g: every entry of L_g
+	// below the index is delivered here, so tryMulticast starts there.
+	seqFront map[groups.GroupID]int
 
 	// myGroups caches G(p); myPairs the log keys of this process; logs the
-	// backend handles for those keys (including the group logs {g,g}).
+	// backend handles for those keys (including the group logs {g,g}), each
+	// with its delivered frontier.
 	myGroups []groups.GroupID
 	myPairs  []PairKey
-	logs     map[PairKey]LogObject
+	logs     map[PairKey]*nodeLog
+
+	// scan is the state of the predecessor walk in progress and visit the
+	// visitor that reads it, built once: a closure made per guard would
+	// escape through the LogObject interface and allocate on every guard.
+	scan  predScan
+	visit func(prev msg.ID, pos int) bool
+
+	// visits counts the predecessor entries the guards of the current pass
+	// examined; Step hands the sum to the recorder once per pass.
+	visits int64
 
 	// fastMemo caches the fast-track eligibility of each known message
 	// (Generic variant): whether it commutes with every message and so
 	// skips the ordering phases. The answer is a pure function of the
 	// message, so memoising it keeps the relation off the guard hot paths.
 	fastMemo map[msg.ID]bool
+}
+
+// request is one queued client multicast: the message and its index in
+// L_{dst(m)}.
+type request struct {
+	id  msg.ID
+	seq int
+}
+
+// nodeLog is this process's handle on one log together with its delivered
+// frontier: every message at a position below front is delivered here. The
+// predecessor guards start their walk at front instead of at the log's first
+// entry. That is sound for all three guards (lines 11, 28, 35) because local
+// phases only grow and deliver is the top phase, and it stays true because
+// nothing undelivered can appear below front later: positions only grow, an
+// append lands above every occupied slot, and a delivered message is locked
+// (this process bumped it itself at commit). front is a position, not a rank,
+// so messages tied at front are re-examined. See DESIGN.md §12.
+type nodeLog struct {
+	LogObject
+	front int
+}
+
+// predScan is the state of one predsAtLeast walk.
+type predScan struct {
+	log       *nodeLog // the log walked; the walk moves its frontier
+	id        msg.ID   // the message whose guard is evaluated
+	min       Phase    // the phase every predecessor must have reached
+	ok        bool     // no predecessor below min so far
+	advancing bool     // every predecessor so far is delivered
 }
 
 // NewNode builds the automaton for process p.
@@ -84,10 +129,12 @@ func NewNode(p groups.Process, sh *Shared) *Node {
 		sh:       sh,
 		phase:    make(map[msg.ID]Phase),
 		hw:       make(map[groups.GroupID]int),
-		outbox:   make(map[groups.GroupID][]msg.ID),
-		logs:     make(map[PairKey]LogObject),
+		outbox:   make(map[groups.GroupID][]request),
+		seqFront: make(map[groups.GroupID]int),
+		logs:     make(map[PairKey]*nodeLog),
 		fastMemo: make(map[msg.ID]bool),
 	}
+	n.visit = n.visitPred
 	gs := sh.Topo.GroupsOf(p).Members()
 	n.myGroups = gs
 	for i, g := range gs {
@@ -99,16 +146,16 @@ func NewNode(p groups.Process, sh *Shared) *Node {
 		}
 	}
 	for _, key := range n.myPairs {
-		n.logs[key] = sh.Backend().Log(p, key.A, key.B)
+		n.logs[key] = &nodeLog{LogObject: sh.Backend().Log(p, key.A, key.B)}
 	}
 	return n
 }
 
 // log returns this process's handle on LOG_{g∩h}.
-func (n *Node) log(g, h groups.GroupID) LogObject { return n.logs[CanonPair(g, h)] }
+func (n *Node) log(g, h groups.GroupID) *nodeLog { return n.logs[CanonPair(g, h)] }
 
 // groupLog returns this process's handle on LOG_g.
-func (n *Node) groupLog(g groups.GroupID) LogObject { return n.logs[PairKey{g, g}] }
+func (n *Node) groupLog(g groups.GroupID) *nodeLog { return n.logs[PairKey{g, g}] }
 
 // Proc implements engine.Automaton.
 func (n *Node) Proc() groups.Process { return n.p }
@@ -119,8 +166,9 @@ func (n *Node) Multicast(m *msg.Message) {
 	if m.Src != n.p {
 		panic("core: Multicast called at a node other than the source")
 	}
+	req := request{id: m.ID, seq: n.sh.seqIndex(m.Dst, m.ID)}
 	n.boxMu.Lock()
-	n.outbox[m.Dst] = append(n.outbox[m.Dst], m.ID)
+	n.outbox[m.Dst] = append(n.outbox[m.Dst], req)
 	n.boxMu.Unlock()
 	// The enqueue enables tryMulticast without touching any log, so the
 	// version-snapshot skip certificate no longer covers the guard inputs.
@@ -175,10 +223,21 @@ func (n *Node) Step(ctx *engine.Ctx) bool {
 		return false
 	}
 	sched.IncScan()
+	fired := n.scanPass(ctx)
+	sched.AddGuardVisits(n.visits)
+	n.visits = 0
+	if fired {
+		sched.IncAction()
+	}
+	return fired
+}
+
+// scanPass is one guard pass of Step: it reports whether an action fired,
+// and captures the skip certificate when none did.
+func (n *Node) scanPass(ctx *engine.Ctx) bool {
 	n.preScanVersions()
 	n.discover()
 	if n.tryMulticast(ctx) {
-		sched.IncAction()
 		return true
 	}
 	fired := false
@@ -218,12 +277,10 @@ func (n *Node) Step(ctx *engine.Ctx) bool {
 		}
 	}
 	n.active = n.active[:w]
-	if fired {
-		sched.IncAction()
-		return true
+	if !fired {
+		n.captureSnap(timeSensitive)
 	}
-	n.captureSnap(timeSensitive)
-	return false
+	return fired
 }
 
 // Drain fires every enabled action before returning, reporting how many
@@ -343,12 +400,12 @@ func (n *Node) ScanSetSize() int {
 }
 
 // outboxHead returns the first queued request of group g, if any.
-func (n *Node) outboxHead(g groups.GroupID) (msg.ID, bool) {
+func (n *Node) outboxHead(g groups.GroupID) (request, bool) {
 	n.boxMu.Lock()
 	defer n.boxMu.Unlock()
 	box := n.outbox[g]
 	if len(box) == 0 {
-		return msg.None, false
+		return request{}, false
 	}
 	return box[0], true
 }
@@ -370,38 +427,103 @@ func (n *Node) tryMulticast(ctx *engine.Ctx) bool {
 		if !ok || !n.gateOK(ctx, g) {
 			continue
 		}
+		if head.seq < n.seqFront[g] {
+			// The head and all its predecessors are delivered here (someone
+			// appended it on this sender's behalf): only the pop is left.
+			n.outboxPop(g)
+			return true
+		}
 		log := n.groupLog(g)
-		for _, prev := range n.sh.SeqList(g) {
-			if prev == head {
-				// Every predecessor is delivered: multicast(head).
-				if n.Phase(head) != PhaseStart || log.Contains(logobj.MsgDatum(head)) {
-					// Someone (or a previous step) already appended it.
-					n.outboxPop(g)
-					return true
-				}
-				v := log.Append(ctx, g, logobj.MsgDatum(head))
-				n.sh.Opt.Rec.Append(n.p, head, g, g, uint8(logobj.KindMsg), v, ctx.Now)
-				n.outboxPop(g)
-				return true
-			}
-			if n.Phase(prev) == PhaseDeliver {
-				continue
-			}
+		help, blocked := n.seqGate(g, head)
+		if blocked {
+			continue
+		}
+		if help != msg.None {
 			// Help: make sure the predecessor entered Algorithm 1.
-			if !log.Contains(logobj.MsgDatum(prev)) {
-				v := log.Append(ctx, g, logobj.MsgDatum(prev))
-				n.sh.Opt.Rec.Append(n.p, prev, g, g, uint8(logobj.KindMsg), v, ctx.Now)
-				return true
+			v := log.Append(ctx, g, logobj.MsgDatum(help))
+			n.sh.Opt.Rec.Append(n.p, help, g, g, uint8(logobj.KindMsg), v, ctx.Now)
+			return true
+		}
+		// Every predecessor is delivered: multicast(head), unless someone (or
+		// a previous step) already appended it.
+		if n.Phase(head.id) == PhaseStart && !log.Contains(logobj.MsgDatum(head.id)) {
+			v := log.Append(ctx, g, logobj.MsgDatum(head.id))
+			n.sh.Opt.Rec.Append(n.p, head.id, g, g, uint8(logobj.KindMsg), v, ctx.Now)
+		}
+		n.outboxPop(g)
+		return true
+	}
+	return false
+}
+
+// seqGate walks the predecessors of head in L_g, from the list's delivered
+// frontier, and moves the frontier up over the delivered run it finds. It
+// returns the first predecessor that has not entered Algorithm 1 yet (the one
+// to help), or blocked when head must wait for one that is in flight.
+func (n *Node) seqGate(g groups.GroupID, head request) (help msg.ID, blocked bool) {
+	base := n.seqFront[g]
+	front := base
+	preds := n.sh.SeqListFrom(g, base)[:head.seq-base]
+	log := n.groupLog(g)
+	i := 0
+	for ; i < len(preds); i++ {
+		prev := preds[i]
+		if n.Phase(prev) == PhaseDeliver {
+			if front == base+i {
+				front++
 			}
-			// The predecessor is in flight. Under the Generic variant L_g
-			// only orders conflicting requests — a commuting predecessor
-			// need not be awaited.
-			if n.skipOrder(prev, head) {
-				continue
-			}
+			continue
+		}
+		if !log.Contains(logobj.MsgDatum(prev)) {
+			help = prev
+			break
+		}
+		// The predecessor is in flight. Under the Generic variant L_g only
+		// orders conflicting requests — a commuting predecessor need not be
+		// awaited.
+		if !n.skipOrder(prev, head.id) {
+			blocked = true
 			break
 		}
 	}
+	n.seqFront[g] = front
+	if i < len(preds) {
+		i++ // the entry the walk stopped at was examined too
+	}
+	n.visits += int64(i)
+	return help, blocked
+}
+
+// predsAtLeast evaluates the predecessor guard shared by lines 11, 28 and 35:
+// ∀m' <_L m: PHASE[m'] ≥ min, restricted under the Generic variant to the
+// predecessors m conflicts with (commuting ones impose no relative order).
+// It holds vacuously when m is not in l. The walk starts at l's delivered
+// frontier — everything below it is delivered, hence at or above any min —
+// and moves the frontier up over the delivered run it finds.
+func (n *Node) predsAtLeast(l *nodeLog, id msg.ID, min Phase) bool {
+	n.scan = predScan{log: l, id: id, min: min, ok: true, advancing: true}
+	l.ScanBefore(logobj.MsgDatum(id), l.front, n.visit)
+	if n.sh.guardOracle != nil {
+		n.sh.guardOracle(n, l, id, min, n.scan.ok)
+	}
+	return n.scan.ok
+}
+
+// visitPred is the ScanBefore visitor of predsAtLeast. Every message below
+// pos was visited by this walk or lies under the old frontier, so while the
+// run of delivered predecessors lasts, pos itself is a valid frontier.
+func (n *Node) visitPred(prev msg.ID, pos int) bool {
+	sc := &n.scan
+	n.visits++
+	ph := n.Phase(prev)
+	if sc.advancing {
+		sc.log.front = pos
+		sc.advancing = ph == PhaseDeliver
+	}
+	if ph >= sc.min || n.skipOrder(prev, sc.id) {
+		return true
+	}
+	sc.ok = false
 	return false
 }
 
@@ -412,16 +534,10 @@ func (n *Node) tryPending(ctx *engine.Ctx, id msg.ID) bool {
 	if !glog.Contains(logobj.MsgDatum(id)) {
 		return false
 	}
-	// ∀m' <_{LOG_g} m: PHASE[m'] ≥ commit (line 11); under the Generic
-	// variant only conflicting predecessors gate — commuting ones impose no
-	// relative order (and fast-tracked ones never reach commit at all).
-	for _, prev := range glog.MessagesBefore(logobj.MsgDatum(id)) {
-		if n.skipOrder(prev, id) {
-			continue
-		}
-		if n.Phase(prev) < PhaseCommit {
-			return false
-		}
+	// ∀m' <_{LOG_g} m: PHASE[m'] ≥ commit (line 11); fast-tracked
+	// predecessors never reach commit at all, and never gate.
+	if !n.predsAtLeast(glog, id, PhaseCommit) {
+		return false
 	}
 	// eff (lines 12-15).
 	for _, h := range n.myGroups {
@@ -501,19 +617,8 @@ func (n *Node) tryStabilize(ctx *engine.Ctx, id msg.ID) bool {
 		if glog.Contains(logobj.StableDatum(id, h)) {
 			continue
 		}
-		// ∀m' <_{LOG_{g∩h}} m: PHASE[m'] ≥ stable (line 28), restricted to
-		// conflicting predecessors under the Generic variant.
-		ready := true
-		for _, prev := range n.log(g, h).MessagesBefore(logobj.MsgDatum(id)) {
-			if n.skipOrder(prev, id) {
-				continue
-			}
-			if n.Phase(prev) < PhaseStable {
-				ready = false
-				break
-			}
-		}
-		if !ready {
+		// ∀m' <_{LOG_{g∩h}} m: PHASE[m'] ≥ stable (line 28).
+		if !n.predsAtLeast(n.log(g, h), id, PhaseStable) {
 			continue
 		}
 		glog.Append(ctx, g, logobj.StableDatum(id, h))
@@ -560,19 +665,9 @@ func (n *Node) tryStable(ctx *engine.Ctx, id msg.ID) bool {
 // (locked) positions, so the per-log order the guard enforces is the same
 // at every replica.
 func (n *Node) tryDeliver(ctx *engine.Ctx, id msg.ID) bool {
-	d := logobj.MsgDatum(id)
 	for _, key := range n.myPairs {
-		l := n.logs[key]
-		if !l.Contains(d) {
-			continue
-		}
-		for _, prev := range l.MessagesBefore(d) {
-			if n.skipOrder(prev, id) {
-				continue
-			}
-			if n.Phase(prev) != PhaseDeliver {
-				return false
-			}
+		if !n.predsAtLeast(n.logs[key], id, PhaseDeliver) {
+			return false
 		}
 	}
 	n.deliver(ctx, id, false)

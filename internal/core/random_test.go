@@ -76,6 +76,7 @@ func genScenario(rng *rand.Rand) scenario {
 func runScenario(t *testing.T, sc scenario, opt Options) *System {
 	t.Helper()
 	s := NewSystem(sc.topo, sc.pat, opt, sc.seed)
+	armGuardOracle(t, s)
 	for _, w := range sc.work {
 		s.MulticastAt(w.at, w.src, w.dst, nil)
 	}

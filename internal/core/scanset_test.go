@@ -46,4 +46,16 @@ func TestScanSetBoundedSoak(t *testing.T) {
 	if sched == nil || sched.Actions == 0 || sched.Scans == 0 {
 		t.Fatalf("sched counters missing or empty: %+v", sched)
 	}
+	// The predecessor guards must stay bounded too. This soak is a paced
+	// burst: the slowest process falls up to ~190 messages behind, every scan
+	// re-evaluates the guard of each message it has not delivered, and each
+	// evaluation stops at its first undelivered predecessor — 1.6 entries
+	// from the delivered frontier (39 visits per delivery at 200 messages, 130
+	// at 1000; the counts repeat exactly). Started at the log's first entry
+	// instead, the same guards visit 652 and 8782.
+	perDelivery := float64(sched.GuardVisits) / float64(len(s.Sh.Deliveries()))
+	t.Logf("guard visits per delivery: %.2f", perDelivery)
+	if sched.GuardVisits == 0 || perDelivery > 300 {
+		t.Errorf("%.2f guard visits per delivery over %d messages, want under 300: some guard rescans history", perDelivery, msgs)
+	}
 }

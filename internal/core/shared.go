@@ -112,6 +112,10 @@ type Shared struct {
 	// gammaOverride substitutes another γ implementation for the ideal one
 	// (ablations and the necessity emulations plug in theirs here).
 	gammaOverride fd.Gamma
+
+	// guardOracle, set by tests only, is shown every predecessor-guard
+	// verdict so a brute-force evaluation can be held against it.
+	guardOracle func(n *Node, l *nodeLog, id msg.ID, min Phase, got bool)
 }
 
 // Gamma returns the γ in effect for this run. The strict variant derives
@@ -246,9 +250,33 @@ func (sh *Shared) Commutative(m msg.ID) bool {
 
 // SeqList returns a snapshot of L_g.
 func (sh *Shared) SeqList(g groups.GroupID) []msg.ID {
+	return append([]msg.ID(nil), sh.SeqListFrom(g, 0)...)
+}
+
+// SeqListFrom returns L_g from index from on, without copying: L_g is
+// append-only, so the entries below its current length never change and the
+// returned slice (capped at that length) may be read without the mutex. The
+// caller must not modify it.
+func (sh *Shared) SeqListFrom(g groups.GroupID, from int) []msg.ID {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return append([]msg.ID(nil), sh.seqs[g]...)
+	s := sh.seqs[g]
+	return s[from:len(s):len(s)]
+}
+
+// seqIndex returns the index of m in L_g. Nodes ask right after Request
+// appended m, so the search runs back from the tail and ends within the few
+// requests that raced with it.
+func (sh *Shared) seqIndex(g groups.GroupID, m msg.ID) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	s := sh.seqs[g]
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == m {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("core: m%d was never requested for g%d", m, g))
 }
 
 // RecordDelivery appends to the global delivery trace.

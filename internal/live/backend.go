@@ -281,28 +281,17 @@ func (l liveLog) Version() int64 {
 	return out
 }
 
-func (l liveLog) Messages() []msg.ID {
-	var out []msg.ID
-	l.r.Read(func(lg *logobj.Log) { out = lg.Messages() })
-	return out
-}
-
 func (l liveLog) MessagesSince(from int) []msg.ID {
 	var out []msg.ID
 	l.r.Read(func(lg *logobj.Log) { out = lg.MessagesSince(from) })
 	return out
 }
 
-func (l liveLog) MsgCount() int {
-	var out int
-	l.r.Read(func(lg *logobj.Log) { out = lg.MsgCount() })
-	return out
-}
-
-func (l liveLog) MessagesBefore(d logobj.Datum) []msg.ID {
-	var out []msg.ID
-	l.r.Read(func(lg *logobj.Log) { out = lg.MessagesBefore(d) })
-	return out
+// ScanBefore runs the whole visit under one replica read lock: fn only reads
+// node-local phase state, and the walk is bounded by the messages in flight
+// above minPos, so the apply loop waits for a guard no longer than that.
+func (l liveLog) ScanBefore(d logobj.Datum, minPos int, fn func(m msg.ID, pos int) bool) {
+	l.r.Read(func(lg *logobj.Log) { lg.ScanBefore(d, minPos, fn) })
 }
 
 func (l liveLog) HasPosTuple(m msg.ID, h groups.GroupID) bool {

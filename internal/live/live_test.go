@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -132,5 +133,46 @@ issue:
 	sys.Stop()
 	for _, v := range sys.Check() {
 		t.Errorf("seed %d: specification violation: %v", seed, v)
+	}
+}
+
+// TestConcurrentClientsOneSender issues multicasts from several client
+// goroutines at the same sender at once. Registration (the append to L_g)
+// and the enqueue at the sender's node are two steps, so two clients can
+// land in L_g in one order and in the outbox in the other; the node's walk
+// over L_g starts at a delivered frontier, and a head that was registered
+// before an already delivered message must still be popped, or every later
+// request of the sender starves. Full delivery and the specification check
+// are the assertion; the race detector covers the unlocked reads of L_g.
+func TestConcurrentClientsOneSender(t *testing.T) {
+	topo := chainTopo(t)
+	nw := net.New(topo.NumProcesses())
+	sys := NewSystem(topo, failure.NewPattern(topo.NumProcesses()), nw, Config{})
+	sys.Start()
+	defer sys.Stop()
+
+	const clients, each = 4, 12
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				// Process 2 belongs to g0 and g1: both lists see the race.
+				sys.Multicast(2, groups.GroupID(i%2), nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if !sys.AwaitDelivery(60 * time.Second) {
+		sys.Stop()
+		t.Fatalf("run did not reach full delivery: %d deliveries", len(sys.Sh.Deliveries()))
+	}
+	sys.Stop()
+	for _, v := range sys.Check() {
+		t.Errorf("specification violation: %v", v)
+	}
+	if got, want := len(sys.Sh.Deliveries()), clients*each*3; got != want {
+		t.Errorf("%d deliveries, want %d", got, want)
 	}
 }

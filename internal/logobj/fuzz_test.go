@@ -9,14 +9,16 @@ import (
 
 // FuzzLogOperations feeds arbitrary operation tapes into the log object and
 // checks the sequential-specification invariants of Table 2 after every
-// operation (Claims 2-5 plus head discipline and order totality). Each
-// input byte pair encodes one operation.
+// operation (Claims 2-5 plus head discipline and order totality), and holds
+// every read of the indexed log against the map-scan reference model
+// (model_test.go). Each input byte pair encodes one operation.
 func FuzzLogOperations(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x05, 0x23, 0x81, 0x40})
 	f.Add([]byte{0x00, 0x00, 0x80, 0x01})
 	f.Add([]byte{0x11, 0x91, 0x12, 0x92, 0x13, 0x93})
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		l := New("fuzz")
+		mp := newModelPair(16, 3)
+		l := mp.l
 		type obs struct {
 			pos    int
 			locked bool
@@ -29,9 +31,9 @@ func FuzzLogOperations(f *testing.F) {
 				d = PosDatum(msg.ID(op&0x0f)+1, groups.GroupID(arg&0x3), int(arg&0x7))
 			}
 			if op&0x80 == 0 {
-				l.Append(d)
-			} else if l.Contains(d) {
-				l.BumpAndLock(d, int(arg))
+				mp.append(t, d)
+			} else {
+				mp.bumpAndLock(t, d, int(arg))
 			}
 			// Invariants after every operation.
 			for dd, o := range prev {

@@ -3,14 +3,23 @@
 // locked. Logs are the coordination backbone of Algorithm 1 — one per
 // destination group and one per group intersection.
 //
-// The implementation is an in-memory linearizable object (runs are driven by
-// a sequential scheduler, so linearizability is by construction); the uc
-// package layers the paper's universal construction and its step accounting
-// on top.
+// A Log is a plain sequential data structure and does no locking of its own;
+// linearizability is supplied by whoever owns it. The deterministic backend
+// steps every process from one goroutine over one shared Log per object (the
+// uc package layers the paper's universal construction and its step
+// accounting on top); the live backend gives every process its own copy
+// inside a replog.Replica, which applies the decided operations in slot order
+// and serialises readers and the apply loop under the replica mutex.
+//
+// Reads on Algorithm 1's guard path never rescan the log's history: the
+// messages are kept in a slice ordered by <_L, the position tuples are
+// indexed per message, and ScanBefore walks the order from a caller-supplied
+// position (see Log).
 package logobj
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -85,8 +94,7 @@ func (d Datum) String() string {
 // "absent". The zero value is not usable; call New.
 type Log struct {
 	name    string
-	pos     map[Datum]int
-	locked  map[Datum]bool
+	slots   map[Datum]slot
 	head    int // first free slot after which there are only free slots
 	version int64
 
@@ -95,11 +103,44 @@ type Log struct {
 	// an incremental discovery stream (MessagesSince) instead of re-listing
 	// and re-sorting the whole log on every scan.
 	msgSeq []msg.ID
+
+	// order holds the KindMsg data sorted by <_L, i.e. by (pos, id). Append
+	// lands at head, above every occupied slot, so it is a push; BumpAndLock
+	// only moves a datum up, so it rotates the datum over the ranks it
+	// passes and leaves the rest of the slice alone.
+	order []msgEntry
+
+	// tuples indexes the KindPos data (m, h, i) by message: line 18-19 of
+	// Algorithm 1 read them per message, at most one per intersecting group.
+	tuples map[msg.ID][]posTuple
+}
+
+// slot is where a datum sits and whether it is locked there.
+type slot struct {
+	pos    int
+	locked bool
+}
+
+// msgEntry is one rank of the message order.
+type msgEntry struct {
+	pos int
+	id  msg.ID
+}
+
+// before reports (e.pos, e.id) < (pos, id): the <_L order between messages.
+func (e msgEntry) before(pos int, id msg.ID) bool {
+	return e.pos < pos || (e.pos == pos && e.id < id)
+}
+
+// posTuple is the (h, i) part of a KindPos datum (m, h, i).
+type posTuple struct {
+	h groups.GroupID
+	i int
 }
 
 // New returns an empty log with a diagnostic name.
 func New(name string) *Log {
-	return &Log{name: name, pos: make(map[Datum]int), locked: make(map[Datum]bool), head: 1}
+	return &Log{name: name, slots: make(map[Datum]slot), tuples: make(map[msg.ID][]posTuple), head: 1}
 }
 
 // Name returns the log's diagnostic name.
@@ -112,87 +153,136 @@ func (l *Log) Version() int64 { return l.version }
 // already in the log the operation does nothing and returns the current
 // position.
 func (l *Log) Append(d Datum) int {
-	if p, ok := l.pos[d]; ok {
-		return p
+	if s, ok := l.slots[d]; ok {
+		return s.pos
 	}
 	p := l.head
-	l.pos[d] = p
+	l.slots[d] = slot{pos: p}
 	l.head = p + 1
-	if d.Kind == KindMsg {
+	switch d.Kind {
+	case KindMsg:
 		l.msgSeq = append(l.msgSeq, d.Msg)
+		l.order = append(l.order, msgEntry{pos: p, id: d.Msg})
+	case KindPos:
+		l.tuples[d.Msg] = append(l.tuples[d.Msg], posTuple{h: d.H, i: d.I})
 	}
 	l.version++
 	return p
 }
 
 // Pos returns the position of d, or 0 if d is absent.
-func (l *Log) Pos(d Datum) int { return l.pos[d] }
+func (l *Log) Pos(d Datum) int { return l.slots[d].pos }
 
 // Contains reports whether d is in the log.
-func (l *Log) Contains(d Datum) bool { return l.pos[d] != 0 }
+func (l *Log) Contains(d Datum) bool { return l.slots[d].pos != 0 }
 
 // BumpAndLock moves d from its slot s to slot max(k, s) and locks it there.
 // Once locked a datum cannot be bumped anymore, so a second call is a no-op.
 // Calling BumpAndLock on an absent datum is a bug in the caller and panics.
 func (l *Log) BumpAndLock(d Datum, k int) {
-	cur, ok := l.pos[d]
+	s, ok := l.slots[d]
 	if !ok {
 		panic(fmt.Sprintf("logobj: BumpAndLock(%v) on absent datum in %s", d, l.name))
 	}
-	if l.locked[d] {
+	if s.locked {
 		return
 	}
-	if k > cur {
-		l.pos[d] = k
+	if k > s.pos {
+		if d.Kind == KindMsg {
+			l.moveUp(s.pos, k, d.Msg)
+		}
+		s.pos = k
 		if k >= l.head {
 			l.head = k + 1
 		}
 	}
-	l.locked[d] = true
+	s.locked = true
+	l.slots[d] = s
 	l.version++
 }
 
+// moveUp re-ranks message id from position from to the higher position to:
+// every rank it passes shifts down by one, nothing else moves.
+func (l *Log) moveUp(from, to int, id msg.ID) {
+	i := l.search(from, id)
+	for ; i+1 < len(l.order) && l.order[i+1].before(to, id); i++ {
+		l.order[i] = l.order[i+1]
+	}
+	l.order[i] = msgEntry{pos: to, id: id}
+}
+
+// search returns the first rank whose entry is not before (pos, id). It
+// gallops down from the tail before bisecting, so the cost is logarithmic in
+// the distance from the tail, not in the length of the log: the ranks
+// Algorithm 1 asks for — a message about to be bumped, a delivered frontier —
+// belong to messages in flight, which sit at the top of the order.
+func (l *Log) search(pos int, id msg.ID) int {
+	n := len(l.order)
+	lo, hi := 0, n // ranks below lo are before (pos, id), ranks from hi on are not
+	for step := 1; step <= n; step <<= 1 {
+		if l.order[n-step].before(pos, id) {
+			lo = n - step + 1
+			break
+		}
+		hi = n - step
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.order[mid].before(pos, id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Locked reports whether d is locked in the log.
-func (l *Log) Locked(d Datum) bool { return l.locked[d] }
+func (l *Log) Locked(d Datum) bool { return l.slots[d].locked }
 
 // Less reports d <_L d': both in the log, and either at a lower position or
 // tied on position and smaller in the a-priori order.
 func (l *Log) Less(d, o Datum) bool {
-	pd, ok1 := l.pos[d]
-	po, ok2 := l.pos[o]
+	sd, ok1 := l.slots[d]
+	so, ok2 := l.slots[o]
 	if !ok1 || !ok2 {
 		return false
 	}
-	if pd != po {
-		return pd < po
+	if sd.pos != so.pos {
+		return sd.pos < so.pos
 	}
 	return d.Less(o)
 }
 
-// Items returns every datum in <_L order.
+// Items returns every datum in <_L order: the message order merged with the
+// (sorted) tuples.
 func (l *Log) Items() []Datum {
-	out := make([]Datum, 0, len(l.pos))
-	for d := range l.pos {
-		out = append(out, d)
+	rest := make([]Datum, 0, len(l.slots)-len(l.order))
+	for d := range l.slots {
+		if d.Kind != KindMsg {
+			rest = append(rest, d)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return l.Less(out[i], out[j]) })
-	return out
+	sort.Slice(rest, func(i, j int) bool { return l.Less(rest[i], rest[j]) })
+	out := make([]Datum, 0, len(l.slots))
+	for _, e := range l.order {
+		m := MsgDatum(e.id)
+		for len(rest) > 0 && l.Less(rest[0], m) {
+			out, rest = append(out, rest[0]), rest[1:]
+		}
+		out = append(out, m)
+	}
+	return append(out, rest...)
 }
 
 // Messages returns the message IDs present as KindMsg data, in <_L order.
 func (l *Log) Messages() []msg.ID {
-	var out []msg.ID
-	for _, d := range l.Items() {
-		if d.Kind == KindMsg {
-			out = append(out, d.Msg)
-		}
+	out := make([]msg.ID, len(l.order))
+	for i, e := range l.order {
+		out[i] = e.id
 	}
 	return out
 }
-
-// MsgCount returns how many distinct messages the log carries — the
-// high-water mark of the MessagesSince stream.
-func (l *Log) MsgCount() int { return len(l.msgSeq) }
 
 // MessagesSince returns the messages appended after the first from message
 // appends, in first-append order. Discovery keeps from as a per-log
@@ -206,45 +296,54 @@ func (l *Log) MessagesSince(from int) []msg.ID {
 	return append([]msg.ID(nil), l.msgSeq[from:]...)
 }
 
+// ScanBefore calls fn(m, pos) for every message m that is strictly before d
+// in <_L order and sits at a position of at least minPos, in ascending <_L
+// order, until fn returns false. It visits nothing when d is absent. It does
+// not allocate, and it costs the ranks between minPos and d plus the search
+// for minPos — never the length of the log. fn must not mutate the log.
+func (l *Log) ScanBefore(d Datum, minPos int, fn func(m msg.ID, pos int) bool) {
+	s, ok := l.slots[d]
+	if !ok {
+		return
+	}
+	for _, e := range l.order[l.search(minPos, math.MinInt64):] {
+		if e.pos > s.pos || (e.pos == s.pos && !MsgDatum(e.id).Less(d)) {
+			return
+		}
+		if !fn(e.id, e.pos) {
+			return
+		}
+	}
+}
+
 // MessagesBefore returns the message IDs with a KindMsg datum strictly
-// before d in <_L order.
+// before d in <_L order, in that order (nil when there are none or d is
+// absent).
 func (l *Log) MessagesBefore(d Datum) []msg.ID {
-	if !l.Contains(d) {
-		return nil
-	}
 	var out []msg.ID
-	for item, p := range l.pos {
-		if item.Kind != KindMsg {
-			continue
-		}
-		_ = p
-		if l.Less(item, d) {
-			out = append(out, item.Msg)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	l.ScanBefore(d, 0, func(m msg.ID, _ int) bool {
+		out = append(out, m)
+		return true
+	})
 	return out
 }
 
 // MaxPosTuple returns max{i : (m,-,i) ∈ L} over KindPos tuples for message
 // m, and whether any such tuple exists (line 19 of Algorithm 1).
 func (l *Log) MaxPosTuple(m msg.ID) (int, bool) {
-	max, found := 0, false
-	for d := range l.pos {
-		if d.Kind == KindPos && d.Msg == m {
-			found = true
-			if d.I > max {
-				max = d.I
-			}
+	max := 0
+	for _, t := range l.tuples[m] {
+		if t.i > max {
+			max = t.i
 		}
 	}
-	return max, found
+	return max, len(l.tuples[m]) > 0
 }
 
 // HasPosTuple reports whether some (m, h, -) tuple is in the log.
 func (l *Log) HasPosTuple(m msg.ID, h groups.GroupID) bool {
-	for d := range l.pos {
-		if d.Kind == KindPos && d.Msg == m && d.H == h {
+	for _, t := range l.tuples[m] {
+		if t.h == h {
 			return true
 		}
 	}
@@ -259,8 +358,9 @@ func (l *Log) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%v@%d", d, l.pos[d])
-		if l.locked[d] {
+		s := l.slots[d]
+		fmt.Fprintf(&b, "%v@%d", d, s.pos)
+		if s.locked {
 			b.WriteByte('!')
 		}
 	}

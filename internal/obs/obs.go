@@ -576,6 +576,11 @@ type SchedCounters struct {
 	Scans         atomic.Int64
 	SkippedScans  atomic.Int64
 	Actions       atomic.Int64
+	// GuardVisits counts the predecessor entries the guards of Algorithm 1
+	// examined (log entries before a message, L_g entries before an outbox
+	// head). Per delivery it must not grow with the length of the run: the
+	// guards start at a delivered frontier, not at the first entry.
+	GuardVisits atomic.Int64
 }
 
 // IncNotifyWakeup counts one node wakeup caused by a change notification.
@@ -610,6 +615,13 @@ func (c *SchedCounters) IncSkippedScan() {
 func (c *SchedCounters) IncAction() {
 	if c != nil {
 		c.Actions.Add(1)
+	}
+}
+
+// AddGuardVisits counts n predecessor entries examined by one guard.
+func (c *SchedCounters) AddGuardVisits(n int64) {
+	if c != nil && n != 0 {
+		c.GuardVisits.Add(n)
 	}
 }
 

@@ -213,6 +213,7 @@ type SchedReport struct {
 	Scans         int64 `json:"scans"`
 	SkippedScans  int64 `json:"skipped_scans"`
 	Actions       int64 `json:"actions"`
+	GuardVisits   int64 `json:"guard_visits"`
 }
 
 // WALReport is the durable-storage footprint of a live run: records and
@@ -347,6 +348,7 @@ func (r *Recorder) Report() RunReport {
 			Scans:         r.sched.Scans.Load(),
 			SkippedScans:  r.sched.SkippedScans.Load(),
 			Actions:       r.sched.Actions.Load(),
+			GuardVisits:   r.sched.GuardVisits.Load(),
 		}
 	}
 	if v := r.wal.Appends.Load() + r.wal.RecoveredRecords.Load(); v > 0 {
@@ -504,8 +506,8 @@ func (r *RunReport) String() string {
 		}
 	}
 	if r.Sched != nil {
-		fmt.Fprintf(&b, "\n  sched: %d notify + %d timer wakeups, %d scans (%d skipped), %d actions",
-			r.Sched.NotifyWakeups, r.Sched.TimerWakeups, r.Sched.Scans, r.Sched.SkippedScans, r.Sched.Actions)
+		fmt.Fprintf(&b, "\n  sched: %d notify + %d timer wakeups, %d scans (%d skipped), %d actions, %d guard visits",
+			r.Sched.NotifyWakeups, r.Sched.TimerWakeups, r.Sched.Scans, r.Sched.SkippedScans, r.Sched.Actions, r.Sched.GuardVisits)
 	}
 	if r.WAL != nil {
 		fmt.Fprintf(&b, "\n  wal: %d appends (%d B, %.1f B/append), %d syncs, %d rotations",
