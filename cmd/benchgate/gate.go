@@ -60,102 +60,58 @@ func microGate(w io.Writer, oldPath, newPath string, alpha, ratioMax float64) (f
 	return failed, nil
 }
 
-// liveRowKey identifies a live row across documents. ConflictRate joined
-// the key in schema v4: the commuting-mix rows (rate < 1) share a topology
-// with the all-conflict rows (rate 1) and must not alias them. FsyncMode
-// joined in v5 for the same reason: the durability rows (file, file-nosync)
-// re-run a topology the mem rows already measure. Scenario and WorkloadSeed
-// joined in v7: loadsim campaign rows are keyed by the scenario they ran
-// and the seed that replays it (benchtab sweep rows carry the zero values).
-type liveRowKey struct {
-	Scenario     string
-	WorkloadSeed int64
-	Processes    int
-	Groups       int
-	Transport    string
-	ChaosSeed    int64
-	ConflictRate float64
-	FsyncMode    string
-}
-
-func keyOf(r benchfmt.LiveRow) liveRowKey {
-	return liveRowKey{
-		Scenario:     r.Scenario,
-		WorkloadSeed: r.WorkloadSeed,
-		Processes:    r.Processes,
-		Groups:       r.Groups,
-		Transport:    r.Transport,
-		ChaosSeed:    r.ChaosSeed,
-		ConflictRate: r.ConflictRate,
-		FsyncMode:    r.FsyncMode,
-	}
-}
-
-// loadLive reads a BENCH document and refuses any schema version this
-// binary does not speak — a v6 baseline against a v7 candidate (or the
-// reverse) must fail loudly here, not surface as mass row mismatches.
-func loadLive(path string) (*benchfmt.LiveDoc, error) {
-	d, err := benchfmt.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.CheckVersion(path); err != nil {
-		return nil, err
-	}
-	if len(d.Runs) == 0 {
-		return nil, fmt.Errorf("%s: no runs", path)
-	}
-	return &d, nil
-}
-
-// liveGate compares a fresh benchtab live document against a baseline.
-// Only chaos-free rows gate; packets/delivery is the protocol-cost check
-// and deliveries/sec the catastrophic-throughput floor. Durability rows
-// (fsync_mode != "mem") keep the packets gate — storage does not change the
-// wire protocol — but use fileDlvFloor for throughput: fsync latency is a
-// property of the runner's disk, and a shared-CI runner's can be an order
-// of magnitude worse than the baseline machine's.
+// liveGate compares a fresh loadsim document against a baseline, matching
+// rows on their identity (benchfmt.Key). Only chaos-free rows gate;
+// packets/delivery is the protocol-cost check and deliveries/sec the
+// catastrophic-throughput floor, each compared only when both rows carry
+// the column. Durability rows (fsync_mode != "mem") keep the packets gate —
+// storage does not change the wire protocol — but use fileDlvFloor for
+// throughput: fsync latency is a property of the runner's disk, and a
+// shared-CI runner's can be an order of magnitude worse than the baseline
+// machine's.
 func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlvFloor float64) (failed bool, err error) {
 	if oldPath == "" || newPath == "" {
 		return false, fmt.Errorf("live: -old and -new are required")
 	}
-	old, err := loadLive(oldPath)
+	old, err := benchfmt.Load(oldPath)
 	if err != nil {
 		return false, err
 	}
-	cur, err := loadLive(newPath)
+	cur, err := benchfmt.Load(newPath)
 	if err != nil {
 		return false, err
 	}
-	base := make(map[liveRowKey]benchfmt.LiveRow, len(old.Runs))
+	base := make(map[benchfmt.Key]benchfmt.LiveRow, len(old.Runs))
 	for _, r := range old.Runs {
-		base[keyOf(r)] = r
+		base[r.Key] = r
 	}
-	fmt.Fprintf(w, "%-28s %22s %18s  %s\n", "row", "pkts/dlv old->new", "dlv/sec old->new", "verdict")
+	fmt.Fprintf(w, "%-38s %22s %18s  %s\n", "row", "pkts/dlv old->new", "dlv/sec old->new", "verdict")
 	matched := 0
 	for _, r := range cur.Runs {
-		b, ok := base[keyOf(r)]
-		label := fmt.Sprintf("n=%d k=%d %s seed=%d", r.Processes, r.Groups, r.Transport, r.ChaosSeed)
-		if r.Scenario != "" {
-			label = fmt.Sprintf("%s n=%d k=%d %s", r.Scenario, r.Processes, r.Groups, r.Transport)
+		b, ok := base[r.Key]
+		label := fmt.Sprintf("%s n=%d k=%d %s", r.Scenario, r.Processes, r.Groups, r.Transport)
+		if r.ChaosSeed != 0 {
+			label = fmt.Sprintf("%s chaos=%d", label, r.ChaosSeed)
 		}
 		if r.ConflictRate != 1 {
 			label = fmt.Sprintf("%s cfl=%.2f", label, r.ConflictRate)
 		}
-		if r.FsyncMode != "" && r.FsyncMode != "mem" {
+		if r.FsyncMode != "mem" {
 			label = fmt.Sprintf("%s %s", label, r.FsyncMode)
 		}
 		if !ok {
-			fmt.Fprintf(w, "%-28s %22s %18s  new row (no baseline)\n", label, "-", "-")
+			fmt.Fprintf(w, "%-38s %22s %18s  new row (no baseline)\n", label, "-", "-")
 			continue
 		}
 		matched++
+		pkts := benchfmt.Column{Old: b.PacketsPerDelivery, New: r.PacketsPerDelivery}
+		dlv := benchfmt.Column{Old: b.DeliveriesPerSec, New: r.DeliveriesPerSec}
 		verdict := "ok"
 		if r.ChaosSeed != 0 {
 			verdict = "info (chaos row, not gated)"
 		} else {
 			floor := dlvFloor
-			if r.FsyncMode != "" && r.FsyncMode != "mem" {
+			if r.FsyncMode != "mem" {
 				floor = fileDlvFloor
 			}
 			// Replay certificate: two full-length runs of the same (scenario,
@@ -168,18 +124,16 @@ func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlv
 					r.StreamDigest, b.StreamDigest)
 				failed = true
 			}
-			if b.PacketsPerDelivery > 0 && r.PacketsPerDelivery > b.PacketsPerDelivery*pktsSlack {
-				verdict = fmt.Sprintf("FAIL: packets/delivery %.1f > %.2fx baseline", r.PacketsPerDelivery, pktsSlack)
+			if pkts.Compared() && pkts.Ratio() > pktsSlack {
+				verdict = fmt.Sprintf("FAIL: packets/delivery %.1f > %.2fx baseline", pkts.New, pktsSlack)
 				failed = true
 			}
-			if b.DeliveriesPerSec > 0 && r.DeliveriesPerSec < b.DeliveriesPerSec*floor {
-				verdict = fmt.Sprintf("FAIL: deliveries/sec %.0f < %.2fx baseline", r.DeliveriesPerSec, floor)
+			if dlv.Compared() && dlv.Ratio() < floor {
+				verdict = fmt.Sprintf("FAIL: deliveries/sec %.0f < %.2fx baseline", dlv.New, floor)
 				failed = true
 			}
 		}
-		fmt.Fprintf(w, "%-28s %10.1f -> %8.1f %8.0f -> %6.0f  %s\n",
-			label, b.PacketsPerDelivery, r.PacketsPerDelivery,
-			b.DeliveriesPerSec, r.DeliveriesPerSec, verdict)
+		fmt.Fprintf(w, "%-38s %22s %18s  %s\n", label, pkts.Format("%.1f"), dlv.Format("%.0f"), verdict)
 	}
 	if matched == 0 {
 		return false, fmt.Errorf("no candidate row matches any baseline row")

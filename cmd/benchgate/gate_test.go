@@ -147,10 +147,12 @@ func TestMicroGateMissingBenchmarkFails(t *testing.T) {
 	}
 }
 
-const liveBase = `{"version": 7, "runs": [
-  {"processes": 3, "groups": 2, "transport": "mem", "chaos_seed": 0,
+const liveBase = `{"runs": [
+  {"scenario": "burst", "workload_seed": 1, "processes": 3, "groups": 2, "transport": "mem",
+   "chaos_seed": 0, "conflict_rate": 1, "fsync_mode": "mem",
    "deliveries_per_sec": 8000, "packets_per_delivery": 10.5},
-  {"processes": 3, "groups": 2, "transport": "mem", "chaos_seed": 42,
+  {"scenario": "burst", "workload_seed": 1, "processes": 3, "groups": 2, "transport": "mem",
+   "chaos_seed": 42, "conflict_rate": 1, "fsync_mode": "mem",
    "deliveries_per_sec": 900, "packets_per_delivery": 30.0}
 ]}`
 
@@ -216,8 +218,9 @@ func TestLiveGateSoftensFileRows(t *testing.T) {
 	// The same 0.15x throughput drop fails a mem row (floor 0.25) but
 	// passes a file-WAL durability row (floor 0.10): fsync speed is the
 	// runner's disk, not the code under test.
-	const fileBase = `{"version": 7, "runs": [
-	  {"processes": 3, "groups": 1, "transport": "mem", "chaos_seed": 0, "fsync_mode": "file",
+	const fileBase = `{"runs": [
+	  {"scenario": "burst", "workload_seed": 1, "processes": 3, "groups": 1, "transport": "mem",
+	   "chaos_seed": 0, "conflict_rate": 1, "fsync_mode": "file",
 	   "deliveries_per_sec": 1000, "packets_per_delivery": 12.0}
 	]}`
 	cand := strings.ReplaceAll(fileBase, "1000", "150")
@@ -245,29 +248,74 @@ func TestLiveGateSoftensFileRows(t *testing.T) {
 	}
 }
 
-func TestLiveGateRejectsCrossVersion(t *testing.T) {
-	// A v6 document on either side is refused with an error that names the
-	// stale file and both versions — not surfaced as mass row mismatches.
-	v6 := strings.Replace(liveBase, `"version": 7`, `"version": 6`, 1)
+func TestLiveGateRejectsRowWithoutIdentity(t *testing.T) {
+	// A row without a scenario would alias every scenario of its topology
+	// onto one key. It is refused on either side, with an error that names
+	// the file and the missing key — not surfaced as mass row mismatches.
+	anon := strings.Replace(liveBase, `"scenario": "burst", `, "", 1)
 	var out bytes.Buffer
 	_, err := liveGate(&out,
-		writeTemp(t, "old.json", v6),
+		writeTemp(t, "old.json", anon),
 		writeTemp(t, "new.json", liveBase), 1.25, 0.25, 0.10)
 	if err == nil {
-		t.Fatalf("v6 baseline against v7 candidate was not rejected")
+		t.Fatalf("baseline row without a scenario was not rejected")
 	}
-	if !strings.Contains(err.Error(), "old.json") || !strings.Contains(err.Error(), "version 6") ||
-		!strings.Contains(err.Error(), "version 7") {
-		t.Fatalf("rejection does not name the stale file and versions: %v", err)
+	if !strings.Contains(err.Error(), "old.json") || !strings.Contains(err.Error(), `"scenario"`) {
+		t.Fatalf("rejection does not name the file and the missing key: %v", err)
 	}
 	if _, err := liveGate(&out,
 		writeTemp(t, "old.json", liveBase),
-		writeTemp(t, "new.json", v6), 1.25, 0.25, 0.10); err == nil {
-		t.Fatalf("v6 candidate against v7 baseline was not rejected")
+		writeTemp(t, "new.json", anon), 1.25, 0.25, 0.10); err == nil {
+		t.Fatalf("candidate row without a scenario was not rejected")
+	}
+	// A zero-valued key still has to be written: leaving chaos_seed out is
+	// not the same statement as chaos_seed 0.
+	noSeed := strings.Replace(liveBase, `"chaos_seed": 0, `, "", 1)
+	if _, err := liveGate(&out,
+		writeTemp(t, "old.json", liveBase),
+		writeTemp(t, "new.json", noSeed), 1.25, 0.25, 0.10); err == nil ||
+		!strings.Contains(err.Error(), `"chaos_seed"`) {
+		t.Fatalf("row without chaos_seed: err = %v, want a refusal naming the key", err)
 	}
 }
 
-const scenarioBase = `{"version": 7, "runs": [
+func TestLiveGateSkipsAbsentColumn(t *testing.T) {
+	// The candidate does not carry packets_per_delivery on its gated row (a
+	// column newer or older than the other document): the column is
+	// reported as not compared, the rest of the row still gates.
+	cand := strings.Replace(liveBase, `, "packets_per_delivery": 10.5`, "", 1)
+	var out bytes.Buffer
+	failed, err := liveGate(&out,
+		writeTemp(t, "old.json", liveBase),
+		writeTemp(t, "new.json", cand), 1.25, 0.25, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed {
+		t.Fatalf("absent column failed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "not compared") {
+		t.Fatalf("absent column not reported as not compared:\n%s", out.String())
+	}
+	// The same holds with the column missing from the baseline side.
+	out.Reset()
+	failed, err = liveGate(&out,
+		writeTemp(t, "old.json", cand),
+		writeTemp(t, "new.json", liveBase), 1.25, 0.25, 0.10)
+	if err != nil || failed {
+		t.Fatalf("column absent from the baseline: failed=%v err=%v\n%s", failed, err, out.String())
+	}
+	// A throughput collapse on that row is still caught.
+	out.Reset()
+	failed, err = liveGate(&out,
+		writeTemp(t, "old.json", liveBase),
+		writeTemp(t, "new.json", strings.Replace(cand, "8000", "1000", 1)), 1.25, 0.25, 0.10)
+	if err != nil || !failed {
+		t.Fatalf("collapse next to an absent column: failed=%v err=%v\n%s", failed, err, out.String())
+	}
+}
+
+const scenarioBase = `{"runs": [
   {"scenario": "steady", "workload_seed": 1, "stream_digest": "aaaa", "multicasts": 600,
    "processes": 9, "groups": 4, "transport": "mem", "chaos_seed": 0, "conflict_rate": 1,
    "fsync_mode": "mem", "deliveries_per_sec": 3000, "packets_per_delivery": 10.0},

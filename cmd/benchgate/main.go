@@ -14,16 +14,19 @@
 //	    shared-runner noise and hardware drift from failing honest changes
 //	    while still catching the accidental O(n^2).
 //
-//	benchgate live -old BENCH_live.json -new BENCH_live_new.json
-//	    compares two benchtab live documents row by row. Cross-schema
-//	    comparisons are rejected (same rule as benchtab -baseline). On
-//	    chaos-free rows, packets/delivery — a protocol property, not a
-//	    timing — may not exceed the baseline by more than -pkts-slack
-//	    (default 1.25x), and deliveries/sec may not fall below -dlv-floor
-//	    (default 0.25x) of the baseline. Chaos-seeded rows are reported but
-//	    never gate: the nemesis owns their variance. File-WAL durability
-//	    rows gate throughput against the softer -file-dlv-floor (default
-//	    0.10x): fsync latency belongs to the runner's disk, not the code.
+//	benchgate live -old benchmarks/baselines/BENCH_scenarios.json -new BENCH_scenarios_new.json
+//	    compares two loadsim documents row by row, matching rows on their
+//	    identity keys (internal/benchfmt); a row that lacks one is refused
+//	    by name. On chaos-free rows, packets/delivery — a protocol
+//	    property, not a timing — may not exceed the baseline by more than
+//	    -pkts-slack (default 1.25x), deliveries/sec may not fall below
+//	    -dlv-floor (default 0.25x) of the baseline, and the stream digest
+//	    may not move while the multicast count stays. A column only one
+//	    side carries is reported "not compared". Chaos-seeded rows are
+//	    reported but never gate: the nemesis owns their variance. File-WAL
+//	    durability rows gate throughput against the softer -file-dlv-floor
+//	    (default 0.10x): fsync latency belongs to the runner's disk, not
+//	    the code.
 //
 // Exit status: 0 when every gate passes, 1 on any regression, 2 on usage
 // or input errors.
@@ -52,8 +55,8 @@ func main() {
 		failed, err = microGate(os.Stdout, *oldPath, *newPath, *alpha, *ratio)
 	case "live":
 		fs := flag.NewFlagSet("live", flag.ExitOnError)
-		oldPath := fs.String("old", "", "baseline BENCH_live.json")
-		newPath := fs.String("new", "", "candidate BENCH_live.json")
+		oldPath := fs.String("old", "", "baseline loadsim document")
+		newPath := fs.String("new", "", "candidate loadsim document")
 		pktsSlack := fs.Float64("pkts-slack", 1.25, "max packets/delivery as a multiple of baseline")
 		dlvFloor := fs.Float64("dlv-floor", 0.25, "min deliveries/sec as a fraction of baseline")
 		fileDlvFloor := fs.Float64("file-dlv-floor", 0.10, "min deliveries/sec for file-WAL durability rows (fsync speed is a disk property)")

@@ -12,75 +12,26 @@
 // Costs are simulated-currency metrics (per-process protocol steps, shared-
 // object messages, virtual-time latency), the right units for an
 // asynchronous-model paper; wall-clock throughput of this implementation is
-// in bench_test.go.
-//
-// The live mode measures the replicated substrate instead: wall-clock
-// delivery latency (p50/p99), sustained msgs/sec and real wire packets per
-// delivery, across chain topologies of overlapping 3-member groups and
-// chaos seeds. -json writes the results (BENCH_live.json in CI), -baseline
-// compares the fresh run against a prior document — the before/after of a
-// performance change is one command:
-//
-//	benchtab -short -json BENCH_live.json live
-//	benchtab -baseline BENCH_live.json -json BENCH_new.json live
-//
-// -cpuprofile/-memprofile write pprof profiles of the selected mode.
+// in bench_test.go, and wall-clock measurements of the live stack are
+// cmd/loadsim's job (one row per scenario of the internal/workload catalog).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/baseline"
-	"repro/internal/cliconf"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/fd"
 	"repro/internal/groups"
+	"repro/internal/workload"
 )
 
 func main() {
-	cc := cliconf.Bind(flag.CommandLine, cliconf.ToolBenchtab)
-	var (
-		shortFlag    = flag.Bool("short", false, "smaller topologies and message counts (CI budget)")
-		rateFlag     = flag.Float64("rate", 0, "live-mode load throttle in multicasts/sec (0 = unthrottled burst)")
-		countFlag    = flag.Int("count", 0, "live-mode multicasts per run (0 = mode default)")
-		conflictFlag = flag.Float64("conflict-rate", 0.1, "conflicting fraction of the generic commuting-mix live rows (1 = skip those rows)")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this path at exit")
-	)
 	flag.Parse()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile is live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: -memprofile: %v\n", err)
-			}
-		}()
-	}
 	which := flag.Arg(0)
 	switch which {
 	case "":
@@ -93,13 +44,8 @@ func main() {
 		convoy()
 	case "delay":
 		delaySweep()
-	case "live":
-		if err := liveBench(*shortFlag, cc.JSON, cc.Baseline, cc.Transport, *rateFlag, *countFlag, *conflictFlag, cc.DataDir, cc.Fsync); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
 	default:
-		fmt.Fprintf(os.Stderr, "benchtab: unknown mode %q (want scaling, convoy, delay or live)\n", which)
+		fmt.Fprintf(os.Stderr, "benchtab: unknown mode %q (want scaling, convoy or delay)\n", which)
 		os.Exit(2)
 	}
 }
@@ -134,14 +80,14 @@ func header(s string) {
 	fmt.Println(strings.Repeat("=", 76))
 }
 
-// disjointTopo builds k disjoint groups of size 3.
-func disjointTopo(k int) *groups.Topology {
-	gs := make([]groups.ProcSet, k)
-	for i := range gs {
-		gs[i] = groups.NewProcSet(
-			groups.Process(3*i), groups.Process(3*i+1), groups.Process(3*i+2))
+// mustTopo builds the workload package's generated topology of the given
+// kind over k groups.
+func mustTopo(kind string, k int) *groups.Topology {
+	topo, err := workload.TopoSpec{Kind: kind, Groups: k}.Build()
+	if err != nil {
+		panic(err)
 	}
-	return groups.MustNew(3*k, gs...)
+	return topo
 }
 
 // scaling prints the genuine-vs-broadcast table for growing k.
@@ -150,7 +96,7 @@ func scaling() {
 	fmt.Printf("%4s | %16s %12s | %16s %12s\n",
 		"k", "genuine msgs/mc", "steps/proc", "bcast msgs/mc", "steps/proc")
 	for _, k := range []int{2, 4, 8, 16, 21} {
-		topo := disjointTopo(k)
+		topo := mustTopo(workload.TopoDisjoint, k) // k disjoint groups of size 3
 		n := topo.NumProcesses()
 
 		gen := core.NewSystem(topo, failure.NewPattern(n),
@@ -178,17 +124,6 @@ func scaling() {
 	fmt.Println("every process's step count grow linearly with the system size.")
 }
 
-// ringTopo builds a ring of k size-2 groups g_i = {p_i, p_{i+1 mod k}} —
-// one cyclic family spanning every group, the worst case for stabilisation
-// chains.
-func ringTopo(k int) *groups.Topology {
-	gs := make([]groups.ProcSet, k)
-	for i := range gs {
-		gs[i] = groups.NewProcSet(groups.Process(i), groups.Process((i+1)%k))
-	}
-	return groups.MustNew(k, gs...)
-}
-
 // convoy measures the completion latency (all of g0 delivered) of a probe
 // message to g0, alone vs. behind a chain of in-flight messages occupying
 // the neighbouring intersection logs — the convoy of §6.2: the probe's
@@ -198,7 +133,9 @@ func convoy() {
 	header("Convoy effect — completion latency of a probe to g0 (rounds = ticks/n)")
 	fmt.Printf("%6s | %10s | %12s | %7s\n", "ring k", "isolated", "contended", "factor")
 	for _, k := range []int{3, 5, 8, 12} {
-		topo := ringTopo(k)
+		// A ring of k size-2 groups: one cyclic family spanning every group,
+		// the worst case for stabilisation chains.
+		topo := mustTopo(workload.TopoRing, k)
 		n := topo.NumProcesses()
 
 		lat := func(contended bool) float64 {

@@ -1,28 +1,37 @@
-// Command loadsim is the unattended campaign runner: it drives named
-// workload scenarios (internal/workload) against the live backend and
-// reduces each run to one SLO row of the versioned BENCH schema
-// (internal/benchfmt) that cmd/benchgate gates keyed by scenario name.
+// Command loadsim is the live bench driver: it runs named workload
+// scenarios (internal/workload) against the live backend, unattended, and
+// reduces each run to one self-describing SLO row (internal/benchfmt) that
+// cmd/benchgate gates against the committed baseline, keyed by the row's
+// identity.
 //
-// Unlike benchtab's closed-loop sweep, loadsim offers load open-loop: every
-// arrival has an intended send time fixed by (scenario, seed) before the
-// run starts, and latency is measured from that intended time — a system
-// that falls behind schedule accrues the backlog in its own tail instead of
-// throttling the load that measures it (no coordinated omission). Identical
-// (scenario, seed) reruns consume bit-identical streams; the stream_digest
-// column certifies it.
+// loadsim offers load open-loop: every arrival has an intended send time
+// fixed by (scenario, seed) before the run starts, and latency is measured
+// from that intended time — a system that falls behind schedule accrues the
+// backlog in its own tail instead of throttling the load that measures it
+// (no coordinated omission). The burst rows are the limiting case: every
+// arrival is due at t = 0. Identical (scenario, seed) reruns consume
+// bit-identical streams; the stream_digest column certifies it.
 //
-// A full campaign against the committed baselines is two commands:
+// A scenario also names the environment it runs in: chaos_seed wraps the
+// transport in the seeded nemesis (mild faults, lifted once the run has made
+// as many deliveries as it has multicasts), wal puts the acceptors on file
+// write-ahead logs in a temporary directory and measures a post-run replay
+// (recovery_ms).
 //
-//	loadsim -json BENCH_scenarios.json
-//	benchgate live -old benchmarks/baselines/BENCH_scenarios.json -new BENCH_scenarios.json
+// Refreshing the committed baseline and gating a fresh campaign against it:
+//
+//	loadsim -json benchmarks/baselines/BENCH_scenarios.json
+//	loadsim -json BENCH_scenarios_new.json
+//	benchgate live -old benchmarks/baselines/BENCH_scenarios.json -new BENCH_scenarios_new.json
 //
 // -scenarios picks catalog entries by name ("steady,hot-group"), -scenario-
 // file replaces the catalog with a JSON list, -load-scale stretches or
 // shrinks every scenario's arrival count (soak vs smoke), and -seed replays
-// a different stream. Soak scenarios run with the replog applied-op journal
-// armed and diff every replica's journal against its own paxos decision
-// snapshot on exit — the ROADMAP item-3 flake hunt rides along with every
-// campaign.
+// a different stream. Every run's delivered trace is checked against the
+// specification. Soak scenarios additionally run with the replog applied-op
+// journal armed and diff every replica's journal against its own paxos
+// decision snapshot on exit — the ROADMAP item-8 flake hunt rides along
+// with every campaign.
 package main
 
 import (
@@ -66,8 +75,8 @@ func campaign(w *os.File, cc cliconf.Common) error {
 	if err != nil {
 		return err
 	}
-	doc := benchfmt.NewDoc(false)
-	fmt.Fprintf(w, "%-10s %5s %4s %-4s %9s %9s | %8s %8s %8s | %8s %8s %5s\n",
+	doc := benchfmt.NewDoc()
+	fmt.Fprintf(w, "%-12s %3s %3s %-4s %9s %9s | %8s %8s %8s | %8s %5s %5s\n",
 		"scenario", "n", "k", "tpt", "offered/s", "goodput/s", "p50 ms", "p99 ms", "p999 ms", "pkts/dlv", "fast", "soak")
 	for _, sc := range scs {
 		sc = sc.Scale(cc.LoadScale)
@@ -80,16 +89,18 @@ func campaign(w *os.File, cc cliconf.Common) error {
 		if sc.Soak {
 			soak = "ok"
 		}
-		fmt.Fprintf(w, "%-10s %5d %4d %-4s %9.0f %9.0f | %8.2f %8.2f %8.2f | %8.1f %8.2f %5s\n",
+		fmt.Fprintf(w, "%-12s %3d %3d %-4s %9s %9.0f | %8.2f %8s %8s | %8.1f %5.2f %5s\n",
 			row.Scenario, row.Processes, row.Groups, row.Transport,
-			row.OfferedPerSec, row.MsgsPerSec,
-			row.P50Ms, row.P99Ms, row.P999Ms,
+			cell("%.0f", row.OfferedPerSec), row.MsgsPerSec,
+			row.P50Ms, cell("%.2f", row.P99Ms), cell("%.2f", row.P999Ms),
 			row.PacketsPerDelivery, row.FastShare, soak)
 	}
 	fmt.Fprintf(w, "\nlatency is measured from each arrival's intended send time (open loop):\n")
 	fmt.Fprintf(w, "goodput below offered/s means the backlog went into the tail columns,\n")
-	fmt.Fprintf(w, "not into a slowed-down load generator. Replay any row with its\n")
-	fmt.Fprintf(w, "(scenario, seed): the stream_digest column certifies the same workload.\n")
+	fmt.Fprintf(w, "not into a slowed-down load generator; a burst row has no offered rate and\n")
+	fmt.Fprintf(w, "its latency is time-to-drain. A tail percentile with fewer than %d samples\n", minTailSamples)
+	fmt.Fprintf(w, "beyond it is left out. Replay any row with its (scenario, seed): the\n")
+	fmt.Fprintf(w, "stream_digest column certifies the same workload.\n")
 	if cc.Baseline != "" {
 		if err := printScenarioDeltas(w, cc.Baseline, doc.Runs); err != nil {
 			return err
@@ -99,45 +110,48 @@ func campaign(w *os.File, cc cliconf.Common) error {
 		if err := doc.Write(cc.JSON); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\nwrote %s (%d scenario rows, schema v%d)\n", cc.JSON, len(doc.Runs), benchfmt.SchemaVersion)
+		fmt.Fprintf(w, "\nwrote %s (%d scenario rows)\n", cc.JSON, len(doc.Runs))
 	}
 	return nil
 }
 
-// printScenarioDeltas prints per-scenario changes against a prior campaign
+// cell formats an optional column for the table: "-" when the row does not
+// carry it.
+func cell(verb string, v float64) string {
+	if v == 0 {
+		return "-"
+	}
+	return fmt.Sprintf(verb, v)
+}
+
+// printScenarioDeltas prints per-row changes against a prior campaign
 // document. Informational — the pass/fail decision belongs to benchgate.
 func printScenarioDeltas(w *os.File, path string, fresh []benchfmt.LiveRow) error {
 	prior, err := benchfmt.Load(path)
 	if err != nil {
 		return fmt.Errorf("-baseline: %w", err)
 	}
-	if err := prior.CheckVersion(path); err != nil {
-		return fmt.Errorf("-baseline: %w", err)
-	}
-	old := make(map[string]benchfmt.LiveRow, len(prior.Runs))
+	old := make(map[benchfmt.Key]benchfmt.LiveRow, len(prior.Runs))
 	for _, r := range prior.Runs {
-		if r.Scenario != "" {
-			old[r.Scenario] = r
-		}
+		old[r.Key] = r
 	}
-	pct := func(now, was float64) string {
-		if was == 0 {
-			return "    n/a"
+	delta := func(c benchfmt.Column, verb string) string {
+		if !c.Compared() {
+			return c.Format(verb)
 		}
-		return fmt.Sprintf("%+6.1f%%", 100*(now-was)/was)
+		return fmt.Sprintf("%s %+6.1f%%", c.Format(verb), 100*(c.Ratio()-1))
 	}
 	fmt.Fprintf(w, "\ndelta vs %s (negative latency = better)\n", path)
-	fmt.Fprintf(w, "%-10s | %8s → %8s %7s | %8s → %8s %7s\n",
-		"scenario", "p99 was", "p99 now", "Δ", "gput was", "gput now", "Δ")
+	fmt.Fprintf(w, "%-12s | %26s | %26s\n", "scenario", "p99 ms was -> now", "goodput/s was -> now")
 	for _, r := range fresh {
-		was, ok := old[r.Scenario]
+		was, ok := old[r.Key]
 		if !ok {
-			fmt.Fprintf(w, "%-10s | (no baseline row)\n", r.Scenario)
+			fmt.Fprintf(w, "%-12s | (no baseline row)\n", r.Scenario)
 			continue
 		}
-		fmt.Fprintf(w, "%-10s | %8.2f → %8.2f %7s | %8.0f → %8.0f %7s\n",
-			r.Scenario, was.P99Ms, r.P99Ms, pct(r.P99Ms, was.P99Ms),
-			was.MsgsPerSec, r.MsgsPerSec, pct(r.MsgsPerSec, was.MsgsPerSec))
+		fmt.Fprintf(w, "%-12s | %26s | %26s\n", r.Scenario,
+			delta(benchfmt.Column{Old: was.P99Ms, New: r.P99Ms}, "%.2f"),
+			delta(benchfmt.Column{Old: was.MsgsPerSec, New: r.MsgsPerSec}, "%.0f"))
 	}
 	return nil
 }

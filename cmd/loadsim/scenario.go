@@ -2,10 +2,13 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
 	"repro/internal/benchfmt"
+	"repro/internal/chaos"
+	"repro/internal/cliconf"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/groups"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/replog"
+	"repro/internal/storage"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -27,11 +31,131 @@ type delivery struct {
 	at time.Time
 }
 
+// mildFaults is the fault mix of a chaos-seeded row: enough loss,
+// duplication and delay that retransmission work shows in packets/delivery.
+// (The delays cost far more than their nominal length: every delayed packet
+// pays the host's timer granularity, ~1ms, on a FIFO link.)
+var mildFaults = chaos.Faults{
+	Drop:     0.005,
+	Dup:      0.01,
+	DelayMax: 300 * time.Microsecond,
+}
+
+// minTailSamples is the sample floor of a tail percentile column: with
+// fewer samples beyond the percentile it is the maximum under another name,
+// and the column is left out of the row.
+const minTailSamples = 10
+
+// env is what a row's environment columns build: the fabric the system runs
+// on (transport, wrapped in the nemesis under a chaos_seed) and the
+// write-ahead logs under it (wal).
+type env struct {
+	nw    net.Transport
+	chaos *chaos.Chaos  // non-nil under a chaos_seed, faults set
+	dir   string        // file WALs live here; "" on the mem backing
+	wals  []storage.WAL // file WALs by process; nil on the mem backing
+	// storage is the live.Config.Storage handing out wals; nil on the mem
+	// backing, which leaves the system its own in-memory default.
+	storage func(groups.Process) storage.WAL
+}
+
+// openEnv builds the environment of sc over n processes. File WALs are
+// opened in a fresh temporary directory and count into wc; the caller
+// releases the environment with close.
+func openEnv(sc workload.Scenario, transport string, n int, wc *obs.WALCounters) (*env, error) {
+	e := &env{}
+	switch transport {
+	case "mem":
+		e.nw = net.New(n)
+	case "tcp":
+		f, err := wire.NewFabric(n)
+		if err != nil {
+			return nil, err
+		}
+		e.nw = f
+	default:
+		return nil, fmt.Errorf("unknown transport %q (want mem or tcp)", transport)
+	}
+	if sc.ChaosSeed != 0 {
+		e.chaos = chaos.Wrap(e.nw, sc.ChaosSeed)
+		e.chaos.SetFaults(mildFaults)
+		e.nw = e.chaos
+	}
+	if sc.WALMode() == workload.WALMem {
+		return e, nil
+	}
+	dir, err := os.MkdirTemp("", "loadsim-wal-")
+	if err != nil {
+		e.close()
+		return nil, err
+	}
+	e.dir = dir
+	fsync := "sync"
+	if sc.WALMode() == workload.WALFileNoSync {
+		fsync = "none"
+	}
+	for p := 0; p < n; p++ {
+		w, err := cliconf.OpenWAL(dir, fsync, groups.Process(p), wc)
+		if err != nil {
+			e.close()
+			return nil, err
+		}
+		e.wals = append(e.wals, w)
+	}
+	e.storage = func(p groups.Process) storage.WAL { return e.wals[p] }
+	return e, nil
+}
+
+// liftFaults ends fault injection, so the rest of the run's liveness
+// depends on the protocol and not on the schedule being kind.
+func (e *env) liftFaults() {
+	if e.chaos != nil {
+		e.chaos.SetFaults(chaos.Faults{})
+	}
+}
+
+// replayWALs closes the stopped system's file WALs and replays each as a
+// restarting process would. The replay time lands in wc, which the report
+// turns into the recovery_ms column.
+func (e *env) replayWALs(wc *obs.WALCounters) error {
+	for p, w := range e.wals {
+		if err := w.Close(); err != nil {
+			return fmt.Errorf("wal close p%d: %w", p, err)
+		}
+	}
+	for p := range e.wals {
+		w, err := cliconf.OpenWAL(e.dir, "sync", groups.Process(p), wc)
+		if err != nil {
+			return fmt.Errorf("wal reopen p%d: %w", p, err)
+		}
+		err = w.Replay(func(storage.Record) error { return nil })
+		w.Close() // only read from
+		if err != nil {
+			return fmt.Errorf("wal replay p%d: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// close releases everything openEnv acquired. Every Close below is
+// idempotent, so it is safe after System.Stop (which closes the transport)
+// and after replayWALs (which closes the logs and reports their errors).
+func (e *env) close() {
+	e.nw.Close()
+	for _, w := range e.wals {
+		w.Close()
+	}
+	if e.dir != "" {
+		os.RemoveAll(e.dir)
+	}
+}
+
 // runScenario drives one scenario's full stream against a fresh live
-// system and reduces the run to its SLO row. The returned row carries the
-// open-loop latency columns (measured from intended send times), the
-// offered rate, and the stream digest; an error means the scenario did not
-// complete (delivery timeout) or, for soak scenarios, the applied-op
+// system in the scenario's environment and reduces the run to its SLO row.
+// The returned row carries the open-loop latency columns (measured from
+// intended send times), the offered rate, and the stream digest; an error
+// means the scenario did not complete (delivery timeout), the delivered
+// trace violates the specification or, for soak scenarios, the applied-op
 // journal diverged from the decision snapshots.
 func runScenario(sc workload.Scenario, seed int64, transport string, timeout time.Duration) (benchfmt.LiveRow, error) {
 	gen, err := workload.NewGen(sc, seed)
@@ -44,20 +168,12 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 	}
 	topo := gen.Topology()
 	n := topo.NumProcesses()
-	var nw net.Transport
-	switch transport {
-	case "mem":
-		nw = net.New(n)
-	case "tcp":
-		f, err := wire.NewFabric(n)
-		if err != nil {
-			return benchfmt.LiveRow{}, err
-		}
-		nw = f
-	default:
-		return benchfmt.LiveRow{}, fmt.Errorf("unknown transport %q (want mem or tcp)", transport)
-	}
 	rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters, WallClock: true})
+	e, err := openEnv(sc, transport, n, rec.WAL())
+	if err != nil {
+		return benchfmt.LiveRow{}, err
+	}
+	defer e.close()
 	opt := core.Options{Rec: rec}
 	if gen.Generic() {
 		opt.Variant = core.Generic
@@ -71,23 +187,31 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 		at := time.Now()
 		mu.Lock()
 		events = append(events, delivery{id: m.ID, at: at})
+		lift := len(events) == sc.Count
 		mu.Unlock()
+		if lift {
+			// As many deliveries as multicasts: the first third of the work on
+			// 3-member groups ran under the nemesis. (Lifting after the send
+			// loop instead would lift before a burst's first packet.)
+			e.liftFaults()
+		}
 	}
 	if sc.Soak {
 		// Soak scenarios run with the applied-op journal armed so the
 		// journal/decision diff below covers every campaign, not just the
-		// failover tests (ROADMAP item 3).
+		// failover tests (ROADMAP item 8).
 		replog.SetJournal(true)
 		defer replog.SetJournal(false)
 	}
-	sys := live.NewSystem(topo, failure.NewPattern(n), nw, live.Config{Opt: opt})
+	sys := live.NewSystem(topo, failure.NewPattern(n), e.nw, live.Config{Opt: opt, Storage: e.storage})
 	sys.Start()
 
 	// The open-loop clock: each arrival is submitted no earlier than its
 	// intended time. When the driver falls behind (the system is slower than
-	// the offered rate), arrivals fire back to back and the growing gap
-	// lands in the intended-time latency — exactly the tail a closed loop
-	// would have hidden.
+	// the offered rate, or the scenario is a burst and everything is due at
+	// once), arrivals fire back to back and the growing gap lands in the
+	// intended-time latency — exactly the tail a closed loop would have
+	// hidden.
 	start := time.Now()
 	intended := make(map[msg.ID]time.Duration, sc.Count)
 	var lastAt time.Duration
@@ -105,10 +229,16 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 	}
 	ok := sys.AwaitDelivery(timeout)
 	sys.Stop()
+	if err := e.replayWALs(rec.WAL()); err != nil {
+		return benchfmt.LiveRow{}, err
+	}
 	rep := sys.Report()
 	if !ok {
 		return benchfmt.LiveRow{}, fmt.Errorf("delivery incomplete after %v (%d multicasts, %d deliveries)",
 			timeout, rep.Multicasts, rep.Deliveries)
+	}
+	if vs := sys.Check(); len(vs) > 0 {
+		return benchfmt.LiveRow{}, fmt.Errorf("specification violated: %v (and %d more)", vs[0], len(vs)-1)
 	}
 	if sc.Soak {
 		if errs := sys.JournalDiff(); len(errs) > 0 {
@@ -133,20 +263,22 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 	sum := obs.Summarise(lat)
 
 	row := benchfmt.FromReport(rep)
-	// The latency columns of a scenario row are the open-loop summary, not
-	// the recorder's send-to-delivery histogram: measured from intended
-	// time, they include any backlog the driver accrued.
-	row.P50Ms = sum.P50
-	row.P90Ms = sum.P90
-	row.P99Ms = sum.P99
-	row.P999Ms = sum.P999
-	row.MaxMs = sum.Max
 	row.Scenario = sc.Name
 	row.WorkloadSeed = seed
 	row.StreamDigest = digest
 	row.Transport = transport
+	row.ChaosSeed = sc.ChaosSeed
 	row.ConflictRate = sc.ConflictRate
-	row.FsyncMode = "mem"
+	row.FsyncMode = sc.WALMode()
+	row.P50Ms = sum.P50
+	row.P90Ms = sum.P90
+	row.MaxMs = sum.Max
+	if float64(len(lat))*0.01 >= minTailSamples {
+		row.P99Ms = sum.P99
+	}
+	if float64(len(lat))*0.001 >= minTailSamples {
+		row.P999Ms = sum.P999
+	}
 	if lastAt > 0 {
 		row.OfferedPerSec = float64(sc.Count) / lastAt.Seconds()
 	}

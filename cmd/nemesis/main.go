@@ -47,6 +47,7 @@ import (
 	"repro/internal/register"
 	"repro/internal/replog"
 	"repro/internal/storage"
+	wl "repro/internal/workload"
 )
 
 // workload is one named nemesis target: a run function driven by the
@@ -64,8 +65,8 @@ type workload struct {
 var workloads = []workload{
 	{"register", "single-writer ABD register; checks monotone reads and post-quiesce convergence", runRegister, nil},
 	{"replog", "concurrent appends on one replicated log; checks pairwise ordering across replicas", runReplog, nil},
-	{"multicast", "Algorithm 1 over the live backend on a chain of overlapping groups; checks the full specification", runMulticast, nil},
-	{"commute", "generic multicast with mixed conflicting/commuting traffic under chaos; checks the conflict-aware specification", runCommute, nil},
+	{"multicast", "Algorithm 1 over the live backend on a chain of overlapping groups; checks the full specification", chainWorkload(nil), nil},
+	{"commute", "generic multicast with mixed conflicting/commuting traffic under chaos; checks the conflict-aware specification", chainWorkload(commuteMix), nil},
 	{"powercycle", "kill -9 and reboot durable log replicas mid-run; checks WAL recovery keeps the decided prefix intact", runPowerCycle, chaos.NewPowerPlan},
 }
 
@@ -476,19 +477,13 @@ func runPowerCycle(seed int64, n int, plan chaos.Plan) error {
 // the unique middle member of every group crashing on a staggered schedule
 // (the shared members stay up, so every group and every pairwise
 // intersection keeps a majority).
-func chainScenario(n int) (*groups.Topology, *failure.Pattern, []groups.ProcSet, error) {
+func chainScenario(n int) (*groups.Topology, *failure.Pattern, error) {
 	if n < 3 || n%2 == 0 {
-		return nil, nil, nil, fmt.Errorf("this workload needs an odd -n >= 3 (chain of overlapping 3-member groups), got %d", n)
+		return nil, nil, fmt.Errorf("this workload needs an odd -n >= 3 (chain of overlapping 3-member groups), got %d", n)
 	}
-	var sets []groups.ProcSet
-	for p := 0; p+2 < n; p += 2 {
-		var s groups.ProcSet
-		s = s.Add(groups.Process(p)).Add(groups.Process(p + 1)).Add(groups.Process(p + 2))
-		sets = append(sets, s)
-	}
-	topo, err := groups.New(n, sets...)
+	topo, err := wl.TopoSpec{Kind: wl.TopoChain, Groups: (n - 1) / 2}.Build()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	pat := failure.NewPattern(n)
 	ct := failure.Time(120)
@@ -496,151 +491,104 @@ func chainScenario(n int) (*groups.Topology, *failure.Pattern, []groups.ProcSet,
 		pat = pat.WithCrash(groups.Process(p), ct)
 		ct += 60
 	}
-	return topo, pat, sets, nil
+	return topo, pat, nil
 }
 
-// runMulticast drives the full protocol on the live backend under the
-// plan over the chain scenario. Correct members multicast until the
-// nemesis quiesces; then every multicast must be delivered at every
-// correct destination member and the whole trace must pass the
-// atomic-multicast specification checkers.
-func runMulticast(seed int64, n int, plan chaos.Plan) error {
-	topo, pat, sets, err := chainScenario(n)
-	if err != nil {
-		return err
+// commuteMix is the commute workload's class function: 7 multicasts in 10
+// commute with everything (ClassFree, the coordination-free fast path), the
+// rest cycle through 3 keyed conflict classes that must stay totally ordered.
+func commuteMix(i int) msg.Class {
+	if i%10 >= 7 {
+		return msg.Class(1 + i%3)
 	}
-
-	c := chaos.Wrap(net.New(n), seed)
-	rec := obs.NewRecorder(obs.Options{WallClock: true})
-	sys := live.NewSystem(topo, pat, c, live.Config{Opt: core.Options{Rec: rec}})
-	sys.Start()
-	defer sys.Stop()
-
-	// On failure, ship the run report with the error: the counters say where
-	// the work went (paxos rounds, probes, chaos injections) and the timeline
-	// tail says what the protocol was doing when it stalled.
-	fail := func(format string, args ...any) error {
-		sys.Stop()
-		rep := sys.Report()
-		fmt.Fprintf(os.Stderr, "%s\n", rep.String())
-		if len(rep.Events) > 0 {
-			fmt.Fprintln(os.Stderr, "event timeline (tail):")
-			rep.WriteTimeline(os.Stderr, 60)
-		}
-		return fmt.Errorf(format, args...)
-	}
-
-	nm := &chaos.Nemesis{C: c, Plan: plan}
-	nmDone := nm.Go()
-
-	// Round-robin multicasts from the correct (even-numbered) members of
-	// each group until the fault schedule quiesces.
-	sent := 0
-loop:
-	for i := 0; ; i++ {
-		k := i % len(sets)
-		src := groups.Process(2 * k)
-		if i%2 == 1 {
-			src = groups.Process(2*k + 2)
-		}
-		sys.Multicast(src, groups.GroupID(k), nil)
-		sent++
-		select {
-		case <-nmDone:
-			break loop
-		case <-time.After(35 * time.Millisecond):
-		}
-	}
-
-	if !sys.AwaitDelivery(90 * time.Second) {
-		return fail("post-quiesce delivery incomplete: %d multicasts sent", sent)
-	}
-	sys.Stop()
-	fmt.Printf("workload: %d multicasts, stats %+v\n", sent, c.Stats())
-	if vs := sys.Check(); len(vs) > 0 {
-		return fail("specification violated: %v", vs)
-	}
-	return nil
+	return msg.ClassFree
 }
 
-// runCommute drives the Generic variant on the live backend under the plan
-// over the same chain scenario, with mixed traffic: most messages commute
-// with everything (ClassFree, the coordination-free fast path) and the rest
-// fall into a few keyed conflict classes that must stay totally ordered.
-// The conflict-aware checkers then validate the run — total order within
-// conflicting pairs, free divergence elsewhere — and the run must have
-// actually exercised both paths.
-func runCommute(seed int64, n int, plan chaos.Plan) error {
-	topo, pat, sets, err := chainScenario(n)
-	if err != nil {
-		return err
-	}
+// chainWorkload returns the run function of a multicast workload: the full
+// protocol on the live backend under the plan over the chain scenario.
+// classOf gives the i-th multicast its conflict class; nil is the vanilla
+// protocol (every message conflicts with every other), anything else runs
+// the Generic variant and the conflict-aware checkers — total order within
+// conflicting pairs, free divergence elsewhere. Correct members multicast
+// until the nemesis quiesces; then every multicast must be delivered at
+// every correct destination member, the whole trace must pass the
+// specification checkers, and a run that sent commuting messages must have
+// fast-delivered some.
+func chainWorkload(classOf func(i int) msg.Class) func(seed int64, n int, plan chaos.Plan) error {
+	return func(seed int64, n int, plan chaos.Plan) error {
+		topo, pat, err := chainScenario(n)
+		if err != nil {
+			return err
+		}
+		opt := core.Options{Rec: obs.NewRecorder(obs.Options{WallClock: true})}
+		if classOf != nil {
+			opt.Variant = core.Generic
+			opt.Conflict = msg.ClassesConflict
+		}
+		c := chaos.Wrap(net.New(n), seed)
+		sys := live.NewSystem(topo, pat, c, live.Config{Opt: opt})
+		sys.Start()
+		defer sys.Stop()
 
-	c := chaos.Wrap(net.New(n), seed)
-	rec := obs.NewRecorder(obs.Options{WallClock: true})
-	sys := live.NewSystem(topo, pat, c, live.Config{Opt: core.Options{
-		Variant:  core.Generic,
-		Conflict: msg.ClassesConflict,
-		Rec:      rec,
-	}})
-	sys.Start()
-	defer sys.Stop()
+		// On failure, ship the run report with the error: the counters say
+		// where the work went (paxos rounds, probes, chaos injections) and the
+		// timeline tail says what the protocol was doing when it stalled.
+		fail := func(format string, args ...any) error {
+			sys.Stop()
+			rep := sys.Report()
+			fmt.Fprintf(os.Stderr, "%s\n", rep.String())
+			if len(rep.Events) > 0 {
+				fmt.Fprintln(os.Stderr, "event timeline (tail):")
+				rep.WriteTimeline(os.Stderr, 60)
+			}
+			return fmt.Errorf(format, args...)
+		}
 
-	fail := func(format string, args ...any) error {
+		nm := &chaos.Nemesis{C: c, Plan: plan}
+		nmDone := nm.Go()
+
+		// Round-robin multicasts from the correct (even-numbered) members of
+		// each group until the fault schedule quiesces.
+		sent, free := 0, 0
+	loop:
+		for i := 0; ; i++ {
+			k := i % topo.NumGroups()
+			src := groups.Process(2 * k)
+			if i%2 == 1 {
+				src = groups.Process(2*k + 2)
+			}
+			class := msg.ClassAll
+			if classOf != nil {
+				class = classOf(i)
+			}
+			if class == msg.ClassFree {
+				free++
+			}
+			sys.MulticastClassed(src, groups.GroupID(k), nil, class)
+			sent++
+			select {
+			case <-nmDone:
+				break loop
+			case <-time.After(35 * time.Millisecond):
+			}
+		}
+
+		if !sys.AwaitDelivery(90 * time.Second) {
+			return fail("post-quiesce delivery incomplete: %d multicasts sent", sent)
+		}
 		sys.Stop()
-		rep := sys.Report()
-		fmt.Fprintf(os.Stderr, "%s\n", rep.String())
-		if len(rep.Events) > 0 {
-			fmt.Fprintln(os.Stderr, "event timeline (tail):")
-			rep.WriteTimeline(os.Stderr, 60)
+		var fast int64
+		if rep := sys.Report(); rep.Conflict != nil {
+			fast = rep.Conflict.FastDeliveries
 		}
-		return fmt.Errorf(format, args...)
-	}
-
-	nm := &chaos.Nemesis{C: c, Plan: plan}
-	nmDone := nm.Go()
-
-	// Round-robin multicasts from the correct (even-numbered) members: 7 in
-	// 10 commute with everything, the rest cycle through 3 keyed classes.
-	sent, free := 0, 0
-loop:
-	for i := 0; ; i++ {
-		k := i % len(sets)
-		src := groups.Process(2 * k)
-		if i%2 == 1 {
-			src = groups.Process(2*k + 2)
+		fmt.Printf("workload: %d multicasts (%d commuting), %d fast deliveries, stats %+v\n",
+			sent, free, fast, c.Stats())
+		if free > 0 && fast == 0 {
+			return fail("commuting messages were sent but no delivery skipped coordination")
 		}
-		class := msg.ClassFree
-		if i%10 >= 7 {
-			class = msg.Class(1 + i%3)
-		} else {
-			free++
+		if vs := sys.Check(); len(vs) > 0 {
+			return fail("specification violated: %v", vs)
 		}
-		sys.MulticastClassed(src, groups.GroupID(k), nil, class)
-		sent++
-		select {
-		case <-nmDone:
-			break loop
-		case <-time.After(35 * time.Millisecond):
-		}
+		return nil
 	}
-
-	if !sys.AwaitDelivery(90 * time.Second) {
-		return fail("post-quiesce delivery incomplete: %d multicasts sent", sent)
-	}
-	sys.Stop()
-	rep := sys.Report()
-	var fast int64
-	if rep.Conflict != nil {
-		fast = rep.Conflict.FastDeliveries
-	}
-	fmt.Printf("workload: %d multicasts (%d commuting), %d fast deliveries, stats %+v\n",
-		sent, free, fast, c.Stats())
-	if free > 0 && fast == 0 {
-		return fail("commuting messages were sent but no delivery skipped coordination")
-	}
-	if vs := sys.Check(); len(vs) > 0 {
-		return fail("conflict-aware specification violated: %v", vs)
-	}
-	return nil
 }

@@ -1,98 +1,98 @@
-// Package benchfmt is the versioned on-disk schema of the live benchmark
-// documents (BENCH_live.json, BENCH_scenarios.json). It exists so the three
-// consumers — cmd/benchtab (writes topology-sweep rows), cmd/loadsim (writes
-// per-scenario SLO rows) and cmd/benchgate (gates fresh rows against
-// committed baselines) — share one row shape instead of three drifting
-// copies. Bump SchemaVersion when a column changes meaning; readers refuse
-// cross-version comparisons outright, because silently diffing mismatched
-// shapes produces plausible-looking nonsense.
+// Package benchfmt is the on-disk format of the live benchmark document
+// (benchmarks/baselines/BENCH_scenarios.json): cmd/loadsim writes one row
+// per scenario, cmd/benchgate gates fresh rows against committed ones.
+//
+// Rows describe themselves. Every row carries its identity key set (Key) —
+// what was run, on what — and a row that lacks one is refused on load.
+// Measured columns are optional: a column one side of a comparison does not
+// carry is not compared (Column), so adding a column needs neither a
+// version nor a regenerated baseline.
 package benchfmt
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// SchemaVersion is the BENCH document schema version. Version 2 added the
-// schema field itself, the transport column, and wire-level byte counts.
-// Version 3 made deliveries/sec a first-class column and added the batching
-// pipeline's shape — and the default load changed from a paced open loop to
-// an unthrottled burst, so v2 latency numbers are not comparable. Version 4
-// added the conflict_rate column and fast_deliveries. Version 5 added the
-// fsync_mode column plus WAL bytes/op, sync counts and measured recovery
-// time. Version 6 added the event-driven scheduler's columns — and the
-// stepping model changed from a 200µs idle poll to wakeup-driven draining,
-// so v5 latency rows were measured under a different scheduler. Version 7
-// moved the schema here and added the workload campaign columns: scenario
-// and workload_seed (the replay key), offered_per_sec and p999_ms (the
-// open-loop SLO pair — latency is measured from the intended send time, so
-// coordinated omission is impossible), fast_share, and stream_digest (the
-// generator's replayability certificate). v6 rows have no scenario column,
-// so they would silently alias every scenario onto one key.
-const SchemaVersion = 7
-
-// LiveRow is one measured configuration — a row of a BENCH document.
-// benchtab's topology sweep leaves the scenario columns zero; loadsim's
-// campaign rows carry them.
-type LiveRow struct {
-	// Scenario names the workload scenario the row measured ("" for the
-	// benchtab topology sweep). benchgate keys rows on it.
-	Scenario string `json:"scenario,omitempty"`
+// Key is a row's identity — what was run, on what. Two rows are the same
+// measurement, taken twice, exactly when their keys are equal; benchgate
+// matches rows on it. Always written, required on load.
+type Key struct {
+	// Scenario names the workload scenario the row measured.
+	Scenario string `json:"scenario"`
 	// WorkloadSeed is the generator seed; (Scenario, WorkloadSeed) replays
 	// the exact stream this row measured.
-	WorkloadSeed int64 `json:"workload_seed,omitempty"`
-	// StreamDigest is the FNV-1a certificate of the generated stream: two
-	// rows with equal digests consumed bit-identical workloads.
-	StreamDigest string `json:"stream_digest,omitempty"`
-
-	Processes int    `json:"processes"`
-	Groups    int    `json:"groups"`
-	Transport string `json:"transport"`
-	ChaosSeed int64  `json:"chaos_seed"`
+	WorkloadSeed int64  `json:"workload_seed"`
+	Processes    int    `json:"processes"`
+	Groups       int    `json:"groups"`
+	Transport    string `json:"transport"`
+	// ChaosSeed is the nemesis seed of the row's transport, 0 for none.
+	ChaosSeed int64 `json:"chaos_seed"`
 	// ConflictRate is the fraction of the load tagged into keyed conflict
 	// classes: 1.0 is the vanilla total-order run (every pair conflicts),
 	// anything below runs the generic variant where the remaining messages
 	// are ClassFree and skip the g∩h coordination entirely.
 	ConflictRate float64 `json:"conflict_rate"`
-	// FsyncMode is the write-ahead-log backing: "mem" (in-memory group
-	// commit, the default substrate), "file" (file WAL, fsync on every
-	// commit barrier) or "file-nosync" (file WAL, OS buffering only).
-	FsyncMode  string `json:"fsync_mode"`
-	Multicasts int64  `json:"multicasts"`
-	Deliveries int64  `json:"deliveries"`
+	// FsyncMode is the write-ahead-log backing (workload.Scenario.WAL):
+	// "mem" (in-memory group commit, the default substrate), "file" (file
+	// WAL, fsync on every commit barrier) or "file-nosync" (file WAL, OS
+	// buffering only).
+	FsyncMode string `json:"fsync_mode"`
+}
 
-	// OfferedPerSec is the open-loop offered load (0 for burst rows).
-	// Goodput vs offered is DeliveriesPerSec/Groups-adjusted against it.
+// identityKeys are the JSON names of Key's fields.
+var identityKeys = func() []string {
+	t := reflect.TypeOf(Key{})
+	keys := make([]string, t.NumField())
+	for i := range keys {
+		keys[i] = t.Field(i).Tag.Get("json")
+	}
+	return keys
+}()
+
+// LiveRow is one measured configuration — a row of a BENCH document: its
+// identity and the measured columns, every one of which is optional.
+type LiveRow struct {
+	Key
+
+	// StreamDigest is the FNV-1a certificate of the generated stream: two
+	// rows with equal digests consumed bit-identical workloads.
+	StreamDigest string `json:"stream_digest,omitempty"`
+
+	Multicasts int64 `json:"multicasts,omitempty"`
+	Deliveries int64 `json:"deliveries,omitempty"`
+	// OfferedPerSec is the open-loop offered load (absent on burst rows).
 	OfferedPerSec float64 `json:"offered_per_sec,omitempty"`
 
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	// P999Ms is the 99.9th-percentile latency. On scenario rows the whole
-	// latency distribution is measured from the intended send time, so a
+	// Latency is measured from each arrival's intended send time, so a
 	// driver that falls behind schedule accrues the backlog here instead of
-	// hiding it (no coordinated omission).
+	// hiding it (no coordinated omission). A tail percentile is left out
+	// when too few samples lie beyond it to tell it from the maximum.
+	P50Ms              float64 `json:"p50_ms,omitempty"`
+	P90Ms              float64 `json:"p90_ms,omitempty"`
+	P99Ms              float64 `json:"p99_ms,omitempty"`
 	P999Ms             float64 `json:"p999_ms,omitempty"`
-	MaxMs              float64 `json:"max_ms"`
-	MsgsPerSec         float64 `json:"msgs_per_sec"`
-	DeliveriesPerSec   float64 `json:"deliveries_per_sec"`
-	Packets            int64   `json:"packets"`
-	PacketsPerDelivery float64 `json:"packets_per_delivery"`
+	MaxMs              float64 `json:"max_ms,omitempty"`
+	MsgsPerSec         float64 `json:"msgs_per_sec,omitempty"`
+	DeliveriesPerSec   float64 `json:"deliveries_per_sec,omitempty"`
+	Packets            int64   `json:"packets,omitempty"`
+	PacketsPerDelivery float64 `json:"packets_per_delivery,omitempty"`
 	ChaosInjections    uint64  `json:"chaos_injections,omitempty"`
 	// FastDeliveries counts deliveries that skipped the pairwise
 	// coordination pipeline (generic variant, commuting messages only);
 	// FastShare is their fraction of all deliveries.
 	FastDeliveries int64   `json:"fast_deliveries,omitempty"`
 	FastShare      float64 `json:"fast_share,omitempty"`
-	WallMs         float64 `json:"wall_ms"`
+	WallMs         float64 `json:"wall_ms,omitempty"`
 	// Batching pipeline shape: mean ops per proposed replog batch and the
 	// peak number of outstanding windowed accept rounds in any realm.
-	AvgBatchOps     float64 `json:"avg_batch_ops"`
-	WindowDepthPeak int64   `json:"window_depth_peak"`
+	AvgBatchOps     float64 `json:"avg_batch_ops,omitempty"`
+	WindowDepthPeak int64   `json:"window_depth_peak,omitempty"`
 	FwdOps          int64   `json:"fwd_ops,omitempty"`
 	RemoteOps       int64   `json:"remote_ops,omitempty"`
 	// Wire traffic (tcp transport only): real encoded bytes on the socket,
@@ -117,44 +117,48 @@ type LiveRow struct {
 	IdleWork           int64   `json:"idle_work,omitempty"`
 }
 
-// LiveDoc is a BENCH document: a schema version, a generation stamp and the
-// measured rows.
+// Column is one measured column seen from both sides of a comparison. A
+// side that does not carry the column reads as zero.
+type Column struct{ Old, New float64 }
+
+// Compared reports whether both sides carry the column. When one does not
+// — the column is newer than the other document, or was left out of the
+// row — there is nothing to gate and nothing to print as a delta.
+func (c Column) Compared() bool { return c.Old > 0 && c.New > 0 }
+
+// Ratio is New/Old; meaningful only when Compared.
+func (c Column) Ratio() float64 { return c.New / c.Old }
+
+// Format renders the column as "old -> new" with the given verb for each
+// side, or as "not compared".
+func (c Column) Format(verb string) string {
+	if !c.Compared() {
+		return "not compared"
+	}
+	return fmt.Sprintf(verb+" -> "+verb, c.Old, c.New)
+}
+
+// LiveDoc is a BENCH document: a generation stamp and the measured rows.
 type LiveDoc struct {
-	Version   int       `json:"version"`
 	Generated string    `json:"generated"`
-	Short     bool      `json:"short"`
 	Runs      []LiveRow `json:"runs"`
 }
 
-// NewDoc returns an empty document at the current schema version, stamped
-// now.
-func NewDoc(short bool) LiveDoc {
-	return LiveDoc{
-		Version:   SchemaVersion,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Short:     short,
-	}
+// NewDoc returns an empty document stamped now.
+func NewDoc() LiveDoc {
+	return LiveDoc{Generated: time.Now().UTC().Format(time.RFC3339)}
 }
 
-// FromReport fills the report-derived columns of a row: counts, latency
-// quantiles (from WallLatency), throughput, and every substrate counter the
-// run measured. Identity columns (scenario, transport, seeds, conflict rate,
-// fsync mode) and the open-loop columns are the caller's to set — the report
-// does not know them.
+// FromReport fills the report-derived columns of a row: counts, throughput
+// and every substrate counter the run measured. The scenario's identity
+// columns and the open-loop columns (offered rate, latency from intended
+// send times) are the caller's to set — the report does not know them.
 func FromReport(rep obs.RunReport) LiveRow {
 	row := LiveRow{
-		Processes:  rep.Processes,
-		Groups:     rep.Groups,
+		Key:        Key{Processes: rep.Processes, Groups: rep.Groups},
 		Multicasts: rep.Multicasts,
 		Deliveries: rep.Deliveries,
 		WallMs:     float64(rep.Wall) / float64(time.Millisecond),
-	}
-	if rep.WallLatency != nil {
-		row.P50Ms = rep.WallLatency.P50
-		row.P90Ms = rep.WallLatency.P90
-		row.P99Ms = rep.WallLatency.P99
-		row.P999Ms = rep.WallLatency.P999
-		row.MaxMs = rep.WallLatency.Max
 	}
 	if rep.Wall > 0 {
 		row.MsgsPerSec = float64(rep.Multicasts) / rep.Wall.Seconds()
@@ -204,29 +208,42 @@ func FromReport(rep obs.RunReport) LiveRow {
 	return row
 }
 
-// Load reads a BENCH document from disk. It parses any version — callers
-// that compare documents must check Version themselves (see CheckVersion),
-// because "wrong schema" deserves a clearer error than a parse failure.
+// Load reads a BENCH document from disk and validates it. The file comes
+// from outside the program, so the check is strict: every row must carry
+// the whole identity key set. A row without it would match whatever other
+// row happens to share its remaining keys — in particular a row with no
+// scenario aliases every scenario of its topology — so it is refused, with
+// an error that names the file, the row and the missing key.
 func Load(path string) (LiveDoc, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return LiveDoc{}, err
 	}
+	var raw struct {
+		Runs []map[string]json.RawMessage `json:"runs"`
+	}
 	var doc LiveDoc
+	if err := json.Unmarshal(blob, &raw); err != nil {
+		return LiveDoc{}, fmt.Errorf("%s: %w", path, err)
+	}
 	if err := json.Unmarshal(blob, &doc); err != nil {
 		return LiveDoc{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return doc, nil
-}
-
-// CheckVersion errors unless the document carries the current schema
-// version, naming the document so the error says which side is stale.
-func (d LiveDoc) CheckVersion(path string) error {
-	if d.Version != SchemaVersion {
-		return fmt.Errorf("%s: schema version %d, this binary speaks version %d — cross-schema comparisons are meaningless; regenerate the older document",
-			path, d.Version, SchemaVersion)
+	if len(doc.Runs) == 0 {
+		return LiveDoc{}, fmt.Errorf("%s: no runs", path)
 	}
-	return nil
+	for i, row := range raw.Runs {
+		for _, key := range identityKeys {
+			if _, ok := row[key]; !ok {
+				return LiveDoc{}, fmt.Errorf("%s: row %d has no %q: rows are matched on %v and every row must carry all of them",
+					path, i, key, identityKeys)
+			}
+		}
+		if doc.Runs[i].Scenario == "" {
+			return LiveDoc{}, fmt.Errorf("%s: row %d has an empty \"scenario\"", path, i)
+		}
+	}
+	return doc, nil
 }
 
 // Write marshals the document (indented, trailing newline) to path.

@@ -17,7 +17,6 @@ type Tool uint16
 const (
 	ToolAmcast Tool = 1 << iota
 	ToolAmcastd
-	ToolBenchtab
 	ToolNemesis
 	ToolLoadsim
 )
@@ -90,20 +89,20 @@ var flagSpecs = []struct {
 	{ToolAmcastd, func(fs *flag.FlagSet, c *Common) {
 		fs.DurationVar(&c.Linger, "linger", 2*time.Second, "how long to stay up after local delivery so peers can finish")
 	}},
-	{ToolAmcastd | ToolBenchtab, func(fs *flag.FlagSet, c *Common) {
-		fs.StringVar(&c.DataDir, "data-dir", "", "write-ahead-log directory (amcastd: empty runs in-memory with no crash recovery; benchtab: base dir for the file-WAL rows, empty uses the system temp dir)")
+	{ToolAmcastd, func(fs *flag.FlagSet, c *Common) {
+		fs.StringVar(&c.DataDir, "data-dir", "", "write-ahead-log directory (empty runs in-memory with no crash recovery)")
 	}},
-	{ToolAmcastd | ToolBenchtab, func(fs *flag.FlagSet, c *Common) {
-		fs.StringVar(&c.Fsync, "fsync", "sync", "file-WAL durability barrier: sync (fsync on commit) | none (OS buffering only; benchtab also skips the fsync'd row)")
+	{ToolAmcastd, func(fs *flag.FlagSet, c *Common) {
+		fs.StringVar(&c.Fsync, "fsync", "sync", "file-WAL durability barrier: sync (fsync on commit) | none (OS buffering only)")
 	}},
-	{ToolBenchtab | ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
+	{ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
 		fs.StringVar(&c.Transport, "transport", "mem", "live-backend transport: mem (in-memory channels) | tcp (loopback sockets + binary codec)")
 	}},
-	{ToolBenchtab | ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
-		fs.StringVar(&c.JSON, "json", "", "write results as a versioned BENCH document to this path")
+	{ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
+		fs.StringVar(&c.JSON, "json", "", "write results as a BENCH document to this path")
 	}},
-	{ToolBenchtab | ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
-		fs.StringVar(&c.Baseline, "baseline", "", "prior BENCH document; print per-row deltas against it (same schema version only)")
+	{ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
+		fs.StringVar(&c.Baseline, "baseline", "", "prior BENCH document; print per-row deltas against it")
 	}},
 	{ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
 		fs.StringVar(&c.Scenarios, "scenarios", "all", "comma-separated scenario names to run, in order (\"all\" runs the whole catalog)")

@@ -79,29 +79,11 @@ func TestLoadsimFlagDefaults(t *testing.T) {
 	}
 }
 
-// TestBenchtabSharesBenchFlags checks the bench flags moved into the table
-// are declared for benchtab too (one declaration site, two consumers) while
-// the campaign-only flags stay off its surface.
-func TestBenchtabSharesBenchFlags(t *testing.T) {
-	fs, _ := bind(cliconf.ToolBenchtab)
-	for _, name := range []string{"transport", "json", "baseline", "data-dir", "fsync"} {
-		if !has(fs, name) {
-			t.Errorf("benchtab is missing shared flag -%s", name)
-		}
-	}
-	for _, name := range []string{"scenarios", "scenario-file", "load-scale", "seed"} {
-		if has(fs, name) {
-			t.Errorf("benchtab declares -%s, which it does not consume", name)
-		}
-	}
-}
-
 // TestToolMasksDisjoint checks tools don't accidentally share an identity
 // bit — the table dispatches on mask intersection.
 func TestToolMasksDisjoint(t *testing.T) {
 	tools := []cliconf.Tool{
-		cliconf.ToolAmcast, cliconf.ToolAmcastd, cliconf.ToolBenchtab,
-		cliconf.ToolNemesis, cliconf.ToolLoadsim,
+		cliconf.ToolAmcast, cliconf.ToolAmcastd, cliconf.ToolNemesis, cliconf.ToolLoadsim,
 	}
 	for i, a := range tools {
 		for _, b := range tools[i+1:] {

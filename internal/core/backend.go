@@ -77,9 +77,6 @@ type Backend interface {
 	Log(p groups.Process, g, h groups.GroupID) LogObject
 	// Cons returns p's handle on CONS_{m,fam}.
 	Cons(p groups.Process, m msg.ID, fam groups.GroupSet) Consensus
-	// Sync lets replicated backends apply freshly learnt operations to p's
-	// replicas before a discovery scan. The Sim backend is a no-op.
-	Sync(p groups.Process)
 }
 
 // ---------------------------------------------------------------------------
@@ -158,9 +155,6 @@ func (b *simBackend) Cons(p groups.Process, m msg.ID, fam groups.GroupSet) Conse
 	b.cons[key] = o
 	return o
 }
-
-// Sync implements Backend: ideal objects are always current.
-func (b *simBackend) Sync(groups.Process) {}
 
 // simLog adapts a universal-construction log to the LogObject surface.
 type simLog struct{ l *uc.Log }

@@ -78,7 +78,7 @@ var _ core.Backend = (*Backend)(nil)
 // run memory-only with no recovery). In a multi-process deployment each
 // daemon's backend runs acceptors only for the processes it embodies — the
 // rest answer from their own OS processes over the transport.
-func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Transport, clock func() failure.Time, strong bool, pcfg paxos.Config, rec *obs.Recorder, mem Membership, store func(groups.Process) storage.WAL) *Backend {
+func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Transport, clock func() failure.Time, strong bool, rec *obs.Recorder, mem Membership, store func(groups.Process) storage.WAL) *Backend {
 	b := &Backend{
 		topo:   topo,
 		reg:    reg,
@@ -91,12 +91,11 @@ func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Tran
 		reps:   make(map[repKey]*replog.Replica),
 		cons:   make(map[liveConsKey]*liveCons),
 	}
-	pcfg.Counters = rec.Paxos()
 	for p := range b.nodes {
 		if !mem.Owns(groups.Process(p)) {
 			continue
 		}
-		cfg := pcfg
+		cfg := paxos.Config{Counters: rec.Paxos()}
 		if store != nil {
 			cfg.WAL = store(groups.Process(p))
 		}
@@ -226,23 +225,6 @@ func (b *Backend) Cons(p groups.Process, m msg.ID, fam groups.GroupSet) core.Con
 	}
 	b.cons[key] = c
 	return c
-}
-
-// Sync implements core.Backend: walk p's replicas through every decision
-// already learnt locally before a discovery scan (the apply loops do this
-// continuously; Sync just front-runs them for read freshness).
-func (b *Backend) Sync(p groups.Process) {
-	b.lk.Lock()
-	reps := make([]*replog.Replica, 0, 8)
-	for key, r := range b.reps {
-		if key.p == p {
-			reps = append(reps, r)
-		}
-	}
-	b.lk.Unlock()
-	for _, r := range reps {
-		r.Sync()
-	}
 }
 
 // liveLog adapts a replog replica to the core.LogObject surface. Mutators

@@ -90,7 +90,7 @@ func TestLiveChaosSeeds(t *testing.T) {
 func runChaosSeed(t *testing.T, seed int64) {
 	topo := chainTopo(t)
 	// Quorum-preserving crashes: one member per group, staggered. Ticks
-	// are milliseconds (Config.TickEvery default), so the crashes land
+	// are milliseconds (live's tickEvery), so the crashes land
 	// inside the 300ms plan window.
 	pat := failure.NewPattern(7).
 		WithCrash(1, 120).

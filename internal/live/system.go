@@ -14,27 +14,28 @@ import (
 	"repro/internal/msg"
 	"repro/internal/net"
 	"repro/internal/obs"
-	"repro/internal/paxos"
 	"repro/internal/storage"
 )
 
-// Config tunes a live run.
+// Stepping cadence.
+const (
+	// tickEvery maps wall time to failure.Time: one tick per interval.
+	// Detector stabilisation and crash schedules key on ticks.
+	tickEvery = time.Millisecond
+	// heartbeat is the safety-net rescan interval. Stepping is wakeup-driven
+	// — replica applies and local enqueues wake the owning node — so the
+	// timer only covers guards gated on time alone: γ(g) and the §6.1
+	// indicators move with the failure pattern, never with a shared object,
+	// so nothing else re-opens them after a crash.
+	heartbeat = 5 * time.Millisecond
+)
+
+// Config describes a live run.
 type Config struct {
 	// Opt configures the protocol (variant, detector options). QuorumGate
 	// must stay false: the live substrate enforces quorum responsiveness
 	// physically (paxos blocks without a majority), not via the engine.
 	Opt core.Options
-	// Paxos tunes the consensus timing (zero fields take defaults).
-	Paxos paxos.Config
-	// TickEvery maps wall time to failure.Time: one tick per interval.
-	// Detector stabilisation and crash schedules key on ticks. Default 1ms.
-	TickEvery time.Duration
-	// Heartbeat is the safety-net rescan interval. Stepping is wakeup-driven
-	// — replica applies and local enqueues wake the owning node — so the
-	// timer only covers guards gated on time alone: γ(g) and the §6.1
-	// indicators move with the failure pattern, never with a shared object,
-	// so nothing else re-opens them after a crash. Default 5ms.
-	Heartbeat time.Duration
 	// Membership describes the deployment: which replicas exist (with their
 	// daemons' addresses in multi-process deployments) and which of them
 	// this instance embodies. Nil means the single-OS-process default —
@@ -103,12 +104,6 @@ type System struct {
 // span topo.NumProcesses() processes; wrap it in chaos.Wrap for fault
 // injection. Call Start to launch it.
 func NewSystem(topo *groups.Topology, pat *failure.Pattern, nw net.Transport, cfg Config) *System {
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = time.Millisecond
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 5 * time.Millisecond
-	}
 	if cfg.Opt.QuorumGate {
 		panic("live: QuorumGate is an engine-run construct; the live substrate gates on real quorums")
 	}
@@ -138,7 +133,7 @@ func NewSystem(topo *groups.Topology, pat *failure.Pattern, nw net.Transport, cf
 	}
 	s.cfg = cfg
 	s.Sh = core.NewSharedWithBackend(topo, pat, cfg.Opt, func(sh *core.Shared) core.Backend {
-		s.be = NewBackend(topo, sh.Reg, sh.Mu, nw, s.now, cfg.Opt.Variant == core.StronglyGenuine, cfg.Paxos, cfg.Opt.Rec, s.mem, cfg.Storage)
+		s.be = NewBackend(topo, sh.Reg, sh.Mu, nw, s.now, cfg.Opt.Variant == core.StronglyGenuine, cfg.Opt.Rec, s.mem, cfg.Storage)
 		return s.be
 	})
 	// Wake plumbing must exist before the nodes: building a core.Node
@@ -214,7 +209,7 @@ func (s *System) owns(p groups.Process) bool {
 func (s *System) Start() {
 	// A crash scheduled at tick 0 means failed-from-the-beginning: enact it
 	// before any stepper runs. Waiting for the first clock tick would give
-	// the process ~TickEvery of life — enough for the batched hot path to
+	// the process ~tickEvery of life — enough for the batched hot path to
 	// commit a whole run before the "initial" crash lands.
 	for p := 0; p < s.Topo.NumProcesses(); p++ {
 		pp := groups.Process(p)
@@ -238,7 +233,7 @@ func (s *System) Start() {
 // (fail-stop), exactly what the detectors' histories assume.
 func (s *System) runClock() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.TickEvery)
+	t := time.NewTicker(tickEvery)
 	defer t.Stop()
 	crashed := make(map[groups.Process]bool)
 	for {
@@ -262,14 +257,14 @@ func (s *System) runClock() {
 // runNode steps one node until shutdown (or its crash). Stepping is
 // wakeup-driven: drain every enabled action, then sleep until a replica
 // apply or client enqueue wakes the node — or the heartbeat fires, covering
-// the guards gated on time alone (see Config.Heartbeat). A step that blocks
+// the guards gated on time alone (see heartbeat). A step that blocks
 // inside a shared-object operation is unblocked by Net.Close at Stop.
 func (s *System) runNode(p groups.Process) {
 	defer s.wg.Done()
 	n := s.Nodes[p]
 	sched := s.cfg.Opt.Rec.Sched()
 	wake := s.wakeCh[p]
-	timer := time.NewTimer(s.cfg.Heartbeat)
+	timer := time.NewTimer(heartbeat)
 	defer timer.Stop()
 	for {
 		select {
@@ -301,7 +296,7 @@ func (s *System) runNode(p groups.Process) {
 			default:
 			}
 		}
-		timer.Reset(s.cfg.Heartbeat)
+		timer.Reset(heartbeat)
 		select {
 		case <-s.stop:
 			return

@@ -99,29 +99,33 @@ type realmKey struct {
 
 func (id InstanceID) realm() realmKey { return realmKey{Space: id.Space, Realm: id.Realm} }
 
-// Config tunes the proposer timing. The zero value means "use the
-// defaults"; chaos tests and the live backend pass adjusted values instead
-// of editing constants.
-type Config struct {
-	// PhaseDeadline bounds one quorum round trip. It must cover not just
+// Proposer timing: constants, so that there is one timing to test and
+// measure.
+const (
+	// phaseDeadline bounds one quorum round trip. It must cover not just
 	// the fabric's nominal delay but the host's timer granularity (~1ms on
 	// common Linux configs), which a delay-injecting fabric pays once per
 	// hop: a deadline near 2×granularity makes every round time out and
 	// look like a proposer duel when the packets were merely slow.
-	PhaseDeadline time.Duration
-	// BackoffBase is the base of the exponential retry backoff after a
+	phaseDeadline = 10 * time.Millisecond
+	// backoffBase is the base of the exponential retry backoff after a
 	// failed round (doubles per failure, capped at 16×).
-	BackoffBase time.Duration
-	// Stagger is the per-process skew added to every backoff so dueling
-	// proposers desynchronise (p waits p×Stagger extra).
-	Stagger time.Duration
-	// NonLeaderWait is how long a non-leader (per Ω) waits for the
+	backoffBase = 100 * time.Microsecond
+	// stagger is the per-process skew added to every backoff so dueling
+	// proposers desynchronise (p waits p×stagger extra).
+	stagger = 137 * time.Microsecond
+	// nonLeaderWait is how long a non-leader (per Ω) waits for the
 	// leader's decision between checks before it starts hedging rounds of
 	// its own.
-	NonLeaderWait time.Duration
-	// Window is the maximum number of outstanding windowed accept rounds
-	// per leased realm (ProposeWindowed). 1 degenerates to stop-and-wait.
-	Window int
+	nonLeaderWait = 200 * time.Microsecond
+	// window is the maximum number of outstanding windowed accept rounds
+	// per leased realm (ProposeWindowed).
+	window = 8
+)
+
+// Config carries what a node is given from outside: where it counts its
+// work and where it persists its acceptor state.
+type Config struct {
 	// Counters, when non-nil, accumulates proposer/acceptor work for run
 	// reports. All methods are nil-safe, so the hot path stays branch-free.
 	Counters *obs.PaxosCounters
@@ -133,38 +137,6 @@ type Config struct {
 	// default — keeps the acceptor memory-only, the pre-durability
 	// behavior, at the cost of one pointer test per transition.
 	WAL storage.WAL
-}
-
-// DefaultConfig returns the timing the package has always used.
-func DefaultConfig() Config {
-	return Config{
-		PhaseDeadline: 10 * time.Millisecond,
-		BackoffBase:   100 * time.Microsecond,
-		Stagger:       137 * time.Microsecond,
-		NonLeaderWait: 200 * time.Microsecond,
-		Window:        8,
-	}
-}
-
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.PhaseDeadline <= 0 {
-		c.PhaseDeadline = d.PhaseDeadline
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = d.BackoffBase
-	}
-	if c.Stagger <= 0 {
-		c.Stagger = d.Stagger
-	}
-	if c.NonLeaderWait <= 0 {
-		c.NonLeaderWait = d.NonLeaderWait
-	}
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	return c
 }
 
 // Instance is one consensus instance replicated over a scope. Net may be
@@ -415,18 +387,18 @@ func (n *Node) Handle(t net.MsgType, fn func(net.Packet)) {
 	n.handlers[t] = fn
 }
 
-// StartNode launches the node's message loop with the default timing.
+// StartNode launches the node's message loop: memory-only, uncounted.
 func StartNode(nw net.Transport, p groups.Process) *Node {
 	return StartNodeWithConfig(nw, p, Config{})
 }
 
-// StartNodeWithConfig launches the node's message loop with tuned timing
-// (zero fields fall back to the defaults).
+// StartNodeWithConfig launches the node's message loop with the given
+// counters and write-ahead log, recovering acceptor state from the latter.
 func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 	n := &Node{
 		nw:  nw,
 		p:   p,
-		cfg: cfg.withDefaults(),
+		cfg: cfg,
 		wal: cfg.WAL,
 		acc: &acceptor{
 			promised: make(map[InstanceID]int64),
@@ -688,10 +660,10 @@ func (n *Node) Await(inst InstanceID) <-chan Value { return n.await(inst) }
 // Done is closed when the node's message loop exits (network shutdown).
 func (n *Node) Done() <-chan struct{} { return n.done }
 
-// WindowLimit returns the configured maximum of outstanding windowed
+// WindowLimit returns the maximum number of outstanding windowed
 // accept rounds per leased realm. Callers size their result channels with
 // it: a channel of at least WindowLimit()+1 can never block a completion.
-func (n *Node) WindowLimit() int { return n.cfg.Window }
+func (n *Node) WindowLimit() int { return window }
 
 // RequestDecision broadcasts an anti-entropy probe for inst to the scope
 // peers: any one that knows the decision replies with it. Safe to call
@@ -753,38 +725,17 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 	}
 	rk := id.realm()
 	n.winMu.Lock()
-	if _, dup := n.wins[id]; dup || n.winDepth[rk] >= n.cfg.Window {
+	if _, dup := n.wins[id]; dup || n.winDepth[rk] >= window {
 		n.winMu.Unlock()
 		return false
 	}
-	n.leaseMu.Lock()
-	lease := n.leases[rk]
-	if lease == nil || id.Slot < lease.fromSlot {
-		n.leaseMu.Unlock()
+	req, ok := n.leasedAccept(id, v)
+	if !ok {
 		n.winMu.Unlock()
 		return false
 	}
-	ballot := lease.ballot
-	val := v
-	if av, ok := lease.adopt[id.Slot]; ok {
-		val = av.Val
-	}
-	if pv, ok := lease.used[id.Slot]; ok {
-		val = pv // same-ballot pin: a retried slot must carry its first value
-	} else {
-		lease.used[id.Slot] = val
-	}
-	n.leaseMu.Unlock()
-
+	ballot, val := req.Ballot, req.Val
 	n.cfg.Counters.IncWindowRound()
-	req := AcceptReq{Inst: id, Ballot: ballot, Val: val}
-	if id.Slot > 0 {
-		prev := InstanceID{Space: id.Space, Realm: id.Realm, Slot: id.Slot - 1}
-		if pv, ok := n.Decided(prev); ok {
-			req.PrevDecided = true
-			req.Prev = SlotVal{Slot: prev.Slot, Val: pv}
-		}
-	}
 	ws := &winSlot{
 		inst:   *inst,
 		ballot: ballot,
@@ -820,7 +771,7 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 	n.wins[id] = ws
 	n.winDepth[rk]++
 	n.cfg.Counters.NoteWindowDepth(int64(n.winDepth[rk]))
-	ws.timer = time.AfterFunc(n.cfg.PhaseDeadline, func() { n.windowTimeout(id, ballot) })
+	ws.timer = time.AfterFunc(phaseDeadline, func() { n.windowTimeout(id, ballot) })
 	n.winMu.Unlock()
 	n.toPeers(inst.Scope, wire.TPaxAccept, req)
 	return true
@@ -927,7 +878,7 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 	// proposing themselves. One timer for the whole window, not a polling
 	// loop: on hosts with ~1ms timer granularity a loop of N short sleeps
 	// costs N×granularity, which dominated follower-side latency.
-	hedgeWait := 25 * n.cfg.NonLeaderWait
+	hedgeWait := 25 * nonLeaderWait
 	mustWait := true
 	fails := 0
 	for {
@@ -1004,7 +955,7 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 		if shift > 4 {
 			shift = 4
 		}
-		backoff := n.cfg.BackoffBase<<shift + time.Duration(n.p)*n.cfg.Stagger
+		backoff := backoffBase<<shift + time.Duration(n.p)*stagger
 		select {
 		case got := <-decidedCh:
 			return got, true
@@ -1015,7 +966,7 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 		if inst.Leader(n.p) != n.p {
 			// Yield to the leader again before the next self-try, with a
 			// shorter window than the first (the duel is already on).
-			hedgeWait = 10 * n.cfg.NonLeaderWait
+			hedgeWait = 10 * nonLeaderWait
 			mustWait = true
 		}
 	}
@@ -1058,6 +1009,42 @@ func (n *Node) noteRefusal(rk realmKey, promised int64) {
 	}
 }
 
+// leasedAccept builds the phase-1-elided accept request for id at the lease
+// ballot this node holds, or reports ok=false when no lease covers the slot.
+// It is the one place the lease's safety obligation is discharged: the value
+// is the one phase 1 obliged the lease to adopt if there is one, else v, and
+// a slot retried under the same lease carries the value it was first fired
+// with (lease.used) — one ballot never proposes two values. The previous
+// slot's decision rides along when known, so passive replicas learn slot
+// s-1 from slot s's accept even when the decide broadcast for s-1 was lost.
+func (n *Node) leasedAccept(id InstanceID, v Value) (req AcceptReq, ok bool) {
+	n.leaseMu.Lock()
+	lease := n.leases[id.realm()]
+	if lease == nil || id.Slot < lease.fromSlot {
+		n.leaseMu.Unlock()
+		return AcceptReq{}, false
+	}
+	val := v
+	if av, ok := lease.adopt[id.Slot]; ok {
+		val = av.Val
+	}
+	if pv, ok := lease.used[id.Slot]; ok {
+		val = pv
+	} else {
+		lease.used[id.Slot] = val
+	}
+	req = AcceptReq{Inst: id, Ballot: lease.ballot, Val: val}
+	n.leaseMu.Unlock()
+	if id.Slot > 0 {
+		prev := InstanceID{Space: id.Space, Realm: id.Realm, Slot: id.Slot - 1}
+		if pv, ok := n.Decided(prev); ok {
+			req.PrevDecided = true
+			req.Prev = SlotVal{Slot: prev.Slot, Val: pv}
+		}
+	}
+	return req, true
+}
+
 // fastRound attempts the Multi-Paxos steady-state path: one accept round at
 // the held lease ballot, no phase 1. It reports ok=false when there is no
 // covering lease or the round did not conclude — the lease is dropped on
@@ -1072,40 +1059,17 @@ func (n *Node) fastRound(inst *Instance, v Value) (Value, bool) {
 	if got, ok := n.Decided(inst.ID); ok {
 		return got, true
 	}
-	rk := inst.ID.realm()
-	n.leaseMu.Lock()
-	lease := n.leases[rk]
-	if lease == nil || inst.ID.Slot < lease.fromSlot {
-		n.leaseMu.Unlock()
+	req, ok := n.leasedAccept(inst.ID, v)
+	if !ok {
 		return nil, false
 	}
-	ballot := lease.ballot
-	val := v
-	if av, ok := lease.adopt[inst.ID.Slot]; ok {
-		val = av.Val
-	}
-	if pv, ok := lease.used[inst.ID.Slot]; ok {
-		val = pv // same-ballot pin: a retried slot must carry its first value
-	} else {
-		lease.used[inst.ID.Slot] = val
-	}
-	n.leaseMu.Unlock()
+	val := req.Val
 	n.cfg.Counters.IncFastRound()
-	req := AcceptReq{Inst: inst.ID, Ballot: ballot, Val: val}
-	// Piggyback the previous slot's decision on the accept stream: in the
-	// steady state passive replicas learn slot s-1 from slot s's accept
-	// even when the decide broadcast for s-1 was lost.
-	if inst.ID.Slot > 0 {
-		prev := InstanceID{Space: inst.ID.Space, Realm: inst.ID.Realm, Slot: inst.ID.Slot - 1}
-		if pv, ok := n.Decided(prev); ok {
-			req.PrevDecided = true
-			req.Prev = SlotVal{Slot: prev.Slot, Val: pv}
-		}
-	}
-	ok, refused := n.acceptPhase(inst, ballot, req)
+	ok, refused := n.acceptPhase(inst, req.Ballot, req)
 	if !ok {
 		if refused {
 			// A higher ballot is loose in the realm: the lease is stale.
+			rk := inst.ID.realm()
 			n.leaseMu.Lock()
 			if _, held := n.leases[rk]; held {
 				n.cfg.Counters.IncLeaseLost()
@@ -1142,7 +1106,7 @@ func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) (ok, ref
 		n.dedup[n.p] = true
 	}
 	n.toPeers(inst.Scope, wire.TPaxAccept, req)
-	deadline := time.After(n.cfg.PhaseDeadline)
+	deadline := time.After(phaseDeadline)
 	for len(n.dedup) < need {
 		select {
 		case pkt, open := <-n.resp:
@@ -1218,7 +1182,7 @@ func (n *Node) round(inst *Instance, ballot int64, v Value) (Value, bool) {
 		n.dedup[n.p] = true
 	}
 	n.toPeers(inst.Scope, wire.TPaxPrepare, req)
-	deadline := time.After(n.cfg.PhaseDeadline)
+	deadline := time.After(phaseDeadline)
 	for len(n.dedup) < need {
 		select {
 		case pkt, open := <-n.resp:

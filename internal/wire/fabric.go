@@ -11,7 +11,7 @@ import (
 
 // Fabric runs an n-process TCP deployment inside one OS process: n TCP
 // endpoints on loopback ports, presented as a single net.Transport. It is
-// how benchtab's -transport tcp mode and the transport tests exercise the
+// how loadsim's -transport tcp mode and the transport tests exercise the
 // real serialization + socket path without spawning daemons; cmd/amcastd is
 // the one-endpoint-per-OS-process deployment of the same TCP type.
 //

@@ -16,6 +16,21 @@ const (
 	// ArrivalsFixed spaces arrivals exactly 1/rate apart — the worst-case
 	// metronome for convoy scenarios and the easiest stream to reason about.
 	ArrivalsFixed = "fixed"
+	// ArrivalsBurst makes every arrival due at t = 0 — the closed capacity
+	// burst: the driver submits back to back and latency from the intended
+	// time is time-to-drain. Rate plays no part.
+	ArrivalsBurst = "burst"
+)
+
+// Write-ahead-log backings of a scenario's environment (Scenario.WAL).
+const (
+	// WALMem is the in-memory group-commit log, the default substrate.
+	WALMem = "mem"
+	// WALFile is a file log with an fsync on every commit barrier.
+	WALFile = "file"
+	// WALFileNoSync is a file log left to OS buffering: against WALFile it
+	// isolates the encoding cost from the fsync tax.
+	WALFileNoSync = "file-nosync"
 )
 
 // Scenario is a named, serializable workload: everything the generator
@@ -27,10 +42,12 @@ type Scenario struct {
 	Name string `json:"name"`
 	// Topo describes the generated topology the load runs against.
 	Topo TopoSpec `json:"topo"`
-	// Arrivals selects the arrival process: ArrivalsPoisson or ArrivalsFixed.
+	// Arrivals selects the arrival process: ArrivalsPoisson, ArrivalsFixed
+	// or ArrivalsBurst.
 	Arrivals string `json:"arrivals"`
-	// Rate is the offered load in multicasts/sec at the start of the run.
-	Rate float64 `json:"rate"`
+	// Rate is the offered load in multicasts/sec at the start of the run
+	// (unused, and may be zero, under ArrivalsBurst).
+	Rate float64 `json:"rate,omitempty"`
 	// RampTo, when positive, ramps the offered rate linearly from Rate to
 	// this value across the run's Count arrivals (the overload-discovery
 	// scenario shape).
@@ -59,6 +76,26 @@ type Scenario struct {
 	// snapshots on exit (the ROADMAP item-3 flake hunt, run on every
 	// campaign).
 	Soak bool `json:"soak,omitempty"`
+
+	// ChaosSeed and WAL describe the environment the stream runs in, not the
+	// stream: they are part of a row's identity but Digest does not hash
+	// them, exactly as one stream runs on mem and on tcp under one digest.
+
+	// ChaosSeed, when non-zero, runs the scenario over a transport wrapped
+	// in the seeded nemesis with a fixed mild fault mix, lifted part-way
+	// through the run. Such rows are reported but never gated.
+	ChaosSeed int64 `json:"chaos_seed,omitempty"`
+	// WAL selects the write-ahead-log backing: WALMem (also the meaning of
+	// ""), WALFile or WALFileNoSync. File rows measure a post-run replay.
+	WAL string `json:"wal,omitempty"`
+}
+
+// WALMode is the scenario's WAL backing with the default applied.
+func (sc Scenario) WALMode() string {
+	if sc.WAL == "" {
+		return WALMem
+	}
+	return sc.WAL
 }
 
 // Validate checks the scenario for internal consistency. It does not build
@@ -69,12 +106,13 @@ func (sc Scenario) Validate() error {
 	}
 	switch sc.Arrivals {
 	case ArrivalsPoisson, ArrivalsFixed:
+		if sc.Rate <= 0 {
+			return fmt.Errorf("workload: scenario %q: rate %v must be positive", sc.Name, sc.Rate)
+		}
+	case ArrivalsBurst:
 	default:
-		return fmt.Errorf("workload: scenario %q: unknown arrival process %q (want %s or %s)",
-			sc.Name, sc.Arrivals, ArrivalsPoisson, ArrivalsFixed)
-	}
-	if sc.Rate <= 0 {
-		return fmt.Errorf("workload: scenario %q: rate %v must be positive", sc.Name, sc.Rate)
+		return fmt.Errorf("workload: scenario %q: unknown arrival process %q (want %s, %s or %s)",
+			sc.Name, sc.Arrivals, ArrivalsPoisson, ArrivalsFixed, ArrivalsBurst)
 	}
 	if sc.RampTo < 0 {
 		return fmt.Errorf("workload: scenario %q: ramp_to %v must be >= 0", sc.Name, sc.RampTo)
@@ -96,6 +134,12 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.ConflictKeys < 0 {
 		return fmt.Errorf("workload: scenario %q: conflict_keys %d must be >= 0", sc.Name, sc.ConflictKeys)
+	}
+	switch sc.WALMode() {
+	case WALMem, WALFile, WALFileNoSync:
+	default:
+		return fmt.Errorf("workload: scenario %q: unknown wal %q (want %s, %s or %s)",
+			sc.Name, sc.WAL, WALMem, WALFile, WALFileNoSync)
 	}
 	return nil
 }
@@ -153,7 +197,36 @@ func (sc Scenario) Scale(f float64) Scenario {
 //	soak      — long steady run with a 30% keyed-conflict mix under the
 //	            Generic variant; campaign runners arm the replog journal and
 //	            diff it against decision snapshots on exit.
+//
+// The burst rows are closed capacity bursts (every arrival due at t = 0) on
+// the two smallest chains, the load that keeps the replog batcher and the
+// accept window busy:
+//
+//	burst-n3, burst-n5 — all-conflict, one group over 3 processes and two
+//	            over 5: the cost of a longer chain (neighbouring groups
+//	            share a pair log).
+//	burst-mix — burst-n5 with 90% of the load commuting (Generic variant):
+//	            the fast path's packets/delivery win, gated like any row.
+//	burst-chaos — burst-n3 under the seeded nemesis (mild drop/dup/delay,
+//	            lifted part-way through): retransmission work shows in
+//	            packets/delivery. Reported, never gated.
+//	burst-file, burst-nosync — burst-n3 on file write-ahead logs with and
+//	            without the fsync barrier: the delta against burst-n3 is
+//	            the durability tax, recovery_ms a replay of the run's logs.
 func Catalog() []Scenario {
+	burst := func(name string, groups int) Scenario {
+		return Scenario{
+			Name:     name,
+			Topo:     TopoSpec{Kind: TopoChain, Groups: groups},
+			Arrivals: ArrivalsBurst, Count: 600,
+			ConflictRate: 1,
+		}
+	}
+	mix, chaos := burst("burst-mix", 2), burst("burst-chaos", 1)
+	file, nosync := burst("burst-file", 1), burst("burst-nosync", 1)
+	mix.ConflictRate = 0.1
+	chaos.ChaosSeed = 3
+	file.WAL, nosync.WAL = WALFile, WALFileNoSync
 	return []Scenario{
 		{
 			Name:     "steady",
@@ -200,6 +273,7 @@ func Catalog() []Scenario {
 			ConflictRate: 0.3,
 			Soak:         true,
 		},
+		burst("burst-n3", 1), burst("burst-n5", 2), mix, chaos, file, nosync,
 	}
 }
 

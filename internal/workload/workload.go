@@ -98,17 +98,15 @@ func (g *Gen) Next() (Arrival, bool) {
 	}
 	// Open-loop clock: the inter-arrival gap depends only on the arrival
 	// process and the current offered rate, never on the consumer.
-	rate := g.sc.rateAt(g.i)
-	var gap float64
 	switch g.sc.Arrivals {
 	case ArrivalsPoisson:
 		// Exponential inter-arrival via inverse CDF. 1-u is in (0,1], so the
 		// log argument never hits zero.
-		gap = -math.Log(1-g.rng.float64()) / rate
-	default: // ArrivalsFixed (validated)
-		gap = 1 / rate
+		g.t += -math.Log(1-g.rng.float64()) / g.sc.rateAt(g.i)
+	case ArrivalsFixed:
+		g.t += 1 / g.sc.rateAt(g.i)
+	default: // ArrivalsBurst (validated): everything is due at t = 0
 	}
-	g.t += gap
 
 	// Destination: hot-group share first, then Zipf rank mapped onto the
 	// group space rotated so rank 0 is the hot group (with ZipfS == 0 the

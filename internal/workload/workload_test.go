@@ -69,8 +69,9 @@ func TestGenDeterminism(t *testing.T) {
 }
 
 // TestArrivalsAreValid checks every stream entry against the closed
-// dissemination model: monotone intended times, destination in range, and
-// the sender a member of its destination group.
+// dissemination model: monotone intended times (strictly, unless the
+// scenario is a burst), destination in range, and the sender a member of
+// its destination group.
 func TestArrivalsAreValid(t *testing.T) {
 	for _, sc := range Catalog() {
 		if sc.Topo.Kind == TopoWide && testing.Short() {
@@ -89,7 +90,7 @@ func TestArrivalsAreValid(t *testing.T) {
 				break
 			}
 			n++
-			if a.At <= prev {
+			if a.At < prev || (a.At == prev && sc.Arrivals != ArrivalsBurst) {
 				t.Fatalf("%s: intended times not strictly increasing: %v after %v", sc.Name, a.At, prev)
 			}
 			prev = a.At
@@ -378,5 +379,112 @@ func TestScale(t *testing.T) {
 	tiny.Count = 1
 	if got := tiny.Scale(0.1).Count; got != 1 {
 		t.Fatalf("Scale floor: count %d, want 1", got)
+	}
+}
+
+// TestCatalogDigestsGolden pins the seed-1 stream of every scenario that
+// existed before the burst arrival process to the digest the generator
+// produced then (read off commit 4ef326c; steady and hot-group are also in
+// the committed BENCH_scenarios.json). A new arrival process, field or
+// catalog row must move none of them.
+func TestCatalogDigestsGolden(t *testing.T) {
+	golden := map[string]string{
+		"steady":    "f828567cd3cd157d",
+		"hot-group": "4583e0df4a80663f",
+		"convoy":    "29eefd1da2dfa9fe",
+		"ramp":      "fa3e65803ebfefc1",
+		"wide":      "a772f62e7727ddda",
+		"soak":      "c5c03f38a1b3f932",
+	}
+	seen := 0
+	for _, sc := range Catalog() {
+		want, ok := golden[sc.Name]
+		if !ok {
+			continue
+		}
+		seen++
+		if sc.Topo.Kind == TopoWide && testing.Short() {
+			continue // 20-group family enumeration is a full-tier cost
+		}
+		got, err := Digest(sc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("scenario %s at seed 1: digest %s, golden %s — an existing stream moved", sc.Name, got, want)
+		}
+	}
+	if seen != len(golden) {
+		t.Errorf("catalog holds %d of the %d golden scenarios", seen, len(golden))
+	}
+}
+
+// TestBurstArrivals pins the burst process: every arrival is due at t = 0,
+// destinations, senders and classes are drawn as for any other process, and
+// a rate is neither needed nor used.
+func TestBurstArrivals(t *testing.T) {
+	sc := Scenario{
+		Name:     "b",
+		Topo:     TopoSpec{Kind: TopoChain, Groups: 2},
+		Arrivals: ArrivalsBurst, Count: 300,
+		ConflictRate: 0.5,
+	}
+	arr := drain(t, sc, 1)
+	if len(arr) != sc.Count {
+		t.Fatalf("burst emitted %d arrivals, want %d", len(arr), sc.Count)
+	}
+	dsts := map[groups.GroupID]int{}
+	free := 0
+	for i, a := range arr {
+		if a.At != 0 {
+			t.Fatalf("arrival %d due at %v, want 0", i, a.At)
+		}
+		dsts[a.Dst]++
+		if a.Class == msg.ClassFree {
+			free++
+		}
+	}
+	if len(dsts) != 2 || free == 0 || free == sc.Count {
+		t.Fatalf("burst stream is degenerate: destinations %v, %d of %d commuting", dsts, free, sc.Count)
+	}
+	withRate := sc
+	withRate.Rate = 1234
+	a, _ := Digest(sc, 1)
+	b, _ := Digest(withRate, 1)
+	if a != b {
+		t.Fatalf("rate moved a burst stream: %s vs %s", a, b)
+	}
+	bad := sc
+	bad.Arrivals = "trickle"
+	if err := bad.Validate(); err == nil {
+		t.Fatal("unknown arrival process passed Validate")
+	}
+}
+
+// TestEnvironmentFieldsStayOutOfDigest checks chaos_seed and wal describe
+// where a stream runs, not the stream: they change no arrival, so rows that
+// differ only in them share a digest, as mem and tcp rows do.
+func TestEnvironmentFieldsStayOutOfDigest(t *testing.T) {
+	plain := Catalog()[0]
+	want, err := Digest(plain, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := plain
+	env.ChaosSeed = 3
+	env.WAL = WALFile
+	got, err := Digest(env, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("chaos_seed/wal entered the digest: %s vs %s", got, want)
+	}
+	if plain.WALMode() != WALMem || env.WALMode() != WALFile {
+		t.Fatalf("WALMode: %q and %q", plain.WALMode(), env.WALMode())
+	}
+	env.WAL = "tape"
+	if err := env.Validate(); err == nil {
+		t.Fatal("unknown wal backing passed Validate")
 	}
 }
