@@ -113,11 +113,7 @@ func run(cc *cliconf.Common) error {
 
 	// The WAL is opened before the system so an open failure (bad directory,
 	// corrupt permissions) aborts the daemon before it joins any quorum.
-	var walC *obs.WALCounters
-	if opt.Rec != nil {
-		walC = opt.Rec.WAL()
-	}
-	wal, err := cliconf.OpenWAL(cc.DataDir, cc.Fsync, self, walC)
+	wal, err := cliconf.OpenWAL(cc.DataDir, cc.Fsync, self, opt.Rec.WAL())
 	if err != nil {
 		return err
 	}

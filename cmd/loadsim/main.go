@@ -18,7 +18,9 @@
 // write-ahead logs in a temporary directory and measures a post-run replay
 // (recovery_ms).
 //
-// Refreshing the committed baseline and gating a fresh campaign against it:
+// loadsim measures and writes; comparing two documents is cmd/benchgate's
+// job alone. Refreshing the committed baseline and gating a fresh campaign
+// against it:
 //
 //	loadsim -json benchmarks/baselines/BENCH_scenarios.json
 //	loadsim -json BENCH_scenarios_new.json
@@ -101,11 +103,6 @@ func campaign(w *os.File, cc cliconf.Common) error {
 	fmt.Fprintf(w, "its latency is time-to-drain. A tail percentile with fewer than %d samples\n", minTailSamples)
 	fmt.Fprintf(w, "beyond it is left out. Replay any row with its (scenario, seed): the\n")
 	fmt.Fprintf(w, "stream_digest column certifies the same workload.\n")
-	if cc.Baseline != "" {
-		if err := printScenarioDeltas(w, cc.Baseline, doc.Runs); err != nil {
-			return err
-		}
-	}
 	if cc.JSON != "" {
 		if err := doc.Write(cc.JSON); err != nil {
 			return err
@@ -122,36 +119,4 @@ func cell(verb string, v float64) string {
 		return "-"
 	}
 	return fmt.Sprintf(verb, v)
-}
-
-// printScenarioDeltas prints per-row changes against a prior campaign
-// document. Informational — the pass/fail decision belongs to benchgate.
-func printScenarioDeltas(w *os.File, path string, fresh []benchfmt.LiveRow) error {
-	prior, err := benchfmt.Load(path)
-	if err != nil {
-		return fmt.Errorf("-baseline: %w", err)
-	}
-	old := make(map[benchfmt.Key]benchfmt.LiveRow, len(prior.Runs))
-	for _, r := range prior.Runs {
-		old[r.Key] = r
-	}
-	delta := func(c benchfmt.Column, verb string) string {
-		if !c.Compared() {
-			return c.Format(verb)
-		}
-		return fmt.Sprintf("%s %+6.1f%%", c.Format(verb), 100*(c.Ratio()-1))
-	}
-	fmt.Fprintf(w, "\ndelta vs %s (negative latency = better)\n", path)
-	fmt.Fprintf(w, "%-12s | %26s | %26s\n", "scenario", "p99 ms was -> now", "goodput/s was -> now")
-	for _, r := range fresh {
-		was, ok := old[r.Key]
-		if !ok {
-			fmt.Fprintf(w, "%-12s | (no baseline row)\n", r.Scenario)
-			continue
-		}
-		fmt.Fprintf(w, "%-12s | %26s | %26s\n", r.Scenario,
-			delta(benchfmt.Column{Old: was.P99Ms, New: r.P99Ms}, "%.2f"),
-			delta(benchfmt.Column{Old: was.MsgsPerSec, New: r.MsgsPerSec}, "%.0f"))
-	}
-	return nil
 }

@@ -27,7 +27,6 @@ package chaos
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/groups"
@@ -50,16 +49,9 @@ type Faults struct {
 	Reorder bool
 }
 
-// Stats counts what the nemesis did, by cause.
-type Stats struct {
-	Forwarded        uint64 // packets handed to the inner transport
-	Duplicated       uint64 // extra copies injected
-	Delayed          uint64 // packets that took a delay path
-	DroppedRandom    uint64 // lost to the Drop probability
-	DroppedPartition uint64 // lost to an active partition
-	DroppedDown      uint64 // lost because an endpoint was down
-	DroppedOverflow  uint64 // lost on a full delay-pipe queue
-}
+// Stats counts what the nemesis did, by cause. It is the run report's chaos
+// section: declared once, in obs.
+type Stats = obs.ChaosCounters
 
 // link is a directed process pair.
 type link struct{ from, to groups.Process }
@@ -71,6 +63,10 @@ type partition struct{ a, b groups.ProcSet }
 // net.Transport, so every substrate accepts it where it accepts the
 // reliable network.
 type Chaos struct {
+	// stats is first so its 64-bit counters are aligned for atomics on
+	// every platform.
+	stats Stats
+
 	inner net.Transport
 	seed  int64
 
@@ -89,14 +85,6 @@ type Chaos struct {
 
 	done chan struct{}
 	wg   sync.WaitGroup
-
-	forwarded        atomic.Uint64
-	duplicated       atomic.Uint64
-	delayed          atomic.Uint64
-	droppedRandom    atomic.Uint64
-	droppedPartition atomic.Uint64
-	droppedDown      atomic.Uint64
-	droppedOverflow  atomic.Uint64
 }
 
 var _ net.Transport = (*Chaos)(nil)
@@ -184,43 +172,26 @@ func (c *Chaos) Quiesce() {
 }
 
 // Stats returns a snapshot of the fault counters.
-func (c *Chaos) Stats() Stats {
-	return Stats{
-		Forwarded:        c.forwarded.Load(),
-		Duplicated:       c.duplicated.Load(),
-		Delayed:          c.delayed.Load(),
-		DroppedRandom:    c.droppedRandom.Load(),
-		DroppedPartition: c.droppedPartition.Load(),
-		DroppedDown:      c.droppedDown.Load(),
-		DroppedOverflow:  c.droppedOverflow.Load(),
-	}
-}
-
-// Dropped sums all loss causes.
-func (s Stats) Dropped() uint64 {
-	return s.DroppedRandom + s.DroppedPartition + s.DroppedDown + s.DroppedOverflow
-}
+func (c *Chaos) Stats() Stats { return *c.InjectionReport() }
 
 // InjectionReport returns the fault counters in run-report form. It
 // implements obs.ChaosReporter.
-func (c *Chaos) InjectionReport() *obs.ChaosReport {
-	s := c.Stats()
-	return &obs.ChaosReport{
-		Forwarded:        s.Forwarded,
-		Duplicated:       s.Duplicated,
-		Delayed:          s.Delayed,
-		DroppedRandom:    s.DroppedRandom,
-		DroppedPartition: s.DroppedPartition,
-		DroppedDown:      s.DroppedDown,
-		DroppedOverflow:  s.DroppedOverflow,
-	}
-}
+func (c *Chaos) InjectionReport() *Stats { return obs.Snapshot(&c.stats) }
 
 // NetReport exposes the inner transport's traffic counters when it has any,
-// so wrapping a network in a nemesis does not hide its wire accounting.
+// so wrapping a network in a nemesis does not hide its accounting.
 func (c *Chaos) NetReport() *obs.NetReport {
 	if nr, ok := c.inner.(obs.NetReporter); ok {
 		return nr.NetReport()
+	}
+	return nil
+}
+
+// WireReport does the same for the socket-level counters of a real
+// transport (nil over the in-memory fabric, which has none).
+func (c *Chaos) WireReport() *obs.WireCounters {
+	if wr, ok := c.inner.(obs.WireReporter); ok {
+		return wr.WireReport()
 	}
 	return nil
 }
@@ -317,12 +288,12 @@ func (c *Chaos) Send(from, to groups.Process, t net.MsgType, body any) {
 	}
 	if c.down[from] || c.down[to] {
 		c.mu.Unlock()
-		c.droppedDown.Add(1)
+		obs.Inc(&c.stats.DroppedDown)
 		return
 	}
 	if c.separated(from, to) {
 		c.mu.Unlock()
-		c.droppedPartition.Add(1)
+		obs.Inc(&c.stats.DroppedPartition)
 		return
 	}
 	f := c.faults
@@ -333,13 +304,13 @@ func (c *Chaos) Send(from, to groups.Process, t net.MsgType, body any) {
 
 	r := newLinkRand(c.seed, from, to, k)
 	if f.Drop > 0 && r.float() < f.Drop {
-		c.droppedRandom.Add(1)
+		obs.Inc(&c.stats.DroppedRandom)
 		return
 	}
 	copies := 1
 	if f.Dup > 0 && r.float() < f.Dup {
 		copies = 2
-		c.duplicated.Add(1)
+		obs.Inc(&c.stats.Duplicated)
 	}
 	var delay time.Duration
 	if f.DelayMax > 0 {
@@ -359,7 +330,7 @@ func (c *Chaos) Send(from, to groups.Process, t net.MsgType, body any) {
 // via the link's FIFO pipe (ordered delay).
 func (c *Chaos) deliver(l link, pkt net.Packet, delay time.Duration, reorder bool) {
 	if delay > 0 && reorder {
-		c.delayed.Add(1)
+		obs.Inc(&c.stats.Delayed)
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
@@ -392,12 +363,12 @@ func (c *Chaos) deliver(l link, pkt net.Packet, delay time.Duration, reorder boo
 		return
 	}
 	if delay > 0 {
-		c.delayed.Add(1)
+		obs.Inc(&c.stats.Delayed)
 	}
 	select {
 	case pipe <- delayed{pkt: pkt, at: time.Now().Add(delay)}:
 	default:
-		c.droppedOverflow.Add(1)
+		obs.Inc(&c.stats.DroppedOverflow)
 	}
 }
 
@@ -427,7 +398,7 @@ func (c *Chaos) runPipe(pipe chan delayed) {
 
 // forward hands a surviving packet to the inner transport.
 func (c *Chaos) forward(pkt net.Packet) {
-	c.forwarded.Add(1)
+	obs.Inc(&c.stats.Forwarded)
 	c.inner.Send(pkt.From, pkt.To, pkt.Type, pkt.Body)
 }
 

@@ -44,7 +44,6 @@ type Common struct {
 
 	Transport    string  // -transport: live backend transport ("mem" | "tcp")
 	JSON         string  // -json: write results as a BENCH document here
-	Baseline     string  // -baseline: prior BENCH document to diff/gate against
 	Scenarios    string  // -scenarios: comma-separated scenario names ("all")
 	ScenarioFile string  // -scenario-file: JSON scenario list replacing the catalog
 	LoadScale    float64 // -load-scale: multiply every scenario's arrival count
@@ -100,9 +99,6 @@ var flagSpecs = []struct {
 	}},
 	{ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
 		fs.StringVar(&c.JSON, "json", "", "write results as a BENCH document to this path")
-	}},
-	{ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
-		fs.StringVar(&c.Baseline, "baseline", "", "prior BENCH document; print per-row deltas against it")
 	}},
 	{ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
 		fs.StringVar(&c.Scenarios, "scenarios", "all", "comma-separated scenario names to run, in order (\"all\" runs the whole catalog)")

@@ -20,13 +20,13 @@ func bind(tool cliconf.Tool) (*flag.FlagSet, *cliconf.Common) {
 func has(fs *flag.FlagSet, name string) bool { return fs.Lookup(name) != nil }
 
 // TestLoadsimFlagSurface pins which shared flags the loadsim tool consumes:
-// the campaign flags plus the shared seed/timeout/transport/json/baseline,
+// the campaign flags plus the shared seed/timeout/transport/json,
 // and none of the daemon or topology-spec flags.
 func TestLoadsimFlagSurface(t *testing.T) {
 	fs, _ := bind(cliconf.ToolLoadsim)
 	for _, name := range []string{
 		"scenarios", "scenario-file", "load-scale",
-		"transport", "json", "baseline", "seed", "timeout",
+		"transport", "json", "seed", "timeout",
 	} {
 		if !has(fs, name) {
 			t.Errorf("loadsim is missing shared flag -%s", name)
@@ -52,7 +52,6 @@ func TestLoadsimFlagParsing(t *testing.T) {
 		"-load-scale", "0.25",
 		"-transport", "tcp",
 		"-json", "out.json",
-		"-baseline", "base.json",
 		"-seed", "42",
 		"-timeout", "90s",
 	})
@@ -61,7 +60,7 @@ func TestLoadsimFlagParsing(t *testing.T) {
 	}
 	if c.Scenarios != "steady,hot-group" || c.ScenarioFile != "campaign.json" ||
 		c.LoadScale != 0.25 || c.Transport != "tcp" || c.JSON != "out.json" ||
-		c.Baseline != "base.json" || c.Seed != 42 || c.Timeout != 90*time.Second {
+		c.Seed != 42 || c.Timeout != 90*time.Second {
 		t.Fatalf("parsed values did not land: %+v", c)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/groups"
 	"repro/internal/logobj"
 	"repro/internal/msg"
+	"repro/internal/obs"
 )
 
 // Node runs Algorithm 1 at one process. It is an engine.Automaton: each Step
@@ -219,15 +220,15 @@ func (n *Node) gateOK(ctx *engine.Ctx, g groups.GroupID) bool {
 func (n *Node) Step(ctx *engine.Ctx) bool {
 	sched := n.sh.Opt.Rec.Sched()
 	if n.canSkip() {
-		sched.IncSkippedScan()
+		obs.Inc(&sched.SkippedScans)
 		return false
 	}
-	sched.IncScan()
+	obs.Inc(&sched.Scans)
 	fired := n.scanPass(ctx)
-	sched.AddGuardVisits(n.visits)
+	obs.Add(&sched.GuardVisits, n.visits)
 	n.visits = 0
 	if fired {
-		sched.IncAction()
+		obs.Inc(&sched.Actions)
 	}
 	return fired
 }

@@ -69,7 +69,8 @@ type Options struct {
 	FD fd.Options
 	// Rec, when non-nil, collects the run's observability: event timeline,
 	// latency samples and per-pair coordination counts. Every recording
-	// method is nil-safe, so runs without a recorder pay a pointer test.
+	// method is nil-safe and a nil recorder's counter blocks are a discard
+	// block, so no call site tests for it.
 	Rec *obs.Recorder
 }
 

@@ -70,7 +70,7 @@ func runLeaseFailover(t *testing.T, seed int64) {
 	for {
 		now := sys.Now()
 		if now < crashTick {
-			acquiredBefore = rec.Paxos().LeasesAcquired.Load()
+			acquiredBefore = obs.Snapshot(rec.Paxos()).LeasesAcquired
 		} else if now >= crashTick+20 {
 			break
 		}
@@ -99,7 +99,7 @@ func runLeaseFailover(t *testing.T, seed int64) {
 
 	// (a) Failover re-acquisition happened, via the only path that can
 	// install a lease: a full phase-1 range round.
-	if got := rec.Paxos().LeasesAcquired.Load(); got <= acquiredBefore {
+	if got := obs.Snapshot(rec.Paxos()).LeasesAcquired; got <= acquiredBefore {
 		t.Errorf("seed %d: no lease re-acquisition after the leader crash (acquired %d before, %d after)",
 			seed, acquiredBefore, got)
 	}
@@ -195,7 +195,7 @@ func runFailoverMidWindow(t *testing.T, seed int64) {
 	sys.Stop()
 
 	// The scenario only means something if the window actually opened.
-	if rec.Paxos().WindowRounds.Load() == 0 {
+	if obs.Snapshot(rec.Paxos()).WindowRounds == 0 {
 		t.Errorf("seed %d: no windowed rounds fired — burst did not engage the pipeline", seed)
 	}
 

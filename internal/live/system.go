@@ -109,8 +109,8 @@ func NewSystem(topo *groups.Topology, pat *failure.Pattern, nw net.Transport, cf
 	}
 	if cfg.Storage == nil {
 		// The default in-memory WALs still feed the recorder's counter block
-		// (nil-safe when no recorder is attached), so the bench can report
-		// WAL bytes/op on the mem path too.
+		// (the discard block when no recorder is attached), so the bench can
+		// report WAL bytes/op on the mem path too.
 		rec := cfg.Opt.Rec
 		cfg.Storage = func(groups.Process) storage.WAL { return storage.NewMem().Observe(rec.WAL()) }
 	}
@@ -301,9 +301,9 @@ func (s *System) runNode(p groups.Process) {
 		case <-s.stop:
 			return
 		case <-wake:
-			sched.IncNotifyWakeup()
+			obs.Inc(&sched.NotifyWakeups)
 		case <-timer.C:
-			sched.IncTimerWakeup()
+			obs.Inc(&sched.TimerWakeups)
 		}
 	}
 }

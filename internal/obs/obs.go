@@ -1,10 +1,11 @@
 // Package obs is the run-level observability layer shared by both backends:
 // a lock-cheap recorder of structured run events (multicast issued, log
 // append, bump-and-lock, consensus propose/decide, delivery) with
-// per-message latency samples and per-pair coordination counts, plus atomic
-// counter blocks the live substrate bumps on its hot paths (transport
-// packets/bytes per link, paxos rounds and retransmits, replog applies,
-// chaos injections).
+// per-message latency samples and per-pair coordination counts, plus the
+// counter blocks the live substrate bumps on its hot paths (paxos rounds and
+// leases, replog batches, scheduler wakeups, WAL syncs, wire frames, chaos
+// injections — one declaration each, see "Counter blocks" below) and the
+// transport's per-link packet/byte matrix.
 //
 // The Sim backend stamps events in virtual time, the Live backend in wall
 // time, so one RunReport type (report.go) carries delivery-latency
@@ -14,16 +15,18 @@
 // checker verdict: in a contention-free run the coordination count of every
 // process outside g∩h is zero.
 //
-// Cost discipline: counters are plain atomics owned by the subsystems; the
-// event timeline takes one short critical section per recorded event and is
-// capped (overflow is counted, never silent). A nil *Recorder is a valid
-// no-op recorder — every method is nil-safe — so uninstrumented runs pay a
-// single pointer test per call site.
+// Cost discipline: a counter bump is one atomic add on a plain int64 field;
+// the event timeline takes one short critical section per recorded event and
+// is capped (overflow is counted, never silent). A nil *Recorder is a valid
+// no-op recorder — every event method is nil-safe, and its counter blocks
+// are a shared discard block nothing reads — so call sites never test for
+// it.
 package obs
 
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,23 +75,14 @@ const (
 	EvDeliver
 )
 
+var kindNames = [...]string{"?", "multicast", "append", "bump", "propose", "decide", "deliver"}
+
 // String renders the kind for timelines.
 func (k Kind) String() string {
-	switch k {
-	case EvMulticast:
-		return "multicast"
-	case EvAppend:
-		return "append"
-	case EvBump:
-		return "bump"
-	case EvPropose:
-		return "propose"
-	case EvDecide:
-		return "decide"
-	case EvDeliver:
-		return "deliver"
+	if int(k) >= len(kindNames) {
+		k = 0
 	}
-	return "?"
+	return kindNames[k]
 }
 
 // Event is one structured run event. T is the backend's clock — virtual
@@ -121,22 +115,25 @@ type Options struct {
 	// WallClock stamps events and latency samples with wall time measured
 	// from NewRecorder. Live runs set it; Sim runs must not (determinism).
 	WallClock bool
-	// MaxEvents caps the timeline; overflow increments a counter instead of
-	// growing without bound. Default 1 << 20.
-	MaxEvents int
 }
+
+// maxEvents caps the timeline; overflow increments a counter
+// (RunReport.EventsTruncated) instead of growing without bound.
+const maxEvents = 1 << 20
 
 // Recorder collects one run's observability. All methods are safe for
 // concurrent use and safe on a nil receiver (no-ops).
 type Recorder struct {
-	level Level
-	epoch time.Time // zero ⇒ no wall stamps
-	max   int
-
+	// The counter blocks this recorder hands out (the transports own the
+	// wire and chaos blocks). They come first: a struct's first word is
+	// 64-bit aligned on every platform, which atomics on plain int64 need.
 	paxos  PaxosCounters
 	replog ReplogCounters
 	wal    WALCounters
 	sched  SchedCounters
+
+	level Level
+	epoch time.Time // zero ⇒ no wall stamps
 
 	mu         sync.Mutex
 	seq        int64
@@ -157,6 +154,9 @@ type Recorder struct {
 	classes        map[uint64]int64
 }
 
+// discard is where a nil recorder's layers count: written, never read.
+var discard Recorder
+
 type pairCoord struct {
 	ops       int64
 	contended int64
@@ -169,12 +169,8 @@ func NewRecorder(o Options) *Recorder {
 	if o.Level == LevelOff {
 		return nil
 	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 1 << 20
-	}
 	r := &Recorder{
 		level:   o.Level,
-		max:     o.MaxEvents,
 		reqTick: make(map[msg.ID]failure.Time),
 		reqWall: make(map[msg.ID]time.Duration),
 		coord:   make(map[Pair]*pairCoord),
@@ -186,39 +182,26 @@ func NewRecorder(o Options) *Recorder {
 	return r
 }
 
-// Paxos returns the recorder's paxos counter block (nil on a nil recorder).
-func (r *Recorder) Paxos() *PaxosCounters {
+// orDiscard is r, or the discard recorder when r is nil, so the block
+// accessors below never return nil and call sites never test for it.
+func (r *Recorder) orDiscard() *Recorder {
 	if r == nil {
-		return nil
+		return &discard
 	}
-	return &r.paxos
+	return r
 }
 
-// Replog returns the recorder's replog counter block (nil on a nil recorder).
-func (r *Recorder) Replog() *ReplogCounters {
-	if r == nil {
-		return nil
-	}
-	return &r.replog
-}
+// Paxos returns the block the consensus substrate counts into.
+func (r *Recorder) Paxos() *PaxosCounters { return &r.orDiscard().paxos }
 
-// WAL returns the recorder's write-ahead-log counter block (nil on a nil
-// recorder).
-func (r *Recorder) WAL() *WALCounters {
-	if r == nil {
-		return nil
-	}
-	return &r.wal
-}
+// Replog returns the block the replicated logs count into.
+func (r *Recorder) Replog() *ReplogCounters { return &r.orDiscard().replog }
 
-// Sched returns the recorder's scheduler counter block (nil on a nil
-// recorder).
-func (r *Recorder) Sched() *SchedCounters {
-	if r == nil {
-		return nil
-	}
-	return &r.sched
-}
+// WAL returns the block the write-ahead logs count into.
+func (r *Recorder) WAL() *WALCounters { return &r.orDiscard().wal }
+
+// Sched returns the block the stepping scheduler counts into.
+func (r *Recorder) Sched() *SchedCounters { return &r.orDiscard().sched }
 
 // wallNow returns the wall offset since the epoch, or zero when the
 // recorder does not stamp wall time.
@@ -234,7 +217,7 @@ func (r *Recorder) record(e Event) {
 	if r.level != LevelAll {
 		return
 	}
-	if len(r.events) >= r.max {
+	if len(r.events) >= maxEvents {
 		r.truncated++
 		return
 	}
@@ -279,49 +262,36 @@ func (r *Recorder) Deliver(p groups.Process, m msg.ID, g groups.GroupID, t failu
 	r.mu.Unlock()
 }
 
-// Append records LOG_{g∩h}.append (g == h for a group log). aux is the
-// datum kind, v the resulting position when known.
-func (r *Recorder) Append(p groups.Process, m msg.ID, g, h groups.GroupID, aux uint8, v int, t failure.Time) {
+// event records one timeline event that feeds no other tally.
+func (r *Recorder) event(e Event) {
 	if r == nil {
 		return
 	}
-	w := r.wallNow()
+	e.Wall = r.wallNow()
 	r.mu.Lock()
-	r.record(Event{Kind: EvAppend, P: p, M: m, G: g, H: h, Aux: aux, V: v, T: t, Wall: w})
+	r.record(e)
 	r.mu.Unlock()
+}
+
+// Append records LOG_{g∩h}.append (g == h for a group log). aux is the
+// datum kind, v the resulting position when known.
+func (r *Recorder) Append(p groups.Process, m msg.ID, g, h groups.GroupID, aux uint8, v int, t failure.Time) {
+	r.event(Event{Kind: EvAppend, P: p, M: m, G: g, H: h, Aux: aux, V: v, T: t})
 }
 
 // Bump records LOG_{g∩h}.bumpAndLock(m, k).
 func (r *Recorder) Bump(p groups.Process, m msg.ID, g, h groups.GroupID, k int, t failure.Time) {
-	if r == nil {
-		return
-	}
-	w := r.wallNow()
-	r.mu.Lock()
-	r.record(Event{Kind: EvBump, P: p, M: m, G: g, H: h, V: k, T: t, Wall: w})
-	r.mu.Unlock()
+	r.event(Event{Kind: EvBump, P: p, M: m, G: g, H: h, V: k, T: t})
 }
 
 // Propose records a CONS_{m,f} proposal of value v by p.
 func (r *Recorder) Propose(p groups.Process, m msg.ID, g groups.GroupID, v int, t failure.Time) {
-	if r == nil {
-		return
-	}
-	w := r.wallNow()
-	r.mu.Lock()
-	r.record(Event{Kind: EvPropose, P: p, M: m, G: g, H: g, V: v, T: t, Wall: w})
-	r.mu.Unlock()
+	r.event(Event{Kind: EvPropose, P: p, M: m, G: g, H: g, V: v, T: t})
 }
 
 // Decide records the decision of CONS_{m,f} as learnt by p.
 func (r *Recorder) Decide(p groups.Process, m msg.ID, g groups.GroupID, v int, t failure.Time) {
-	if r == nil {
-		return
-	}
-	w := r.wallNow()
-	r.mu.Lock()
-	r.record(Event{Kind: EvDecide, P: p, M: m, G: g, H: g, V: v, T: t, Wall: w})
-	r.mu.Unlock()
+	r.event(Event{Kind: EvDecide, P: p, M: m, G: g, H: g, V: v, T: t})
 }
 
 // FastDelivery counts one delivery that took the Generic variant's fast
@@ -370,197 +340,150 @@ func (r *Recorder) Coordination(pair Pair, set groups.ProcSet, contended bool) {
 	r.mu.Unlock()
 }
 
-// Events returns a snapshot of the event timeline.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
-}
-
 // ---------------------------------------------------------------------------
-// Counter blocks bumped by the live substrate's hot paths.
+// Counter blocks. Each per-layer counter set is declared exactly once: a
+// struct whose fields are all int64 (uint64 in the chaos block, whose type
+// predates this package), each with a JSON tag. That one struct
+// is both the live block a layer bumps on its hot path — through Inc, Add
+// and Max, which are sync/atomic operations on the field — and the section
+// RunReport carries (a Snapshot of the live block). Adding a counter is one
+// field here and one call site in the layer: Snapshot, the section-present
+// rule and RunReport.String find it by walking the struct.
+//
+// Every counter is a sum except PaxosCounters.WindowDepthPeak, a high-water
+// mark kept with Max. A block's zero value is ready to use, so a layer
+// built without an observer counts into a private new(XCounters).
 
-// PaxosCounters count the consensus substrate's work. Rounds are the full
-// two-phase synod rounds; FastRounds are the Multi-Paxos steady-state
-// rounds (phase 1 elided under a leader lease). Probes are anti-entropy
-// broadcasts for possibly-dropped decide messages. RespDrops count
-// proposer responses lost to a full response channel; RespStale counts
-// leftovers from prior rounds drained at round start.
-type PaxosCounters struct {
-	Proposals         atomic.Int64
-	Rounds            atomic.Int64
-	RoundFailures     atomic.Int64
-	FastRounds        atomic.Int64
-	FastRoundFailures atomic.Int64
-	WindowRounds      atomic.Int64
-	WindowFailures    atomic.Int64
-	WindowDepthPeak   atomic.Int64
-	LeasesAcquired    atomic.Int64
-	LeasesLost        atomic.Int64
-	Decisions         atomic.Int64
-	Probes            atomic.Int64
-	RespDrops         atomic.Int64
-	RespStale         atomic.Int64
-}
+// Inc adds one to a counter.
+func Inc[T int64 | uint64](c *T) { Add(c, 1) }
 
-// IncProposal counts one Propose entry (nil-safe, like every Inc method).
-func (c *PaxosCounters) IncProposal() {
-	if c != nil {
-		c.Proposals.Add(1)
+// Add adds n to a counter.
+func Add[T int64 | uint64](c *T, n T) {
+	switch p := any(c).(type) {
+	case *int64:
+		atomic.AddInt64(p, int64(n))
+	case *uint64:
+		atomic.AddUint64(p, uint64(n))
 	}
 }
 
-// IncRound counts one prepare/accept round attempt.
-func (c *PaxosCounters) IncRound() {
-	if c != nil {
-		c.Rounds.Add(1)
-	}
-}
-
-// IncRoundFailure counts one failed round (deadline or refusal).
-func (c *PaxosCounters) IncRoundFailure() {
-	if c != nil {
-		c.RoundFailures.Add(1)
-	}
-}
-
-// IncDecision counts one decision learnt for the first time.
-func (c *PaxosCounters) IncDecision() {
-	if c != nil {
-		c.Decisions.Add(1)
-	}
-}
-
-// IncProbe counts one anti-entropy decision probe broadcast.
-func (c *PaxosCounters) IncProbe() {
-	if c != nil {
-		c.Probes.Add(1)
-	}
-}
-
-// IncFastRound counts one phase-1-elided accept round under a lease.
-func (c *PaxosCounters) IncFastRound() {
-	if c != nil {
-		c.FastRounds.Add(1)
-	}
-}
-
-// IncFastRoundFailure counts one fast round that fell back to the full
-// protocol (NACK, deadline, or concurrent decision).
-func (c *PaxosCounters) IncFastRoundFailure() {
-	if c != nil {
-		c.FastRoundFailures.Add(1)
-	}
-}
-
-// IncWindowRound counts one windowed (pipelined) accept round fired.
-func (c *PaxosCounters) IncWindowRound() {
-	if c != nil {
-		c.WindowRounds.Add(1)
-	}
-}
-
-// IncWindowRoundFailure counts one windowed round that ended without a
-// decision (deadline or NACK) — a potential hole the caller repairs.
-func (c *PaxosCounters) IncWindowRoundFailure() {
-	if c != nil {
-		c.WindowFailures.Add(1)
-	}
-}
-
-// NoteWindowDepth records the observed outstanding-round depth of one
-// realm, keeping the run's peak.
-func (c *PaxosCounters) NoteWindowDepth(d int64) {
-	if c == nil {
-		return
-	}
+// Max raises a high-water-mark counter to v if v is above it.
+func Max(c *int64, v int64) {
 	for {
-		cur := c.WindowDepthPeak.Load()
-		if d <= cur || c.WindowDepthPeak.CompareAndSwap(cur, d) {
+		cur := atomic.LoadInt64(c)
+		if v <= cur || atomic.CompareAndSwapInt64(c, cur, v) {
 			return
 		}
 	}
 }
 
-// IncLeaseAcquired counts one range prepare installing a proposer lease.
-func (c *PaxosCounters) IncLeaseAcquired() {
-	if c != nil {
-		c.LeasesAcquired.Add(1)
+// walk visits every counter of a block (a pointer to a struct of counter
+// fields; a nil pointer has none) in declaration order, with the field's
+// index, its JSON name and its value, loaded atomically. It is reflective
+// and runs at report time only, never on a hot path.
+func walk(block any, fn func(i int, name string, v int64)) {
+	p := reflect.ValueOf(block)
+	if p.IsNil() {
+		return
+	}
+	s := p.Elem()
+	for i := 0; i < s.NumField(); i++ {
+		name, _, _ := strings.Cut(s.Type().Field(i).Tag.Get("json"), ",")
+		switch p := s.Field(i).Addr().Interface().(type) {
+		case *int64:
+			fn(i, name, atomic.LoadInt64(p))
+		case *uint64:
+			fn(i, name, int64(atomic.LoadUint64(p)))
+		}
 	}
 }
 
-// IncLeaseLost counts one lease invalidated by an observed higher ballot.
-func (c *PaxosCounters) IncLeaseLost() {
-	if c != nil {
-		c.LeasesLost.Add(1)
-	}
+// Snapshot copies a live block for a report. Each counter is loaded
+// atomically, so every value is one the counter really held during the
+// call; writers are not stopped, so the fields are not one consistent cut.
+func Snapshot[T any](live *T) *T {
+	out := new(T)
+	dst := reflect.ValueOf(out).Elem()
+	walk(live, func(i int, _ string, v int64) {
+		if f := dst.Field(i); f.CanInt() {
+			f.SetInt(v)
+		} else {
+			f.SetUint(uint64(v))
+		}
+	})
+	return out
 }
 
-// IncRespDrop counts one proposer response dropped on a full channel.
-func (c *PaxosCounters) IncRespDrop() {
-	if c != nil {
-		c.RespDrops.Add(1)
+// present applies the section-present rule to a snapshot: a layer none of
+// whose counters moved has no section in the report (nil), rather than a
+// section of zeros.
+func present[T any](s *T) *T {
+	moved := false
+	walk(s, func(_ int, _ string, v int64) { moved = moved || v != 0 })
+	if !moved {
+		return nil
 	}
+	return s
 }
 
-// IncRespStale counts one leftover response drained at round start.
-func (c *PaxosCounters) IncRespStale() {
-	if c != nil {
-		c.RespStale.Add(1)
+// perUnit is num/den, or 0 when there were no units to divide by.
+func perUnit(num, den int64) float64 {
+	if den == 0 {
+		return 0
 	}
+	return float64(num) / float64(den)
 }
 
-// ReplogCounters count the replicated-log substrate's work. Batches are
-// consensus slots proposed by the batching submit loop; BatchedOps is the
-// total operations those slots carried (BatchedOps/Batches is the mean
-// batch size, the lever that amortises one accept round over many
-// multicasts).
+// PaxosCounters count the consensus substrate's work. Rounds are the full
+// two-phase synod rounds; FastRounds the Multi-Paxos steady-state rounds
+// (phase 1 elided under a leader lease); WindowRounds the windowed
+// (pipelined) accept rounds, WindowFailures those that ended without a
+// decision and WindowDepthPeak the deepest outstanding window of any realm.
+// The lease counters record fast-path churn (acquisitions via range prepare,
+// invalidations on an observed higher ballot). Probes are anti-entropy
+// broadcasts for possibly-dropped decide messages. RespDrops count proposer
+// responses lost to a full response channel; RespStale counts leftovers from
+// prior rounds drained at round start.
+type PaxosCounters struct {
+	Proposals         int64 `json:"proposals"`
+	Rounds            int64 `json:"rounds"`
+	RoundFailures     int64 `json:"round_failures"`
+	FastRounds        int64 `json:"fast_rounds"`
+	FastRoundFailures int64 `json:"fast_round_failures"`
+	WindowRounds      int64 `json:"window_rounds"`
+	WindowFailures    int64 `json:"window_failures"`
+	WindowDepthPeak   int64 `json:"window_depth_peak"`
+	LeasesAcquired    int64 `json:"leases_acquired"`
+	LeasesLost        int64 `json:"leases_lost"`
+	Decisions         int64 `json:"decisions"`
+	Probes            int64 `json:"probes"`
+	RespDrops         int64 `json:"resp_drops"`
+	RespStale         int64 `json:"resp_stale"`
+}
+
+// ReplogCounters count the replicated-log substrate's work: operations
+// funnelled through consensus (Submits) and applied to a local replica
+// (Applies), consensus slots proposed by the batching submit loop (Batches)
+// and the operations those slots carried (BatchedOps), operations forwarded
+// to a realm's leaseholder (FwdOps) and forwarded operations accepted into
+// the local batcher (RemoteOps).
 type ReplogCounters struct {
-	Applies    atomic.Int64
-	Submits    atomic.Int64
-	Batches    atomic.Int64
-	BatchedOps atomic.Int64
-	FwdOps     atomic.Int64
-	RemoteOps  atomic.Int64
+	Applies    int64 `json:"applies"`
+	Submits    int64 `json:"submits"`
+	Batches    int64 `json:"batches"`
+	BatchedOps int64 `json:"batched_ops"`
+	FwdOps     int64 `json:"fwd_ops,omitempty"`
+	RemoteOps  int64 `json:"remote_ops,omitempty"`
 }
 
-// AddBatch counts one batch of n operations fired at a consensus slot.
-func (c *ReplogCounters) AddBatch(n int) {
-	if c != nil {
-		c.Batches.Add(1)
-		c.BatchedOps.Add(int64(n))
+// MeanBatchOps is the mean operations per proposed batch — the lever that
+// amortises one accept round over many multicasts (0 on a nil block or when
+// the run proposed no batches).
+func (c *ReplogCounters) MeanBatchOps() float64 {
+	if c == nil {
+		return 0
 	}
-}
-
-// IncApply counts one operation applied to a local replica.
-func (c *ReplogCounters) IncApply() {
-	if c != nil {
-		c.Applies.Add(1)
-	}
-}
-
-// IncSubmit counts one operation funnelled through consensus.
-func (c *ReplogCounters) IncSubmit() {
-	if c != nil {
-		c.Submits.Add(1)
-	}
-}
-
-// AddFwd counts n operations forwarded to a realm's leaseholder.
-func (c *ReplogCounters) AddFwd(n int) {
-	if c != nil {
-		c.FwdOps.Add(int64(n))
-	}
-}
-
-// AddRemote counts n forwarded operations accepted into the local batcher.
-func (c *ReplogCounters) AddRemote(n int) {
-	if c != nil {
-		c.RemoteOps.Add(int64(n))
-	}
+	return perUnit(c.BatchedOps, c.Batches)
 }
 
 // SchedCounters count the stepping scheduler's work: how often nodes woke
@@ -571,101 +494,99 @@ func (c *ReplogCounters) AddRemote(n int) {
 // event-driven system shows timer wakeups that skip their scan, a polling
 // one shows scans growing with wall time regardless of traffic.
 type SchedCounters struct {
-	NotifyWakeups atomic.Int64
-	TimerWakeups  atomic.Int64
-	Scans         atomic.Int64
-	SkippedScans  atomic.Int64
-	Actions       atomic.Int64
+	NotifyWakeups int64 `json:"notify_wakeups"`
+	TimerWakeups  int64 `json:"timer_wakeups"`
+	Scans         int64 `json:"scans"`
+	SkippedScans  int64 `json:"skipped_scans"`
+	Actions       int64 `json:"actions"`
 	// GuardVisits counts the predecessor entries the guards of Algorithm 1
 	// examined (log entries before a message, L_g entries before an outbox
 	// head). Per delivery it must not grow with the length of the run: the
 	// guards start at a delivered frontier, not at the first entry.
-	GuardVisits atomic.Int64
-}
-
-// IncNotifyWakeup counts one node wakeup caused by a change notification.
-func (c *SchedCounters) IncNotifyWakeup() {
-	if c != nil {
-		c.NotifyWakeups.Add(1)
-	}
-}
-
-// IncTimerWakeup counts one safety-net timer wakeup.
-func (c *SchedCounters) IncTimerWakeup() {
-	if c != nil {
-		c.TimerWakeups.Add(1)
-	}
-}
-
-// IncScan counts one guard scan pass over a node's ready set.
-func (c *SchedCounters) IncScan() {
-	if c != nil {
-		c.Scans.Add(1)
-	}
-}
-
-// IncSkippedScan counts one Step short-circuited by the change-vector check.
-func (c *SchedCounters) IncSkippedScan() {
-	if c != nil {
-		c.SkippedScans.Add(1)
-	}
-}
-
-// IncAction counts one protocol action fired.
-func (c *SchedCounters) IncAction() {
-	if c != nil {
-		c.Actions.Add(1)
-	}
-}
-
-// AddGuardVisits counts n predecessor entries examined by one guard.
-func (c *SchedCounters) AddGuardVisits(n int64) {
-	if c != nil && n != 0 {
-		c.GuardVisits.Add(n)
-	}
+	GuardVisits int64 `json:"guard_visits"`
 }
 
 // WALCounters count the durable-storage work of the live substrate's
-// write-ahead logs: records and bytes appended, group-commit syncs
-// (Syncs/Appends is the commit-batching ratio), segment rotations, and the
-// records/time recovered by replay on restart.
+// write-ahead logs: records and payload bytes appended, group-commit
+// durability barriers (Syncs/Appends is the commit-batching ratio), segment
+// rotations, and the records/time recovered by replay on restart.
 type WALCounters struct {
-	Appends          atomic.Int64
-	Bytes            atomic.Int64
-	Syncs            atomic.Int64
-	Rotations        atomic.Int64
-	RecoveredRecords atomic.Int64
-	RecoveryNanos    atomic.Int64
+	Appends          int64 `json:"appends"`
+	Bytes            int64 `json:"bytes"`
+	Syncs            int64 `json:"syncs"`
+	Rotations        int64 `json:"rotations,omitempty"`
+	RecoveredRecords int64 `json:"recovered_records,omitempty"`
+	RecoveryNanos    int64 `json:"recovery_nanos,omitempty"`
 }
 
-// AddAppend counts one appended record of n payload bytes.
-func (c *WALCounters) AddAppend(n int) {
-	if c != nil {
-		c.Appends.Add(1)
-		c.Bytes.Add(int64(n))
+// BytesPerAppend is the mean record payload size (0 on a nil block or with
+// no appends).
+func (c *WALCounters) BytesPerAppend() float64 {
+	if c == nil {
+		return 0
 	}
+	return perUnit(c.Bytes, c.Appends)
 }
 
-// IncSync counts one group-commit durability barrier.
-func (c *WALCounters) IncSync() {
-	if c != nil {
-		c.Syncs.Add(1)
-	}
+// WireCounters count the socket-level work of a real transport
+// (internal/wire): real encoded frame bytes rather than EstimateSize
+// guesses, plus the connection-management events (dials, reconnects, short
+// reads) the in-memory fabric has no notion of. One instance may be shared
+// by several TCP nodes (the loopback fabric aggregates all of a run's
+// sockets into one report).
+type WireCounters struct {
+	BytesOut      int64 `json:"bytes_out"`
+	BytesIn       int64 `json:"bytes_in"`
+	FramesEncoded int64 `json:"frames_encoded"`
+	FramesDecoded int64 `json:"frames_decoded"`
+	Dials         int64 `json:"dials"`
+	Reconnects    int64 `json:"reconnects"`
+	DecodeErrors  int64 `json:"decode_errors"`
+	ShortReads    int64 `json:"short_reads"`
+	// QueueDrops are send-side queue overflows; WriteDrops are frames lost
+	// inside a write loop — a failed socket write or a redial discarding the
+	// in-flight frame — which would otherwise show only as Reconnects.
+	QueueDrops int64 `json:"queue_drops"`
+	WriteDrops int64 `json:"write_drops"`
+	// Flushes/FlushedFrames count the write loops' coalescing: one flush is
+	// one syscall-level write of ≥1 queued frames.
+	Flushes       int64 `json:"flushes"`
+	FlushedFrames int64 `json:"flushed_frames"`
 }
 
-// IncRotation counts one segment rotation.
-func (c *WALCounters) IncRotation() {
-	if c != nil {
-		c.Rotations.Add(1)
+// FramesPerFlush is the mean write-coalescing factor (0 on a nil block or
+// when the transport never flushed).
+func (c *WireCounters) FramesPerFlush() float64 {
+	if c == nil {
+		return 0
 	}
+	return perUnit(c.FlushedFrames, c.Flushes)
 }
 
-// AddRecovery counts a replay of n records taking d of wall time.
-func (c *WALCounters) AddRecovery(n int64, d time.Duration) {
-	if c != nil {
-		c.RecoveredRecords.Add(n)
-		c.RecoveryNanos.Add(int64(d))
+// ChaosCounters count what the nemesis (internal/chaos, where this type is
+// chaos.Stats) did to the traffic, by cause.
+type ChaosCounters struct {
+	Forwarded        uint64 `json:"forwarded"`         // packets handed to the inner transport
+	Duplicated       uint64 `json:"duplicated"`        // extra copies injected
+	Delayed          uint64 `json:"delayed"`           // packets that took a delay path
+	DroppedRandom    uint64 `json:"dropped_random"`    // lost to the Drop probability
+	DroppedPartition uint64 `json:"dropped_partition"` // lost to an active partition
+	DroppedDown      uint64 `json:"dropped_down"`      // lost because an endpoint was down
+	DroppedOverflow  uint64 `json:"dropped_overflow"`  // lost on a full delay-pipe queue
+}
+
+// Dropped sums all loss causes.
+func (c ChaosCounters) Dropped() uint64 {
+	return c.DroppedRandom + c.DroppedPartition + c.DroppedDown + c.DroppedOverflow
+}
+
+// Injections sums everything the nemesis actively did to the traffic (0 on
+// a nil block).
+func (c *ChaosCounters) Injections() uint64 {
+	if c == nil {
+		return 0
 	}
+	return c.Duplicated + c.Delayed + c.Dropped()
 }
 
 // NetCounters count transport traffic per directed link. They are owned by
@@ -689,29 +610,16 @@ func NewNetCounters(n int) *NetCounters {
 
 // Sent counts one packet of approximately size bytes on from→to.
 func (c *NetCounters) Sent(from, to groups.Process, size int) {
-	if c == nil {
-		return
-	}
 	i := int(from)*c.n + int(to)
-	if i < 0 || i >= len(c.packets) {
-		return
-	}
 	c.packets[i].Add(1)
 	c.bytes[i].Add(int64(size))
 }
 
 // Overflow counts one packet dropped on a full inbox.
-func (c *NetCounters) Overflow() {
-	if c != nil {
-		c.overflow.Add(1)
-	}
-}
+func (c *NetCounters) Overflow() { c.overflow.Add(1) }
 
 // Report snapshots the counters into a NetReport.
 func (c *NetCounters) Report() *NetReport {
-	if c == nil {
-		return nil
-	}
 	r := &NetReport{
 		PerProcessSent: make([]int64, c.n),
 		PerProcessRecv: make([]int64, c.n),
@@ -743,63 +651,18 @@ type NetReporter interface {
 	NetReport() *NetReport
 }
 
-// WireCounters count the socket-level work of a real transport
-// (internal/wire): real encoded bytes rather than EstimateSize guesses,
-// plus the connection-management events the in-memory fabric has no notion
-// of. One instance may be shared by several TCP nodes (the loopback fabric
-// aggregates all of a run's sockets into one report).
-type WireCounters struct {
-	BytesOut      atomic.Int64
-	BytesIn       atomic.Int64
-	FramesEncoded atomic.Int64
-	FramesDecoded atomic.Int64
-	Dials         atomic.Int64
-	Reconnects    atomic.Int64
-	DecodeErrors  atomic.Int64
-	ShortReads    atomic.Int64
-	QueueDrops    atomic.Int64
-	// WriteDrops counts frames lost inside a write loop — a failed socket
-	// write or a redial discarding the in-flight frame. Send-side queue
-	// overflows are QueueDrops; without this counter, write-side losses
-	// were only visible as Reconnects and chaos bench rows could not
-	// attribute lost frames.
-	WriteDrops atomic.Int64
-	// Flushes/FlushedFrames count the write loops' coalescing: one flush
-	// is one syscall-level write of ≥1 queued frames. FlushedFrames/Flushes
-	// is the mean coalescing factor.
-	Flushes       atomic.Int64
-	FlushedFrames atomic.Int64
-}
-
-// Report snapshots the counters into a WireReport.
-func (c *WireCounters) Report() *WireReport {
-	if c == nil {
-		return nil
-	}
-	return &WireReport{
-		BytesOut:      c.BytesOut.Load(),
-		BytesIn:       c.BytesIn.Load(),
-		FramesEncoded: c.FramesEncoded.Load(),
-		FramesDecoded: c.FramesDecoded.Load(),
-		Dials:         c.Dials.Load(),
-		Reconnects:    c.Reconnects.Load(),
-		DecodeErrors:  c.DecodeErrors.Load(),
-		ShortReads:    c.ShortReads.Load(),
-		QueueDrops:    c.QueueDrops.Load(),
-		WriteDrops:    c.WriteDrops.Load(),
-		Flushes:       c.Flushes.Load(),
-		FlushedFrames: c.FlushedFrames.Load(),
-	}
-}
-
 // WireReporter is implemented by transports that run over real sockets
-// (internal/wire.TCP, internal/wire.Fabric).
+// (internal/wire.TCP and Fabric natively, internal/chaos.Chaos by
+// delegation).
 type WireReporter interface {
-	WireReport() *WireReport
+	WireReport() *WireCounters
 }
 
-// sizeCache memoises per-type wire-size estimates.
-var sizeCache sync.Map // reflect.Type → int
+// ChaosReporter is implemented by transports that inject faults
+// (internal/chaos.Chaos).
+type ChaosReporter interface {
+	InjectionReport() *ChaosCounters
+}
 
 // EstimateSize approximates the wire footprint of an in-memory packet: a
 // fixed header (from/to/type plus framing) plus the body's in-memory struct
@@ -812,11 +675,5 @@ func EstimateSize(body any) int {
 	if body == nil {
 		return header
 	}
-	t := reflect.TypeOf(body)
-	if sz, ok := sizeCache.Load(t); ok {
-		return header + sz.(int)
-	}
-	sz := int(t.Size())
-	sizeCache.Store(t, sz)
-	return header + sz
+	return header + int(reflect.TypeOf(body).Size())
 }

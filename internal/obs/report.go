@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,21 +33,14 @@ func Summarise(samples []float64) LatencySummary {
 		return LatencySummary{}
 	}
 	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
+	slices.Sort(s)
 	var sum float64
 	for _, v := range s {
 		sum += v
 	}
 	q := func(p float64) float64 {
 		// Nearest-rank on the sorted samples.
-		i := int(p*float64(len(s))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
+		return s[min(max(int(p*float64(len(s))+0.5)-1, 0), len(s)-1)]
 	}
 	return LatencySummary{
 		Count: len(s),
@@ -89,102 +83,6 @@ type NetReport struct {
 	PerLink        []LinkReport `json:"per_link,omitempty"`
 }
 
-// WireReport is the socket-level traffic of a run over a real transport
-// (internal/wire). Unlike NetReport's estimated sizes, the byte counts here
-// are real encoded frame bytes; the connection counters (dials, reconnects,
-// short reads) only exist where there are connections to manage.
-type WireReport struct {
-	BytesOut      int64 `json:"bytes_out"`
-	BytesIn       int64 `json:"bytes_in"`
-	FramesEncoded int64 `json:"frames_encoded"`
-	FramesDecoded int64 `json:"frames_decoded"`
-	Dials         int64 `json:"dials"`
-	Reconnects    int64 `json:"reconnects"`
-	DecodeErrors  int64 `json:"decode_errors"`
-	ShortReads    int64 `json:"short_reads"`
-	QueueDrops    int64 `json:"queue_drops"`
-	WriteDrops    int64 `json:"write_drops"`
-	Flushes       int64 `json:"flushes"`
-	FlushedFrames int64 `json:"flushed_frames"`
-}
-
-// FramesPerFlush is the mean write-coalescing factor (0 when the transport
-// never flushed, e.g. a single-process in-memory run).
-func (w *WireReport) FramesPerFlush() float64 {
-	if w == nil || w.Flushes == 0 {
-		return 0
-	}
-	return float64(w.FlushedFrames) / float64(w.Flushes)
-}
-
-// PaxosReport is the consensus substrate's work in a live run. Rounds are
-// full two-phase synod rounds; FastRounds the phase-1-elided accepts the
-// Multi-Paxos lease enables; the lease counters record fast-path churn
-// (acquisitions via range prepare, invalidations on observed higher
-// ballots). RespDrops/RespStale account proposer-response losses that the
-// old implementation discarded silently.
-type PaxosReport struct {
-	Proposals         int64 `json:"proposals"`
-	Rounds            int64 `json:"rounds"`
-	RoundFailures     int64 `json:"round_failures"`
-	FastRounds        int64 `json:"fast_rounds"`
-	FastRoundFailures int64 `json:"fast_round_failures"`
-	WindowRounds      int64 `json:"window_rounds"`
-	WindowFailures    int64 `json:"window_failures"`
-	WindowDepthPeak   int64 `json:"window_depth_peak"`
-	LeasesAcquired    int64 `json:"leases_acquired"`
-	LeasesLost        int64 `json:"leases_lost"`
-	Decisions         int64 `json:"decisions"`
-	Probes            int64 `json:"probes"`
-	RespDrops         int64 `json:"resp_drops"`
-	RespStale         int64 `json:"resp_stale"`
-}
-
-// ReplogReport is the replicated-log substrate's work in a live run.
-type ReplogReport struct {
-	Applies    int64 `json:"applies"`
-	Submits    int64 `json:"submits"`
-	Batches    int64 `json:"batches"`
-	BatchedOps int64 `json:"batched_ops"`
-	FwdOps     int64 `json:"fwd_ops,omitempty"`
-	RemoteOps  int64 `json:"remote_ops,omitempty"`
-}
-
-// MeanBatchOps is the mean operations per proposed batch (0 when the run
-// proposed no batches).
-func (r *ReplogReport) MeanBatchOps() float64 {
-	if r == nil || r.Batches == 0 {
-		return 0
-	}
-	return float64(r.BatchedOps) / float64(r.Batches)
-}
-
-// ChaosReport mirrors the nemesis fault counters when the run's transport
-// was chaos-wrapped.
-type ChaosReport struct {
-	Forwarded        uint64 `json:"forwarded"`
-	Duplicated       uint64 `json:"duplicated"`
-	Delayed          uint64 `json:"delayed"`
-	DroppedRandom    uint64 `json:"dropped_random"`
-	DroppedPartition uint64 `json:"dropped_partition"`
-	DroppedDown      uint64 `json:"dropped_down"`
-	DroppedOverflow  uint64 `json:"dropped_overflow"`
-}
-
-// Injections sums everything the nemesis actively did to the traffic.
-func (c *ChaosReport) Injections() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.Duplicated + c.Delayed + c.DroppedRandom + c.DroppedPartition + c.DroppedDown + c.DroppedOverflow
-}
-
-// ChaosReporter is implemented by transports that inject faults
-// (internal/chaos.Chaos).
-type ChaosReporter interface {
-	InjectionReport() *ChaosReport
-}
-
 // ClassCount is the population of one conflict class across the run's
 // multicasts.
 type ClassCount struct {
@@ -199,42 +97,6 @@ type ClassCount struct {
 type ConflictReport struct {
 	FastDeliveries int64        `json:"fast_deliveries"`
 	Classes        []ClassCount `json:"classes,omitempty"`
-}
-
-// SchedReport is the stepping scheduler's work in a run: wakeups by cause,
-// guard scan passes, Step calls short-circuited without a scan, and protocol
-// actions fired. WakeupsPerDelivery and StepsPerDelivery (computed against
-// the run's delivery count) are the event-efficiency of the hot path;
-// TimerWakeups with SkippedScans high relative to Scans is the signature of
-// an idle system that sleeps instead of polling.
-type SchedReport struct {
-	NotifyWakeups int64 `json:"notify_wakeups"`
-	TimerWakeups  int64 `json:"timer_wakeups"`
-	Scans         int64 `json:"scans"`
-	SkippedScans  int64 `json:"skipped_scans"`
-	Actions       int64 `json:"actions"`
-	GuardVisits   int64 `json:"guard_visits"`
-}
-
-// WALReport is the durable-storage footprint of a live run: records and
-// payload bytes appended to the write-ahead logs, group-commit durability
-// barriers (Syncs/Appends is the commit-batching ratio), segment rotations,
-// and the replay work done by recovery on restart.
-type WALReport struct {
-	Appends          int64 `json:"appends"`
-	Bytes            int64 `json:"bytes"`
-	Syncs            int64 `json:"syncs"`
-	Rotations        int64 `json:"rotations,omitempty"`
-	RecoveredRecords int64 `json:"recovered_records,omitempty"`
-	RecoveryNanos    int64 `json:"recovery_nanos,omitempty"`
-}
-
-// BytesPerAppend is the mean record payload size (0 with no appends).
-func (w *WALReport) BytesPerAppend() float64 {
-	if w == nil || w.Appends == 0 {
-		return 0
-	}
-	return float64(w.Bytes) / float64(w.Appends)
 }
 
 // RunReport is one run's observability, for either backend. Quantities a
@@ -271,13 +133,16 @@ type RunReport struct {
 	MessagesAccounted bool  `json:"messages_accounted"`
 	Messages          int64 `json:"messages,omitempty"`
 
+	// The per-layer sections are snapshots of the layers' counter blocks
+	// (obs.go); a layer that did no work has none. Net, Wire and Chaos come
+	// from the transport and are present whenever it keeps them.
 	Net      *NetReport      `json:"net,omitempty"`
-	Wire     *WireReport     `json:"wire,omitempty"`
-	Paxos    *PaxosReport    `json:"paxos,omitempty"`
-	Replog   *ReplogReport   `json:"replog,omitempty"`
-	WAL      *WALReport      `json:"wal,omitempty"`
-	Sched    *SchedReport    `json:"sched,omitempty"`
-	Chaos    *ChaosReport    `json:"chaos,omitempty"`
+	Wire     *WireCounters   `json:"wire,omitempty"`
+	Paxos    *PaxosCounters  `json:"paxos,omitempty"`
+	Replog   *ReplogCounters `json:"replog,omitempty"`
+	WAL      *WALCounters    `json:"wal,omitempty"`
+	Sched    *SchedCounters  `json:"sched,omitempty"`
+	Chaos    *ChaosCounters  `json:"chaos,omitempty"`
 	Conflict *ConflictReport `json:"conflict,omitempty"`
 
 	// Coordination is the per-pair-log footprint, sorted by pair.
@@ -310,57 +175,11 @@ func (r *Recorder) Report() RunReport {
 	if !r.epoch.IsZero() {
 		ws := Summarise(r.wallLat)
 		out.WallLatency = &ws
-	} else {
-		out.Wall = 0
 	}
-	if v := r.paxos.Proposals.Load() + r.paxos.Rounds.Load() + r.paxos.FastRounds.Load() + r.paxos.Decisions.Load() + r.paxos.Probes.Load(); v > 0 {
-		out.Paxos = &PaxosReport{
-			Proposals:         r.paxos.Proposals.Load(),
-			Rounds:            r.paxos.Rounds.Load(),
-			RoundFailures:     r.paxos.RoundFailures.Load(),
-			FastRounds:        r.paxos.FastRounds.Load(),
-			FastRoundFailures: r.paxos.FastRoundFailures.Load(),
-			WindowRounds:      r.paxos.WindowRounds.Load(),
-			WindowFailures:    r.paxos.WindowFailures.Load(),
-			WindowDepthPeak:   r.paxos.WindowDepthPeak.Load(),
-			LeasesAcquired:    r.paxos.LeasesAcquired.Load(),
-			LeasesLost:        r.paxos.LeasesLost.Load(),
-			Decisions:         r.paxos.Decisions.Load(),
-			Probes:            r.paxos.Probes.Load(),
-			RespDrops:         r.paxos.RespDrops.Load(),
-			RespStale:         r.paxos.RespStale.Load(),
-		}
-	}
-	if v := r.replog.Applies.Load() + r.replog.Submits.Load(); v > 0 {
-		out.Replog = &ReplogReport{
-			Applies:    r.replog.Applies.Load(),
-			Submits:    r.replog.Submits.Load(),
-			Batches:    r.replog.Batches.Load(),
-			BatchedOps: r.replog.BatchedOps.Load(),
-			FwdOps:     r.replog.FwdOps.Load(),
-			RemoteOps:  r.replog.RemoteOps.Load(),
-		}
-	}
-	if v := r.sched.Scans.Load() + r.sched.SkippedScans.Load() + r.sched.NotifyWakeups.Load() + r.sched.TimerWakeups.Load(); v > 0 {
-		out.Sched = &SchedReport{
-			NotifyWakeups: r.sched.NotifyWakeups.Load(),
-			TimerWakeups:  r.sched.TimerWakeups.Load(),
-			Scans:         r.sched.Scans.Load(),
-			SkippedScans:  r.sched.SkippedScans.Load(),
-			Actions:       r.sched.Actions.Load(),
-			GuardVisits:   r.sched.GuardVisits.Load(),
-		}
-	}
-	if v := r.wal.Appends.Load() + r.wal.RecoveredRecords.Load(); v > 0 {
-		out.WAL = &WALReport{
-			Appends:          r.wal.Appends.Load(),
-			Bytes:            r.wal.Bytes.Load(),
-			Syncs:            r.wal.Syncs.Load(),
-			Rotations:        r.wal.Rotations.Load(),
-			RecoveredRecords: r.wal.RecoveredRecords.Load(),
-			RecoveryNanos:    r.wal.RecoveryNanos.Load(),
-		}
-	}
+	out.Paxos = present(Snapshot(&r.paxos))
+	out.Replog = present(Snapshot(&r.replog))
+	out.Sched = present(Snapshot(&r.sched))
+	out.WAL = present(Snapshot(&r.wal))
 	interesting := r.fastDeliveries > 0
 	for class := range r.classes {
 		if class != 0 {
@@ -373,7 +192,7 @@ func (r *Recorder) Report() RunReport {
 		for class := range r.classes {
 			classes = append(classes, class)
 		}
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+		slices.Sort(classes)
 		for _, class := range classes {
 			cr.Classes = append(cr.Classes, ClassCount{Class: class, Count: r.classes[class]})
 		}
@@ -383,11 +202,8 @@ func (r *Recorder) Report() RunReport {
 	for pair := range r.coord {
 		pairs = append(pairs, pair)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
+	slices.SortFunc(pairs, func(x, y Pair) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 	for _, pair := range pairs {
 		pc := r.coord[pair]
@@ -447,7 +263,10 @@ func (r *RunReport) CoordinationOf(g, h groups.GroupID) (PairCoordination, bool)
 	return PairCoordination{}, false
 }
 
-// String renders a compact human summary.
+// String renders a compact human summary. Each per-layer section is one
+// line naming every non-zero counter of its block by JSON name, so a counter
+// added to a block shows up here without an edit, plus the block's derived
+// per-unit figure when it has one.
 func (r *RunReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run report (%s backend): %d procs, %d groups, %d multicasts, %d deliveries",
@@ -476,51 +295,32 @@ func (r *RunReport) String() string {
 			fmt.Fprintf(&b, " (%.1f packets/delivery)", ppd)
 		}
 	}
-	if r.Wire != nil {
-		fmt.Fprintf(&b, "\n  wire: %d frames out (%d B), %d frames in (%d B), %d dials, %d reconnects",
-			r.Wire.FramesEncoded, r.Wire.BytesOut, r.Wire.FramesDecoded, r.Wire.BytesIn,
-			r.Wire.Dials, r.Wire.Reconnects)
-		if r.Wire.Flushes > 0 {
-			fmt.Fprintf(&b, "\n  wire flushes: %d (%.1f frames/flush)", r.Wire.Flushes, r.Wire.FramesPerFlush())
+	for _, sec := range []struct {
+		name  string
+		block any
+		per   float64
+		unit  string
+	}{
+		{"wire", r.Wire, r.Wire.FramesPerFlush(), "frames/flush"},
+		{"paxos", r.Paxos, 0, ""},
+		{"replog", r.Replog, r.Replog.MeanBatchOps(), "ops/batch"},
+		{"sched", r.Sched, 0, ""},
+		{"wal", r.WAL, r.WAL.BytesPerAppend(), "B/append"},
+		{"chaos", r.Chaos, 0, ""},
+	} {
+		var fields []string
+		walk(sec.block, func(_ int, name string, v int64) {
+			if v != 0 {
+				fields = append(fields, fmt.Sprintf("%s=%d", name, v))
+			}
+		})
+		if len(fields) == 0 {
+			continue
 		}
-		if n := r.Wire.DecodeErrors + r.Wire.ShortReads + r.Wire.QueueDrops + r.Wire.WriteDrops; n > 0 {
-			fmt.Fprintf(&b, " (%d decode errors, %d short reads, %d queue drops, %d write drops)",
-				r.Wire.DecodeErrors, r.Wire.ShortReads, r.Wire.QueueDrops, r.Wire.WriteDrops)
+		fmt.Fprintf(&b, "\n  %s: %s", sec.name, strings.Join(fields, " "))
+		if sec.per > 0 {
+			fmt.Fprintf(&b, " (%.1f %s)", sec.per, sec.unit)
 		}
-	}
-	if r.Paxos != nil {
-		fmt.Fprintf(&b, "\n  paxos: %d proposals, %d rounds (%d failed), %d fast rounds (%d failed), %d decisions, %d probes",
-			r.Paxos.Proposals, r.Paxos.Rounds, r.Paxos.RoundFailures,
-			r.Paxos.FastRounds, r.Paxos.FastRoundFailures, r.Paxos.Decisions, r.Paxos.Probes)
-		if r.Paxos.WindowRounds > 0 {
-			fmt.Fprintf(&b, "\n  window: %d rounds (%d failed), depth peak %d",
-				r.Paxos.WindowRounds, r.Paxos.WindowFailures, r.Paxos.WindowDepthPeak)
-		}
-		fmt.Fprintf(&b, "\n  leases: %d acquired, %d lost; resp: %d dropped, %d stale",
-			r.Paxos.LeasesAcquired, r.Paxos.LeasesLost, r.Paxos.RespDrops, r.Paxos.RespStale)
-	}
-	if r.Replog != nil {
-		fmt.Fprintf(&b, "\n  replog: %d submits, %d applies", r.Replog.Submits, r.Replog.Applies)
-		if r.Replog.Batches > 0 {
-			fmt.Fprintf(&b, ", %d batches (%.1f ops/batch)", r.Replog.Batches, r.Replog.MeanBatchOps())
-		}
-	}
-	if r.Sched != nil {
-		fmt.Fprintf(&b, "\n  sched: %d notify + %d timer wakeups, %d scans (%d skipped), %d actions, %d guard visits",
-			r.Sched.NotifyWakeups, r.Sched.TimerWakeups, r.Sched.Scans, r.Sched.SkippedScans, r.Sched.Actions, r.Sched.GuardVisits)
-	}
-	if r.WAL != nil {
-		fmt.Fprintf(&b, "\n  wal: %d appends (%d B, %.1f B/append), %d syncs, %d rotations",
-			r.WAL.Appends, r.WAL.Bytes, r.WAL.BytesPerAppend(), r.WAL.Syncs, r.WAL.Rotations)
-		if r.WAL.RecoveredRecords > 0 {
-			fmt.Fprintf(&b, "; recovered %d records in %v",
-				r.WAL.RecoveredRecords, time.Duration(r.WAL.RecoveryNanos).Round(time.Microsecond))
-		}
-	}
-	if r.Chaos != nil {
-		fmt.Fprintf(&b, "\n  chaos: %d injections (%d dup, %d delay, %d drop)",
-			r.Chaos.Injections(), r.Chaos.Duplicated, r.Chaos.Delayed,
-			r.Chaos.DroppedRandom+r.Chaos.DroppedPartition+r.Chaos.DroppedDown+r.Chaos.DroppedOverflow)
 	}
 	if r.Conflict != nil {
 		fmt.Fprintf(&b, "\n  conflict: %d fast deliveries (skipped coordination), %d classes",

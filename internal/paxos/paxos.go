@@ -126,8 +126,8 @@ const (
 // Config carries what a node is given from outside: where it counts its
 // work and where it persists its acceptor state.
 type Config struct {
-	// Counters, when non-nil, accumulates proposer/acceptor work for run
-	// reports. All methods are nil-safe, so the hot path stays branch-free.
+	// Counters is the block the node counts its proposer/acceptor work
+	// into for run reports; nil means a private block nobody reads.
 	Counters *obs.PaxosCounters
 	// WAL, when non-nil, makes the acceptor durable: every promise, lease
 	// grant, accepted value and learnt decision is appended, and no phase
@@ -299,13 +299,13 @@ type pendingResp struct {
 
 // Node bundles the acceptor role and the proposer plumbing of one process.
 type Node struct {
-	nw   net.Transport
-	p    groups.Process
-	cfg  Config
-	wal  storage.WAL
-	acc  *acceptor
-	resp chan net.Packet
-	done chan struct{}
+	nw       net.Transport
+	p        groups.Process
+	counters *obs.PaxosCounters
+	wal      storage.WAL
+	acc      *acceptor
+	resp     chan net.Packet
+	done     chan struct{}
 
 	// outbox holds responses deferred by the message loop until the next
 	// group-commit Sync. Only the loop goroutine touches it; it stays empty
@@ -396,10 +396,10 @@ func StartNode(nw net.Transport, p groups.Process) *Node {
 // counters and write-ahead log, recovering acceptor state from the latter.
 func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 	n := &Node{
-		nw:  nw,
-		p:   p,
-		cfg: cfg,
-		wal: cfg.WAL,
+		nw:       nw,
+		p:        p,
+		counters: cfg.Counters,
+		wal:      cfg.WAL,
 		acc: &acceptor{
 			promised: make(map[InstanceID]int64),
 			accepted: make(map[InstanceID]AcceptedVal),
@@ -414,6 +414,9 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 		highest:  make(map[realmKey]int64),
 		wins:     make(map[InstanceID]*winSlot),
 		winDepth: make(map[realmKey]int),
+	}
+	if n.counters == nil {
+		n.counters = new(obs.PaxosCounters)
 	}
 	if n.wal != nil {
 		n.recover()
@@ -529,7 +532,7 @@ func (n *Node) pushResp(pkt net.Packet) {
 		// longer) listening for this round. The response is dropped,
 		// but never silently: the counter keeps channel-pressure
 		// losses distinguishable from fabric losses.
-		n.cfg.Counters.IncRespDrop()
+		obs.Inc(&n.counters.RespDrops)
 	}
 }
 
@@ -593,7 +596,7 @@ func (n *Node) recordDecision(inst InstanceID, v Value) {
 	n.mu.Lock()
 	_, seen := n.decided[inst]
 	if !seen {
-		n.cfg.Counters.IncDecision()
+		obs.Inc(&n.counters.Decisions)
 		n.decided[inst] = v
 		n.walDecide(inst, v)
 		for _, ch := range n.watch[inst] {
@@ -670,7 +673,7 @@ func (n *Node) WindowLimit() int { return window }
 // repeatedly; used by replicas whose decide broadcast may have been
 // dropped.
 func (n *Node) RequestDecision(scope groups.ProcSet, inst InstanceID) {
-	n.cfg.Counters.IncProbe()
+	obs.Inc(&n.counters.Probes)
 	n.toPeers(scope, wire.TPaxLearn, LearnReq{Inst: inst})
 }
 
@@ -735,7 +738,7 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 		return false
 	}
 	ballot, val := req.Ballot, req.Val
-	n.cfg.Counters.IncWindowRound()
+	obs.Inc(&n.counters.WindowRounds)
 	ws := &winSlot{
 		inst:   *inst,
 		ballot: ballot,
@@ -770,7 +773,7 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 	}
 	n.wins[id] = ws
 	n.winDepth[rk]++
-	n.cfg.Counters.NoteWindowDepth(int64(n.winDepth[rk]))
+	obs.Max(&n.counters.WindowDepthPeak, int64(n.winDepth[rk]))
 	ws.timer = time.AfterFunc(phaseDeadline, func() { n.windowTimeout(id, ballot) })
 	n.winMu.Unlock()
 	n.toPeers(inst.Scope, wire.TPaxAccept, req)
@@ -795,7 +798,7 @@ func (n *Node) windowResp(from groups.Process, r AcceptResp) bool {
 	case !r.OK:
 		n.unregisterWin(r.Inst, ws)
 		n.winMu.Unlock()
-		n.cfg.Counters.IncWindowRoundFailure()
+		obs.Inc(&n.counters.WindowFailures)
 		n.windowNack(r.Inst.realm(), r.Promised)
 		ws.res <- WindowResult{Inst: r.Inst, OK: false}
 	default:
@@ -829,7 +832,7 @@ func (n *Node) windowTimeout(id InstanceID, ballot int64) {
 	}
 	n.unregisterWin(id, ws)
 	n.winMu.Unlock()
-	n.cfg.Counters.IncWindowRoundFailure()
+	obs.Inc(&n.counters.WindowFailures)
 	ws.res <- WindowResult{Inst: id, OK: false}
 }
 
@@ -849,7 +852,7 @@ func (n *Node) windowNack(rk realmKey, promised int64) {
 	n.leaseMu.Lock()
 	n.noteRefusal(rk, promised)
 	if _, held := n.leases[rk]; held {
-		n.cfg.Counters.IncLeaseLost()
+		obs.Inc(&n.counters.LeasesLost)
 		delete(n.leases, rk)
 	}
 	n.leaseMu.Unlock()
@@ -865,7 +868,7 @@ func (n *Node) windowNack(rk realmKey, promised int64) {
 // Propose never returns a wrong value; it returns ok=false only when the
 // network shuts down first.
 func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
-	n.cfg.Counters.IncProposal()
+	obs.Inc(&n.counters.Proposals)
 	if n.fenced.Load() {
 		return nil, false
 	}
@@ -933,7 +936,7 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 			return nil, false
 		}
 		n.claimBallot(ballot)
-		n.cfg.Counters.IncRound()
+		obs.Inc(&n.counters.Rounds)
 		if val, ok := n.round(inst, ballot, v); ok {
 			n.decideBroadcast(inst, val)
 			return val, true
@@ -943,7 +946,7 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 			return got, true
 		default:
 		}
-		n.cfg.Counters.IncRoundFailure()
+		obs.Inc(&n.counters.RoundFailures)
 		// The round failed: likely a ballot duel. Over a slow or lossy
 		// fabric rounds take long enough to overlap, and symmetric retries
 		// livelock (dueling proposers). Back off for a period that grows
@@ -984,7 +987,7 @@ func (n *Node) drainStale() {
 			if !open {
 				return
 			}
-			n.cfg.Counters.IncRespStale()
+			obs.Inc(&n.counters.RespStale)
 			switch r := pkt.Body.(type) {
 			case PrepareResp:
 				if r.Decided {
@@ -1064,7 +1067,7 @@ func (n *Node) fastRound(inst *Instance, v Value) (Value, bool) {
 		return nil, false
 	}
 	val := req.Val
-	n.cfg.Counters.IncFastRound()
+	obs.Inc(&n.counters.FastRounds)
 	ok, refused := n.acceptPhase(inst, req.Ballot, req)
 	if !ok {
 		if refused {
@@ -1072,12 +1075,12 @@ func (n *Node) fastRound(inst *Instance, v Value) (Value, bool) {
 			rk := inst.ID.realm()
 			n.leaseMu.Lock()
 			if _, held := n.leases[rk]; held {
-				n.cfg.Counters.IncLeaseLost()
+				obs.Inc(&n.counters.LeasesLost)
 				delete(n.leases, rk)
 			}
 			n.leaseMu.Unlock()
 		}
-		n.cfg.Counters.IncFastRoundFailure()
+		obs.Inc(&n.counters.FastRoundFailures)
 		return nil, false
 	}
 	n.decideBroadcast(inst, val)
@@ -1238,7 +1241,7 @@ func (n *Node) round(inst *Instance, ballot int64, v Value) (Value, bool) {
 			used:     make(map[int64]Value),
 		}
 		n.leaseMu.Unlock()
-		n.cfg.Counters.IncLeaseAcquired()
+		obs.Inc(&n.counters.LeasesAcquired)
 	}
 	return val, true
 }

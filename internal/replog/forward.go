@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/groups"
 	"repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/paxos"
 	"repro/internal/wire"
 )
@@ -180,7 +181,7 @@ next:
 		accepted++
 	}
 	if accepted > 0 {
-		r.counters.Load().AddRemote(accepted)
+		obs.Add(&r.counters.Load().RemoteOps, int64(accepted))
 		select {
 		case r.kick <- struct{}{}:
 		default:

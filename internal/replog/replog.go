@@ -116,8 +116,9 @@ type Replica struct {
 	leader paxos.LeaderFunc
 	mkIns  func(slot int) *paxos.Instance
 
-	// counters is set via Observe after the loops are already running,
-	// hence the atomic pointer rather than a constructor argument.
+	// counters starts as a private block and is replaced via Observe after
+	// the loops are already running, hence the atomic pointer rather than a
+	// constructor argument. Never nil.
 	counters atomic.Pointer[obs.ReplogCounters]
 
 	// onApply is the change-notification hook (see OnApply); an atomic
@@ -152,9 +153,16 @@ type Replica struct {
 	winRes chan paxos.WindowResult
 }
 
-// Observe attaches run counters to the replica. Safe to call while the
-// loops are running; nil detaches.
+// Observe makes the replica count into c (non-nil). Safe to call while the
+// loops are running.
 func (r *Replica) Observe(c *obs.ReplogCounters) { r.counters.Store(c) }
+
+// countBatch counts one batch of n operations fired at a consensus slot.
+func (r *Replica) countBatch(n int) {
+	c := r.counters.Load()
+	obs.Inc(&c.Batches)
+	obs.Add(&c.BatchedOps, int64(n))
+}
 
 // OnApply installs a change-notification hook, fired (outside the replica
 // lock) whenever a decided slot applies operations to the local copy — the
@@ -204,6 +212,7 @@ func NewReplica(name string, realm uint64, p groups.Process, node *paxos.Node, n
 		winRes: make(chan paxos.WindowResult, node.WindowLimit()+2),
 	}
 	r.cond = sync.NewCond(&r.mu)
+	r.counters.Store(new(obs.ReplogCounters))
 	// The paxos leader sample is the realm's Ω — except while forwarding is
 	// muted: the sampled leader hosts no replica of this log (it NACKed), so
 	// hedging on it or yielding the lease to it is pointless. Presenting
@@ -331,7 +340,7 @@ func (r *Replica) enqueueLocked(o Op) *waiter {
 	}
 	w := &waiter{op: o, done: make(chan bool, 1), enq: time.Now()}
 	r.queue = append(r.queue, w)
-	r.counters.Load().IncSubmit()
+	obs.Inc(&r.counters.Load().Submits)
 	select {
 	case r.kick <- struct{}{}:
 	default:
@@ -369,7 +378,7 @@ func (r *Replica) submitLoop() {
 			now := time.Now()
 			overdue, fwd, pending := r.splitPending(now, now.Sub(lastFwd) >= fwdResend)
 			if len(fwd) > 0 {
-				r.counters.Load().AddFwd(len(fwd))
+				obs.Add(&r.counters.Load().FwdOps, int64(len(fwd)))
 				r.nw.Send(r.p, lead, wire.TReplogFwd, FwdBatch{Realm: r.realm, Ops: fwd})
 				lastFwd = now
 			}
@@ -381,7 +390,7 @@ func (r *Replica) submitLoop() {
 		if len(ws) > 0 {
 			val := EncodeBatch(opsOf(ws))
 			if r.node.ProposeWindowed(r.mkIns(next), val, r.winRes) {
-				r.counters.Load().AddBatch(len(ws))
+				r.countBatch(len(ws))
 				fired[int64(next)] = firedBatch{val: val, ws: ws}
 				next++
 				continue
@@ -391,7 +400,7 @@ func (r *Replica) submitLoop() {
 				// synchronous path. On a leader this acquires the lease the
 				// next iteration pipelines under.
 				slot := r.Slot()
-				r.counters.Load().AddBatch(len(ws))
+				r.countBatch(len(ws))
 				decided, ok := r.node.Propose(r.mkIns(slot), val)
 				if !ok {
 					r.shutdown()
@@ -635,7 +644,7 @@ func (r *Replica) applyAt(slot int, v paxos.Value) {
 			}
 		}
 		r.applied++
-		r.counters.Load().IncApply()
+		obs.Inc(&r.counters.Load().Applies)
 	}
 	r.slot++
 	r.completeLocked(ops)

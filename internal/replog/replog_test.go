@@ -203,7 +203,7 @@ func TestForwardToLeaderBatches(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	if got := c.RemoteOps.Load(); got == 0 {
+	if got := obs.Snapshot(c).RemoteOps; got == 0 {
 		t.Fatalf("leader accepted no forwarded ops — followers completed only via the patience fallback")
 	}
 }

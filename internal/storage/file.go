@@ -34,7 +34,8 @@ type FileOptions struct {
 	// Sync (surviving a process kill) but not necessarily the disk
 	// (a machine crash can lose the tail). The -fsync=none deployment knob.
 	NoFsync bool
-	// Counters, when non-nil, receives append/sync/recovery accounting.
+	// Counters receives append/sync/recovery accounting (nil: a private
+	// block nobody reads).
 	Counters *obs.WALCounters
 }
 
@@ -71,6 +72,9 @@ type File struct {
 func OpenFile(dir string, opts FileOptions) (*File, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
+	}
+	if opts.Counters == nil {
+		opts.Counters = new(obs.WALCounters)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
@@ -111,7 +115,8 @@ func (fw *File) Replay(fn func(Record) error) error {
 	fw.mu.Lock()
 	fw.recovered = n
 	fw.mu.Unlock()
-	fw.opts.Counters.AddRecovery(n, time.Since(start))
+	obs.Add(&fw.opts.Counters.RecoveredRecords, n)
+	obs.Add(&fw.opts.Counters.RecoveryNanos, int64(time.Since(start)))
 	return nil
 }
 
@@ -195,7 +200,8 @@ func (fw *File) Append(rec Record) error {
 	}
 	fw.written += int64(k) + 4 + int64(bodyLen)
 	fw.dirty = true
-	fw.opts.Counters.AddAppend(len(rec.Data))
+	obs.Inc(&fw.opts.Counters.Appends)
+	obs.Add(&fw.opts.Counters.Bytes, int64(len(rec.Data)))
 	return nil
 }
 
@@ -216,14 +222,14 @@ func (fw *File) Sync() error {
 		}
 	}
 	fw.dirty = false
-	fw.opts.Counters.IncSync()
+	obs.Inc(&fw.opts.Counters.Syncs)
 	// Rotate after the barrier so a segment always ends on a whole frame.
 	if fw.written >= fw.opts.SegmentBytes {
 		if err := fw.f.Close(); err != nil {
 			return err
 		}
 		fw.f, fw.w = nil, nil
-		fw.opts.Counters.IncRotation()
+		obs.Inc(&fw.opts.Counters.Rotations)
 	}
 	return nil
 }

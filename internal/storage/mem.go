@@ -20,11 +20,15 @@ type Mem struct {
 	c       *obs.WALCounters
 }
 
-// NewMem builds an empty in-memory WAL.
-func NewMem() *Mem { return &Mem{} }
+// NewMem builds an empty in-memory WAL counting into a private block.
+func NewMem() *Mem { return &Mem{c: new(obs.WALCounters)} }
 
-// Observe attaches a counter block (nil detaches). Returns m for chaining.
+// Observe attaches a counter block (nil: a fresh private one). Returns m
+// for chaining.
 func (m *Mem) Observe(c *obs.WALCounters) *Mem {
+	if c == nil {
+		c = new(obs.WALCounters)
+	}
 	m.mu.Lock()
 	m.c = c
 	m.mu.Unlock()
@@ -43,7 +47,8 @@ func (m *Mem) Replay(fn func(Record) error) error {
 			return err
 		}
 	}
-	c.AddRecovery(int64(len(recs)), time.Since(start))
+	obs.Add(&c.RecoveredRecords, int64(len(recs)))
+	obs.Add(&c.RecoveryNanos, int64(time.Since(start)))
 	return nil
 }
 
@@ -54,7 +59,8 @@ func (m *Mem) Append(rec Record) error {
 	m.pending = append(m.pending, Record{Kind: rec.Kind, Data: data})
 	c := m.c
 	m.mu.Unlock()
-	c.AddAppend(len(data))
+	obs.Inc(&c.Appends)
+	obs.Add(&c.Bytes, int64(len(data)))
 	return nil
 }
 
@@ -67,7 +73,7 @@ func (m *Mem) Sync() error {
 	}
 	c := m.c
 	m.mu.Unlock()
-	c.IncSync()
+	obs.Inc(&c.Syncs)
 	return nil
 }
 

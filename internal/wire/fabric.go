@@ -114,4 +114,4 @@ func (f *Fabric) Close() {
 func (f *Fabric) NetReport() *obs.NetReport { return f.counters.Report() }
 
 // WireReport implements obs.WireReporter over the shared counters.
-func (f *Fabric) WireReport() *obs.WireReport { return f.wire.Report() }
+func (f *Fabric) WireReport() *obs.WireCounters { return obs.Snapshot(f.wire) }

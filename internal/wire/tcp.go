@@ -171,8 +171,8 @@ func (t *TCP) Send(from, to groups.Process, mt net.MsgType, body any) {
 		panic(err)
 	}
 	*fb = frame
-	t.wire.FramesEncoded.Add(1)
-	t.wire.BytesOut.Add(int64(lenPrefixLen + len(frame)))
+	obs.Inc(&t.wire.FramesEncoded)
+	obs.Add(&t.wire.BytesOut, int64(lenPrefixLen+len(frame)))
 	t.counters.Sent(from, to, lenPrefixLen+len(frame))
 	select {
 	case t.peers[to].ch <- fb:
@@ -180,7 +180,7 @@ func (t *TCP) Send(from, to groups.Process, mt net.MsgType, body any) {
 		// Queue overflow: the peer is slow or down and the dial/backoff
 		// loop is holding the line. Drop — substrates retransmit.
 		putFrame(fb)
-		t.wire.QueueDrops.Add(1)
+		obs.Inc(&t.wire.QueueDrops)
 		t.counters.Overflow()
 	}
 }
@@ -257,7 +257,7 @@ func (t *TCP) Close() {
 func (t *TCP) NetReport() *obs.NetReport { return t.counters.Report() }
 
 // WireReport implements obs.WireReporter.
-func (t *TCP) WireReport() *obs.WireReport { return t.wire.Report() }
+func (t *TCP) WireReport() *obs.WireCounters { return obs.Snapshot(t.wire) }
 
 func (t *TCP) outOfRange(p groups.Process) bool {
 	return int(p) < 0 || int(p) >= len(t.addrs)
@@ -341,14 +341,14 @@ func (t *TCP) writeLoop(to groups.Process) {
 			// Write failed: every frame in the flush is lost (substrates
 			// retransmit). Redial lazily — the next flush re-establishes
 			// the connection.
-			t.wire.WriteDrops.Add(int64(frames))
+			obs.Add(&t.wire.WriteDrops, int64(frames))
 			t.dropConn(conn)
 			conn = nil
-			t.wire.Reconnects.Add(1)
+			obs.Inc(&t.wire.Reconnects)
 			continue
 		}
-		t.wire.Flushes.Add(1)
-		t.wire.FlushedFrames.Add(int64(frames))
+		obs.Inc(&t.wire.Flushes)
+		obs.Add(&t.wire.FlushedFrames, int64(frames))
 	}
 }
 
@@ -367,7 +367,7 @@ func (t *TCP) dial(to groups.Process) gonet.Conn {
 	for {
 		conn, err := gonet.DialTimeout("tcp", t.addrs[to], dialBackoffMax)
 		if err == nil {
-			t.wire.Dials.Add(1)
+			obs.Inc(&t.wire.Dials)
 			return conn
 		}
 		select {
@@ -426,13 +426,13 @@ func (t *TCP) readLoop(conn gonet.Conn) {
 			// indistinguishable, which is the model); a partial prefix is
 			// a short read.
 			if !errors.Is(err, io.EOF) && !t.closed.Load() {
-				t.wire.ShortReads.Add(1)
+				obs.Inc(&t.wire.ShortReads)
 			}
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
 		if n > MaxFrame {
-			t.wire.ShortReads.Add(1)
+			obs.Inc(&t.wire.ShortReads)
 			return
 		}
 		if int(n) > cap(buf) {
@@ -442,17 +442,17 @@ func (t *TCP) readLoop(conn gonet.Conn) {
 		}
 		if _, err := io.ReadFull(r, buf); err != nil {
 			if !t.closed.Load() {
-				t.wire.ShortReads.Add(1)
+				obs.Inc(&t.wire.ShortReads)
 			}
 			return
 		}
-		t.wire.BytesIn.Add(int64(lenPrefixLen) + int64(n))
+		obs.Add(&t.wire.BytesIn, int64(lenPrefixLen)+int64(n))
 		pkt, err := DecodePacket(buf)
 		if err != nil {
-			t.wire.DecodeErrors.Add(1)
+			obs.Inc(&t.wire.DecodeErrors)
 			continue
 		}
-		t.wire.FramesDecoded.Add(1)
+		obs.Inc(&t.wire.FramesDecoded)
 		if pkt.To != t.self || t.outOfRange(pkt.From) ||
 			t.dead[pkt.From].Load() || t.dead[t.self].Load() {
 			continue
