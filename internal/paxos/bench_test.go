@@ -1,10 +1,13 @@
 package paxos
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/groups"
 	"repro/internal/net"
+	"repro/internal/storage"
 )
 
 // BenchmarkAcceptRound measures the steady-state cost of one replicated
@@ -14,13 +17,42 @@ import (
 // iteration pays the lease acquisition (a full round); all others are
 // phase-1-elided.
 func BenchmarkAcceptRound(b *testing.B) {
+	benchAcceptRound(b, func() storage.WAL { return nil })
+}
+
+// slowSyncWAL is a Mem WAL whose every barrier takes a stated millisecond,
+// like a disk flush: pending or not, the call costs the sleep.
+type slowSyncWAL struct {
+	*storage.Mem
+	syncs *atomic.Int64
+}
+
+func (w slowSyncWAL) Sync() error {
+	w.syncs.Add(1)
+	time.Sleep(time.Millisecond)
+	return w.Mem.Sync()
+}
+
+// BenchmarkAcceptRoundSlowSync is BenchmarkAcceptRound in the currency the
+// durability invariant is about: with 1 ms barriers and a free fabric, ms/op
+// counts the barriers a decision pays *in sequence* (the followers' and the
+// leader's overlap: ≈ 1; run one after the other they would be ≈ 2), and
+// syncs/op the barriers the three nodes pay in total.
+func BenchmarkAcceptRoundSlowSync(b *testing.B) {
+	var syncs atomic.Int64
+	benchAcceptRound(b, func() storage.WAL { return slowSyncWAL{storage.NewMem(), &syncs} })
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+	b.ReportMetric(float64(syncs.Load())/float64(b.N), "syncs/op")
+}
+
+func benchAcceptRound(b *testing.B, wal func() storage.WAL) {
 	const n = 3
 	nw := net.New(n)
 	defer nw.Close()
 	nodes := make([]*Node, n)
 	var scope groups.ProcSet
 	for p := 0; p < n; p++ {
-		nodes[p] = StartNode(nw, groups.Process(p))
+		nodes[p] = StartNodeWithConfig(nw, groups.Process(p), Config{WAL: wal()})
 		scope = scope.Add(groups.Process(p))
 	}
 	leader := func(groups.Process) groups.Process { return 0 }

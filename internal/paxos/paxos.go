@@ -130,12 +130,13 @@ type Config struct {
 	// into for run reports; nil means a private block nobody reads.
 	Counters *obs.PaxosCounters
 	// WAL, when non-nil, makes the acceptor durable: every promise, lease
-	// grant, accepted value and learnt decision is appended, and no phase
-	// response leaves the node before a group-commit Sync covers the
-	// transitions it reveals (persist-before-reply). On construction the
-	// node replays the log and serves from the recovered state. nil — the
-	// default — keeps the acceptor memory-only, the pre-durability
-	// behavior, at the cost of one pointer test per transition.
+	// grant, accepted value and learnt decision is appended, no phase
+	// response leaves the node and no own vote is counted before a
+	// group-commit Sync covers the transition it reveals (the durability
+	// invariant, wal.go). On construction the node replays the log and
+	// serves from the recovered state. nil — the default — keeps the
+	// acceptor memory-only, the pre-durability behavior, at the cost of one
+	// pointer test per transition.
 	WAL storage.WAL
 }
 
@@ -335,17 +336,25 @@ type Node struct {
 	wins     map[InstanceID]*winSlot
 	winDepth map[realmKey]int
 
-	// hmu guards the extra-handler table (Handle).
+	// hmu guards the extra-handler table (Mount).
 	hmu      sync.RWMutex
-	handlers map[net.MsgType]func(net.Packet)
+	handlers map[net.MsgType]Handler
 
 	// propMu guards the proposer's durable ballot high-water mark (see
 	// claimBallot): the one piece of proposer state that must survive a
 	// crash, because a recovered proposer reusing a (slot, ballot) pair
 	// with a different value would break the same-ballot uniqueness the
-	// value pin enforces within an incarnation.
-	propMu  sync.Mutex
-	propMax int64
+	// value pin enforces within an incarnation. propMax is the durable
+	// mark (every ballot this process ever used is ≤ it), propUsed the last
+	// ballot claimed in this incarnation (the durable mark after recovery).
+	propMu   sync.Mutex
+	propMax  int64
+	propUsed int64
+
+	// walAppended counts records appended to the WAL, walSynced is the count
+	// a completed barrier is known to cover (see walSync).
+	walAppended atomic.Int64
+	walSynced   atomic.Int64
 
 	// fenced marks a dead incarnation (see Fence): the proposer side stops
 	// claiming ballots and firing rounds, so a power-cycled node's leftover
@@ -364,27 +373,34 @@ type Node struct {
 // incarnation could still be using.
 func (n *Node) Fence() { n.fenced.Store(true) }
 
-// Handle registers fn for a wire type the node's own dispatch does not
-// claim. The transport delivers one inbox per process and this node's loop
-// is its single consumer, so substrates sharing the process — replog's op
-// forwarding, for one — mount their receive path here. fn runs on the loop
-// goroutine and must not block; a paxos-owned type or a duplicate
-// registration is a programming error and panics.
-func (n *Node) Handle(t net.MsgType, fn func(net.Packet)) {
+// Handler is a substrate's receive path for one wire type, mounted on a
+// node (see Mount). Dispatch runs on the loop goroutine and must not block.
+type Handler interface{ Dispatch(net.Packet) }
+
+// Mount returns the handler mounted for a wire type the node's own dispatch
+// does not claim, mounting mk's on first use. The transport delivers one
+// inbox per process and this node's loop is its single consumer, so
+// substrates sharing the process — replog's op forwarding, for one — mount
+// their receive path here; every user of the node reaches the same handler,
+// whose state lives exactly as long as the node does. A paxos-owned type is
+// a programming error and panics.
+func (n *Node) Mount(t net.MsgType, mk func() Handler) Handler {
 	switch t {
 	case wire.TPaxPrepare, wire.TPaxPrepareResp, wire.TPaxAccept,
 		wire.TPaxAcceptResp, wire.TPaxDecide, wire.TPaxLearn:
-		panic("paxos: Handle on a paxos-owned wire type")
+		panic("paxos: Mount on a paxos-owned wire type")
 	}
 	n.hmu.Lock()
 	defer n.hmu.Unlock()
+	if h, ok := n.handlers[t]; ok {
+		return h
+	}
 	if n.handlers == nil {
-		n.handlers = make(map[net.MsgType]func(net.Packet))
+		n.handlers = make(map[net.MsgType]Handler)
 	}
-	if _, dup := n.handlers[t]; dup {
-		panic("paxos: duplicate Handle registration")
-	}
-	n.handlers[t] = fn
+	h := mk()
+	n.handlers[t] = h
+	return h
 }
 
 // StartNode launches the node's message loop: memory-only, uncounted.
@@ -503,10 +519,10 @@ func (n *Node) dispatch(pkt net.Packet) {
 		n.pushResp(pkt)
 	default:
 		n.hmu.RLock()
-		fn := n.handlers[pkt.Type]
+		h := n.handlers[pkt.Type]
 		n.hmu.RUnlock()
-		if fn != nil {
-			fn(pkt)
+		if h != nil {
+			h.Dispatch(pkt)
 		}
 	}
 }
@@ -688,16 +704,17 @@ func (n *Node) toPeers(scope groups.ProcSet, t net.MsgType, body any) {
 	}
 }
 
+// ownVote makes this node's own promise or accept durable before the caller
+// counts it toward a quorum — rule 2 of the durability invariant (wal.go).
+// It runs in the proposing goroutine (the replog submit loop, a Propose
+// caller), after the request went out to the peers, so the barrier overlaps
+// the round trip; never on the message loop, never under winMu or leaseMu.
+func (n *Node) ownVote() { n.walSync() }
+
 // decideBroadcast teaches the scope a decision (recording it locally first,
-// without a loopback packet).
+// without a loopback packet). No barrier: every vote the decision rests on
+// was durable before it was counted (the durability invariant, wal.go).
 func (n *Node) decideBroadcast(inst *Instance, val Value) {
-	// The decision is revealed below — first to local watchers via
-	// recordDecision, then to peers — so the durability barrier comes
-	// before both: every acceptor transition the decision rests on,
-	// including this node's own unflushed accepts, reaches stable storage
-	// first. The decide record itself may ride a later barrier; losing it
-	// in a crash costs a re-learn (anti-entropy), never safety.
-	n.walSync()
 	n.recordDecision(inst.ID, val)
 	n.toPeers(inst.Scope, wire.TPaxDecide, DecideMsg{Inst: inst.ID, Val: val})
 }
@@ -716,7 +733,9 @@ func (n *Node) decideBroadcast(inst *Instance, val Value) {
 // Callers must not run concurrent windowed and synchronous proposals for
 // the same realm, and must size res so it never blocks (≥ WindowLimit()+1):
 // results are delivered by the node's message loop and its timers, and a
-// blocked delivery would stall every realm on the node.
+// blocked delivery would stall every realm on the node. The call returns
+// once this node's own vote is durable and counted — one WAL barrier, run
+// in the caller's goroutine while the request is on the wire.
 func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult) bool {
 	if n.fenced.Load() || !inst.MultiPaxos || inst.Leader(n.p) != n.p {
 		return false
@@ -747,8 +766,10 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 		need:   inst.Scope.Count()/2 + 1,
 		res:    res,
 	}
-	// Consult the local acceptor synchronously — no loopback packets.
-	if inst.Scope.Has(n.p) {
+	// Consult the local acceptor synchronously — no loopback packets. The
+	// vote is appended here and counted after the broadcast (ownVote).
+	member := inst.Scope.Has(n.p)
+	if member {
 		r := n.handleAccept(req)
 		switch {
 		case r.Decided:
@@ -762,14 +783,6 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 			res <- WindowResult{Inst: id, OK: false}
 			return true
 		}
-		ws.acks[n.p] = true
-		if len(ws.acks) >= ws.need {
-			// Singleton (or trivially small) scope: decided on the spot.
-			n.winMu.Unlock()
-			n.decideBroadcast(inst, val)
-			res <- WindowResult{Inst: id, Val: val, OK: true}
-			return true
-		}
 	}
 	n.wins[id] = ws
 	n.winDepth[rk]++
@@ -777,11 +790,19 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 	ws.timer = time.AfterFunc(phaseDeadline, func() { n.windowTimeout(id, ballot) })
 	n.winMu.Unlock()
 	n.toPeers(inst.Scope, wire.TPaxAccept, req)
+	if member {
+		// The own vote takes the path a remote response takes, once durable:
+		// two remote acks may have decided the slot meanwhile (then this is
+		// a no-op), a singleton scope decides right here.
+		n.ownVote()
+		n.windowResp(n.p, AcceptResp{Inst: id, Ballot: ballot, OK: true})
+	}
 	return true
 }
 
 // windowResp routes an accept response to its outstanding windowed round,
-// reporting whether it was consumed. Runs on the node's message loop.
+// reporting whether it was consumed. Runs on the node's message loop for
+// remote responses and on the proposing goroutine for the node's own vote.
 func (n *Node) windowResp(from groups.Process, r AcceptResp) bool {
 	n.winMu.Lock()
 	ws, ok := n.wins[r.Inst]
@@ -1094,8 +1115,10 @@ func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) (ok, ref
 	n.drainStale()
 	need := inst.Scope.Count()/2 + 1
 	clear(n.dedup)
-	// The local acceptor is consulted directly — no loopback packets.
-	if inst.Scope.Has(n.p) {
+	// The local acceptor is consulted directly — no loopback packets — and
+	// its vote counted once durable, after the broadcast (ownVote).
+	member := inst.Scope.Has(n.p)
+	if member {
 		r := n.handleAccept(req)
 		if r.Decided {
 			return false, false // Propose's decided check will pick it up
@@ -1106,10 +1129,13 @@ func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) (ok, ref
 			n.leaseMu.Unlock()
 			return false, true
 		}
-		n.dedup[n.p] = true
 	}
 	n.toPeers(inst.Scope, wire.TPaxAccept, req)
 	deadline := time.After(phaseDeadline)
+	if member {
+		n.ownVote()
+		n.dedup[n.p] = true
+	}
 	for len(n.dedup) < need {
 		select {
 		case pkt, open := <-n.resp:
@@ -1167,7 +1193,8 @@ func (n *Node) round(inst *Instance, ballot int64, v Value) (Value, bool) {
 			}
 		}
 	}
-	if inst.Scope.Has(n.p) {
+	member := inst.Scope.Has(n.p)
+	if member {
 		r := n.handlePrepare(req)
 		if r.Decided {
 			return nil, false
@@ -1182,10 +1209,16 @@ func (n *Node) round(inst *Instance, ballot int64, v Value) (Value, bool) {
 			best = r.Accepted
 		}
 		mergeRange(r.Range)
-		n.dedup[n.p] = true
 	}
 	n.toPeers(inst.Scope, wire.TPaxPrepare, req)
 	deadline := time.After(phaseDeadline)
+	if member {
+		// The promise must be durable before it is counted: phase 2's accept
+		// leaves on the strength of this quorum, and an acceptor that forgot
+		// promise b in a power cycle could promise and accept a lower b'.
+		n.ownVote()
+		n.dedup[n.p] = true
+	}
 	for len(n.dedup) < need {
 		select {
 		case pkt, open := <-n.resp:

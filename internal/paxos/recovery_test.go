@@ -1,12 +1,15 @@
 package paxos
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/groups"
 	"repro/internal/net"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // walCluster is cluster() with a Mem WAL per node, so individual nodes can
@@ -197,5 +200,146 @@ func TestRecoveryLivesThroughFullRound(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("second decide hung after recovery")
+	}
+}
+
+// tapWAL is a Mem WAL double for durability tests: it counts the barriers
+// that reach storage and can hold every Sync at a test-held gate, so a test
+// decides when a barrier returns (durableRecords reads what it has kept).
+type tapWAL struct {
+	*storage.Mem
+	syncs atomic.Int64
+
+	mu      sync.Mutex
+	gate    chan struct{} // non-nil: Sync blocks until it is closed
+	entered chan struct{} // one token per Sync that arrives at a held gate
+}
+
+func newTapWAL() *tapWAL {
+	// Deep enough that no Sync ever blocks on the token instead of the gate.
+	return &tapWAL{Mem: storage.NewMem(), entered: make(chan struct{}, 64)}
+}
+
+func (w *tapWAL) Sync() error {
+	w.syncs.Add(1)
+	w.mu.Lock()
+	g := w.gate
+	w.mu.Unlock()
+	if g != nil {
+		w.entered <- struct{}{}
+		<-g
+	}
+	return w.Mem.Sync()
+}
+
+// hold makes every later Sync block; the returned func releases them.
+func (w *tapWAL) hold() (release func()) {
+	g := make(chan struct{})
+	w.mu.Lock()
+	w.gate = g
+	w.mu.Unlock()
+	return func() {
+		w.mu.Lock()
+		w.gate = nil
+		w.mu.Unlock()
+		close(g)
+	}
+}
+
+// durableRecords returns the records a power cycle of m's owner would keep.
+func durableRecords(m *storage.Mem) []storage.Record {
+	var out []storage.Record
+	_ = m.Replay(func(r storage.Record) error { // the callback never fails
+		out = append(out, r)
+		return nil
+	})
+	return out
+}
+
+// scopeOf is the scope {0, …, n-1}.
+func scopeOf(n int) groups.ProcSet {
+	var scope groups.ProcSet
+	for p := 0; p < n; p++ {
+		scope = scope.Add(groups.Process(p))
+	}
+	return scope
+}
+
+// tapNet is a transport tap: onSend sees every packet before the fabric
+// does and reports whether it may pass.
+type tapNet struct {
+	net.Transport
+	onSend func(from, to groups.Process, t net.MsgType, body any) (pass bool)
+}
+
+func (tn *tapNet) Send(from, to groups.Process, t net.MsgType, body any) {
+	if tn.onSend == nil || tn.onSend(from, to, t, body) {
+		tn.Transport.Send(from, to, t, body)
+	}
+}
+
+// TestOwnPromiseDurableBeforeAccept: a proposer is its own acceptor, and its
+// phase-1 promise counts toward the quorum phase 2 rests on — so it must be
+// durable before the first accept leaves. It used not to be: the local
+// promise was counted the moment it was appended and the first barrier came
+// at decide time, so a power cycle between the two made the recovered
+// acceptor forget promise b while Accept(b, v) was in flight; it could then
+// promise and accept a lower b', and at n = 3 (phase-1 quorum = self + one
+// peer) two values could be chosen. Checked for the point promise of a
+// single-shot instance and for the range promise of a lease acquisition.
+func TestOwnPromiseDurableBeforeAccept(t *testing.T) {
+	for _, multi := range []bool{false, true} {
+		nw := net.New(3)
+		wal := newTapWAL()
+		var (
+			mu      sync.Mutex
+			seen    bool
+			ballot  int64
+			durable []storage.Record
+		)
+		tap := &tapNet{Transport: nw, onSend: func(from, _ groups.Process, mt net.MsgType, body any) bool {
+			if from == 0 && mt == wire.TPaxAccept {
+				mu.Lock()
+				if !seen {
+					seen, ballot, durable = true, body.(AcceptReq).Ballot, durableRecords(wal.Mem)
+				}
+				mu.Unlock()
+			}
+			return true
+		}}
+		n0 := StartNodeWithConfig(tap, 0, Config{WAL: wal})
+		StartNodeWithConfig(nw, 1, Config{WAL: storage.NewMem()})
+		StartNodeWithConfig(nw, 2, Config{WAL: storage.NewMem()})
+		inst := &Instance{
+			ID:         InstanceID{Space: SpaceTest, Realm: 1},
+			Scope:      scopeOf(3),
+			Net:        nw,
+			Leader:     func(groups.Process) groups.Process { return 0 },
+			MultiPaxos: multi,
+		}
+		if v, ok := n0.Propose(inst, I64Value(9)); !ok || v.I64() != 9 {
+			t.Fatalf("multi=%v: decide = %v,%v; want 9", multi, v, ok)
+		}
+		nw.Close()
+		mu.Lock()
+		if !seen {
+			t.Fatalf("multi=%v: no accept left the proposer", multi)
+		}
+		found := false
+		for _, rec := range durable {
+			d := wire.NewDec(rec.Data)
+			switch rec.Kind {
+			case walPromise:
+				found = found || (decInst(d) == inst.ID && d.I64() == ballot)
+			case walLease:
+				rk := realmKey{Space: d.U8(), Realm: d.U64()}
+				from, b := d.I64(), d.I64()
+				found = found || (rk == inst.ID.realm() && from <= inst.ID.Slot && b == ballot)
+			}
+		}
+		mu.Unlock()
+		if !found {
+			t.Fatalf("multi=%v: accept at ballot %d left the proposer before its own promise at that ballot was durable (%d durable records)", multi, ballot, len(durable))
+		}
 	}
 }

@@ -2,9 +2,24 @@ package paxos
 
 // Durable acceptor state. Every transition of the acceptor maps (a point
 // promise, a range lease grant, an accepted value) and every learnt decision
-// is appended to the configured storage.WAL, and no phase response leaves
-// the node before a group-commit Sync covers the transitions it reveals —
-// the persist-before-reply rule that makes recovery safe (DESIGN.md §11).
+// is appended to the configured storage.WAL. When the barrier (walSync) runs
+// relative to what the transition lets others conclude is the durability
+// invariant that makes recovery safe (DESIGN.md §11), stated here once:
+//
+//  1. A vote for a *remote* proposer leaves the node only after a barrier
+//     that covers its record: the message loop defers phase responses to its
+//     post-Sync outbox (group commit).
+//  2. A node's *own* vote — the local handlePrepare/handleAccept a proposer
+//     consults without a loopback packet — is appended at once, the request
+//     goes out to the peers, and only then does the proposing goroutine run
+//     the barrier and count the vote (ownVote): persist while the request is
+//     on the wire. No code path adds n.p to a prepare or accept quorum, and
+//     nothing is decided on the strength of the local vote, before that
+//     barrier has returned.
+//  3. A decision needs no barrier: every vote it rests on is durable by 1
+//     and 2, so decideBroadcast syncs nothing and the message loop never
+//     runs a barrier on behalf of the local proposer. The decide record
+//     itself rides a later barrier; losing it costs a re-learn.
 //
 // What is deliberately NOT persisted: the proposer side. Leases, value pins
 // and refusal-ballot hints are performance state — a recovered node simply
@@ -24,7 +39,7 @@ const (
 	walLease   uint8 = 2 // space, realm, fromSlot, ballot — phase-1 range promise
 	walAccept  uint8 = 3 // inst, ballot, val            — phase-2 accepted value
 	walDecide  uint8 = 4 // inst, val                    — learnt decision
-	walPropose uint8 = 5 // ballot                       — proposer high-water mark
+	walPropose uint8 = 5 // ballot                       — proposer high-water mark (a block ahead)
 )
 
 // maxCommitBatch bounds how many queued requests one durability barrier may
@@ -37,6 +52,9 @@ func (n *Node) walAppend(kind uint8, data []byte) {
 	if err := n.wal.Append(storage.Record{Kind: kind, Data: data}); err != nil {
 		panic("paxos: wal append: " + err.Error())
 	}
+	// Bumped after the append returns: a walSync that reads the mark has the
+	// record in the WAL before its Sync begins.
+	n.walAppended.Add(1)
 }
 
 func (n *Node) walPromise(inst InstanceID, ballot int64) {
@@ -82,50 +100,79 @@ func (n *Node) walDecide(inst InstanceID, v Value) {
 	n.walAppend(walDecide, e.Bytes())
 }
 
-// claimBallot persists the proposer's intent to use ballot before any
-// packet carries it. Proposer leases and value pins are not recovered —
-// harmless, a new round re-adopts — but ballot *uniqueness* must span
-// incarnations: the pre-crash node may have fired value v1 at (slot, b),
-// and a restarted node reusing b with v2 would let two values be accepted
-// at one ballot, splitting quorums. The durable high-water mark makes every
-// post-recovery ballot strictly larger than every pre-crash one.
+// ballotBlock is how far ahead of the ballot in hand claimBallot persists
+// its high-water mark: 256 rounds of 64 ballots, so a proposer pays one
+// barrier per 256 rounds instead of one per round.
+const ballotBlock = 256 * 64
+
+// claimBallot makes sure ballot lies at or below the proposer's durable
+// high-water mark before any packet carries it. Proposer leases and value
+// pins are not recovered — harmless, a new round re-adopts — but ballot
+// *uniqueness* must span incarnations: the pre-crash node may have fired
+// value v1 at (slot, b), and a restarted node reusing b with v2 would let
+// two values be accepted at one ballot, splitting quorums. The mark is
+// persisted a block ahead and ballots below it are handed out without a
+// barrier: nobody else can use this process's ballots (the low bits are the
+// process), and a recovered proposer starts strictly above the durable mark
+// (propRoundFloor), so it skips every ballot the dead incarnation used or
+// could still have used — skipping unused ones costs nothing. The barrier
+// runs under propMu so a concurrent claimer cannot be handed a ballot below
+// a mark that is not durable yet.
 func (n *Node) claimBallot(ballot int64) {
 	if n.wal == nil {
 		return
 	}
 	n.propMu.Lock()
+	defer n.propMu.Unlock()
+	if ballot > n.propUsed {
+		n.propUsed = ballot
+	}
 	if ballot <= n.propMax {
-		n.propMu.Unlock()
 		return
 	}
-	n.propMax = ballot
+	n.propMax = ballot + ballotBlock
 	var e wire.Enc
-	e.I64(ballot)
+	e.I64(n.propMax)
 	n.walAppend(walPropose, e.Bytes())
-	n.propMu.Unlock()
 	n.walSync()
 }
 
-// propRoundFloor seeds Propose's ballot-round counter above every ballot a
-// previous incarnation claimed (zero without a WAL: fresh nodes and the
-// memory-only configuration start from round 0 as always).
+// propRoundFloor seeds Propose's ballot-round counter: the last ballot
+// claimed in this incarnation, which after recovery starts at the durable
+// mark — above every ballot a previous incarnation could have used (zero
+// without a WAL: fresh nodes and the memory-only configuration start from
+// round 0 as always).
 func (n *Node) propRoundFloor() int64 {
 	if n.wal == nil {
 		return 0
 	}
 	n.propMu.Lock()
 	defer n.propMu.Unlock()
-	return n.propMax / 64
+	return n.propUsed / 64
 }
 
 // walSync is the group-commit durability barrier; like walAppend it fails
-// stop when storage does.
+// stop when storage does. It returns at once when no record was appended
+// since the last completed barrier began — a reply that reveals no
+// transition (already-decided instance, NACK) and back-to-back callers pay
+// nothing. The mark is read before Sync and published after it, so a record
+// counts as covered only by a Sync that started after its append.
 func (n *Node) walSync() {
 	if n.wal == nil {
 		return
 	}
+	mark := n.walAppended.Load()
+	if mark <= n.walSynced.Load() {
+		return
+	}
 	if err := n.wal.Sync(); err != nil {
 		panic("paxos: wal sync: " + err.Error())
+	}
+	for {
+		cur := n.walSynced.Load()
+		if mark <= cur || n.walSynced.CompareAndSwap(cur, mark) {
+			return
+		}
 	}
 }
 
@@ -174,7 +221,7 @@ func (n *Node) recover() {
 		case walPropose:
 			b := d.I64()
 			if d.Err() == nil && b > n.propMax {
-				n.propMax = b
+				n.propMax, n.propUsed = b, b
 			}
 		}
 		// An undecodable record under a valid checksum is a schema skew, not

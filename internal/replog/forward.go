@@ -47,8 +47,10 @@ const (
 // fwdMux fans TReplogFwd frames arriving at one paxos node out to the
 // replicas hosted on it, by realm. The node's message loop is the single
 // consumer of the process inbox, so replicas cannot each read their own
-// frames; instead the first replica on a node registers one Handle hook and
-// every replica adds itself to the shared realm table.
+// frames; instead the mux is mounted on the node as the handler of the wire
+// type and every replica adds itself to the shared realm table. The mux —
+// and through it every replica, log and queue — is reachable only from its
+// node, so a stopped cluster is garbage once its owner drops it.
 type fwdMux struct {
 	mu   sync.Mutex
 	reps map[uint64]*Replica
@@ -59,20 +61,11 @@ type fwdMux struct {
 	nw net.Transport
 }
 
-var fwdMuxes sync.Map // *paxos.Node -> *fwdMux
-
-// muxFor returns the forwarding mux of a node, registering the wire hook on
-// first use.
+// muxFor returns the forwarding mux of a node, mounting it on first use.
 func muxFor(node *paxos.Node) *fwdMux {
-	if m, ok := fwdMuxes.Load(node); ok {
-		return m.(*fwdMux)
-	}
-	m := &fwdMux{reps: make(map[uint64]*Replica)}
-	if actual, loaded := fwdMuxes.LoadOrStore(node, m); loaded {
-		return actual.(*fwdMux)
-	}
-	node.Handle(wire.TReplogFwd, m.dispatch)
-	return m
+	return node.Mount(wire.TReplogFwd, func() paxos.Handler {
+		return &fwdMux{reps: make(map[uint64]*Replica)}
+	}).(*fwdMux)
 }
 
 func (m *fwdMux) add(realm uint64, r *Replica) {
@@ -96,12 +89,12 @@ func AttachForwarding(node *paxos.Node, p groups.Process, nw net.Transport) {
 	m.mu.Unlock()
 }
 
-// dispatch runs on the paxos node's message loop and must not block: it
+// Dispatch runs on the paxos node's message loop and must not block: it
 // resolves the realm and hands the ops to the replica's lock-guarded queue.
 // An empty Ops list is the NACK ("no batcher for this realm here") — sent
 // when a forward lands on a process with no replica of the realm, received
 // when our own forward was refused.
-func (m *fwdMux) dispatch(pkt net.Packet) {
+func (m *fwdMux) Dispatch(pkt net.Packet) {
 	f, ok := pkt.Body.(FwdBatch)
 	if !ok {
 		return
