@@ -252,7 +252,7 @@ func runReplog(seed int64, n int, plan chaos.Plan) error {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				id := msg.ID(i*n + p + 1)
-				if _, ok := reps[p].Append(logobj.MsgDatum(id)); !ok {
+				if _, ok := reps[p].Append(logobj.MsgDatum(id)).Wait(); !ok {
 					return
 				}
 				totalMu.Lock()
@@ -272,7 +272,7 @@ func runReplog(seed int64, n int, plan chaos.Plan) error {
 	// Fence: one more append per replica walks it through every decided
 	// slot, then every replica must reach the full history.
 	for p := 0; p < n; p++ {
-		if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(60000 + p))); !ok {
+		if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(60000 + p))).Wait(); !ok {
 			return fmt.Errorf("fence append failed at replica %d", p)
 		}
 		total++
@@ -379,7 +379,7 @@ func runPowerCycle(seed int64, n int, plan chaos.Plan) error {
 	for p := 0; p < n; p++ {
 		go func(p int) {
 			for i := 0; i < 8; i++ {
-				if _, ok := cl.rep(p).Append(logobj.MsgDatum(msg.ID(100*p + i + 1))); ok {
+				if _, ok := cl.rep(p).Append(logobj.MsgDatum(msg.ID(100*p + i + 1))).Wait(); ok {
 					landedMu.Lock()
 					landed++
 					landedMu.Unlock()
@@ -402,7 +402,7 @@ func runPowerCycle(seed int64, n int, plan chaos.Plan) error {
 	fenced := make(chan bool, n)
 	for p := 0; p < n; p++ {
 		go func(p int) {
-			_, ok := cl.rep(p).Append(logobj.MsgDatum(msg.ID(1000 + p)))
+			_, ok := cl.rep(p).Append(logobj.MsgDatum(msg.ID(1000 + p))).Wait()
 			fenced <- ok
 		}(p)
 	}

@@ -20,8 +20,8 @@ import (
 //     used by the proofs-as-tests and the Table-1 reproductions;
 //   - the Live backend (internal/live) — every log a replicated state
 //     machine (internal/replog) over paxos inside its hosting group, every
-//     CONS_{m,f} a dedicated paxos instance, all of it running over
-//     net.Transport (reliable or chaos-wrapped).
+//     CONS_{m,f} decided by the first proposal appended to LOG_{dst(m)},
+//     all of it running over net.Transport (reliable or chaos-wrapped).
 //
 // The split mirrors §4.3 of the paper: Algorithm 1 is specified against
 // shared objects, and the universal construction realises those objects over
@@ -29,15 +29,18 @@ import (
 
 // LogObject is the surface of one shared log LOG_{g∩h} (LOG_g when g = h) as
 // Algorithm 1 uses it: the two mutators of §4.3 plus the read-side helpers
-// the guards evaluate. The origin argument of the mutators names the
-// destination group whose traffic drives the operation (the universal
+// the guards evaluate. The mutators start the operation and return; the
+// caller waits (Started.Wait) for the results its action reads, so an action
+// issues its independent operations together and a replicated backend runs
+// them side by side (DESIGN.md §8). The origin argument of the mutators names
+// the destination group whose traffic drives the operation (the universal
 // construction's contention accounting keys on it; replicated backends may
 // ignore it).
 type LogObject interface {
-	// Append runs LOG.append(d) and returns the position of d.
-	Append(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum) int
-	// BumpAndLock runs LOG.bumpAndLock(d, k).
-	BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum, k int)
+	// Append starts LOG.append(d); Wait yields the position of d.
+	Append(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum) Started
+	// BumpAndLock starts LOG.bumpAndLock(d, k); Wait yields the position of d.
+	BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum, k int) Started
 	// Contains reports whether d is in the log.
 	Contains(d logobj.Datum) bool
 	// Version is a change counter: it increases on every mutation of the
@@ -58,6 +61,36 @@ type LogObject interface {
 	HasPosTuple(m msg.ID, h groups.GroupID) bool
 	// MaxPosTuple returns max{i : (m,-,i) ∈ L} over position tuples of m.
 	MaxPosTuple(m msg.ID) (int, bool)
+}
+
+// Started is a mutation of a shared object that has been issued. A backend
+// whose objects are ideal completes it at start (Done); a replicated one has
+// taken charge of it — it is applied at every replica whether or not anyone
+// waits — and hands back the wait (StartedBy).
+type Started struct {
+	pos     int
+	pending Pending // nil: complete, pos is the result
+}
+
+// Pending is the unfinished part of a Started operation at a replicated
+// backend. Wait blocks until the operation is applied at this process's copy
+// of the object (or the backend shut down) and returns the datum's position
+// there; it is called at most once.
+type Pending interface{ Wait() int }
+
+// Done is an operation that completed when it was started.
+func Done(pos int) Started { return Started{pos: pos} }
+
+// StartedBy is an operation whose completion p reports.
+func StartedBy(p Pending) Started { return Started{pending: p} }
+
+// Wait blocks until the operation is applied at this process's copy of the
+// object and returns the position of its datum.
+func (s Started) Wait() int {
+	if s.pending != nil {
+		return s.pending.Wait()
+	}
+	return s.pos
 }
 
 // Consensus is CONS_{m,f} (Algorithm 1, line 3): single-shot consensus on
@@ -159,12 +192,13 @@ func (b *simBackend) Cons(p groups.Process, m msg.ID, fam groups.GroupSet) Conse
 // simLog adapts a universal-construction log to the LogObject surface.
 type simLog struct{ l *uc.Log }
 
-func (s simLog) Append(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum) int {
-	return s.l.Append(ctx, origin, d)
+func (s simLog) Append(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum) Started {
+	return Done(s.l.Append(ctx, origin, d))
 }
 
-func (s simLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum, k int) {
+func (s simLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum, k int) Started {
 	s.l.BumpAndLock(ctx, origin, d, k)
+	return Done(s.l.Inner().Pos(d))
 }
 
 func (s simLog) Contains(d logobj.Datum) bool { return s.l.Inner().Contains(d) }

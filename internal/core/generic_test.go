@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/fd"
 	"repro/internal/groups"
+	"repro/internal/logobj"
 	"repro/internal/msg"
 	"repro/internal/obs"
 )
@@ -99,5 +101,50 @@ func TestGenericFreeOnlySkipsAllCoordination(t *testing.T) {
 	}
 	if got, want := rep.Conflict.FastDeliveries, int64(len(s.Sh.Deliveries())); got != want {
 		t.Errorf("fast deliveries %d, want every delivery (%d) to skip coordination", got, want)
+	}
+}
+
+// TestHelpRespectsThePredecessorsGate: the Proposition-1 gate keeps two
+// conflicting requests of one group from being in flight together, and
+// helping must not be a way round it. a and b conflict (one key), c commutes
+// with everything; a is in flight, b's sender is slow, and c's sender walks
+// L_g = a, b, c. It passes over a (in flight, commutes with c) and reaches b,
+// which is not in the log: appending b on its sender's behalf now would put b
+// in flight beside a — the live Generic burst wedged on exactly this, an
+// intersection process holding the two in opposite orders in two of its logs.
+// c needs neither, so c goes in and b waits for a request that needs it.
+func TestHelpRespectsThePredecessorsGate(t *testing.T) {
+	topo := groups.MustNew(3, groups.NewProcSet(0, 1, 2))
+	s := NewSystem(topo, failure.NewPattern(3), Options{Variant: Generic, Conflict: msg.ClassesConflict}, 1)
+	a := s.Sh.RequestClassed(0, 0, nil, msg.Class(1), 0)
+	b := s.Sh.RequestClassed(1, 0, nil, msg.Class(1), 0)
+	c := s.Sh.RequestClassed(2, 0, nil, msg.ClassFree, 0)
+	ctx := &engine.Ctx{}
+	s.Nodes[0].Multicast(a)
+	if !s.Nodes[0].Step(ctx) { // p0 appends a: in flight
+		t.Fatal("p0 did not multicast a")
+	}
+	s.Nodes[2].Multicast(c)
+	lg := s.Sh.Log(0, 0).Inner()
+	for s.Nodes[2].Step(ctx) && !lg.Contains(logobj.MsgDatum(c.ID)) {
+	}
+	if lg.Contains(logobj.MsgDatum(b.ID)) {
+		t.Fatal("p2 helped b into LOG_g0 while a, which b conflicts with, is undelivered at p2")
+	}
+	if !lg.Contains(logobj.MsgDatum(c.ID)) {
+		t.Fatal("c, which commutes with both, did not get past the gate")
+	}
+	// Liveness is untouched where helping matters: b's sender never shows up,
+	// d conflicts with b, so d's sender helps b in once a is delivered there.
+	d := s.Sh.RequestClassed(2, 0, nil, msg.Class(1), 0)
+	s.Nodes[2].Multicast(d)
+	if !s.Run() {
+		t.Fatal("run did not quiesce")
+	}
+	for _, v := range s.Check() {
+		t.Errorf("violation: %v", v)
+	}
+	if got := len(s.Sh.Deliveries()); got != 12 {
+		t.Errorf("%d deliveries, want 12 (a, b, c, d at three processes)", got)
 	}
 }

@@ -91,6 +91,28 @@ type Node struct {
 	// skips the ordering phases. The answer is a pure function of the
 	// message, so memoising it keeps the relation off the guard hot paths.
 	fastMemo map[msg.ID]bool
+
+	// stabIssued holds, per message in the commit phase, the groups h whose
+	// (m,h) tuple this node has started on LOG_g (line 29). tryStabilize does
+	// not wait for that append, so the log cannot yet say it was issued; the
+	// entry goes when the message is delivered.
+	stabIssued map[msg.ID]groups.GroupSet
+
+	// passed is seqGate's scratch list: the undelivered predecessors the walk
+	// in progress has passed over.
+	passed []msg.ID
+
+	// ops is the scratch list of the operations the action in progress has
+	// started and not yet waited for (tryPending, tryCommit).
+	ops []startedOp
+}
+
+// startedOp is one started log operation of an action: the group h whose
+// log (or tuple) it concerns and, once waited for, the position it yielded.
+type startedOp struct {
+	h   groups.GroupID
+	st  Started
+	pos int
 }
 
 // request is one queued client multicast: the message and its index in
@@ -134,6 +156,8 @@ func NewNode(p groups.Process, sh *Shared) *Node {
 		seqFront: make(map[groups.GroupID]int),
 		logs:     make(map[PairKey]*nodeLog),
 		fastMemo: make(map[msg.ID]bool),
+
+		stabIssued: make(map[msg.ID]groups.GroupSet),
 	}
 	n.visit = n.visitPred
 	gs := sh.Topo.GroupsOf(p).Members()
@@ -441,14 +465,14 @@ func (n *Node) tryMulticast(ctx *engine.Ctx) bool {
 		}
 		if help != msg.None {
 			// Help: make sure the predecessor entered Algorithm 1.
-			v := log.Append(ctx, g, logobj.MsgDatum(help))
+			v := log.Append(ctx, g, logobj.MsgDatum(help)).Wait()
 			n.sh.Opt.Rec.Append(n.p, help, g, g, uint8(logobj.KindMsg), v, ctx.Now)
 			return true
 		}
 		// Every predecessor is delivered: multicast(head), unless someone (or
 		// a previous step) already appended it.
 		if n.Phase(head.id) == PhaseStart && !log.Contains(logobj.MsgDatum(head.id)) {
-			v := log.Append(ctx, g, logobj.MsgDatum(head.id))
+			v := log.Append(ctx, g, logobj.MsgDatum(head.id)).Wait()
 			n.sh.Opt.Rec.Append(n.p, head.id, g, g, uint8(logobj.KindMsg), v, ctx.Now)
 		}
 		n.outboxPop(g)
@@ -459,8 +483,9 @@ func (n *Node) tryMulticast(ctx *engine.Ctx) bool {
 
 // seqGate walks the predecessors of head in L_g, from the list's delivered
 // frontier, and moves the frontier up over the delivered run it finds. It
-// returns the first predecessor that has not entered Algorithm 1 yet (the one
-// to help), or blocked when head must wait for one that is in flight.
+// returns the first predecessor that has not entered Algorithm 1 yet and may
+// (the one to help), or blocked when head must wait for one that is in flight
+// or may not enter yet.
 func (n *Node) seqGate(g groups.GroupID, head request) (help msg.ID, blocked bool) {
 	base := n.seqFront[g]
 	front := base
@@ -475,24 +500,45 @@ func (n *Node) seqGate(g groups.GroupID, head request) (help msg.ID, blocked boo
 			}
 			continue
 		}
-		if !log.Contains(logobj.MsgDatum(prev)) {
+		if !log.Contains(logobj.MsgDatum(prev)) && n.gateOpen(prev) {
 			help = prev
 			break
 		}
-		// The predecessor is in flight. Under the Generic variant L_g only
-		// orders conflicting requests — a commuting predecessor need not be
-		// awaited.
+		// The predecessor is in flight, or may not enter yet. Under the
+		// Generic variant L_g only orders conflicting requests — a commuting
+		// predecessor need not be awaited.
 		if !n.skipOrder(prev, head.id) {
 			blocked = true
 			break
 		}
+		n.passed = append(n.passed, prev)
 	}
+	n.passed = n.passed[:0]
 	n.seqFront[g] = front
 	if i < len(preds) {
 		i++ // the entry the walk stopped at was examined too
 	}
 	n.visits += int64(i)
 	return help, blocked
+}
+
+// gateOpen reports whether a predecessor that has not entered Algorithm 1 may
+// be helped in: the Proposition-1 gate is the predecessor's as much as the
+// head's, so every request before it in L_g that it conflicts with must be
+// delivered here. The walk has passed over undelivered requests only under
+// the Generic variant (they commute with the head, which says nothing about
+// the predecessor); letting the predecessor in beside one it conflicts with
+// puts two conflicting messages of one group in flight at once, the logs of
+// an intersection process can then order them differently — CONS takes the
+// max over the tuples a proposer happens to see — and both wait for the other
+// for ever.
+func (n *Node) gateOpen(prev msg.ID) bool {
+	for _, q := range n.passed {
+		if n.sh.Conflicts(q, prev) {
+			return false
+		}
+	}
+	return true
 }
 
 // predsAtLeast evaluates the predecessor guard shared by lines 11, 28 and 35:
@@ -540,15 +586,28 @@ func (n *Node) tryPending(ctx *engine.Ctx, id msg.ID) bool {
 	if !n.predsAtLeast(glog, id, PhaseCommit) {
 		return false
 	}
-	// eff (lines 12-15).
+	// eff (lines 12-15), in two rounds: every LOG_{g∩h}.append(m) is started
+	// before any is waited for, and so is every (m,h,i) tuple on LOG_g — the
+	// operations of a round touch different logs, or commute on one.
+	d := logobj.MsgDatum(id)
+	n.ops = n.ops[:0]
 	for _, h := range n.myGroups {
-		if !n.sh.Topo.Intersecting(g, h) {
-			continue
+		if n.sh.Topo.Intersecting(g, h) {
+			n.ops = append(n.ops, startedOp{h: h, st: n.log(g, h).Append(ctx, g, d)})
 		}
-		i := n.log(g, h).Append(ctx, g, logobj.MsgDatum(id))
-		n.sh.Opt.Rec.Append(n.p, id, g, h, uint8(logobj.KindMsg), i, ctx.Now)
-		glog.Append(ctx, g, logobj.PosDatum(id, h, i))
-		n.sh.Opt.Rec.Append(n.p, id, g, g, uint8(logobj.KindPos), i, ctx.Now)
+	}
+	for i := range n.ops {
+		op := &n.ops[i]
+		op.pos = op.st.Wait()
+		n.sh.Opt.Rec.Append(n.p, id, g, op.h, uint8(logobj.KindMsg), op.pos, ctx.Now)
+	}
+	for i := range n.ops {
+		op := &n.ops[i]
+		op.st = glog.Append(ctx, g, logobj.PosDatum(id, op.h, op.pos))
+	}
+	for _, op := range n.ops {
+		op.st.Wait()
+		n.sh.Opt.Rec.Append(n.p, id, g, g, uint8(logobj.KindPos), op.pos, ctx.Now)
 	}
 	n.phase[id] = PhasePending
 	return true
@@ -596,18 +655,31 @@ func (n *Node) tryCommit(ctx *engine.Ctx, id msg.ID) bool {
 	n.sh.Opt.Rec.Propose(n.p, id, g, k, ctx.Now)
 	k = n.sh.Backend().Cons(n.p, id, fam).Propose(ctx, k)
 	n.sh.Opt.Rec.Decide(n.p, id, g, k, ctx.Now)
+	// The bumps touch one log each: start them all, then wait for all.
+	n.ops = n.ops[:0]
 	for _, h := range n.myGroups {
-		if !n.sh.Topo.Intersecting(g, h) {
-			continue
+		if n.sh.Topo.Intersecting(g, h) {
+			n.ops = append(n.ops, startedOp{h: h, st: n.log(g, h).BumpAndLock(ctx, g, logobj.MsgDatum(id), k)})
 		}
-		n.log(g, h).BumpAndLock(ctx, g, logobj.MsgDatum(id), k)
-		n.sh.Opt.Rec.Bump(n.p, id, g, h, k, ctx.Now)
+	}
+	for _, op := range n.ops {
+		op.st.Wait()
+		n.sh.Opt.Rec.Bump(n.p, id, g, op.h, k, ctx.Now)
 	}
 	n.phase[id] = PhaseCommit
 	return true
 }
 
 // tryStabilize implements lines 25-29 for the first group h that is ready.
+// It starts LOG_g.append((m,h)) and does not wait: the action reads nothing
+// of the result, and tryStable reads LOG_g for exactly the tuples it needs —
+// so where γ(g) (or the Strict rule) demands (m,h) the stable guard opens
+// when this process's copy of LOG_g has applied it, and where nothing does
+// the process goes on at once. That is sound because phases only grow — line
+// 28's guard, true when the append is issued, is still true when it
+// linearises — and because an operation a backend has started is applied at
+// every replica whatever this process does next, short of crashing, and a
+// crash after the start is a crash before the action (DESIGN.md §8).
 func (n *Node) tryStabilize(ctx *engine.Ctx, id msg.ID) bool {
 	g := n.sh.Reg.Get(id).Dst
 	glog := n.groupLog(g)
@@ -615,7 +687,7 @@ func (n *Node) tryStabilize(ctx *engine.Ctx, id msg.ID) bool {
 		if h == g || !n.sh.Topo.Intersecting(g, h) {
 			continue
 		}
-		if glog.Contains(logobj.StableDatum(id, h)) {
+		if n.stabIssued[id].Has(h) || glog.Contains(logobj.StableDatum(id, h)) {
 			continue
 		}
 		// ∀m' <_{LOG_{g∩h}} m: PHASE[m'] ≥ stable (line 28).
@@ -623,6 +695,7 @@ func (n *Node) tryStabilize(ctx *engine.Ctx, id msg.ID) bool {
 			continue
 		}
 		glog.Append(ctx, g, logobj.StableDatum(id, h))
+		n.stabIssued[id] = n.stabIssued[id].Add(h)
 		n.sh.Opt.Rec.Append(n.p, id, g, h, uint8(logobj.KindStable), 0, ctx.Now)
 		return true
 	}
@@ -712,7 +785,8 @@ func (n *Node) tryFastDeliver(ctx *engine.Ctx, id msg.ID) bool {
 func (n *Node) deliver(ctx *engine.Ctx, id msg.ID, fast bool) {
 	n.phase[id] = PhaseDeliver
 	n.delivered = append(n.delivered, id)
-	delete(n.fastMemo, id) // delivered: the memo will never be consulted again
+	delete(n.fastMemo, id) // delivered: neither memo will be consulted again
+	delete(n.stabIssued, id)
 	n.sh.RecordDelivery(n.p, id, ctx.Now)
 	if fast {
 		n.sh.Opt.Rec.FastDelivery()

@@ -1,8 +1,8 @@
 // Package live runs Algorithm 1 over the real message-passing stack: every
 // shared log is an internal/replog replicated state machine (per-slot paxos
-// inside its hosting group) and every CONS_{m,f} a dedicated paxos instance,
-// all over a net.Transport — the reliable fabric or the adversarial one
-// (internal/chaos). It is the §4.3 composition made concrete: the node logic
+// inside its hosting group) and every CONS_{m,f} the first proposal appended
+// to LOG_{dst(m)}, all over a net.Transport — the reliable fabric or the
+// adversarial one (internal/chaos). It is the §4.3 composition made concrete: the node logic
 // of internal/core is substrate-agnostic, and this package supplies the
 // replicated substrate, where the deterministic engine supplies the ideal
 // one.
@@ -31,10 +31,10 @@ import (
 	"repro/internal/storage"
 )
 
-// Backend implements core.Backend over replicated logs and paxos consensus.
-// Each process has one paxos node (acceptor + proposer) on the transport and
-// one replog replica per log it touches; replicas of a log replicate over
-// the log's hosting group.
+// Backend implements core.Backend over replicated logs; consensus is read
+// off the group logs. Each process has one paxos node (acceptor + proposer)
+// on the transport and one replog replica per log it touches; replicas of a
+// log replicate over the log's hosting group.
 type Backend struct {
 	topo   *groups.Topology
 	reg    *msg.Registry
@@ -52,7 +52,6 @@ type Backend struct {
 
 	lk   sync.Mutex
 	reps map[repKey]*replog.Replica
-	cons map[liveConsKey]*liveCons
 }
 
 type repKey struct {
@@ -60,18 +59,11 @@ type repKey struct {
 	pair core.PairKey
 }
 
-type liveConsKey struct {
-	p   groups.Process
-	m   msg.ID
-	fam groups.GroupSet
-}
-
 var _ core.Backend = (*Backend)(nil)
 
 // NewBackend builds the replicated substrate: one paxos node per local
 // process of the membership descriptor (an empty descriptor means every
-// process); replicas and consensus instances are created on demand. clock
-// supplies the current tick for failure-detector queries (leader election
+// process); replicas are created on demand. clock supplies the current tick for failure-detector queries (leader election
 // follows Ω at the current time). rec, when non-nil, receives the
 // substrate's counters (paxos work, replog applies, per-pair coordination).
 // store supplies each local process's WAL (nil for none — acceptors then
@@ -89,7 +81,6 @@ func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Tran
 		rec:    rec,
 		nodes:  make([]*paxos.Node, topo.NumProcesses()),
 		reps:   make(map[repKey]*replog.Replica),
-		cons:   make(map[liveConsKey]*liveCons),
 	}
 	for p := range b.nodes {
 		if !mem.Owns(groups.Process(p)) {
@@ -142,15 +133,25 @@ func (b *Backend) leaderFunc(o fd.Omega) paxos.LeaderFunc {
 	}
 }
 
-// Log implements core.Backend: p's replica of LOG_{g∩h}, created on first
-// use (the replica starts its apply loop immediately).
+// Log implements core.Backend: p's view of its replica of LOG_{g∩h}. It
+// carries what coordination recording needs: the pair label and the
+// replication scope every mutation coordinates (the live substrate has no
+// adopt-commit fast path — every operation is a replicated slot in the
+// hosting scope).
 func (b *Backend) Log(p groups.Process, g, h groups.GroupID) core.LogObject {
 	pair := core.CanonPair(g, h)
+	scope, _ := b.hosting(pair)
+	return liveLog{r: b.replica(p, pair), rec: b.rec, pair: obs.Pair{A: pair.A, B: pair.B}, scope: scope}
+}
+
+// replica returns p's replica of the pair's log, created on first use (the
+// replica starts its apply loop immediately).
+func (b *Backend) replica(p groups.Process, pair core.PairKey) *replog.Replica {
 	key := repKey{p: p, pair: pair}
 	b.lk.Lock()
 	defer b.lk.Unlock()
 	if r, ok := b.reps[key]; ok {
-		return b.wrapLog(r, pair)
+		return r
 	}
 	name := fmt.Sprintf("LOG_g%d", pair.A)
 	if pair.A != pair.B {
@@ -160,7 +161,19 @@ func (b *Backend) Log(p groups.Process, g, h groups.GroupID) core.LogObject {
 	// Multi-Paxos realms on the shared per-process paxos node.
 	realm := uint64(pair.A)<<32 | uint64(uint32(pair.B))
 	scope, omega := b.hosting(pair)
-	r := replog.NewReplica(name, realm, p, b.nodes[p], b.nw, scope, b.leaderFunc(omega))
+	// Only the members of g∩h hold a replica of LOG_{g∩h}, but Ω of the
+	// hosting group may name any of its members: a leader that has no replica
+	// has no batcher to forward to and no use for the lease, so such a sample
+	// reads as "lead it yourself". (A group log's g∩g is the whole group.)
+	hosts := b.topo.Intersection(pair.A, pair.B)
+	sample := b.leaderFunc(omega)
+	leader := func(q groups.Process) groups.Process {
+		if l := sample(q); hosts.Has(l) {
+			return l
+		}
+		return q
+	}
+	r := replog.NewReplica(name, realm, p, b.nodes[p], b.nw, scope, leader)
 	r.Observe(b.rec.Replog())
 	if b.notify != nil {
 		pp := p
@@ -187,50 +200,25 @@ func (b *Backend) Log(p groups.Process, g, h groups.GroupID) core.LogObject {
 		},
 	)
 	b.reps[key] = r
-	return b.wrapLog(r, pair)
+	return r
 }
 
-// wrapLog builds p's LogObject view of a replica, carrying what coordination
-// recording needs: the pair label and the replication scope every mutation
-// coordinates (the live substrate has no adopt-commit fast path — every
-// operation is a replicated slot in the hosting scope).
-func (b *Backend) wrapLog(r *replog.Replica, pair core.PairKey) liveLog {
-	scope, _ := b.hosting(pair)
-	return liveLog{r: r, rec: b.rec, pair: obs.Pair{A: pair.A, B: pair.B}, scope: scope}
-}
-
-// Cons implements core.Backend: p's handle on the dedicated paxos instance
-// of CONS_{m,fam}, hosted by dst(m) (consensus is solvable in each group
-// from Σ_g ∧ Ω_g).
+// Cons implements core.Backend: CONS_{m,fam} is hosted by dst(m) (consensus
+// is solvable in each group from Σ_g ∧ Ω_g), and LOG_{dst(m)} is a
+// linearizable object that group already hosts — so the decision is the first
+// (m, fam, k) proposal appended to it (logobj.KindCons). The proposal is one
+// more op in the log's leased, batched slot stream and recovers, forwards and
+// journals with it.
 func (b *Backend) Cons(p groups.Process, m msg.ID, fam groups.GroupSet) core.Consensus {
-	key := liveConsKey{p: p, m: m, fam: fam}
-	b.lk.Lock()
-	defer b.lk.Unlock()
-	if c, ok := b.cons[key]; ok {
-		return c
-	}
 	dst := b.reg.Get(m).Dst
-	// CONS_{m,f} is a single-shot instance: the message ID is the realm and
-	// the family bitmask the slot, so distinct (m, f) pairs cannot collide
-	// with each other or with any SpaceLog realm. No MultiPaxos — there is
-	// no slot sequence to lease.
-	c := &liveCons{
-		node: b.nodes[p],
-		ins: &paxos.Instance{
-			ID:     paxos.InstanceID{Space: paxos.SpaceCons, Realm: uint64(m), Slot: int64(fam)},
-			Scope:  b.topo.Group(dst),
-			Net:    b.nw,
-			Leader: b.leaderFunc(b.mu.OmegaFor(dst)),
-		},
-	}
-	b.cons[key] = c
-	return c
+	return liveCons{r: b.replica(p, core.PairKey{A: dst, B: dst}), key: logobj.ConsDatum(m, fam, 0)}
 }
 
 // liveLog adapts a replog replica to the core.LogObject surface. Mutators
-// block until the operation is decided (or the transport shuts down); reads
-// run against the local copy, which may lag the decided prefix — the node
-// guards simply stay false until the apply loop catches up.
+// enqueue the operation at the replica, which sees it decided and applied
+// whether or not the caller waits; reads run against the local copy, which
+// may lag the decided prefix — the node guards simply stay false until the
+// apply loop catches up.
 type liveLog struct {
 	r     *replog.Replica
 	rec   *obs.Recorder
@@ -238,17 +226,23 @@ type liveLog struct {
 	scope groups.ProcSet
 }
 
-func (l liveLog) Append(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum) int {
+func (l liveLog) Append(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum) core.Started {
 	l.rec.Coordination(l.pair, l.scope, false)
-	if pos, ok := l.r.Append(d); ok {
-		return pos
-	}
-	return l.r.Pos(d) // shutdown: best-effort local answer
+	return core.StartedBy(pending(l.r.Append(d)))
 }
 
-func (l liveLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum, k int) {
+func (l liveLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum, k int) core.Started {
 	l.rec.Coordination(l.pair, l.scope, false)
-	l.r.BumpAndLock(d, k)
+	return core.StartedBy(pending(l.r.BumpAndLock(d, k)))
+}
+
+// pending adapts a started replog operation to core.Pending: at shutdown the
+// position is the best-effort local answer.
+type pending replog.Started
+
+func (p pending) Wait() int {
+	pos, _ := replog.Started(p).Wait()
+	return pos
 }
 
 func (l liveLog) Contains(d logobj.Datum) bool {
@@ -289,15 +283,23 @@ func (l liveLog) MaxPosTuple(m msg.ID) (int, bool) {
 	return out, ok
 }
 
-// liveCons adapts a paxos instance to the core.Consensus surface.
+// liveCons is p's handle on one CONS_{m,f}: its replica of LOG_{dst(m)} and
+// the (m, f, ·) proposal datum with the value left open.
 type liveCons struct {
-	node *paxos.Node
-	ins  *paxos.Instance
+	r   *replog.Replica
+	key logobj.Datum
 }
 
-func (c *liveCons) Propose(ctx *engine.Ctx, v int) int {
-	if got, ok := c.node.Propose(c.ins, paxos.I64Value(int64(v))); ok {
-		return int(got.I64())
-	}
-	return v // shutdown: the value is never observed (trace is frozen)
+// Propose appends (m, f, v) — a no-op that completes at once if this copy of
+// the log already holds a decision — and reads the decision back.
+func (c liveCons) Propose(ctx *engine.Ctx, v int) int {
+	d := c.key
+	d.I = v
+	c.r.Append(d).Wait()
+	c.r.Read(func(l *logobj.Log) {
+		if k, ok := l.Decided(d.Msg, groups.GroupSet(d.H)); ok {
+			v = k
+		}
+	})
+	return v // undecided only at shutdown: the value is never observed (trace is frozen)
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/groups"
+	"repro/internal/logobj"
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/paxos"
@@ -253,5 +255,96 @@ func runFailoverMidWindow(t *testing.T, seed int64) {
 
 	for _, v := range sys.Check() {
 		t.Errorf("seed %d: specification violation: %v", seed, v)
+	}
+}
+
+// consKiller is a transport that fail-stops a process at the moment it would
+// send its first accept request for a slot carrying a CONS proposal: its pos
+// tuples are in LOG_g, its consensus proposal reaches nobody.
+type consKiller struct {
+	net.Transport
+	victim groups.Process
+	armed  atomic.Bool
+	fired  atomic.Bool
+}
+
+func (k *consKiller) Send(from, to groups.Process, t net.MsgType, body any) {
+	if req, ok := body.(paxos.AcceptReq); ok && from == k.victim && k.armed.Load() && carriesCons(req.Val) {
+		if k.fired.CompareAndSwap(false, true) {
+			k.Transport.Crash(k.victim)
+		}
+		return
+	}
+	k.Transport.Send(from, to, t, body)
+}
+
+func carriesCons(v paxos.Value) bool {
+	ops, err := replog.DecodeBatch(v)
+	if err != nil {
+		return false
+	}
+	for _, o := range ops {
+		if o.Datum.Kind == logobj.KindCons {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLiveLeaseFailoverBeforeCons crashes g0's stable leader between the two
+// halves of a commit: after its (m,h,i) tuples are decided in LOG_g0 and
+// before its CONS_{m,f} proposal — one more op in the same leased slot stream
+// — reaches any acceptor. Consensus has no liveness mechanism of its own any
+// more, so this is the log's failover doing consensus's job: the survivors'
+// forwarded proposals run out of patience, they propose in LOG_g0 themselves
+// (duelling until Ω settles on p1), the first proposal appended decides, and
+// everything is delivered.
+func TestLiveLeaseFailoverBeforeCons(t *testing.T) {
+	topo := chainTopo(t)
+	const crashTick = 1000
+	pat := failure.NewPattern(7).WithCrash(0, crashTick)
+	nw := &consKiller{Transport: net.New(7), victim: 0}
+	sys := NewSystem(topo, pat, nw, Config{})
+	sys.Start()
+	defer sys.Stop()
+
+	// Warm up: p0 acquires the leases of g0's logs.
+	for i := 0; i < 4; i++ {
+		sys.Multicast(1, 0, []byte{byte(i)})
+		sys.Multicast(2, 1, []byte{byte(i)})
+	}
+	if !sys.AwaitDelivery(30 * time.Second) {
+		t.Fatalf("warm-up not delivered: %d deliveries", len(sys.Sh.Deliveries()))
+	}
+	// The detectors learn of the crash at crashTick; the process goes silent
+	// a little earlier, mid-commit — for a while it is merely suspected of
+	// nothing, which is the case the patience fallback exists for.
+	for sys.Now() < crashTick-30 {
+		time.Sleep(time.Millisecond)
+	}
+	nw.armed.Store(true)
+	m := sys.Multicast(1, 0, []byte("mid-commit"))
+	for i := 0; i < 4; i++ {
+		time.Sleep(5 * time.Millisecond)
+		sys.Multicast(2, 0, []byte{byte(10 + i)})
+	}
+	if !sys.AwaitDelivery(90 * time.Second) {
+		sys.Stop()
+		t.Fatalf("no full delivery after the leader died mid-commit (%d multicasts, %d deliveries)",
+			sys.Sh.Reg.Len(), len(sys.Sh.Deliveries()))
+	}
+	sys.Stop()
+	if !nw.fired.Load() {
+		t.Fatal("the leader never proposed to CONS while armed: the scenario did not happen")
+	}
+	decided := false
+	for _, d := range sys.be.replica(1, core.PairKey{A: 0, B: 0}).Snapshot() {
+		decided = decided || (d.Kind == logobj.KindCons && d.Msg == m.ID)
+	}
+	if !decided {
+		t.Errorf("m%d was delivered but LOG_g0 at p1 holds no CONS decision for it", m.ID)
+	}
+	for _, v := range sys.Check() {
+		t.Errorf("specification violation: %v", v)
 	}
 }

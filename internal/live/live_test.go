@@ -53,21 +53,7 @@ func TestLiveFigure1EndToEnd(t *testing.T) {
 // one member crashes, so paxos inside each hosting group stays live — the
 // quorum-preserving crash schedules below rely on it. (Figure 1 has
 // 2-member groups, which tolerate no crash under majorities.)
-func chainTopo(t *testing.T) *groups.Topology {
-	t.Helper()
-	mk := func(ps ...groups.Process) groups.ProcSet {
-		var s groups.ProcSet
-		for _, p := range ps {
-			s = s.Add(p)
-		}
-		return s
-	}
-	topo, err := groups.New(7, mk(0, 1, 2), mk(2, 3, 4), mk(4, 5, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo
-}
+func chainTopo(t *testing.T) *groups.Topology { return benchChain(t, 3) }
 
 // TestLiveChaosSeeds replays seeded nemesis schedules (drops, duplication,
 // delays, partitions, down/up cycles — all derived from the seed, see

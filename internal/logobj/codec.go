@@ -42,7 +42,7 @@ func (d *Datum) decode(dec *wire.Dec) {
 	d.I = int(dec.I64())
 	if dec.Err() == nil {
 		switch d.Kind {
-		case KindMsg, KindPos, KindStable:
+		case KindMsg, KindPos, KindStable, KindCons:
 		default:
 			dec.Failf("logobj: bad datum kind %d", d.Kind)
 			*d = Datum{}

@@ -11,11 +11,13 @@ import (
 // checks the sequential-specification invariants of Table 2 after every
 // operation (Claims 2-5 plus head discipline and order totality), and holds
 // every read of the indexed log against the map-scan reference model
-// (model_test.go). Each input byte pair encodes one operation.
+// (model_test.go), which includes that the first proposal to a CONS_{m,f}
+// decides it for good. Each input byte pair encodes one operation.
 func FuzzLogOperations(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x05, 0x23, 0x81, 0x40})
 	f.Add([]byte{0x00, 0x00, 0x80, 0x01})
 	f.Add([]byte{0x11, 0x91, 0x12, 0x92, 0x13, 0x93})
+	f.Add([]byte{0x21, 0x05, 0x21, 0x09, 0xa1, 0x30, 0x21, 0x06, 0x22, 0x09})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		mp := newModelPair(16, 3)
 		l := mp.l
@@ -29,6 +31,9 @@ func FuzzLogOperations(f *testing.F) {
 			d := MsgDatum(msg.ID(op&0x0f) + 1)
 			if op&0x10 != 0 {
 				d = PosDatum(msg.ID(op&0x0f)+1, groups.GroupID(arg&0x3), int(arg&0x7))
+			}
+			if op&0x20 != 0 {
+				d = ConsDatum(msg.ID(op&0x0f)+1, groups.GroupSet(arg&0x3), int(arg>>2&0x3))
 			}
 			if op&0x80 == 0 {
 				mp.append(t, d)

@@ -27,7 +27,7 @@ import (
 	"repro/internal/msg"
 )
 
-// Kind distinguishes the three shapes of data Algorithm 1 stores in logs.
+// Kind distinguishes the shapes of data Algorithm 1 stores in logs.
 type Kind int
 
 const (
@@ -37,6 +37,11 @@ const (
 	KindPos
 	// KindStable is a tuple (m, h): m is stabilised in group h.
 	KindStable
+	// KindCons is a proposal (m, f, k) to CONS_{m,f}: the family f (a
+	// groups.GroupSet) rides in H, the proposed final position k in I. The
+	// first one appended for (m, f) is the decision (see Decided); a log that
+	// is linearizable is thereby a consensus object for every (m, f).
+	KindCons
 )
 
 // Datum is a data item stored in a log. The total order (<) over data used
@@ -63,6 +68,11 @@ func StableDatum(m msg.ID, h groups.GroupID) Datum {
 	return Datum{Kind: KindStable, Msg: m, H: h}
 }
 
+// ConsDatum returns the proposal of k to CONS_{m,f}.
+func ConsDatum(m msg.ID, f groups.GroupSet, k int) Datum {
+	return Datum{Kind: KindCons, Msg: m, H: groups.GroupID(f), I: k}
+}
+
 // Less is the a-priori total order over data items.
 func (d Datum) Less(o Datum) bool {
 	if d.Msg != o.Msg {
@@ -86,6 +96,8 @@ func (d Datum) String() string {
 		return fmt.Sprintf("(m%d,g%d,%d)", d.Msg, d.H, d.I)
 	case KindStable:
 		return fmt.Sprintf("(m%d,g%d)", d.Msg, d.H)
+	case KindCons:
+		return fmt.Sprintf("cons(m%d,f%b)=%d", d.Msg, uint64(d.H), d.I)
 	}
 	return "?"
 }
@@ -113,6 +125,16 @@ type Log struct {
 	// tuples indexes the KindPos data (m, h, i) by message: line 18-19 of
 	// Algorithm 1 read them per message, at most one per intersecting group.
 	tuples map[msg.ID][]posTuple
+
+	// decided indexes the KindCons data: the k of the one proposal (m, f, k)
+	// the log holds per (m, f). Made on first use — only group logs see any.
+	decided map[consKey]int
+}
+
+// consKey names CONS_{m,f}; f is held the way Datum.H carries it.
+type consKey struct {
+	m msg.ID
+	f groups.GroupID
 }
 
 // slot is where a datum sits and whether it is locked there.
@@ -151,10 +173,17 @@ func (l *Log) Version() int64 { return l.version }
 
 // Append inserts d at the head slot and returns its position. If d is
 // already in the log the operation does nothing and returns the current
-// position.
+// position; so does a KindCons proposal to a CONS_{m,f} that is already
+// decided, which returns the position of the proposal that won.
 func (l *Log) Append(d Datum) int {
 	if s, ok := l.slots[d]; ok {
 		return s.pos
+	}
+	if d.Kind == KindCons {
+		if k, ok := l.decided[consKey{d.Msg, d.H}]; ok {
+			d.I = k
+			return l.slots[d].pos
+		}
 	}
 	p := l.head
 	l.slots[d] = slot{pos: p}
@@ -165,9 +194,34 @@ func (l *Log) Append(d Datum) int {
 		l.order = append(l.order, msgEntry{pos: p, id: d.Msg})
 	case KindPos:
 		l.tuples[d.Msg] = append(l.tuples[d.Msg], posTuple{h: d.H, i: d.I})
+	case KindCons:
+		if l.decided == nil {
+			l.decided = make(map[consKey]int)
+		}
+		l.decided[consKey{d.Msg, d.H}] = d.I
 	}
 	l.version++
 	return p
+}
+
+// Decided returns the decision of CONS_{m,f}: the k of the first (m, f, k)
+// proposal appended, and whether there is one yet.
+func (l *Log) Decided(m msg.ID, f groups.GroupSet) (int, bool) {
+	k, ok := l.decided[consKey{m, groups.GroupID(f)}]
+	return k, ok
+}
+
+// Appended reports whether append(d) has nothing left to do: d is in the
+// log, or d proposes to a CONS_{m,f} that is already decided.
+func (l *Log) Appended(d Datum) bool {
+	if l.slots[d].pos != 0 {
+		return true
+	}
+	if d.Kind != KindCons {
+		return false
+	}
+	_, ok := l.decided[consKey{d.Msg, d.H}]
+	return ok
 }
 
 // Pos returns the position of d, or 0 if d is absent.

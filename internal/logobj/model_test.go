@@ -28,6 +28,12 @@ func (l *refLog) Append(d Datum) int {
 	if p, ok := l.pos[d]; ok {
 		return p
 	}
+	// A proposal to a decided CONS_{m,f} is the winner's append over again.
+	if d.Kind == KindCons {
+		if k, ok := l.Decided(d.Msg, groups.GroupSet(d.H)); ok {
+			return l.pos[ConsDatum(d.Msg, groups.GroupSet(d.H), k)]
+		}
+	}
 	p := l.head
 	l.pos[d] = p
 	l.head = p + 1
@@ -99,6 +105,16 @@ func (l *refLog) MaxPosTuple(m msg.ID) (int, bool) {
 	return max, found
 }
 
+// Decided scans for the one KindCons datum the log may hold for (m, f).
+func (l *refLog) Decided(m msg.ID, f groups.GroupSet) (int, bool) {
+	for d := range l.pos {
+		if d.Kind == KindCons && d.Msg == m && d.H == groups.GroupID(f) {
+			return d.I, true
+		}
+	}
+	return 0, false
+}
+
 func (l *refLog) HasPosTuple(m msg.ID, h groups.GroupID) bool {
 	for d := range l.pos {
 		if d.Kind == KindPos && d.Msg == m && d.H == h {
@@ -117,6 +133,9 @@ type modelPair struct {
 	// operations draw from; the tuple reads are compared over that range.
 	maxMsg   msg.ID
 	maxGroup groups.GroupID
+	// decided remembers the first decision seen per CONS_{m,f}: no later
+	// operation may change it.
+	decided map[consKey]int
 }
 
 func newModelPair(maxMsg msg.ID, maxGroup groups.GroupID) *modelPair {
@@ -227,6 +246,30 @@ func (mp *modelPair) check(t testing.TB) {
 			if got, want := l.HasPosTuple(m, h), ref.HasPosTuple(m, h); got != want {
 				t.Fatalf("HasPosTuple(m%d, g%d) = %v, model says %v", m, h, got, want)
 			}
+			// The group range doubles as the range of consensus families.
+			f := groups.GroupSet(h)
+			gk, gok := l.Decided(m, f)
+			wk, wok := ref.Decided(m, f)
+			if gk != wk || gok != wok {
+				t.Fatalf("Decided(m%d, f%b) = %d,%v, model says %d,%v", m, f, gk, gok, wk, wok)
+			}
+			if mp.decided == nil {
+				mp.decided = make(map[consKey]int)
+			}
+			if first, seen := mp.decided[consKey{m, h}]; seen && (!gok || gk != first) {
+				t.Fatalf("Decided(m%d, f%b) moved from %d to %d,%v", m, f, first, gk, gok)
+			} else if gok {
+				mp.decided[consKey{m, h}] = gk
+			}
+			// A decided CONS_{m,f} settles every proposal to it, and only those.
+			if got := l.Appended(ConsDatum(m, f, 1<<20)); got != wok {
+				t.Fatalf("Appended(losing proposal to CONS_{m%d,f%b}) = %v with decided = %v", m, f, got, wok)
+			}
+		}
+	}
+	for _, d := range items {
+		if !l.Appended(d) {
+			t.Fatalf("Appended(%v) = false for a datum in the log", d)
 		}
 	}
 }
@@ -247,11 +290,14 @@ func TestIndexAgainstModel(t *testing.T) {
 		mp := newModelPair(maxMsg, maxGroup)
 		randDatum := func() Datum {
 			m := msg.ID(rng.Intn(maxMsg) + 1)
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				return PosDatum(m, groups.GroupID(rng.Intn(maxGroup+1)), rng.Intn(20))
 			case 1:
 				return StableDatum(m, groups.GroupID(rng.Intn(maxGroup+1)))
+			case 2:
+				// Few values over few families: most proposals lose.
+				return ConsDatum(m, groups.GroupSet(rng.Intn(maxGroup+1)), rng.Intn(3))
 			}
 			return MsgDatum(m)
 		}
@@ -293,5 +339,67 @@ func TestBumpAcrossManyRanks(t *testing.T) {
 	mp.append(t, MsgDatum(msg.ID(n+1)))   // lands above everything
 	if got := mp.l.Messages(); got[len(got)-1] != n+1 {
 		t.Fatalf("append after bumps did not land on top: %v", got[len(got)-4:])
+	}
+}
+
+// TestFirstProposalDecides states the consensus object a log is for each
+// (m, f): the first proposal appended wins, later ones change nothing and
+// take no slot, and distinct families of one message are independent.
+func TestFirstProposalDecides(t *testing.T) {
+	mp := newModelPair(3, 3)
+	l := mp.l
+	if _, ok := l.Decided(1, 2); ok {
+		t.Fatal("decided before any proposal")
+	}
+	mp.append(t, MsgDatum(1))
+	won := l.Append(ConsDatum(1, 2, 7))
+	mp.ref.Append(ConsDatum(1, 2, 7))
+	mp.check(t)
+	head, version := l.head, l.Version()
+	for _, k := range []int{9, 0, 7} {
+		if got := l.Append(ConsDatum(1, 2, k)); got != won {
+			t.Fatalf("proposal %d to a decided object landed at %d, the winner sits at %d", k, got, won)
+		}
+		mp.ref.Append(ConsDatum(1, 2, k))
+		mp.check(t)
+	}
+	if l.head != head || l.Version() != version {
+		t.Fatalf("losing proposals moved the log: head %d→%d, version %d→%d", head, l.head, version, l.Version())
+	}
+	if k, ok := l.Decided(1, 2); !ok || k != 7 {
+		t.Fatalf("Decided(m1, f10) = %d,%v, want 7", k, ok)
+	}
+	mp.append(t, ConsDatum(1, 3, 9)) // another family of m1
+	mp.append(t, ConsDatum(2, 2, 4)) // the same family, another message
+	for _, c := range []struct {
+		m    msg.ID
+		f    groups.GroupSet
+		want int
+	}{{1, 2, 7}, {1, 3, 9}, {2, 2, 4}} {
+		if k, ok := l.Decided(c.m, c.f); !ok || k != c.want {
+			t.Errorf("Decided(m%d, f%b) = %d,%v, want %d", c.m, c.f, k, ok, c.want)
+		}
+	}
+}
+
+// TestDatumCodec round-trips every kind of datum and rejects the kinds on
+// either side of the range.
+func TestDatumCodec(t *testing.T) {
+	for _, d := range []Datum{MsgDatum(7), PosDatum(7, 2, 31), StableDatum(7, 3), ConsDatum(7, 0b1011, 44)} {
+		b, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Datum
+		if err := got.UnmarshalBinary(b); err != nil || got != d {
+			t.Errorf("round trip of %v = %v, %v", d, got, err)
+		}
+	}
+	for _, kind := range []Kind{0, KindCons + 1} {
+		b, _ := Datum{Kind: kind, Msg: 1}.MarshalBinary()
+		var got Datum
+		if err := got.UnmarshalBinary(b); err == nil {
+			t.Errorf("kind %d decoded to %v", kind, got)
+		}
 	}
 }

@@ -75,10 +75,6 @@ const (
 	// SpaceLog is the replog substrate: Realm identifies the log, Slot the
 	// position in it. Realms in this space are leasable (Multi-Paxos).
 	SpaceLog
-	// SpaceCons is the dedicated CONS_{m,f} instances of Algorithm 1:
-	// Realm carries the message ID and Slot the family bitmask (single-shot
-	// instances — the slot field is identity, not a log position).
-	SpaceCons
 )
 
 // InstanceID is the comparable identity of one consensus instance. It

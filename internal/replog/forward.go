@@ -155,7 +155,7 @@ next:
 	for _, o := range ops {
 		switch o.Kind {
 		case opAppend:
-			if r.local.Pos(o.Datum) != 0 {
+			if r.local.Appended(o.Datum) {
 				continue
 			}
 		case opBumpAndLock:

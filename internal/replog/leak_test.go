@@ -30,7 +30,7 @@ func TestStoppedClustersAreCollectable(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		nw, reps := cluster(3)
 		for i := 1; i <= appends; i++ {
-			if _, ok := reps[0].Append(logobj.Datum{Kind: logobj.KindMsg, Msg: msg.ID(i)}); !ok {
+			if _, ok := reps[0].Append(logobj.Datum{Kind: logobj.KindMsg, Msg: msg.ID(i)}).Wait(); !ok {
 				t.Fatalf("round %d: append %d failed", r, i)
 			}
 		}

@@ -94,7 +94,10 @@ func (h *pcHarness) rep(p int) *Replica {
 //	    nodes both decided carries the same value at both, recovered nodes
 //	    included;
 //	(b) bit-for-bit agreement of the applied logs on their common prefix —
-//	    recovery rebuilt each applied state machine onto the same sequence.
+//	    recovery rebuilt each applied state machine onto the same sequence;
+//	(c) a CONS_{m,f} decided before the first kill is what every replica's
+//	    proposal returns afterwards — consensus read off the log recovers
+//	    with the log's WAL, it has no state of its own to lose.
 //
 // Appends race the outages, so some block on a killed incarnation and never
 // return (exactly a client talking to a dead server); the assertions only
@@ -116,6 +119,11 @@ func runPowerCycle(t *testing.T, seed int64) {
 	h := newPCHarness(n, seed)
 	defer h.c.Close()
 
+	const consMsg, consFam, consVal = msg.ID(9000), groups.GroupSet(0b11), 5
+	if k, ok := propose(h.rep(0), consMsg, consFam, consVal); !ok || k != consVal {
+		t.Fatalf("seed %d: pre-kill proposal decided %d,%v, want %d", seed, k, ok, consVal)
+	}
+
 	plan := chaos.NewPowerPlan(seed, n, 300*time.Millisecond)
 	nm := &chaos.Nemesis{C: h.c, Plan: plan}
 	nmDone := nm.Go()
@@ -127,7 +135,7 @@ func runPowerCycle(t *testing.T, seed int64) {
 	for p := 0; p < n; p++ {
 		go func(p int) {
 			for i := 0; i < 8; i++ {
-				if _, ok := h.rep(p).Append(logobj.MsgDatum(msg.ID(100*p + i + 1))); ok {
+				if _, ok := h.rep(p).Append(logobj.MsgDatum(msg.ID(100*p + i + 1))).Wait(); ok {
 					landed.Add(1)
 				}
 				time.Sleep(10 * time.Millisecond)
@@ -146,7 +154,7 @@ func runPowerCycle(t *testing.T, seed int64) {
 	fenced := make(chan bool, n)
 	for p := 0; p < n; p++ {
 		go func(p int) {
-			_, ok := h.rep(p).Append(logobj.MsgDatum(msg.ID(1000 + p)))
+			_, ok := h.rep(p).Append(logobj.MsgDatum(msg.ID(1000 + p))).Wait()
 			fenced <- ok
 		}(p)
 	}
@@ -203,4 +211,11 @@ func runPowerCycle(t *testing.T, seed int64) {
 		}
 	}
 	assertPairwiseOrder(t, reps)
+
+	// (c) The fence walked every replica through the slot that decided.
+	for p, r := range reps {
+		if k, ok := propose(r, consMsg, consFam, 100+p); !ok || k != consVal {
+			t.Errorf("seed %d: replica %d proposes to the pre-kill CONS and gets %d,%v, want %d", seed, p, k, ok, consVal)
+		}
+	}
 }

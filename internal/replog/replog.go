@@ -288,8 +288,31 @@ func (r *Replica) applyLoop() {
 	}
 }
 
-// Append funnels LOG.append(d) through consensus and returns the position
-// of d in the replicated log, or false at shutdown.
+// Started is an operation the replica has taken charge of: it is queued, and
+// the submit loop forwards, resends and in the end proposes it until some
+// decided slot satisfies it, whether or not anyone waits.
+type Started struct {
+	r *Replica
+	w *waiter // nil: settled at start, pos and ok are the result
+	// pos and ok are what Wait returns for an operation that needed no
+	// waiter: satisfied by the replicated state already (ok), or refused by
+	// a replica that has shut down (!ok).
+	pos int
+	ok  bool
+}
+
+// Wait blocks until the operation is applied to this replica's copy and
+// returns the position of its datum there (0 for a KindCons proposal that
+// lost), or false at shutdown. It may be called once.
+func (s Started) Wait() (int, bool) {
+	if s.w == nil {
+		return s.pos, s.ok
+	}
+	ok := <-s.w.done
+	return s.r.Pos(s.w.op.Datum), ok
+}
+
+// Append starts LOG.append(d) on its way through consensus.
 //
 // Helping fast path: append is idempotent, so when the local copy already
 // contains d some decided slot appended it — the operation's effect is in
@@ -297,43 +320,35 @@ func (r *Replica) applyLoop() {
 // Algorithm 1's members all execute the same steps (helping), so in the
 // steady state every follower takes this read-only exit and the log's slot
 // stream carries each operation exactly once, proposed by whoever got
-// there first (usually the paxos leader).
-func (r *Replica) Append(d logobj.Datum) (int, bool) {
-	r.mu.Lock()
-	if pos := r.local.Pos(d); pos != 0 {
-		r.mu.Unlock()
-		return pos, true
-	}
-	w := r.enqueueLocked(Op{Kind: opAppend, Datum: d})
-	r.mu.Unlock()
-	if w == nil || !<-w.done {
-		return 0, false
-	}
+// there first (usually the paxos leader). A KindCons proposal takes the exit
+// as soon as any proposal for its (m, f) is in (logobj.Log.Appended).
+func (r *Replica) Append(d logobj.Datum) Started {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.local.Pos(d), true
-}
-
-// BumpAndLock funnels LOG.bumpAndLock(d, k) through consensus. Once d is
-// locked locally a decided slot locked it and any further bumpAndLock is a
-// no-op on the sequential specification, so the helping submit is skipped
-// the same way as Append's.
-func (r *Replica) BumpAndLock(d logobj.Datum, k int) bool {
-	r.mu.Lock()
-	if r.local.Locked(d) {
-		r.mu.Unlock()
-		return true
+	if r.local.Appended(d) {
+		return Started{pos: r.local.Pos(d), ok: true}
 	}
-	w := r.enqueueLocked(Op{Kind: opBumpAndLock, Datum: d, K: k})
-	r.mu.Unlock()
-	return w != nil && <-w.done
+	return r.enqueueLocked(Op{Kind: opAppend, Datum: d})
 }
 
-// enqueueLocked queues an operation for the submit loop (caller holds mu).
-// Returns nil when the replica has shut down.
-func (r *Replica) enqueueLocked(o Op) *waiter {
+// BumpAndLock starts LOG.bumpAndLock(d, k) on its way through consensus.
+// Once d is locked locally a decided slot locked it and any further
+// bumpAndLock is a no-op on the sequential specification, so the helping
+// submit is skipped the same way as Append's.
+func (r *Replica) BumpAndLock(d logobj.Datum, k int) Started {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.local.Locked(d) {
+		return Started{pos: r.local.Pos(d), ok: true}
+	}
+	return r.enqueueLocked(Op{Kind: opBumpAndLock, Datum: d, K: k})
+}
+
+// enqueueLocked queues an operation for the submit loop and hands back its
+// waiter (caller holds mu); a replica that has shut down refuses it.
+func (r *Replica) enqueueLocked(o Op) Started {
 	if r.closed {
-		return nil
+		return Started{}
 	}
 	if r.classOf != nil {
 		o.Class = r.classOf(o.Datum)
@@ -345,7 +360,7 @@ func (r *Replica) enqueueLocked(o Op) *waiter {
 	case r.kick <- struct{}{}:
 	default:
 	}
-	return w
+	return Started{r: r, w: w}
 }
 
 // submitLoop turns the pending queue into decided slots. It prefers the
@@ -664,15 +679,16 @@ func (r *Replica) applyAt(slot int, v paxos.Value) {
 // local state after an apply (caller holds mu). Satisfaction is judged on
 // the replicated state, not on which slot carried the op — helping means a
 // foreign batch may have done our work: an append is done once the datum
-// has a position, a bumpAndLock once the datum is locked OR the exact op
-// was in the applied batch (covering the no-op bump on an absent datum).
+// has a position (or, a KindCons proposal, once its CONS_{m,f} is decided
+// by anyone's), a bumpAndLock once the datum is locked OR the exact op was
+// in the applied batch (covering the no-op bump on an absent datum).
 func (r *Replica) completeLocked(ops []Op) {
 	keep := r.queue[:0]
 	for _, w := range r.queue {
 		sat := false
 		switch w.op.Kind {
 		case opAppend:
-			sat = r.local.Pos(w.op.Datum) != 0
+			sat = r.local.Appended(w.op.Datum)
 		case opBumpAndLock:
 			sat = r.local.Locked(w.op.Datum)
 		}

@@ -71,7 +71,7 @@ func TestChaosConcurrentAppendsAgree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(10*p + i + 1))); !ok {
+				if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(10*p + i + 1))).Wait(); !ok {
 					t.Errorf("replica %d append %d failed", p, i)
 					return
 				}
@@ -84,7 +84,7 @@ func TestChaosConcurrentAppendsAgree(t *testing.T) {
 	// every decided slot.
 	c.Quiesce()
 	for p := 0; p < 3; p++ {
-		if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(100 + p))); !ok {
+		if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(100 + p))).Wait(); !ok {
 			t.Fatalf("fence append failed at replica %d", p)
 		}
 	}
@@ -108,7 +108,7 @@ func TestChaosPartitionedReplicaBlocksThenCatchesUp(t *testing.T) {
 	c, reps := chaosCluster(5, 6)
 	defer c.Close()
 
-	if _, ok := reps[0].Append(logobj.MsgDatum(1)); !ok {
+	if _, ok := reps[0].Append(logobj.MsgDatum(1)).Wait(); !ok {
 		t.Fatalf("seed append failed")
 	}
 	if !reps[2].SyncWait(1, 2*time.Second) {
@@ -118,7 +118,7 @@ func TestChaosPartitionedReplicaBlocksThenCatchesUp(t *testing.T) {
 	c.Isolate(2)
 	blocked := make(chan bool, 1)
 	go func() {
-		_, ok := reps[2].Append(logobj.MsgDatum(99))
+		_, ok := reps[2].Append(logobj.MsgDatum(99)).Wait()
 		blocked <- ok
 	}()
 	select {
@@ -131,7 +131,7 @@ func TestChaosPartitionedReplicaBlocksThenCatchesUp(t *testing.T) {
 	// The majority keeps appending; the isolated replica must not see any
 	// of it (safety: its log stays a frozen prefix).
 	for i := msg.ID(2); i <= 4; i++ {
-		if _, ok := reps[0].Append(logobj.MsgDatum(i)); !ok {
+		if _, ok := reps[0].Append(logobj.MsgDatum(i)).Wait(); !ok {
 			t.Fatalf("majority append %d failed", i)
 		}
 	}

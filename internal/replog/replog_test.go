@@ -87,11 +87,11 @@ func TestEmptyBatchIsNoop(t *testing.T) {
 func TestAppendReplicates(t *testing.T) {
 	nw, reps := cluster(3)
 	defer nw.Close()
-	pos, ok := reps[0].Append(logobj.MsgDatum(1))
+	pos, ok := reps[0].Append(logobj.MsgDatum(1)).Wait()
 	if !ok || pos != 1 {
 		t.Fatalf("append: pos=%d ok=%v", pos, ok)
 	}
-	pos2, ok := reps[1].Append(logobj.MsgDatum(2))
+	pos2, ok := reps[1].Append(logobj.MsgDatum(2)).Wait()
 	if !ok || pos2 != 2 {
 		t.Fatalf("second append from another replica: pos=%d ok=%v", pos2, ok)
 	}
@@ -107,9 +107,9 @@ func TestAppendReplicates(t *testing.T) {
 func TestBumpAndLockReplicates(t *testing.T) {
 	nw, reps := cluster(3)
 	defer nw.Close()
-	reps[0].Append(logobj.MsgDatum(1))
-	if !reps[1].BumpAndLock(logobj.MsgDatum(1), 7) {
-		t.Fatalf("bump failed")
+	reps[0].Append(logobj.MsgDatum(1)).Wait()
+	if pos, ok := reps[1].BumpAndLock(logobj.MsgDatum(1), 7).Wait(); !ok || pos != 7 {
+		t.Fatalf("bump = %d, %v, want 7, true", pos, ok)
 	}
 	if !reps[0].SyncWait(2, time.Second) {
 		t.Fatalf("replica 0 did not catch up")
@@ -134,7 +134,7 @@ func TestConcurrentAppendsAgree(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				reps[p].Append(logobj.MsgDatum(msg.ID(10*p + i + 1)))
+				reps[p].Append(logobj.MsgDatum(msg.ID(10*p + i + 1))).Wait()
 			}
 		}(p)
 	}
@@ -143,7 +143,7 @@ func TestConcurrentAppendsAgree(t *testing.T) {
 	// earlier slot, so after its fence decides it has applied all 15
 	// concurrent appends (decide broadcasts alone may still be in flight).
 	for p := 0; p < 3; p++ {
-		if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(100 + p))); !ok {
+		if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(100 + p))).Wait(); !ok {
 			t.Fatalf("fence append failed at replica %d", p)
 		}
 	}
@@ -173,10 +173,10 @@ func TestConcurrentAppendsAgree(t *testing.T) {
 func TestMinorityCrashKeepsAvailability(t *testing.T) {
 	nw, reps := cluster(5)
 	defer nw.Close()
-	reps[0].Append(logobj.MsgDatum(1))
+	reps[0].Append(logobj.MsgDatum(1)).Wait()
 	nw.Crash(3)
 	nw.Crash(4)
-	pos, ok := reps[1].Append(logobj.MsgDatum(2))
+	pos, ok := reps[1].Append(logobj.MsgDatum(2)).Wait()
 	if !ok || pos != 2 {
 		t.Fatalf("append after minority crash: pos=%d ok=%v", pos, ok)
 	}
@@ -196,7 +196,7 @@ func TestForwardToLeaderBatches(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(10*p + i + 1))); !ok {
+				if _, ok := reps[p].Append(logobj.MsgDatum(msg.ID(10*p + i + 1))).Wait(); !ok {
 					t.Errorf("append at follower %d failed", p)
 				}
 			}
@@ -215,7 +215,7 @@ func TestForwardFallbackWhenLeaderDead(t *testing.T) {
 	nw, reps := cluster(3)
 	defer nw.Close()
 	nw.Crash(0)
-	pos, ok := reps[1].Append(logobj.MsgDatum(1))
+	pos, ok := reps[1].Append(logobj.MsgDatum(1)).Wait()
 	if !ok || pos != 1 {
 		t.Fatalf("append with dead leader: pos=%d ok=%v", pos, ok)
 	}
@@ -237,7 +237,7 @@ func TestForwardNackMutes(t *testing.T) {
 		node := paxos.StartNode(nw, groups.Process(p))
 		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader)
 	}
-	if _, ok := reps[1].Append(logobj.MsgDatum(1)); !ok {
+	if _, ok := reps[1].Append(logobj.MsgDatum(1)).Wait(); !ok {
 		t.Fatalf("append via NACK path failed")
 	}
 	deadline := time.Now().Add(time.Second)
@@ -249,7 +249,7 @@ func TestForwardNackMutes(t *testing.T) {
 	}
 	// Muted, the next ops take the local fast path: well under patience.
 	start := time.Now()
-	if _, ok := reps[1].Append(logobj.MsgDatum(2)); !ok {
+	if _, ok := reps[1].Append(logobj.MsgDatum(2)).Wait(); !ok {
 		t.Fatalf("append while muted failed")
 	}
 	if el := time.Since(start); el >= fwdPatience {
@@ -267,7 +267,7 @@ func TestIdempotentHelp(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			reps[p].Append(logobj.MsgDatum(1))
+			reps[p].Append(logobj.MsgDatum(1)).Wait()
 		}(p)
 	}
 	wg.Wait()

@@ -175,7 +175,12 @@ func TestTCPCoalescedFlushCounters(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		recvPacket(t, f.Inbox(1))
 	}
+	// The write loop counts a flush after conn.Write returns, and the reader
+	// can hand over the last frames before it gets that far: give it a moment.
 	rep := f.WireReport()
+	for deadline := time.Now().Add(2 * time.Second); rep.FlushedFrames < burst && time.Now().Before(deadline); rep = f.WireReport() {
+		time.Sleep(time.Millisecond)
+	}
 	if rep.Flushes == 0 || rep.FlushedFrames < burst {
 		t.Fatalf("flush counters missed the burst: %+v", rep)
 	}
