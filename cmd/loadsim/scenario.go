@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/benchfmt"
@@ -40,6 +41,12 @@ var mildFaults = chaos.Faults{
 	Dup:      0.01,
 	DelayMax: 300 * time.Microsecond,
 }
+
+// idleLinger is how long a delivered run is held in silence before it is
+// stopped, to read what an idle stack costs (idle_packets_per_s,
+// idle_cpu_ms_per_s): the tail of the run's own stragglers and, after them,
+// whatever still ticks when nobody multicasts.
+const idleLinger = time.Second
 
 // minTailSamples is the sample floor of a tail percentile column: with
 // fewer samples beyond the percentile it is the maximum under another name,
@@ -228,11 +235,21 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 		lastAt = a.At
 	}
 	ok := sys.AwaitDelivery(timeout)
+	var idle silence
+	if ok {
+		idle = linger(sys)
+	}
 	sys.Stop()
 	if err := e.replayWALs(rec.WAL()); err != nil {
 		return benchfmt.LiveRow{}, err
 	}
 	rep := sys.Report()
+	// The linger is not part of the run: its span and its packets come off
+	// the report, so throughput and packets/delivery read as they always did.
+	rep.Wall -= idle.span
+	if rep.Net != nil {
+		rep.Net.Packets -= idle.packets
+	}
 	if !ok {
 		return benchfmt.LiveRow{}, fmt.Errorf("delivery incomplete after %v (%d multicasts, %d deliveries)",
 			timeout, rep.Multicasts, rep.Deliveries)
@@ -282,5 +299,39 @@ func runScenario(sc workload.Scenario, seed int64, transport string, timeout tim
 	if lastAt > 0 {
 		row.OfferedPerSec = float64(sc.Count) / lastAt.Seconds()
 	}
+	if secs := idle.span.Seconds(); secs > 0 {
+		row.IdlePacketsPerS = float64(idle.packets) / secs
+		row.IdleCPUMsPerS = float64(idle.cpu) / float64(time.Millisecond) / secs
+	}
 	return row, nil
+}
+
+// silence is what a delivered system did while nobody multicast: for how
+// long it was held, the packets it sent and the CPU this process burnt.
+type silence struct {
+	span    time.Duration
+	packets int64
+	cpu     time.Duration
+}
+
+// linger holds the delivered system in silence for idleLinger.
+func linger(sys *live.System) silence {
+	packets := func() int64 {
+		if nr, ok := sys.Net.(obs.NetReporter); ok {
+			return nr.NetReport().Packets
+		}
+		return 0
+	}
+	p0, c0, t0 := packets(), cpuTime(), time.Now()
+	time.Sleep(idleLinger)
+	return silence{span: time.Since(t0), packets: packets() - p0, cpu: cpuTime() - c0}
+}
+
+// cpuTime is the user and system CPU time this process has used.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0 // both reads fail alike: the column reads 0 and is left out
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

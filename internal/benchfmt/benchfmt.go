@@ -115,6 +115,10 @@ type LiveRow struct {
 	StepsPerDelivery   float64 `json:"steps_per_delivery,omitempty"`
 	Scans              int64   `json:"scans,omitempty"`
 	IdleWork           int64   `json:"idle_work,omitempty"`
+	// What silence costs: packets sent and CPU burnt per second over the
+	// linger after the last delivery, while nothing is multicast.
+	IdlePacketsPerS float64 `json:"idle_packets_per_s,omitempty"`
+	IdleCPUMsPerS   float64 `json:"idle_cpu_ms_per_s,omitempty"`
 }
 
 // Column is one measured column seen from both sides of a comparison. A

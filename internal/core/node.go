@@ -52,8 +52,9 @@ type Node struct {
 	// landing mid-scan (its guard effect possibly unseen) then fails the
 	// next canSkip version check instead of being silently absorbed into
 	// the certificate. preVers is the pre-scan scratch buffer. dirty is set
-	// from outside the stepping goroutine (Multicast) to force the next
-	// Step to scan regardless.
+	// from outside the stepping goroutine (Multicast, Rescan) to force the next
+	// Step to scan regardless; a scan pass consumes it before it reads the
+	// outbox, so one that is set when the pass ends was set during it.
 	snapVers  []int64
 	preVers   []int64
 	snapValid bool
@@ -197,7 +198,7 @@ func (n *Node) Multicast(m *msg.Message) {
 	n.boxMu.Unlock()
 	// The enqueue enables tryMulticast without touching any log, so the
 	// version-snapshot skip certificate no longer covers the guard inputs.
-	n.dirty.Store(true)
+	n.Rescan()
 }
 
 // Phase returns the local phase of m.
@@ -260,6 +261,11 @@ func (n *Node) Step(ctx *engine.Ctx) bool {
 // scanPass is one guard pass of Step: it reports whether an action fired,
 // and captures the skip certificate when none did.
 func (n *Node) scanPass(ctx *engine.Ctx) bool {
+	// Consumed here, before the outbox is read — not in canSkip, which a node
+	// without a certificate never reaches: the flag then stayed up for ever
+	// and vetoed every later capture. An enqueue landing mid-pass raises it
+	// again and vetoes this pass's.
+	n.dirty.Store(false)
 	n.preScanVersions()
 	n.discover()
 	if n.tryMulticast(ctx) {
@@ -283,7 +289,7 @@ func (n *Node) scanPass(ctx *engine.Ctx) bool {
 			// skip certificate.
 			timeSensitive++
 		}
-		if fired || !n.gateOK(ctx, n.sh.Reg.Get(id).Dst) {
+		if !n.gateOK(ctx, n.sh.Reg.Get(id).Dst) {
 			continue
 		}
 		switch ph {
@@ -299,6 +305,14 @@ func (n *Node) scanPass(ctx *engine.Ctx) bool {
 			fired = n.tryStabilize(ctx, id) || n.tryStable(ctx, id)
 		case PhaseStable:
 			fired = n.tryDeliver(ctx, id)
+		}
+		if fired {
+			// One action per pass, and it is done: the rest of the set moves
+			// down unexamined (a delivered straggler in it is retired by a
+			// later pass). Walking it would make every pass of a process that
+			// has fallen behind cost its whole backlog.
+			w += copy(n.active[w:], n.active[i+1:])
+			break
 		}
 	}
 	n.active = n.active[:w]
@@ -336,7 +350,7 @@ func (n *Node) canSkip() bool {
 	if !n.snapValid || n.sh.Opt.QuorumGate {
 		return false
 	}
-	if n.dirty.Swap(false) {
+	if n.dirty.Load() {
 		n.snapValid = false
 		return false
 	}
@@ -348,6 +362,19 @@ func (n *Node) canSkip() bool {
 	}
 	return true
 }
+
+// Quiescent reports whether the node holds a skip certificate: its last pass
+// fired nothing, no message of its scan set sits in a time-gated phase and no
+// request was enqueued since. Such a node has nothing to do until one of its
+// logs changes or a request arrives — both wake it — so the live runner
+// parks it without a timer. Call from the stepping goroutine only.
+func (n *Node) Quiescent() bool { return n.snapValid }
+
+// Rescan makes the next Step scan whatever certificate the node holds: for a
+// guard input that moved and is neither a log version nor time — the outbox,
+// or L_g when another daemon's sender registers in it. Safe from any
+// goroutine.
+func (n *Node) Rescan() { n.dirty.Store(true) }
 
 // preScanVersions records every log handle's version before the guard pass
 // evaluates anything. Only these pre-scan values may become the skip
@@ -387,7 +414,7 @@ func (n *Node) captureSnap(timeSensitive int) {
 // seen messages enter the phase map at PhaseStart and join the active scan
 // set, which stays sorted by ID (the scan order of Step).
 func (n *Node) discover() {
-	added := false
+	unsorted := false
 	for _, g := range n.myGroups {
 		from := n.hw[g]
 		ids := n.groupLog(g).MessagesSince(from)
@@ -400,11 +427,15 @@ func (n *Node) discover() {
 				continue
 			}
 			n.phase[id] = PhaseStart
+			// IDs mostly arrive in order; sorting a long backlog on every
+			// arrival is what a process that has fallen behind cannot afford.
+			if k := len(n.active); k > 0 && id < n.active[k-1] {
+				unsorted = true
+			}
 			n.active = append(n.active, id)
-			added = true
 		}
 	}
-	if added {
+	if unsorted {
 		sort.Slice(n.active, func(i, j int) bool { return n.active[i] < n.active[j] })
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/groups"
 	"repro/internal/obs"
@@ -57,5 +58,39 @@ func TestScanSetBoundedSoak(t *testing.T) {
 	t.Logf("guard visits per delivery: %.2f", perDelivery)
 	if sched.GuardVisits == 0 || perDelivery > 300 {
 		t.Errorf("%.2f guard visits per delivery over %d messages, want under 300: some guard rescans history", perDelivery, msgs)
+	}
+}
+
+// TestSenderRegainsSkipCertificate: a node that has sent a multicast must
+// get its skip certificate back once the message is delivered. Multicast
+// raises the dirty flag; it used to be consumed only by a node that already
+// held a certificate, and a raised flag vetoed every capture — so on a node
+// without one (any node at its first request) the flag stayed up for ever,
+// every later Step was a full scan, and the live runner's node never
+// qualified for a timerless park.
+func TestSenderRegainsSkipCertificate(t *testing.T) {
+	topo := groups.Figure1()
+	rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters})
+	s := NewSystem(topo, failure.NewPattern(topo.NumProcesses()), Options{Rec: rec}, 7)
+	const sender = groups.Process(0)
+	s.Multicast(sender, 0, nil) // the sender's first Step has not run: no certificate yet
+	if !s.Run() {
+		t.Fatal("run did not quiesce")
+	}
+	if got := len(s.DeliveredAt(sender)); got != 1 {
+		t.Fatalf("sender delivered %d messages, want 1", got)
+	}
+	n := s.Node(sender)
+	before := *rec.Report().Sched
+	if n.Step(&engine.Ctx{Now: s.Eng.Now(), E: s.Eng}) {
+		t.Fatal("a step fired after quiescence")
+	}
+	after := *rec.Report().Sched
+	if !n.Quiescent() {
+		t.Error("sender holds no skip certificate after its message is delivered")
+	}
+	if after.Scans != before.Scans || after.SkippedScans != before.SkippedScans+1 {
+		t.Errorf("step after quiescence: scans %d → %d, skipped %d → %d; want one skipped scan and no full one",
+			before.Scans, after.Scans, before.SkippedScans, after.SkippedScans)
 	}
 }

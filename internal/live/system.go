@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,14 +20,16 @@ import (
 
 // Stepping cadence.
 const (
-	// tickEvery maps wall time to failure.Time: one tick per interval.
-	// Detector stabilisation and crash schedules key on ticks.
+	// tickEvery maps wall time to failure.Time: one tick per interval since
+	// Start. Detector stabilisation and crash schedules key on ticks.
 	tickEvery = time.Millisecond
-	// heartbeat is the safety-net rescan interval. Stepping is wakeup-driven
-	// — replica applies and local enqueues wake the owning node — so the
-	// timer only covers guards gated on time alone: γ(g) and the §6.1
-	// indicators move with the failure pattern, never with a shared object,
-	// so nothing else re-opens them after a crash.
+	// heartbeat is the rescan interval of a node that is waiting for time.
+	// Stepping is wakeup-driven — replica applies and local enqueues wake
+	// the owning node — so the timer covers only guards gated on time
+	// alone: γ(g) and the §6.1 indicators move with the failure pattern,
+	// never with a shared object, so nothing else re-opens them. It is armed
+	// while the node holds no skip certificate (core.Node.Quiescent), which
+	// a message in a time-gated phase denies it, and at no other time.
 	heartbeat = 5 * time.Millisecond
 )
 
@@ -79,13 +82,15 @@ type System struct {
 	Nodes []*core.Node
 	Net   net.Transport
 
-	be   *Backend
-	cfg  Config
-	mem  Membership
-	tick atomic.Int64
-	stop chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	be  *Backend
+	cfg Config
+	mem Membership
+	// started is when Start ran, nil before. Nobody advances the clock:
+	// now() divides the time since.
+	started atomic.Pointer[time.Time]
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	once    sync.Once
 
 	// wakeCh holds one capacity-1 wakeup channel per owned process (nil for
 	// the rest). A send is level-triggered: a wakeup arriving while the node
@@ -192,8 +197,14 @@ func (s *System) deliveryCh() <-chan struct{} {
 	return s.dch
 }
 
-// now is the backend's clock: the current tick.
-func (s *System) now() failure.Time { return failure.Time(s.tick.Load()) }
+// now is the backend's clock: the current tick, 0 until Start.
+func (s *System) now() failure.Time {
+	at := s.started.Load()
+	if at == nil {
+		return 0
+	}
+	return failure.Time(time.Since(*at) / tickEvery)
+}
 
 // Now returns the current tick (drivers use it to schedule multicasts
 // relative to the crash schedule).
@@ -205,20 +216,31 @@ func (s *System) owns(p groups.Process) bool {
 	return s.mem.Owns(p)
 }
 
-// Start launches the ticker and one stepping goroutine per owned process.
+// Start starts the clock and launches one stepping goroutine per owned
+// process, plus one that enacts the crash schedule if there is one.
 func (s *System) Start() {
 	// A crash scheduled at tick 0 means failed-from-the-beginning: enact it
-	// before any stepper runs. Waiting for the first clock tick would give
-	// the process ~tickEvery of life — enough for the batched hot path to
-	// commit a whole run before the "initial" crash lands.
+	// before any stepper runs. Any life at all would be enough for the
+	// batched hot path to commit a whole run before the "initial" crash
+	// lands.
+	var crashes []groups.Process
 	for p := 0; p < s.Topo.NumProcesses(); p++ {
 		pp := groups.Process(p)
-		if ct := s.Pat.CrashTime(pp); ct != failure.Never && ct <= 0 {
+		switch ct := s.Pat.CrashTime(pp); {
+		case ct == failure.Never:
+		case ct <= 0:
 			s.Net.Crash(pp)
+		default:
+			crashes = append(crashes, pp)
 		}
 	}
-	s.wg.Add(1)
-	go s.runClock()
+	start := time.Now()
+	s.started.Store(&start)
+	if len(crashes) > 0 {
+		sort.Slice(crashes, func(i, j int) bool { return s.Pat.CrashTime(crashes[i]) < s.Pat.CrashTime(crashes[j]) })
+		s.wg.Add(1)
+		go s.runCrashes(start, crashes)
+	}
 	for p := range s.Nodes {
 		if !s.owns(groups.Process(p)) {
 			continue
@@ -228,37 +250,39 @@ func (s *System) Start() {
 	}
 }
 
-// runClock advances the tick and applies the failure pattern's crash
-// schedule to the transport: at its crash tick a process goes silent
-// (fail-stop), exactly what the detectors' histories assume.
-func (s *System) runClock() {
+// runCrashes applies the failure pattern's crash schedule (processes in
+// crash-time order) to the transport: at its crash tick a process goes
+// silent (fail-stop), exactly what the detectors' histories assume. One
+// timer per scheduled crash, and every owned node is woken when it fires:
+// γ and the §6.1 indicators move with the pattern, so a node waiting on them
+// re-evaluates at once instead of at its next heartbeat, and the crashed
+// process's own stepper, which may be parked without a timer, sees the crash
+// and exits.
+func (s *System) runCrashes(start time.Time, crashes []groups.Process) {
 	defer s.wg.Done()
-	t := time.NewTicker(tickEvery)
-	defer t.Stop()
-	crashed := make(map[groups.Process]bool)
-	for {
+	for _, p := range crashes {
+		timer := time.NewTimer(time.Until(start.Add(time.Duration(s.Pat.CrashTime(p)) * tickEvery)))
 		select {
 		case <-s.stop:
+			timer.Stop()
 			return
-		case <-t.C:
-			now := failure.Time(s.tick.Add(1))
-			for p := 0; p < s.Topo.NumProcesses(); p++ {
-				pp := groups.Process(p)
-				ct := s.Pat.CrashTime(pp)
-				if ct != failure.Never && now >= ct && !crashed[pp] {
-					crashed[pp] = true
-					s.Net.Crash(pp)
-				}
-			}
+		case <-timer.C:
+		}
+		s.Net.Crash(p)
+		for q := range s.wakeCh {
+			s.wake(groups.Process(q))
 		}
 	}
 }
 
 // runNode steps one node until shutdown (or its crash). Stepping is
 // wakeup-driven: drain every enabled action, then sleep until a replica
-// apply or client enqueue wakes the node — or the heartbeat fires, covering
-// the guards gated on time alone (see heartbeat). A step that blocks
-// inside a shared-object operation is unblocked by Net.Close at Stop.
+// apply, a client enqueue or a scheduled crash wakes the node. A node that
+// holds a skip certificate parks without a timer — every input of its
+// guards that can move wakes it (DESIGN.md §12); one that does not, because
+// a message sits in a time-gated phase, rescans every heartbeat. A step
+// that blocks inside a shared-object operation is unblocked by Net.Close at
+// Stop.
 func (s *System) runNode(p groups.Process) {
 	defer s.wg.Done()
 	n := s.Nodes[p]
@@ -290,19 +314,23 @@ func (s *System) runNode(p groups.Process) {
 				return
 			}
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+		var beat <-chan time.Time
+		if !n.Quiescent() {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
 			}
+			timer.Reset(heartbeat)
+			beat = timer.C
 		}
-		timer.Reset(heartbeat)
 		select {
 		case <-s.stop:
 			return
 		case <-wake:
 			obs.Inc(&sched.NotifyWakeups)
-		case <-timer.C:
+		case <-beat:
 			obs.Inc(&sched.TimerWakeups)
 		}
 	}
@@ -336,8 +364,19 @@ func (s *System) Announce(src groups.Process, dst groups.GroupID, payload []byte
 
 // AnnounceClassed is Announce with an explicit conflict-class tag; peer
 // daemons must pass the same tag as the owning daemon's MulticastClassed.
+//
+// The registration grows L_dst, which the senders' group-sequential gate
+// reads and no log version covers, so the owned members of dst are made to
+// rescan and woken: a parked node has no timer that would do it later.
 func (s *System) AnnounceClassed(src groups.Process, dst groups.GroupID, payload []byte, class msg.Class) *msg.Message {
-	return s.Sh.RequestClassed(src, dst, payload, class, s.now())
+	m := s.Sh.RequestClassed(src, dst, payload, class, s.now())
+	for _, p := range s.Topo.Group(dst).Members() {
+		if s.owns(p) {
+			s.Nodes[p].Rescan()
+			s.wake(p)
+		}
+	}
+	return m
 }
 
 // allDelivered mirrors the Termination checker's obligation: every
@@ -382,31 +421,21 @@ func (s *System) AwaitDelivery(timeout time.Duration) bool {
 // The wait is broadcast-driven, not a poll: every local delivery closes the
 // broadcast channel, and the channel is fetched before the predicate is
 // evaluated, so a delivery landing between the check and the sleep still
-// wakes the waiter. A coarse fallback timer covers deliveries this instance
-// cannot observe directly (none today — allDelivered only inspects owned
-// processes — but it keeps the wait robust to future remote signals).
+// wakes the waiter. Nothing else can make the predicate true — it inspects
+// owned processes only, and a registration can only make it false — so
+// there is no timer.
 func (s *System) AwaitDeliveryCtx(ctx context.Context) bool {
-	fallback := time.NewTimer(100 * time.Millisecond)
-	defer fallback.Stop()
 	for {
 		ch := s.deliveryCh()
 		if s.allDelivered() {
 			return true
 		}
-		if !fallback.Stop() {
-			select {
-			case <-fallback.C:
-			default:
-			}
-		}
-		fallback.Reset(100 * time.Millisecond)
 		select {
 		case <-ctx.Done():
 			return false
 		case <-s.stop:
 			return s.allDelivered()
 		case <-ch:
-		case <-fallback.C:
 		}
 	}
 }
@@ -465,7 +494,7 @@ func (s *System) Report() obs.RunReport {
 	rep.Backend = "live"
 	rep.Processes = s.Topo.NumProcesses()
 	rep.Groups = s.Topo.NumGroups()
-	rep.Ticks = s.tick.Load()
+	rep.Ticks = int64(s.now())
 	if nr, ok := s.Net.(obs.NetReporter); ok {
 		rep.Net = nr.NetReport()
 	}

@@ -466,7 +466,9 @@ type PaxosCounters struct {
 // (Applies), consensus slots proposed by the batching submit loop (Batches)
 // and the operations those slots carried (BatchedOps), operations forwarded
 // to a realm's leaseholder (FwdOps) and forwarded operations accepted into
-// the local batcher (RemoteOps).
+// the local batcher (RemoteOps); anti-entropy probes sent on evidence that
+// the awaited slot exists (Hedges) and the idle backstop's trickle
+// (IdleProbes) — together the paxos block's Probes of a live run.
 type ReplogCounters struct {
 	Applies    int64 `json:"applies"`
 	Submits    int64 `json:"submits"`
@@ -474,6 +476,8 @@ type ReplogCounters struct {
 	BatchedOps int64 `json:"batched_ops"`
 	FwdOps     int64 `json:"fwd_ops,omitempty"`
 	RemoteOps  int64 `json:"remote_ops,omitempty"`
+	Hedges     int64 `json:"hedges,omitempty"`
+	IdleProbes int64 `json:"idle_probes,omitempty"`
 }
 
 // MeanBatchOps is the mean operations per proposed batch — the lever that

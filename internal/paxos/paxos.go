@@ -332,9 +332,14 @@ type Node struct {
 	wins     map[InstanceID]*winSlot
 	winDepth map[realmKey]int
 
-	// hmu guards the extra-handler table (Mount).
+	// hmu guards the extra-handler table (Mount) and serialises writers of
+	// the realm-watch list (WatchRealm).
 	hmu      sync.RWMutex
 	handlers map[net.MsgType]Handler
+	// watches is read on every vote and decision: an immutable list behind an
+	// atomic pointer (a node hosts a handful of realms, so a scan beats a
+	// hash), replaced whole by WatchRealm.
+	watches atomic.Pointer[[]realmWatch]
 
 	// propMu guards the proposer's durable ballot high-water mark (see
 	// claimBallot): the one piece of proposer state that must survive a
@@ -397,6 +402,65 @@ func (n *Node) Mount(t net.MsgType, mk func() Handler) Handler {
 	h := mk()
 	n.handlers[t] = h
 	return h
+}
+
+// WatchRealm registers saw as the observer of one realm: it is called with
+// the slot whenever this node's acceptor votes in the realm or the node
+// learns a decision of it — the two events that tell a passive learner a
+// slot exists. It runs on whichever goroutine made the transition (the
+// message loop, a proposer), outside the node's locks, and must be cheap and
+// non-blocking. One observer per realm; what the node already holds for the
+// realm (recovered from the WAL, or voted before the caller existed) is
+// reported once, as its highest slot, before WatchRealm returns.
+func (n *Node) WatchRealm(space uint8, realm uint64, saw func(slot int64)) {
+	rk := realmKey{Space: space, Realm: realm}
+	n.hmu.Lock()
+	var ws []realmWatch
+	if old := n.watches.Load(); old != nil {
+		ws = append(ws, *old...)
+	}
+	ws = append(ws, realmWatch{realm: rk, saw: saw})
+	n.watches.Store(&ws)
+	n.hmu.Unlock()
+	top := int64(-1)
+	n.acc.mu.Lock()
+	for id, av := range n.acc.accepted {
+		if av.Has && id.realm() == rk && id.Slot > top {
+			top = id.Slot
+		}
+	}
+	n.acc.mu.Unlock()
+	n.mu.Lock()
+	for id := range n.decided {
+		if id.realm() == rk && id.Slot > top {
+			top = id.Slot
+		}
+	}
+	n.mu.Unlock()
+	if top >= 0 {
+		saw(top)
+	}
+}
+
+// realmWatch is one registered realm observer.
+type realmWatch struct {
+	realm realmKey
+	saw   func(slot int64)
+}
+
+// sawSlot tells the realm's observer, if there is one, that inst exists.
+func (n *Node) sawSlot(inst InstanceID) {
+	ws := n.watches.Load()
+	if ws == nil {
+		return
+	}
+	rk := inst.realm()
+	for _, w := range *ws {
+		if w.realm == rk {
+			w.saw(inst.Slot)
+			return
+		}
+	}
 }
 
 // StartNode launches the node's message loop: memory-only, uncounted.
@@ -601,6 +665,9 @@ func (n *Node) handleAccept(body AcceptReq) AcceptResp {
 		n.walAccept(body.Inst, body.Ballot, body.Val)
 	}
 	a.mu.Unlock()
+	if ok {
+		n.sawSlot(body.Inst)
+	}
 	return AcceptResp{Inst: body.Inst, Ballot: body.Ballot, OK: ok, Promised: floor}
 }
 
@@ -619,6 +686,7 @@ func (n *Node) recordDecision(inst InstanceID, v Value) {
 	n.mu.Unlock()
 	if !seen {
 		n.clearPin(inst)
+		n.sawSlot(inst)
 	}
 }
 

@@ -27,9 +27,10 @@ import (
 // sequential spec's no-op; losing or duplicating a forward costs latency,
 // never safety.
 const (
-	// fwdResend is how often a follower re-sends its still-pending ops to
-	// the leaseholder: the frame is fire-and-forget, so a drop is repaired
-	// by the next resend rather than an ack protocol.
+	// fwdResend is the least interval at which a follower re-sends its
+	// still-pending ops to the leaseholder: the frame is fire-and-forget, so
+	// a drop is repaired by the next resend rather than an ack protocol. The
+	// interval in force is resendEvery.
 	fwdResend = 4 * time.Millisecond
 	// fwdPatience is how long an op may ride the forwarding hint before the
 	// follower proposes it locally — the liveness backstop, sized to a few
@@ -43,6 +44,19 @@ const (
 	// leadership change — is picked up again.
 	fwdMuteFor = 2 * time.Second
 )
+
+// resendEvery is the resend interval in force: a forwarded op that is merely
+// on its way — forward, accept round, decide — is not re-sent, so the
+// interval follows the evidence→decision time this replica observes
+// (hedgeDelay, the apply loop's estimator, margin included) and never drops
+// below fwdResend. It is not stretched further: one resend must still have
+// time to land before fwdPatience runs out.
+func (r *Replica) resendEvery() time.Duration {
+	if d := r.hedgeDelay(); d > fwdResend {
+		return d
+	}
+	return fwdResend
+}
 
 // fwdMux fans TReplogFwd frames arriving at one paxos node out to the
 // replicas hosted on it, by realm. The node's message loop is the single
@@ -179,6 +193,7 @@ next:
 		case r.kick <- struct{}{}:
 		default:
 		}
+		r.armHedge()
 	}
 }
 

@@ -3,6 +3,7 @@ package replog
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/logobj"
 	"repro/internal/msg"
@@ -34,10 +35,19 @@ func TestStoppedClustersAreCollectable(t *testing.T) {
 				t.Fatalf("round %d: append %d failed", r, i)
 			}
 		}
+		// The cluster is garbage once its goroutines are gone, not when the
+		// network closes: a loop still unwinding pins its replica, log and
+		// queue. And once the runtime has let go of the last rounds' deadline
+		// timers: stopped, they sit in its heap until they would have fired
+		// (paxos' phase deadline, 10 ms) and reach the node through their
+		// closure. Measured straight after Close, one run in fifty read a
+		// round's worth over the slack, at the parent commit too.
 		nw.Close()
 		for _, rep := range reps {
 			rep.node.Wait()
+			rep.Wait()
 		}
+		time.Sleep(25 * time.Millisecond) // two phase deadlines and some
 		heap[r] = heapAfter()
 	}
 	// Round 0 pays for lazily initialised runtime and package state; from

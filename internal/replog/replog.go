@@ -62,18 +62,19 @@ type Op struct {
 // above the steady-state batch size even under the open-throttle bench.
 const maxBatchOps = 64
 
-// nudgeEvery is how soon a replica stuck waiting on an undecided slot
-// first broadcasts an anti-entropy probe: the decide broadcast for the slot
-// may have been dropped by an adversarial fabric, and some peer (the
-// proposer at least) knows the decision. Probes back off exponentially to
-// probeCap while the slot stays undecided — an idle log's tail slot is
-// indistinguishable from a stalled one, and without the backoff every
-// replica floods the scope with probes whenever the log is merely quiet.
-// The backoff resets each time a slot is applied, so active streams keep
-// the fast first probe and idle logs cost a bounded trickle.
+// Anti-entropy timing. A replica waiting at its frontier slot probes the
+// scope for the decision only while it has evidence that the slot exists
+// (see evidence); the first such hedge comes hedgeDelay after the evidence
+// — twice the evidence→decision interval this replica has been observing,
+// no sooner than nudgeEvery and no later than probeCap — and later ones back
+// off by doubling up to probeCap. Without evidence the tail of the log is
+// quiet, not stalled: the loop parks and sends one probe per idleProbe, the
+// backstop for "accept and decide both lost, then the log went idle", which
+// bounds the healing time of that case by idleProbe plus a round trip.
 const (
 	nudgeEvery = 2 * time.Millisecond
 	probeCap   = 64 * time.Millisecond
+	idleProbe  = time.Second
 )
 
 // wstate is the lifecycle of one queued operation.
@@ -151,6 +152,23 @@ type Replica struct {
 
 	kick   chan struct{} // wakes the submit loop on enqueue (cap 1)
 	winRes chan paxos.WindowResult
+
+	// Evidence plumbing of the apply loop (see awaitDecision). horizon is the
+	// highest slot of the realm this process's acceptor voted in or its node
+	// learnt a decision of, -1 before any. timer is the loop's one timer;
+	// idle is up while it waits on no evidence, and whoever produces evidence
+	// then lowers the flag and re-arms the timer to the hedge delay itself
+	// (armHedge) — no goroutine is woken for it — stamping evidentAt, the
+	// monotonic time of the evidence the wait in progress rests on (0: none,
+	// or not timed). srtt is the smoothed evidence→decision interval in
+	// nanoseconds (0: no sample yet).
+	horizon   atomic.Int64
+	timer     *time.Timer
+	idle      atomic.Bool
+	evidentAt atomic.Int64
+	srtt      atomic.Int64
+
+	loops sync.WaitGroup // the apply and submit loops
 }
 
 // Observe makes the replica count into c (non-nil). Safe to call while the
@@ -206,6 +224,7 @@ func NewReplica(name string, realm uint64, p groups.Process, node *paxos.Node, n
 		leader: leader,
 		local:  logobj.New(name),
 		kick:   make(chan struct{}, 1),
+		timer:  time.NewTimer(time.Hour),
 		// One result per outstanding windowed round, plus the immediate
 		// resolutions ProposeWindowed may deliver inline: a channel this
 		// deep never blocks the node's message loop.
@@ -235,10 +254,17 @@ func NewReplica(name string, realm uint64, p groups.Process, node *paxos.Node, n
 		}
 	}
 	muxFor(node).add(realm, r)
+	r.horizon.Store(-1)
+	node.WatchRealm(paxos.SpaceLog, realm, r.sawSlot)
+	r.loops.Add(2)
 	go r.applyLoop()
 	go r.submitLoop()
 	return r
 }
+
+// Wait blocks until the replica's loops have exited, which they do once the
+// paxos node's message loop has (network shutdown).
+func (r *Replica) Wait() { r.loops.Wait() }
 
 // instID is the consensus-instance identity of a slot.
 func (r *Replica) instID(slot int) paxos.InstanceID {
@@ -246,46 +272,208 @@ func (r *Replica) instID(slot int) paxos.InstanceID {
 }
 
 // applyLoop drives the replica forward: await the decision of the next
-// unapplied slot, apply it, repeat. While a slot stays undecided it
-// periodically probes the peers (anti-entropy), covering dropped decide
-// broadcasts for slots this replica never proposes in.
+// unapplied slot, apply it, repeat. A slot whose decision does not come is
+// probed for (anti-entropy) only on evidence — see awaitDecision.
 func (r *Replica) applyLoop() {
-	timer := time.NewTimer(nudgeEvery)
-	defer timer.Stop()
+	defer r.loops.Done()
+	defer r.timer.Stop()
+	// behind: the previous slot had to be probed for, so this replica was
+	// lagging a moment ago — evidence enough for one hedge on the next slot,
+	// which keeps a catch-up moving at hedge pace instead of idleProbe's.
+	behind := false
 	for {
 		slot := r.Slot()
-		inst := r.instID(slot)
-		ch := r.node.Await(inst)
-		wait := nudgeEvery
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+		ch := r.node.Await(r.instID(slot))
+		select {
+		case v := <-ch: // already known: catching up, nothing to wait for
+			r.applyAt(slot, v)
+			continue
+		default:
 		}
-		timer.Reset(wait)
-	waiting:
-		for {
-			select {
-			case v := <-ch:
-				r.applyAt(slot, v)
-				break waiting
-			case <-r.node.Done():
-				return
-			case <-timer.C:
-				// Only probe when the slot is genuinely stalled; if a
-				// concurrent submit advanced us past it, re-resolve.
-				if r.Slot() > slot {
-					break waiting
-				}
-				r.node.RequestDecision(r.scope, inst)
-				if wait < probeCap {
-					wait *= 2
-				}
-				timer.Reset(wait)
-			}
+		var ok bool
+		if behind, ok = r.awaitDecision(slot, ch, behind); !ok {
+			return
 		}
 	}
+}
+
+// awaitDecision blocks until the decision of the frontier slot is learnt,
+// and applies it, or until some other path (the submit loop) has moved the
+// replica past the slot; ok is false at shutdown. probed reports whether the
+// decision came after a probe had gone out for it.
+//
+// The loop sleeps on one timer and asks itself what it is waiting for when
+// the timer runs out. While the replica has evidence that the slot exists it
+// hedges: a probe hedgeDelay after the evidence, then doubling up to
+// probeCap. Without evidence it runs the quiet wait, one probe per
+// idleProbe. Evidence is pulled here, when a wait begins and when the timer
+// expires; a producer pushes only to a loop on the quiet wait, and what it
+// pushes is the timer (armHedge) — the loop itself wakes for decisions and
+// expiries, nothing else, so a busy stream pays an atomic load per accept and
+// enqueue and one timer reset per idle→busy transition.
+func (r *Replica) awaitDecision(slot int, ch <-chan paxos.Value, behind bool) (probed, ok bool) {
+	inst := r.instID(slot)
+	wait := r.hedgeDelay()
+	switch {
+	case r.evidence(slot):
+		r.evidentAt.Store(mono())
+		resetTimer(r.timer, wait)
+	case behind:
+		r.goQuiet(slot, wait) // one hedge on lag alone, unless evidence re-bases it
+	default:
+		r.goQuiet(slot, idleProbe)
+	}
+	// hedged: a probe went out on evidence; asked: one went out on none (the
+	// trickle, or the one hedge lagging buys).
+	hedged, asked := false, false
+	for {
+		select {
+		case v := <-ch:
+			r.idle.Store(false)
+			at := r.evidentAt.Swap(0)
+			if at != 0 {
+				r.observe(time.Duration(mono() - at))
+			}
+			r.applyAt(slot, v)
+			// A probe on no evidence that evidence then followed went
+			// unanswered: the decision came the ordinary way.
+			return hedged || (asked && at == 0), true
+		case <-r.node.Done():
+			return false, false
+		case <-r.timer.C:
+			if r.Slot() > slot {
+				r.idle.Store(false)
+				return false, true
+			}
+			c := r.counters.Load()
+			if r.idle.CompareAndSwap(true, false) {
+				// The quiet wait ran out, and the timer is ours again.
+				if behind {
+					obs.Inc(&c.Hedges)
+					behind = false
+				} else {
+					obs.Inc(&c.IdleProbes)
+				}
+				r.node.RequestDecision(r.scope, inst)
+				asked = true
+				r.goQuiet(slot, idleProbe)
+				continue
+			}
+			// The flag is down: there is evidence, and it is wait old.
+			obs.Inc(&c.Hedges)
+			r.node.RequestDecision(r.scope, inst)
+			hedged = true
+			if wait *= 2; wait > probeCap {
+				wait = probeCap
+			}
+			resetTimer(r.timer, wait)
+		}
+	}
+}
+
+// goQuiet starts a wait of d on no evidence: arm the timer, then raise the
+// flag, then look again — evidence produced before the flag was up found
+// nobody to tell. From the flag on, the timer belongs to whoever lowers it.
+func (r *Replica) goQuiet(slot int, d time.Duration) {
+	resetTimer(r.timer, d)
+	r.evidentAt.Store(0)
+	r.idle.Store(true)
+	if r.evidence(slot) {
+		r.armHedge()
+	}
+}
+
+// evidence reports whether this replica has a reason to believe the frontier
+// slot exists: its acceptor voted for that slot or a later one of the realm,
+// a decision for a later slot is recorded (a gap) — both read off horizon —
+// or an operation is queued here, its own or one forwarded to it, which
+// only a further slot can satisfy.
+func (r *Replica) evidence(slot int) bool {
+	if r.horizon.Load() >= int64(slot) {
+		return true
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.queue) > 0
+}
+
+// sawSlot is the paxos node's realm observer (paxos.Node.WatchRealm): a vote
+// or a decision for slot. Every slot below the frontier is decided here, so
+// a horizon that rises has risen to the frontier or beyond.
+func (r *Replica) sawSlot(slot int64) {
+	for {
+		cur := r.horizon.Load()
+		if slot <= cur {
+			return
+		}
+		if r.horizon.CompareAndSwap(cur, slot) {
+			r.armHedge()
+			return
+		}
+	}
+}
+
+// armHedge turns a quiet wait into a hedging one: whoever lowers the flag
+// stamps the evidence and re-arms the loop's timer to the hedge delay. The
+// loop is not woken; it finds out when the timer expires, if no decision
+// came first. Callers have already made their evidence visible (horizon,
+// queue). A claim that races the loop moving to its next slot re-arms that
+// slot's timer early, which costs it one probe ahead of time.
+func (r *Replica) armHedge() {
+	if r.idle.Load() && r.idle.CompareAndSwap(true, false) {
+		r.evidentAt.Store(mono())
+		r.timer.Reset(r.hedgeDelay())
+	}
+}
+
+// epoch anchors mono.
+var epoch = time.Now()
+
+// mono is a monotonic clock reading in nanoseconds (never 0).
+func mono() int64 { return int64(time.Since(epoch)) + 1 }
+
+// observe folds one evidence→decision interval into the smoothed estimate
+// (gain 1/8). Slots that were hedged for count too: were they left out, an
+// estimate that has fallen below half the true interval would hedge every
+// slot and never see a sample again. A sample is capped at probeCap: beyond
+// it the hedge delay is pinned anyway, and one stall should not take eight
+// slots to forget.
+func (r *Replica) observe(d time.Duration) {
+	if d > probeCap {
+		d = probeCap
+	}
+	s := r.srtt.Load()
+	if s == 0 {
+		s = int64(d)
+	} else {
+		s += (int64(d) - s) / 8
+	}
+	r.srtt.Store(s)
+}
+
+// hedgeDelay is how long this replica waits on evidence before it asks:
+// twice the smoothed evidence→decision interval, within [nudgeEvery,
+// probeCap]. A slot that decides on time is never probed for.
+func (r *Replica) hedgeDelay() time.Duration {
+	d := 2 * time.Duration(r.srtt.Load())
+	if d < nudgeEvery {
+		return nudgeEvery
+	}
+	if d > probeCap {
+		return probeCap
+	}
+	return d
+}
+
+// resetTimer re-arms a timer whose channel may hold an unread expiry.
+func resetTimer(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // Started is an operation the replica has taken charge of: it is queued, and
@@ -360,6 +548,7 @@ func (r *Replica) enqueueLocked(o Op) Started {
 	case r.kick <- struct{}{}:
 	default:
 	}
+	r.armHedge()
 	return Started{r: r, w: w}
 }
 
@@ -372,6 +561,7 @@ func (r *Replica) enqueueLocked(o Op) Started {
 // decided prefix synchronously up to the highest fired slot so no hole
 // survives, then resume pipelining.
 func (r *Replica) submitLoop() {
+	defer r.loops.Done()
 	fired := make(map[int64]firedBatch)
 	next := 0
 	retry := time.NewTimer(time.Hour)
@@ -391,7 +581,7 @@ func (r *Replica) submitLoop() {
 			// forward.go) and keep them queued; only ops whose patience
 			// expired are proposed from here.
 			now := time.Now()
-			overdue, fwd, pending := r.splitPending(now, now.Sub(lastFwd) >= fwdResend)
+			overdue, fwd, pending := r.splitPending(now, now.Sub(lastFwd) >= r.resendEvery())
 			if len(fwd) > 0 {
 				obs.Add(&r.counters.Load().FwdOps, int64(len(fwd)))
 				r.nw.Send(r.p, lead, wire.TReplogFwd, FwdBatch{Realm: r.realm, Ops: fwd})
@@ -430,13 +620,7 @@ func (r *Replica) submitLoop() {
 			r.requeue(ws)
 		}
 		if armRetry {
-			if !retry.Stop() {
-				select {
-				case <-retry.C:
-				default:
-				}
-			}
-			retry.Reset(fwdResend)
+			resetTimer(retry, r.resendEvery())
 		}
 		select {
 		case res := <-r.winRes:
