@@ -1,5 +1,6 @@
-// Command benchtab regenerates the performance-shaped claims the paper
-// motivates genuineness with:
+package main
+
+// The performance-shaped claims the paper motivates genuineness with:
 //
 //	scaling — the §1/§2.3 argument: with k disjoint destination groups a
 //	          genuine protocol pays a constant per-group cost while the
@@ -7,20 +8,18 @@
 //	          (cf. [33, 37]);
 //	convoy  — the §6.2 convoy effect (cf. [1, 17]): under vanilla Algorithm 1
 //	          a message can wait for a chain of messages spanning other
-//	          groups, growing delivery latency with the chain's length.
+//	          groups, growing delivery latency with the chain's length;
+//	delay   — the synchrony knob: Algorithm 1 waits as long as γ takes.
 //
 // Costs are simulated-currency metrics (per-process protocol steps, shared-
 // object messages, virtual-time latency), the right units for an
 // asynchronous-model paper; wall-clock throughput of this implementation is
 // in bench_test.go, and wall-clock measurements of the live stack are
 // cmd/loadsim's job (one row per scenario of the internal/workload catalog).
-package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"strings"
+	"io"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -29,56 +28,6 @@ import (
 	"repro/internal/groups"
 	"repro/internal/workload"
 )
-
-func main() {
-	flag.Parse()
-	which := flag.Arg(0)
-	switch which {
-	case "":
-		scaling()
-		convoy()
-		delaySweep()
-	case "scaling":
-		scaling()
-	case "convoy":
-		convoy()
-	case "delay":
-		delaySweep()
-	default:
-		fmt.Fprintf(os.Stderr, "benchtab: unknown mode %q (want scaling, convoy or delay)\n", which)
-		os.Exit(2)
-	}
-}
-
-// delaySweep shows the synchrony knob: delivery latency of a message whose
-// cyclic family fails grows with the detectors' stabilisation delay —
-// Algorithm 1 waits exactly as long as γ takes to report the fault.
-func delaySweep() {
-	header("Detector stabilisation delay vs. delivery latency (g1∩g2 crashes)")
-	fmt.Printf("%8s | %16s\n", "delay", "ticks-to-deliver")
-	topo := groups.Figure1()
-	for _, delay := range []failure.Time{4, 16, 64, 256} {
-		pat := failure.NewPattern(5).WithCrash(1, 10)
-		s := core.NewSystem(topo, pat, core.Options{FD: fd.Options{Delay: delay}}, 2)
-		m := s.Multicast(0, 0, nil)
-		s.Run()
-		at, ok := s.Sh.FirstDeliveredAt(m.ID)
-		if !ok {
-			fmt.Printf("%8d | %16s\n", delay, "blocked")
-			continue
-		}
-		fmt.Printf("%8d | %16d\n", delay, at)
-	}
-	fmt.Println("\nshape: latency tracks the stabilisation delay — the algorithm is")
-	fmt.Println("indulgent: safety never depends on the detectors being fast.")
-}
-
-func header(s string) {
-	fmt.Println()
-	fmt.Println(strings.Repeat("=", 76))
-	fmt.Println(s)
-	fmt.Println(strings.Repeat("=", 76))
-}
 
 // mustTopo builds the workload package's generated topology of the given
 // kind over k groups.
@@ -91,9 +40,9 @@ func mustTopo(kind string, k int) *groups.Topology {
 }
 
 // scaling prints the genuine-vs-broadcast table for growing k.
-func scaling() {
-	header("Genuine vs. broadcast-based multicast — k disjoint groups, 1 msg/group")
-	fmt.Printf("%4s | %16s %12s | %16s %12s\n",
+func scaling(w io.Writer) {
+	header(w, "Genuine vs. broadcast-based multicast — k disjoint groups, 1 msg/group")
+	fmt.Fprintf(w, "%4s | %16s %12s | %16s %12s\n",
 		"k", "genuine msgs/mc", "steps/proc", "bcast msgs/mc", "steps/proc")
 	for _, k := range []int{2, 4, 8, 16, 21} {
 		topo := mustTopo(workload.TopoDisjoint, k) // k disjoint groups of size 3
@@ -114,14 +63,14 @@ func scaling() {
 		bc.Run()
 		bcSteps := float64(bc.Eng.TotalSteps()) / float64(n)
 
-		fmt.Printf("%4d | %16.1f %12.1f | %16.1f %12.1f\n",
+		fmt.Fprintf(w, "%4d | %16.1f %12.1f | %16.1f %12.1f\n",
 			k,
 			float64(gen.Eng.Messages())/float64(k), genSteps,
 			float64(bc.Eng.Messages())/float64(k), bcSteps)
 	}
-	fmt.Println("\nshape: per multicast, the genuine protocol's cost is constant in k (only")
-	fmt.Println("the destination group works), while the broadcast reduction's cost and")
-	fmt.Println("every process's step count grow linearly with the system size.")
+	fmt.Fprintln(w, "\nshape: per multicast, the genuine protocol's cost is constant in k (only")
+	fmt.Fprintln(w, "the destination group works), while the broadcast reduction's cost and")
+	fmt.Fprintln(w, "every process's step count grow linearly with the system size.")
 }
 
 // convoy measures the completion latency (all of g0 delivered) of a probe
@@ -129,9 +78,9 @@ func scaling() {
 // the neighbouring intersection logs — the convoy of §6.2: the probe's
 // shared member must first finish delivering its neighbour's message, which
 // waits on the next link, and so on down the chain.
-func convoy() {
-	header("Convoy effect — completion latency of a probe to g0 (rounds = ticks/n)")
-	fmt.Printf("%6s | %10s | %12s | %7s\n", "ring k", "isolated", "contended", "factor")
+func convoy(w io.Writer) {
+	header(w, "Convoy effect — completion latency of a probe to g0 (rounds = ticks/n)")
+	fmt.Fprintf(w, "%6s | %10s | %12s | %7s\n", "ring k", "isolated", "contended", "factor")
 	for _, k := range []int{3, 5, 8, 12} {
 		// A ring of k size-2 groups: one cyclic family spanning every group,
 		// the worst case for stabilisation chains.
@@ -169,9 +118,32 @@ func convoy() {
 			return float64(done-probeAt) / float64(n)
 		}
 		iso, con := lat(false), lat(true)
-		fmt.Printf("%6d | %10.1f | %12.1f | %6.1fx\n", k, iso, con, con/iso)
+		fmt.Fprintf(w, "%6d | %10.1f | %12.1f | %6.1fx\n", k, iso, con, con/iso)
 	}
-	fmt.Println("\nshape: alone, the probe completes in a constant number of rounds; with")
-	fmt.Println("the ring busy, its stabilisation waits on marks that recurse around the")
-	fmt.Println("cyclic family, so the penalty grows with the ring — the §6.2 convoy.")
+	fmt.Fprintln(w, "\nshape: alone, the probe completes in a constant number of rounds; with")
+	fmt.Fprintln(w, "the ring busy, its stabilisation waits on marks that recurse around the")
+	fmt.Fprintln(w, "cyclic family, so the penalty grows with the ring — the §6.2 convoy.")
+}
+
+// delaySweep shows the synchrony knob: delivery latency of a message whose
+// cyclic family fails grows with the detectors' stabilisation delay —
+// Algorithm 1 waits exactly as long as γ takes to report the fault.
+func delaySweep(w io.Writer) {
+	header(w, "Detector stabilisation delay vs. delivery latency (g1∩g2 crashes)")
+	fmt.Fprintf(w, "%8s | %16s\n", "delay", "ticks-to-deliver")
+	topo := groups.Figure1()
+	for _, delay := range []failure.Time{4, 16, 64, 256} {
+		pat := failure.NewPattern(5).WithCrash(1, 10)
+		s := core.NewSystem(topo, pat, core.Options{FD: fd.Options{Delay: delay}}, 2)
+		m := s.Multicast(0, 0, nil)
+		s.Run()
+		at, ok := s.Sh.FirstDeliveredAt(m.ID)
+		if !ok {
+			fmt.Fprintf(w, "%8d | %16s\n", delay, "blocked")
+			continue
+		}
+		fmt.Fprintf(w, "%8d | %16d\n", delay, at)
+	}
+	fmt.Fprintln(w, "\nshape: latency tracks the stabilisation delay — the algorithm is")
+	fmt.Fprintln(w, "indulgent: safety never depends on the detectors being fast.")
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -11,14 +13,14 @@ import (
 // documentation and the verify notes advertise: each resolves, each carries
 // a description for -h, and nothing else does.
 func TestRegistryResolvesAdvertisedNames(t *testing.T) {
-	advertised := []string{"register", "replog", "multicast", "commute", "powercycle"}
+	advertised := []string{"replog", "powercycle", "multicast", "commute"}
 	for _, name := range advertised {
 		w, ok := lookupWorkload(name)
 		if !ok {
 			t.Errorf("advertised workload %q does not resolve", name)
 			continue
 		}
-		if w.name != name || w.desc == "" || w.run == nil {
+		if w.name != name || w.desc == "" || w.plan == nil || w.run == nil {
 			t.Errorf("workload %q is incomplete: %+v", name, w)
 		}
 	}
@@ -33,7 +35,7 @@ func TestRegistryResolvesAdvertisedNames(t *testing.T) {
 // TestChainWorkloadsPassSeededRun replays a 2-second seeded fault schedule
 // against both users of the merged chain workload: the vanilla protocol and
 // the Generic commuting mix (which must also have taken its fast path, or
-// the workload fails itself).
+// the workload fails itself). Each run ends with its one-line JSON verdict.
 func TestChainWorkloadsPassSeededRun(t *testing.T) {
 	const seed, n = 7, 5
 	for _, name := range []string{"multicast", "commute"} {
@@ -41,8 +43,14 @@ func TestChainWorkloadsPassSeededRun(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			w, _ := lookupWorkload(name)
-			if err := w.run(seed, n, chaos.NewPlan(seed, n, 2*time.Second)); err != nil {
-				t.Fatal(err)
+			var out bytes.Buffer
+			ok := execute(&out, w, w.plan(seed, n, 2*time.Second))
+			var got verdict
+			if err := json.Unmarshal(out.Bytes(), &got); err != nil {
+				t.Fatalf("verdict line %q is not one JSON object: %v", out.String(), err)
+			}
+			if want := (verdict{Workload: name, Seed: seed, N: n, OK: true}); got != want || !ok {
+				t.Fatalf("verdict %+v (passed=%v), want %+v", got, ok, want)
 			}
 		})
 	}
@@ -52,7 +60,7 @@ func TestChainWorkloadsPassSeededRun(t *testing.T) {
 // back as an error, not a panic from topology construction.
 func TestChainWorkloadRejectsEvenN(t *testing.T) {
 	w, _ := lookupWorkload("multicast")
-	if err := w.run(1, 4, chaos.NewPlan(1, 4, time.Millisecond)); err == nil {
+	if err := w.run(chaos.NewPlan(1, 4, time.Millisecond)); err == nil {
 		t.Fatal("an even -n was accepted by the chain workload")
 	}
 }

@@ -5,5 +5,5 @@
 // The public API lives in repro/multicast; the paper's systems live under
 // internal/ (see DESIGN.md for the inventory) and the benchmark harness that
 // regenerates each of the paper's tables and figures is bench_test.go plus
-// cmd/figures and cmd/benchtab.
+// cmd/figures.
 package repro

@@ -18,11 +18,11 @@
 // the same discipline syzkaller-style harnesses use to make fuzzed failures
 // reproducible from a one-line seed (see cmd/nemesis).
 //
-// The quorum substrates (internal/register, internal/paxos, internal/ofcons,
-// internal/replog) are written against net.Transport, so they run unmodified
-// over either fabric; their *_chaos_test.go files assert safety under an
-// active nemesis and liveness once it quiesces — exactly the Σ/Ω assumptions
-// of the paper's §4 (quorums stay intact, leaders eventually stabilise).
+// The quorum substrates (internal/paxos, internal/replog) are written
+// against net.Transport, so they run unmodified over either fabric; their
+// *_chaos_test.go files assert safety under an active nemesis and liveness
+// once it quiesces — exactly the Σ/Ω assumptions of the paper's §4 (quorums
+// stay intact, leaders eventually stabilise).
 package chaos
 
 import (

@@ -1,7 +1,6 @@
 package chaos_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -9,127 +8,11 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/groups"
 	"repro/internal/net"
-	"repro/internal/register"
 )
 
-// TestNemesisRegisterWorkload is the randomized stress harness: a single
-// writer and two readers run an ABD register workload while a seeded
-// nemesis mauls the fabric with drops, delays, duplication, reorder,
-// partitions and down/up cycles. Safety is asserted throughout —
-// linearizability surrogates that need no offline checker: a reader's
-// values never regress (single writer, increasing values), and no read
-// invents a value. Liveness is asserted only after the nemesis quiesces
-// and quorums are whole again — exactly the Σ/Ω obligations of §4.
-//
-// A failing seed replays outside the test as `go run ./cmd/nemesis -seed N`.
-func TestNemesisRegisterWorkload(t *testing.T) {
-	seeds := []int64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			const n = 5
-			c := chaos.Wrap(net.New(n), seed)
-			defer c.Close()
-			var scope groups.ProcSet
-			nodes := make([]*register.Node, n)
-			for p := 0; p < n; p++ {
-				nodes[p] = register.StartNode(c, groups.Process(p))
-				scope = scope.Add(groups.Process(p))
-			}
-			reg := &register.Register{
-				Name: "r", Scope: scope, Net: c,
-				Quorum: register.Majority{Scope: scope},
-			}
-
-			nm := &chaos.Nemesis{C: c, Plan: chaos.NewPlan(seed, n, 150*time.Millisecond)}
-			nmDone := nm.Go()
-
-			// Writer: increasing values until the nemesis quiesces. Writes
-			// may stall inside a partition window; they must finish after it.
-			var lastWritten int64
-			writerDone := make(chan struct{})
-			go func() {
-				defer close(writerDone)
-				w := nodes[0].Client(reg)
-				for v := int64(1); ; v++ {
-					if !w.Write(v) {
-						return // network closed
-					}
-					lastWritten = v
-					select {
-					case <-nmDone:
-						return
-					case <-time.After(200 * time.Microsecond):
-					}
-				}
-			}()
-
-			// Readers: poll until writer and nemesis are done, recording
-			// every value seen.
-			var wg sync.WaitGroup
-			seqs := make([][]int64, 2)
-			for i := 0; i < 2; i++ {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					r := nodes[1+i].Client(reg)
-					for {
-						select {
-						case <-writerDone:
-							return
-						default:
-						}
-						v, ok := r.Read()
-						if !ok {
-							return
-						}
-						seqs[i] = append(seqs[i], v)
-						time.Sleep(100 * time.Microsecond)
-					}
-				}()
-			}
-			<-nmDone
-			<-writerDone
-			wg.Wait()
-
-			// Safety: monotone reads, no invented values.
-			for i, seq := range seqs {
-				for j := 1; j < len(seq); j++ {
-					if seq[j] < seq[j-1] {
-						t.Fatalf("seed %d: reader %d regressed: %d after %d (replay: go run ./cmd/nemesis -seed %d)",
-							seed, i, seq[j], seq[j-1], seed)
-					}
-				}
-				for _, v := range seq {
-					if v < 0 || v > lastWritten {
-						t.Fatalf("seed %d: reader %d saw invented value %d (last written %d)",
-							seed, i, v, lastWritten)
-					}
-				}
-			}
-
-			// Liveness after quiesce: every node converges on the final
-			// written value.
-			for p := 0; p < n; p++ {
-				v, ok := nodes[p].Client(reg).Read()
-				if !ok || v != lastWritten {
-					st := c.Stats()
-					t.Fatalf("seed %d: p%d final read = %d,%v; want %d (stats %+v)",
-						seed, p, v, ok, lastWritten, st)
-				}
-			}
-		})
-	}
-}
-
 // TestNemesisInjectsFaults sanity-checks that generated plans actually
-// exercise the fabric: across the seeds above, at least one run must have
-// dropped or delayed something.
+// exercise the fabric: the run must have dropped, delayed or duplicated
+// something.
 func TestNemesisInjectsFaults(t *testing.T) {
 	c := chaos.Wrap(net.New(3), 4)
 	defer c.Close()

@@ -151,6 +151,27 @@ func TestOrderingAcceptsAgreement(t *testing.T) {
 	}
 }
 
+// TestPairwiseOrderingOnLongLogs: a soak-sized replicated log (five replicas,
+// 25k entries, each lagging the next a little) is checked in memory
+// proportional to it, and one inversion at a laggard's tail is still found.
+func TestPairwiseOrderingOnLongLogs(t *testing.T) {
+	const n = 25000
+	tr := &Trace{LocalOrder: make(map[groups.Process][]msg.ID)}
+	for p := 0; p < 5; p++ {
+		for i := 1; i <= n-p; i++ {
+			tr.LocalOrder[groups.Process(p)] = append(tr.LocalOrder[groups.Process(p)], msg.ID(i))
+		}
+	}
+	if v := PairwiseOrdering(tr); v != nil {
+		t.Fatalf("unexpected: %v", v)
+	}
+	tail := tr.LocalOrder[4]
+	tail[len(tail)-1], tail[len(tail)-2] = tail[len(tail)-2], tail[len(tail)-1]
+	if v := PairwiseOrdering(tr); v == nil {
+		t.Fatalf("inversion at the tail of p4's log not caught")
+	}
+}
+
 // TestStrictOrderingDistinguishesRealTime: a trace where the plain delivery
 // relation is acyclic but ↦ ∪ ⇝ has a cycle — the distinction §6.1 is
 // about. m1 (→g0) is delivered before m2 is multicast (m1 ⇝ m2), yet p1

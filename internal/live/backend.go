@@ -91,9 +91,6 @@ func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Tran
 			cfg.WAL = store(groups.Process(p))
 		}
 		b.nodes[p] = paxos.StartNodeWithConfig(nw, groups.Process(p), cfg)
-		// Even a node that never hosts a replog replica must answer
-		// misdirected op forwards with a NACK (see replog.AttachForwarding).
-		replog.AttachForwarding(b.nodes[p], groups.Process(p), nw)
 	}
 	return b
 }

@@ -1,6 +1,6 @@
 // Package net is a small in-memory message-passing layer: reliable
 // point-to-point links between processes implemented with goroutines and
-// channels. The quorum-based substrates (internal/register, internal/paxos)
+// channels. The quorum-based substrates (internal/paxos, internal/replog)
 // run on it; crash injection silences a process's inbox and outbox, which is
 // how fail-stop behaviour surfaces to its peers (no more replies — exactly
 // the asynchronous model's ambiguity that failure detectors resolve).
@@ -30,9 +30,8 @@ type Packet struct {
 
 // Transport is the message-passing fabric the live substrates run on. The
 // reliable Network below implements it, and so does the adversarial wrapper
-// in internal/chaos — every quorum protocol (register, paxos, ofcons,
-// replog) is written against this interface so it runs unmodified over
-// either fabric.
+// in internal/chaos — every quorum protocol (paxos, replog) is written
+// against this interface so it runs unmodified over either fabric.
 type Transport interface {
 	// N returns the number of processes.
 	N() int

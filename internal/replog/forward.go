@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/groups"
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/paxos"
@@ -36,13 +35,6 @@ const (
 	// follower proposes it locally — the liveness backstop, sized to a few
 	// resends so a healthy leader nearly always wins first.
 	fwdPatience = 16 * time.Millisecond
-	// fwdMuteFor is how long a follower stops forwarding to a leader that
-	// NACKed (no replica of the realm at that process — it never operates on
-	// this log, so it has no batcher to help with). Muted, the follower
-	// proposes locally, which for a single-submitter log is the optimum
-	// anyway. The mute expires so a leader that starts using the log — or a
-	// leadership change — is picked up again.
-	fwdMuteFor = 2 * time.Second
 )
 
 // resendEvery is the resend interval in force: a forwarded op that is merely
@@ -68,11 +60,6 @@ func (r *Replica) resendEvery() time.Duration {
 type fwdMux struct {
 	mu   sync.Mutex
 	reps map[uint64]*Replica
-	// p and nw are the hosting process and its transport (shared by every
-	// replica on the node), captured on first add so dispatch can NACK
-	// forwards for realms with no replica here.
-	p  groups.Process
-	nw net.Transport
 }
 
 // muxFor returns the forwarding mux of a node, mounting it on first use.
@@ -86,28 +73,13 @@ func (m *fwdMux) add(realm uint64, r *Replica) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.reps[realm] = r
-	m.p, m.nw = r.p, r.nw
-}
-
-// AttachForwarding registers the forwarding handler on a node that may host
-// no replica at all, so misdirected forwards are NACKed instead of silently
-// dropped (the forwarder would otherwise burn its full patience on every
-// op). NewReplica attaches implicitly; deployments should attach every node
-// whose process could be sampled as leader of a realm it never operates on.
-func AttachForwarding(node *paxos.Node, p groups.Process, nw net.Transport) {
-	m := muxFor(node)
-	m.mu.Lock()
-	if m.nw == nil {
-		m.p, m.nw = p, nw
-	}
-	m.mu.Unlock()
 }
 
 // Dispatch runs on the paxos node's message loop and must not block: it
 // resolves the realm and hands the ops to the replica's lock-guarded queue.
-// An empty Ops list is the NACK ("no batcher for this realm here") — sent
-// when a forward lands on a process with no replica of the realm, received
-// when our own forward was refused.
+// A forward for a realm with no replica here is dropped like any lost frame
+// (the forwarder's patience serves it), and so is an empty batch — the NACK
+// of peers that predate its removal.
 func (m *fwdMux) Dispatch(pkt net.Packet) {
 	f, ok := pkt.Body.(FwdBatch)
 	if !ok {
@@ -115,42 +87,10 @@ func (m *fwdMux) Dispatch(pkt net.Packet) {
 	}
 	m.mu.Lock()
 	r := m.reps[f.Realm]
-	p, nw := m.p, m.nw
 	m.mu.Unlock()
-	switch {
-	case len(f.Ops) == 0:
-		if r != nil {
-			r.fwdRefused(pkt.From)
-		}
-	case r != nil:
+	if r != nil {
 		r.enqueueRemote(f.Ops)
-	case nw != nil:
-		// This process never operates on the realm's log: the Ω sample made
-		// it leader of a scope it hosts no batcher for. Tell the forwarder
-		// to stop hinting and propose locally.
-		nw.Send(p, pkt.From, wire.TReplogFwd, FwdBatch{Realm: f.Realm})
 	}
-}
-
-// fwdRefused mutes forwarding toward the refusing leader and wakes the
-// submit loop so the pending ops go the local-propose route immediately
-// instead of waiting out their patience.
-func (r *Replica) fwdRefused(from groups.Process) {
-	r.mu.Lock()
-	r.noFwdTo = from
-	r.noFwdUntil = time.Now().Add(fwdMuteFor)
-	r.mu.Unlock()
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
-
-// fwdMuted reports whether forwarding toward lead is currently muted.
-func (r *Replica) fwdMuted(lead groups.Process) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return lead == r.noFwdTo && time.Now().Before(r.noFwdUntil)
 }
 
 // enqueueRemote queues forwarded operations at the (presumed) leaseholder.

@@ -139,12 +139,6 @@ type Replica struct {
 	classOf    func(logobj.Datum) uint64
 	classLearn func(logobj.Datum, uint64)
 
-	// Forwarding mute (see forward.go): while the sampled leader matches
-	// noFwdTo and noFwdUntil is in the future, pending ops are proposed
-	// locally instead of forwarded.
-	noFwdTo    groups.Process
-	noFwdUntil time.Time
-
 	// journal records every applied op when journalling is enabled (see
 	// journal.go) — debug evidence for diffing a replica's applied sequence
 	// against the paxos decision snapshot.
@@ -232,24 +226,12 @@ func NewReplica(name string, realm uint64, p groups.Process, node *paxos.Node, n
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.counters.Store(new(obs.ReplogCounters))
-	// The paxos leader sample is the realm's Ω — except while forwarding is
-	// muted: the sampled leader hosts no replica of this log (it NACKed), so
-	// hedging on it or yielding the lease to it is pointless. Presenting
-	// ourselves as leader is a liveness/latency hint only; ballot safety
-	// never depends on the sample being accurate.
-	lf := func(q groups.Process) groups.Process {
-		l := leader(q)
-		if q == p && l != p && r.fwdMuted(l) {
-			return q
-		}
-		return l
-	}
 	r.mkIns = func(slot int) *paxos.Instance {
 		return &paxos.Instance{
 			ID:         r.instID(slot),
 			Scope:      scope,
 			Net:        nw,
-			Leader:     lf,
+			Leader:     leader,
 			MultiPaxos: true,
 		}
 	}
@@ -576,7 +558,7 @@ func (r *Replica) submitLoop() {
 		}
 		var ws []*waiter
 		armRetry := false
-		if lead := r.leader(r.p); lead != r.p && !r.fwdMuted(lead) {
+		if lead := r.leader(r.p); lead != r.p {
 			// Follower: hand pending ops to the leaseholder's batcher (see
 			// forward.go) and keep them queued; only ops whose patience
 			// expired are proposed from here.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/paxos"
+	"repro/internal/wire"
 )
 
 func cluster(n int) (*net.Network, []*Replica) {
@@ -208,52 +209,45 @@ func TestForwardToLeaderBatches(t *testing.T) {
 	}
 }
 
-// TestForwardFallbackWhenLeaderDead: with the sampled leader crashed,
+// TestForwardFallbackWhenLeaderDead: with the sampled leader unable to help,
 // forwarded ops go nowhere; the patience fallback must still complete them
-// from the follower (liveness does not depend on the hint).
+// from the follower (liveness does not depend on the hint), op after op.
+// Unable means crashed, or alive as an acceptor but holding no replica of the
+// realm — its node drops the forward like any lost frame.
 func TestForwardFallbackWhenLeaderDead(t *testing.T) {
-	nw, reps := cluster(3)
-	defer nw.Close()
-	nw.Crash(0)
-	pos, ok := reps[1].Append(logobj.MsgDatum(1)).Wait()
-	if !ok || pos != 1 {
-		t.Fatalf("append with dead leader: pos=%d ok=%v", pos, ok)
-	}
-}
-
-// TestForwardNackMutes: a leader process that hosts no replica of the realm
-// (it never operates on this log) NACKs forwards; the follower mutes the
-// hint and completes by proposing locally — without burning the full
-// patience window on every subsequent op.
-func TestForwardNackMutes(t *testing.T) {
-	nw := net.New(3)
-	defer nw.Close()
-	scope := groups.NewProcSet(0, 1, 2)
-	leader := func(groups.Process) groups.Process { return 0 }
-	// Process 0 participates as an acceptor only: node, but no replica.
-	AttachForwarding(paxos.StartNode(nw, 0), 0, nw)
-	reps := make([]*Replica, 3)
-	for p := 1; p < 3; p++ {
-		node := paxos.StartNode(nw, groups.Process(p))
-		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader)
-	}
-	if _, ok := reps[1].Append(logobj.MsgDatum(1)).Wait(); !ok {
-		t.Fatalf("append via NACK path failed")
-	}
-	deadline := time.Now().Add(time.Second)
-	for !reps[1].fwdMuted(0) {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never muted forwarding to the NACKing leader")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Muted, the next ops take the local fast path: well under patience.
-	start := time.Now()
-	if _, ok := reps[1].Append(logobj.MsgDatum(2)).Wait(); !ok {
-		t.Fatalf("append while muted failed")
-	}
-	if el := time.Since(start); el >= fwdPatience {
-		t.Fatalf("muted append took %v, want < %v (patience burnt => mute ineffective)", el, fwdPatience)
+	for _, tc := range []struct {
+		name      string
+		noReplica bool
+	}{
+		{name: "crashed"},
+		{name: "no replica", noReplica: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := net.New(3)
+			defer nw.Close()
+			scope := groups.NewProcSet(0, 1, 2)
+			leader := func(groups.Process) groups.Process { return 0 }
+			reps := make([]*Replica, 3)
+			for p := 0; p < 3; p++ {
+				node := paxos.StartNode(nw, groups.Process(p))
+				if p == 0 && tc.noReplica {
+					continue
+				}
+				reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader)
+			}
+			if tc.noReplica {
+				// What a peer from before the NACK's removal answers: ignored.
+				nw.Send(0, 1, wire.TReplogFwd, FwdBatch{Realm: 1})
+			} else {
+				nw.Crash(0)
+			}
+			for want := 1; want <= 2; want++ {
+				pos, ok := reps[1].Append(logobj.MsgDatum(msg.ID(want))).Wait()
+				if !ok || pos != want {
+					t.Fatalf("append %d with no leader to forward to: pos=%d ok=%v", want, pos, ok)
+				}
+			}
+		})
 	}
 }
 

@@ -37,11 +37,7 @@ import (
 // Message-type IDs. 0 is reserved as invalid; each protocol owns a block.
 // These are wire contract: renumbering them breaks cross-version frames.
 const (
-	// internal/register (ABD quorum registers; ofcons runs on these).
-	TRegRead      net.MsgType = 0x01
-	TRegReadResp  net.MsgType = 0x02
-	TRegWrite     net.MsgType = 0x03
-	TRegWriteResp net.MsgType = 0x04
+	// 0x01–0x04 are retired (the ABD register messages): never reuse.
 
 	// internal/paxos (synod + Multi-Paxos; NACKs travel as the OK=false arm
 	// of the two response types).

@@ -9,7 +9,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/net"
 	"repro/internal/paxos"
-	"repro/internal/register"
 	_ "repro/internal/replog" // registers TReplogOp
 	"repro/internal/wire"
 )
@@ -21,13 +20,7 @@ func samples(t testing.TB) map[net.MsgType]net.Packet {
 	t.Helper()
 	inst := paxos.InstanceID{Space: 2, Realm: 1 << 40, Slot: -7}
 	out := map[net.MsgType]net.Packet{
-		wire.TRegRead: {Type: wire.TRegRead, Body: register.ReadReq{Reg: "LOG_g0∩g1", Op: 42}},
-		wire.TRegReadResp: {Type: wire.TRegReadResp, Body: register.ReadResp{
-			Reg: "r", Op: -1, Cur: register.TaggedValue{TS: 9, By: 3, Val: -12}}},
-		wire.TRegWrite: {Type: wire.TRegWrite, Body: register.WriteReq{
-			Reg: "", Op: 0, Val: register.TaggedValue{TS: 1, By: 0, Val: 5}}},
-		wire.TRegWriteResp: {Type: wire.TRegWriteResp, Body: register.WriteResp{Reg: "x", Op: 1 << 50}},
-		wire.TPaxPrepare:   {Type: wire.TPaxPrepare, Body: paxos.PrepareReq{Inst: inst, Ballot: 13, Range: true}},
+		wire.TPaxPrepare: {Type: wire.TPaxPrepare, Body: paxos.PrepareReq{Inst: inst, Ballot: 13, Range: true}},
 		wire.TPaxPrepareResp: {Type: wire.TPaxPrepareResp, Body: paxos.PrepareResp{
 			Inst: inst, Ballot: 13, OK: true, Promised: -2,
 			Accepted: paxos.AcceptedVal{Ballot: 4, Val: paxos.I64Value(-9), Has: true},

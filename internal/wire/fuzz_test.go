@@ -24,6 +24,12 @@ func FuzzDecodePacket(f *testing.F) {
 		f.Add(frame)
 		f.Add(frame[:len(frame)-1])
 	}
+	// Frames an old peer may still send under the retired tags 0x01–0x04
+	// (register name, op id): rejected as unregistered, like any unknown tag.
+	for tag := byte(0x01); tag <= 0x04; tag++ {
+		f.Add([]byte{1, tag, 0, 1})
+		f.Add([]byte{1, tag, 0, 1, 1, 'r', 84})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkt, err := wire.DecodePacket(data)
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/net"
 	"repro/internal/paxos"
-	"repro/internal/register"
 	"repro/internal/wire"
 )
 
@@ -39,13 +38,13 @@ func TestFabricDeliversAcrossSockets(t *testing.T) {
 	}
 	defer f.Close()
 
-	want := register.ReadReq{Reg: "LOG_g0", Op: 99}
-	f.Send(0, 1, wire.TRegRead, want)
+	want := paxos.LearnReq{Inst: paxos.InstanceID{Space: paxos.SpaceTest, Realm: 7, Slot: 99}}
+	f.Send(0, 1, wire.TPaxLearn, want)
 	pkt := recvPacket(t, f.Inbox(1))
-	if pkt.From != 0 || pkt.To != 1 || pkt.Type != wire.TRegRead {
+	if pkt.From != 0 || pkt.To != 1 || pkt.Type != wire.TPaxLearn {
 		t.Fatalf("bad envelope: %+v", pkt)
 	}
-	if got := pkt.Body.(register.ReadReq); got != want {
+	if got := pkt.Body.(paxos.LearnReq); got != want {
 		t.Fatalf("body mismatch: got %+v want %+v", got, want)
 	}
 
