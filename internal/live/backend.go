@@ -8,9 +8,10 @@
 // one.
 //
 // The System type in system.go drives a full run: one goroutine per process
-// stepping its core.Node against this backend, a wall-clock ticker standing
-// in for the virtual clock (failure detectors and crash schedules key on
-// ticks), and trace extraction for internal/check.
+// stepping its core.Node against this backend when there is work and parked
+// when there is none, a clock nobody ticks — the tick is read off the wall
+// time since Start (failure detectors and crash schedules key on ticks) —
+// and trace extraction for internal/check.
 package live
 
 import (

@@ -434,16 +434,19 @@ func perUnit(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// PaxosCounters count the consensus substrate's work. Rounds are the full
-// two-phase synod rounds; FastRounds the Multi-Paxos steady-state rounds
-// (phase 1 elided under a leader lease); WindowRounds the windowed
-// (pipelined) accept rounds, WindowFailures those that ended without a
-// decision and WindowDepthPeak the deepest outstanding window of any realm.
-// The lease counters record fast-path churn (acquisitions via range prepare,
-// invalidations on an observed higher ballot). Probes are anti-entropy
-// broadcasts for possibly-dropped decide messages. RespDrops count proposer
-// responses lost to a full response channel; RespStale counts leftovers from
-// prior rounds drained at round start.
+// PaxosCounters count the consensus substrate's work, by the entry point
+// that started a round. Rounds are the full two-phase synod rounds of
+// Propose; FastRounds its leased rounds (phase 1 elided under a leader
+// lease, waited for); WindowRounds the leased rounds ProposeWindowed fired
+// without waiting, and WindowDepthPeak the deepest outstanding window of
+// any realm. Each *Failures counter is the rounds of its kind that ended
+// without a decision, counted where a phase ends. The lease counters record
+// fast-path churn (acquisitions via range prepare, invalidations on an
+// observed higher ballot). Probes are anti-entropy broadcasts for
+// possibly-dropped decide messages. RespStale counts phase responses that
+// found neither a round outstanding at their instance nor a local decision
+// of it — the votes of a round that failed, ≈ 0 on a healthy run; the late
+// third ack of a decided slot is dropped uncounted.
 type PaxosCounters struct {
 	Proposals         int64 `json:"proposals"`
 	Rounds            int64 `json:"rounds"`
@@ -457,7 +460,6 @@ type PaxosCounters struct {
 	LeasesLost        int64 `json:"leases_lost"`
 	Decisions         int64 `json:"decisions"`
 	Probes            int64 `json:"probes"`
-	RespDrops         int64 `json:"resp_drops"`
 	RespStale         int64 `json:"resp_stale"`
 }
 

@@ -10,14 +10,37 @@ import (
 	"repro/internal/storage"
 )
 
-// BenchmarkAcceptRound measures the steady-state cost of one replicated
-// slot: the leader holds a Multi-Paxos lease over the realm, so each
-// Propose is a single accept quorum round plus the decide broadcast — the
-// path every replog submit takes once the leader is stable. The first
+// BenchmarkAcceptRound measures one leased slot through Propose: the leader
+// holds a Multi-Paxos lease over the realm, so each call is a single accept
+// quorum round plus the decide broadcast, launched and waited for — what a
+// replog repair and a lease-less caller's later slots pay. The first
 // iteration pays the lease acquisition (a full round); all others are
 // phase-1-elided.
 func BenchmarkAcceptRound(b *testing.B) {
 	benchAcceptRound(b, func() storage.WAL { return nil })
+}
+
+// BenchmarkWindowedRound is the same slot the way a serving run decides it
+// (every round of a fault-free loadsim row but one lease acquisition per
+// log): ProposeWindowed fires the leased accept round and the result is read
+// off the caller's channel.
+func BenchmarkWindowedRound(b *testing.B) {
+	nw, nodes, mkIns := winCluster(3, 0)
+	defer nw.Close()
+	if _, ok := nodes[0].Propose(mkIns(0), I64Value(0)); !ok {
+		b.Fatalf("lease-installing propose failed")
+	}
+	res := make(chan WindowResult, nodes[0].WindowLimit()+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if !nodes[0].ProposeWindowed(mkIns(int64(i)), I64Value(int64(i)), res) {
+			b.Fatalf("slot %d not fired under a held lease", i)
+		}
+		if r := <-res; !r.OK {
+			b.Fatalf("slot %d did not decide", i)
+		}
+	}
 }
 
 // slowSyncWAL is a Mem WAL whose every barrier takes a stated millisecond,

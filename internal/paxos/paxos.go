@@ -16,16 +16,18 @@
 // standard promise/accept rules (a range promise is just a promise for
 // every covered slot at once), so safety is exactly single-decree Paxos's.
 //
-// A leased realm additionally supports a *window* of outstanding accept
-// rounds (ProposeWindowed): the lease holder fires phase-2 rounds for
-// several consecutive slots without waiting for each to conclude, and the
-// node's message loop gathers quorums asynchronously. Decisions may land
-// out of slot order; callers (replog) track the decided prefix and apply in
-// order. Safety is untouched — every windowed round is an ordinary phase 2
-// under a completed phase 1 — with one extra obligation enforced here: at a
-// fixed (slot, ballot) the proposer must never send two different values,
-// so the first value fired at a slot under a lease is pinned until the slot
-// decides or the lease dies (see proposerLease.used).
+// Every quorum is gathered the same way: a prepare or accept phase is an
+// entry in the node's phase table (launch), the message loop counts the
+// votes into it (phaseResp), and it ends exactly once — own quorum, refusal,
+// taught decision or deadline (end). Propose launches a phase and waits for
+// its result; ProposeWindowed launches a leased accept and does not, so the
+// lease holder keeps a *window* of consecutive slots in flight. Decisions
+// may land out of slot order; callers (replog) track the decided prefix and
+// apply in order. Safety is untouched — every windowed round is an ordinary
+// phase 2 under a completed phase 1 — with one extra obligation enforced
+// here: at a fixed (slot, ballot) the proposer must never send two different
+// values, so the first value fired at a slot under a lease is pinned until
+// the slot decides or the lease dies (see proposerLease.used).
 package paxos
 
 import (
@@ -114,8 +116,8 @@ const (
 	// leader's decision between checks before it starts hedging rounds of
 	// its own.
 	nonLeaderWait = 200 * time.Microsecond
-	// window is the maximum number of outstanding windowed accept rounds
-	// per leased realm (ProposeWindowed).
+	// window is the maximum number of rounds outstanding in a realm for a
+	// further leased accept round to be launched (ProposeWindowed's depth).
 	window = 8
 )
 
@@ -136,13 +138,18 @@ type Config struct {
 	WAL storage.WAL
 }
 
-// Instance is one consensus instance replicated over a scope. Net may be
-// the reliable fabric or the adversarial one (internal/chaos): prepare and
-// accept are idempotent at a fixed ballot, proposers retry rounds under a
-// deadline, and responses are deduplicated by acceptor.
+// Instance is one consensus instance replicated over a scope. The node's
+// transport may be the reliable fabric or the adversarial one
+// (internal/chaos): prepare and accept are idempotent at a fixed ballot,
+// proposers retry rounds under a deadline, and votes are deduplicated by
+// acceptor. A node has at most one round outstanding per instance: a second
+// caller proposing at it is refused until that round ends (ProposeWindowed
+// returns false, Propose backs off and retries).
 type Instance struct {
-	ID     InstanceID
-	Scope  groups.ProcSet
+	ID    InstanceID
+	Scope groups.ProcSet
+	// Net is read by nothing — every packet goes through the transport the
+	// node was started on. It stays because amcastbench's paxos probe sets it.
 	Net    net.Transport
 	Leader LeaderFunc
 	// MultiPaxos opts the instance's realm into the leader-lease fast
@@ -274,16 +281,34 @@ type WindowResult struct {
 	OK   bool
 }
 
-// winSlot is one outstanding windowed accept round, completed by the
-// node's message loop (quorum, NACK, foreign decision) or its timer.
-type winSlot struct {
-	inst   Instance
-	ballot int64
-	val    Value
-	acks   map[groups.Process]bool
-	need   int
-	res    chan<- WindowResult
-	timer  *time.Timer
+// phase is the table entry of one round at an instance: the prepare or the
+// accept it is gathering a quorum for. The message loop counts remote votes
+// into it, the proposing goroutine the node's own, the deadline timer ends
+// it if neither a quorum nor a refusal does.
+type phase struct {
+	inst    Instance
+	ballot  int64
+	prepare bool  // gathering promises; else acceptances of val
+	val     Value // the value of the accept
+	// voters are the acceptors counted so far. Votes are deduplicated by
+	// acceptor: over an adversarial fabric a packet may be duplicated, and
+	// counting the same acceptor twice would fake a quorum and break
+	// intersection.
+	voters groups.ProcSet
+	// timer is the phase deadline; nil while the entry gathers nothing — a
+	// full round between its promised quorum and its accept, or a phase that
+	// has ended and is running its effects. A vote that finds it nil is late.
+	timer *time.Timer
+	res   chan<- WindowResult
+	// fails is the counter a failed ending bumps: WindowFailures or
+	// FastRoundFailures for a leased round, nil for the phases of a full
+	// round, whose failure Propose's loop counts once.
+	fails *int64
+	// The harvest of a prepare: the highest-ballot value any promiser had
+	// accepted at the instance, and per later slot of the realm the same (the
+	// adoption obligations of a range grant).
+	best  AcceptedVal
+	adopt map[int64]AcceptedVal
 }
 
 // pendingResp is a phase response withheld until the durability barrier
@@ -301,7 +326,6 @@ type Node struct {
 	counters *obs.PaxosCounters
 	wal      storage.WAL
 	acc      *acceptor
-	resp     chan net.Packet
 	done     chan struct{}
 
 	// outbox holds responses deferred by the message loop until the next
@@ -313,24 +337,19 @@ type Node struct {
 	decided map[InstanceID]Value
 	watch   map[InstanceID][]chan Value
 
-	// opMu serialises this node's synchronous proposer rounds; dedup
-	// belongs to that round machinery and is guarded by it.
-	opMu  sync.Mutex
-	dedup map[groups.Process]bool // pooled response-dedup set, cleared per phase
-
 	// leaseMu guards the proposer-lease table and the refusal-ballot
-	// hints. It is separate from opMu so the message loop (which completes
-	// windowed rounds and must drop a NACKed lease) never has to wait for
-	// an in-flight synchronous round.
+	// hints. It is taken under phMu (launch) and on its own by the message
+	// loop, which ends phases and must drop a NACKed lease.
 	leaseMu sync.Mutex
 	leases  map[realmKey]*proposerLease
 	highest map[realmKey]int64 // highest refusal ballot observed per realm
 
-	// winMu guards the windowed-round table; completions come from the
-	// message loop and from per-round timers.
-	winMu    sync.Mutex
-	wins     map[InstanceID]*winSlot
-	winDepth map[realmKey]int
+	// phMu guards the phase table — one entry per instance with a round
+	// outstanding — and the per-realm entry count; votes come from the
+	// message loop and the proposing goroutines, deadlines from timers.
+	phMu   sync.Mutex
+	phases map[InstanceID]*phase
+	depth  map[realmKey]int
 
 	// hmu guards the extra-handler table (Mount) and serialises writers of
 	// the realm-watch list (WatchRealm).
@@ -481,15 +500,13 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 			accepted: make(map[InstanceID]AcceptedVal),
 			leases:   make(map[realmKey]leaseGrant),
 		},
-		resp:     make(chan net.Packet, 256),
-		done:     make(chan struct{}),
-		decided:  make(map[InstanceID]Value),
-		watch:    make(map[InstanceID][]chan Value),
-		leases:   make(map[realmKey]*proposerLease),
-		dedup:    make(map[groups.Process]bool, 8),
-		highest:  make(map[realmKey]int64),
-		wins:     make(map[InstanceID]*winSlot),
-		winDepth: make(map[realmKey]int),
+		done:    make(chan struct{}),
+		decided: make(map[InstanceID]Value),
+		watch:   make(map[InstanceID][]chan Value),
+		leases:  make(map[realmKey]*proposerLease),
+		highest: make(map[realmKey]int64),
+		phases:  make(map[InstanceID]*phase),
+		depth:   make(map[realmKey]int),
 	}
 	if n.counters == nil {
 		n.counters = new(obs.PaxosCounters)
@@ -503,7 +520,6 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 
 func (n *Node) loop() {
 	defer close(n.done)
-	defer close(n.resp)
 	inbox := n.nw.Inbox(n.p)
 	for pkt := range inbox {
 		n.dispatch(pkt)
@@ -567,16 +583,16 @@ func (n *Node) dispatch(pkt net.Packet) {
 		if v, ok := n.Decided(body.Inst); ok {
 			n.nw.Send(n.p, pkt.From, wire.TPaxDecide, DecideMsg{Inst: body.Inst, Val: v})
 		}
-	case wire.TPaxAcceptResp:
-		// Windowed rounds are completed here, in the loop, so a whole
-		// window of slots makes progress concurrently; anything not
-		// claimed by the window table flows to the synchronous round.
-		if body, ok := pkt.Body.(AcceptResp); ok && n.windowResp(pkt.From, body) {
-			return
-		}
-		n.pushResp(pkt)
 	case wire.TPaxPrepareResp:
-		n.pushResp(pkt)
+		// Phases are completed here, in the loop, so a whole window of
+		// slots — and the rounds of every realm — make progress concurrently.
+		if body, ok := pkt.Body.(PrepareResp); ok {
+			n.phaseResp(pkt.From, true, body)
+		}
+	case wire.TPaxAcceptResp:
+		if body, ok := pkt.Body.(AcceptResp); ok {
+			n.phaseResp(pkt.From, false, body.vote())
+		}
 	default:
 		n.hmu.RLock()
 		h := n.handlers[pkt.Type]
@@ -596,20 +612,6 @@ func (n *Node) reply(to groups.Process, t net.MsgType, body any) {
 		return
 	}
 	n.outbox = append(n.outbox, pendingResp{to: to, t: t, body: body})
-}
-
-// pushResp hands a response to the synchronous proposer, dropping (counted)
-// when no round is listening.
-func (n *Node) pushResp(pkt net.Packet) {
-	select {
-	case n.resp <- pkt:
-	default:
-		// A full response channel means the proposer is not (or no
-		// longer) listening for this round. The response is dropped,
-		// but never silently: the counter keeps channel-pressure
-		// losses distinguishable from fabric losses.
-		obs.Inc(&n.counters.RespDrops)
-	}
 }
 
 // handlePrepare runs the acceptor's phase-1 rule. A known decision
@@ -768,183 +770,241 @@ func (n *Node) toPeers(scope groups.ProcSet, t net.MsgType, body any) {
 	}
 }
 
-// ownVote makes this node's own promise or accept durable before the caller
-// counts it toward a quorum — rule 2 of the durability invariant (wal.go).
+// ownVote makes this node's own promise or accept durable before it is
+// counted toward a quorum — rule 2 of the durability invariant (wal.go).
 // It runs in the proposing goroutine (the replog submit loop, a Propose
 // caller), after the request went out to the peers, so the barrier overlaps
-// the round trip; never on the message loop, never under winMu or leaseMu.
+// the round trip; never on the message loop, never under phMu or leaseMu.
 func (n *Node) ownVote() { n.walSync() }
 
-// decideBroadcast teaches the scope a decision (recording it locally first,
-// without a loopback packet). No barrier: every vote the decision rests on
-// was durable before it was counted (the durability invariant, wal.go).
-func (n *Node) decideBroadcast(inst *Instance, val Value) {
-	n.recordDecision(inst.ID, val)
-	n.toPeers(inst.Scope, wire.TPaxDecide, DecideMsg{Inst: inst.ID, Val: val})
+// vote widens an accept response to the shape phaseResp counts: a prepare
+// response that reports no accepted value.
+func (r AcceptResp) vote() PrepareResp {
+	return PrepareResp{Inst: r.Inst, Ballot: r.Ballot, OK: r.OK, Promised: r.Promised, Decided: r.Decided, DecVal: r.DecVal}
 }
 
 // ---------------------------------------------------------------------------
-// Windowed accept rounds.
+// The phase table: where every quorum is gathered.
+
+// launch starts one phase of ph's round and reports whether it did: req is
+// the PrepareReq or AcceptReq to gather a quorum for, or nil for a leased
+// round — the accept is then built from the realm's lease and ph.val
+// (leasedAccept), and refused when no lease covers the slot or the realm's
+// window is full. Any launch is refused while another round holds the
+// instance: one outstanding round per instance is what keeps two proposers
+// at this node from counting each other's votes. The round that owns the
+// entry — a full round, back with its accept — relaunches it in place.
+//
+// Exactly one result per launched phase is delivered on ph.res, possibly
+// before launch returns; res must never block, because results are
+// delivered by the node's message loop and its timers. launch returns once
+// this node's own vote is durable and counted — one WAL barrier, run in the
+// caller's goroutine while the request is on the wire.
+func (n *Node) launch(ph *phase, req any) bool {
+	id := ph.inst.ID
+	rk := id.realm()
+	n.phMu.Lock()
+	cur := n.phases[id]
+	leased := req == nil
+	if cur != nil && cur != ph || leased && n.depth[rk] >= window {
+		n.phMu.Unlock()
+		return false
+	}
+	if leased {
+		lr, ok := n.leasedAccept(id, ph.val)
+		if !ok {
+			n.phMu.Unlock()
+			return false
+		}
+		req = lr
+	}
+	if cur == nil {
+		n.phases[id] = ph
+		n.depth[rk]++
+		if leased {
+			obs.Max(&n.counters.WindowDepthPeak, int64(n.depth[rk]))
+		}
+	}
+	acc, accept := req.(AcceptReq)
+	prep, prepare := req.(PrepareReq)
+	mt := wire.TPaxPrepare
+	if accept {
+		ph.ballot, ph.val, mt = acc.Ballot, acc.Val, wire.TPaxAccept
+	} else {
+		ph.ballot = prep.Ballot
+	}
+	ph.prepare, ph.voters = prepare, 0
+	ph.timer = time.AfterFunc(phaseDeadline, func() { n.phaseTimeout(ph, prepare) })
+	n.phMu.Unlock()
+
+	// The local acceptor is consulted directly — no loopback packets. The
+	// vote is appended here and counted after the broadcast (ownVote).
+	if !ph.inst.Scope.Has(n.p) {
+		n.toPeers(ph.inst.Scope, mt, req)
+		return true
+	}
+	var own PrepareResp
+	if accept {
+		own = n.handleAccept(acc).vote()
+	} else {
+		own = n.handlePrepare(prep)
+	}
+	if own.OK {
+		n.toPeers(ph.inst.Scope, mt, req)
+		// A promise must be durable before it is counted: phase 2's accept
+		// leaves on the strength of this quorum, and an acceptor that forgot
+		// promise b in a power cycle could promise and accept a lower b'.
+		n.ownVote()
+	}
+	// The own vote takes the path a remote response takes, once durable:
+	// two remote acks may have decided the slot meanwhile (then this is a
+	// no-op), a singleton scope decides right here; a refusal or a decision
+	// known to the local acceptor ends the phase before any packet left.
+	n.phaseResp(n.p, prepare, own)
+	return true
+}
+
+// phaseResp counts one vote — a remote response, on the node's message
+// loop, or the node's own, on the proposing goroutine — into the phase it
+// answers, and ends the phase on a refusal, a taught decision or a quorum.
+func (n *Node) phaseResp(from groups.Process, prepare bool, r PrepareResp) {
+	n.phMu.Lock()
+	ph := n.phases[r.Inst]
+	if ph == nil || ph.timer == nil || ph.ballot != r.Ballot || ph.prepare != prepare ||
+		ph.voters.Has(from) || !ph.inst.Scope.Has(from) {
+		n.phMu.Unlock()
+		// Nobody is waiting for this vote: a duplicate, or the late vote of a
+		// phase that ended without it. It may still carry a piggybacked
+		// decision, which is absorbed rather than thrown away. It is stale,
+		// and counted, only when the instance has neither a round at this
+		// node nor a decision: the third ack of a decided slot is not.
+		if r.Decided {
+			n.recordDecision(r.Inst, r.DecVal)
+		} else if _, known := n.Decided(r.Inst); ph == nil && !known {
+			obs.Inc(&n.counters.RespStale)
+		}
+		return
+	}
+	if r.OK {
+		ph.voters = ph.voters.Add(from)
+		if r.Accepted.Has && r.Accepted.Ballot > ph.best.Ballot {
+			ph.best = r.Accepted
+		}
+		for _, sv := range r.Range {
+			if ph.adopt == nil {
+				ph.adopt = make(map[int64]AcceptedVal, len(r.Range))
+			}
+			if cur, ok := ph.adopt[sv.Slot]; !ok || sv.Ballot > cur.Ballot {
+				ph.adopt[sv.Slot] = AcceptedVal{Ballot: sv.Ballot, Val: sv.Val, Has: true}
+			}
+		}
+		if ph.voters.Count() < ph.inst.Scope.Count()/2+1 {
+			n.phMu.Unlock()
+			return
+		}
+	}
+	n.end(ph, r)
+}
+
+// phaseTimeout expires a phase that gathered no quorum within the phase
+// deadline. The lease survives — a deadline says nothing about higher
+// ballots — so the caller may retry the slot, which the value pin keeps
+// safe.
+func (n *Node) phaseTimeout(ph *phase, prepare bool) {
+	n.phMu.Lock()
+	if ph.timer == nil || ph.prepare != prepare {
+		n.phMu.Unlock() // the timer lost a race with the phase's ending
+		return
+	}
+	n.end(ph, PrepareResp{})
+}
+
+// end is where every phase ends, exactly once: r is the vote that completed
+// its quorum (OK), refused it or taught it the decision, or the zero
+// response of the deadline. The caller holds phMu and has found ph
+// gathering; end releases the lock before the phase's effects, which call
+// out of the node (realm observers, the transport), and delivers the result
+// last, once the instance is free for its next round.
+func (n *Node) end(ph *phase, r PrepareResp) {
+	ph.timer.Stop()
+	ph.timer = nil
+	n.phMu.Unlock()
+	id := ph.inst.ID
+	rk := id.realm()
+	out := WindowResult{Inst: id, OK: r.OK}
+	switch {
+	case r.Decided:
+		// Taught instead of duelled. The decision ends an accept as well as
+		// a quorum would; a prepare's round has failed, and Propose's decided
+		// check picks the value up.
+		n.recordDecision(id, r.DecVal)
+		out.Val, out.OK = r.DecVal, !ph.prepare
+	case !r.OK:
+		if ph.fails != nil {
+			obs.Inc(ph.fails)
+		}
+		if r.Promised > 0 { // a NACK; the deadline carries no ballot
+			n.leaseMu.Lock()
+			if r.Promised > n.highest[rk] {
+				n.highest[rk] = r.Promised
+			}
+			// A higher ballot is loose in the realm: a lease below it is
+			// stale. The caller falls back to the full protocol, which
+			// re-acquires.
+			if lease := n.leases[rk]; lease != nil && lease.ballot < r.Promised {
+				obs.Inc(&n.counters.LeasesLost)
+				delete(n.leases, rk)
+			}
+			n.leaseMu.Unlock()
+		}
+	case !ph.prepare:
+		// Teach the scope the decision, recording it locally first, without
+		// a loopback packet. No barrier: every vote the decision rests on was
+		// durable before it was counted (the durability invariant, wal.go).
+		n.recordDecision(id, ph.val)
+		n.toPeers(ph.inst.Scope, wire.TPaxDecide, DecideMsg{Inst: id, Val: ph.val})
+		out.Val = ph.val
+	}
+	if !(ph.prepare && r.OK) {
+		// A promised quorum keeps the entry for the round's accept; every
+		// other ending frees the instance. Until here a late vote finds the
+		// entry, afterwards the decision if there is one — never neither.
+		n.phMu.Lock()
+		delete(n.phases, id)
+		n.depth[rk]--
+		n.phMu.Unlock()
+	}
+	ph.res <- out
+}
 
 // ProposeWindowed fires one phase-1-elided accept round for inst without
 // waiting for it to conclude. It returns true when the round was fired (or
 // resolved on the spot); exactly one WindowResult for inst will then be
 // delivered on res — possibly before ProposeWindowed returns. It returns
 // false, firing nothing, when the instance is not a leased Multi-Paxos
-// realm at this leader, or the realm's window is full; the caller falls
-// back to Propose (which acquires the lease) or waits for capacity.
+// realm at this leader, the realm's window is full, or another round holds
+// the instance; the caller falls back to Propose (which acquires the lease)
+// or waits for capacity.
 //
-// Callers must not run concurrent windowed and synchronous proposals for
-// the same realm, and must size res so it never blocks (≥ WindowLimit()+1):
-// results are delivered by the node's message loop and its timers, and a
-// blocked delivery would stall every realm on the node. The call returns
-// once this node's own vote is durable and counted — one WAL barrier, run
-// in the caller's goroutine while the request is on the wire.
+// Callers must size res so it never blocks (≥ WindowLimit()+1): see launch,
+// which this is but for the wait.
 func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult) bool {
 	if n.fenced.Load() || !inst.MultiPaxos || inst.Leader(n.p) != n.p {
 		return false
 	}
-	id := inst.ID
-	if got, ok := n.Decided(id); ok {
-		res <- WindowResult{Inst: id, Val: got, OK: true}
+	if got, ok := n.Decided(inst.ID); ok {
+		res <- WindowResult{Inst: inst.ID, Val: got, OK: true}
 		return true
 	}
-	rk := id.realm()
-	n.winMu.Lock()
-	if _, dup := n.wins[id]; dup || n.winDepth[rk] >= window {
-		n.winMu.Unlock()
+	if !n.launch(&phase{inst: *inst, val: v, res: res, fails: &n.counters.WindowFailures}, nil) {
 		return false
 	}
-	req, ok := n.leasedAccept(id, v)
-	if !ok {
-		n.winMu.Unlock()
-		return false
-	}
-	ballot, val := req.Ballot, req.Val
 	obs.Inc(&n.counters.WindowRounds)
-	ws := &winSlot{
-		inst:   *inst,
-		ballot: ballot,
-		val:    val,
-		acks:   make(map[groups.Process]bool, inst.Scope.Count()),
-		need:   inst.Scope.Count()/2 + 1,
-		res:    res,
-	}
-	// Consult the local acceptor synchronously — no loopback packets. The
-	// vote is appended here and counted after the broadcast (ownVote).
-	member := inst.Scope.Has(n.p)
-	if member {
-		r := n.handleAccept(req)
-		switch {
-		case r.Decided:
-			n.winMu.Unlock()
-			n.recordDecision(id, r.DecVal)
-			res <- WindowResult{Inst: id, Val: r.DecVal, OK: true}
-			return true
-		case !r.OK:
-			n.winMu.Unlock()
-			n.windowNack(rk, r.Promised)
-			res <- WindowResult{Inst: id, OK: false}
-			return true
-		}
-	}
-	n.wins[id] = ws
-	n.winDepth[rk]++
-	obs.Max(&n.counters.WindowDepthPeak, int64(n.winDepth[rk]))
-	ws.timer = time.AfterFunc(phaseDeadline, func() { n.windowTimeout(id, ballot) })
-	n.winMu.Unlock()
-	n.toPeers(inst.Scope, wire.TPaxAccept, req)
-	if member {
-		// The own vote takes the path a remote response takes, once durable:
-		// two remote acks may have decided the slot meanwhile (then this is
-		// a no-op), a singleton scope decides right here.
-		n.ownVote()
-		n.windowResp(n.p, AcceptResp{Inst: id, Ballot: ballot, OK: true})
-	}
 	return true
-}
-
-// windowResp routes an accept response to its outstanding windowed round,
-// reporting whether it was consumed. Runs on the node's message loop for
-// remote responses and on the proposing goroutine for the node's own vote.
-func (n *Node) windowResp(from groups.Process, r AcceptResp) bool {
-	n.winMu.Lock()
-	ws, ok := n.wins[r.Inst]
-	if !ok || ws.ballot != r.Ballot {
-		n.winMu.Unlock()
-		return false
-	}
-	switch {
-	case r.Decided:
-		n.unregisterWin(r.Inst, ws)
-		n.winMu.Unlock()
-		n.recordDecision(r.Inst, r.DecVal)
-		ws.res <- WindowResult{Inst: r.Inst, Val: r.DecVal, OK: true}
-	case !r.OK:
-		n.unregisterWin(r.Inst, ws)
-		n.winMu.Unlock()
-		obs.Inc(&n.counters.WindowFailures)
-		n.windowNack(r.Inst.realm(), r.Promised)
-		ws.res <- WindowResult{Inst: r.Inst, OK: false}
-	default:
-		if ws.acks[from] {
-			n.winMu.Unlock()
-			return true
-		}
-		ws.acks[from] = true
-		if len(ws.acks) < ws.need {
-			n.winMu.Unlock()
-			return true
-		}
-		n.unregisterWin(r.Inst, ws)
-		n.winMu.Unlock()
-		n.decideBroadcast(&ws.inst, ws.val)
-		ws.res <- WindowResult{Inst: r.Inst, Val: ws.val, OK: true}
-	}
-	return true
-}
-
-// windowTimeout expires an outstanding windowed round that gathered no
-// quorum within the phase deadline. The lease survives — a deadline says
-// nothing about higher ballots — so the caller may retry the slot, which
-// the value pin keeps safe.
-func (n *Node) windowTimeout(id InstanceID, ballot int64) {
-	n.winMu.Lock()
-	ws, ok := n.wins[id]
-	if !ok || ws.ballot != ballot {
-		n.winMu.Unlock()
-		return
-	}
-	n.unregisterWin(id, ws)
-	n.winMu.Unlock()
-	obs.Inc(&n.counters.WindowFailures)
-	ws.res <- WindowResult{Inst: id, OK: false}
-}
-
-// unregisterWin removes a completed round from the window table (caller
-// holds winMu).
-func (n *Node) unregisterWin(id InstanceID, ws *winSlot) {
-	delete(n.wins, id)
-	n.winDepth[id.realm()]--
-	if ws.timer != nil {
-		ws.timer.Stop()
-	}
-}
-
-// windowNack processes a refusal observed by a windowed round: remember
-// the ballot hint and drop the now-stale lease.
-func (n *Node) windowNack(rk realmKey, promised int64) {
-	n.leaseMu.Lock()
-	n.noteRefusal(rk, promised)
-	if _, held := n.leases[rk]; held {
-		obs.Inc(&n.counters.LeasesLost)
-		delete(n.leases, rk)
-	}
-	n.leaseMu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
-// Synchronous proposals.
+// Proposals that wait.
 
 // Propose runs the synod protocol for the instance until a decision is
 // learnt and returns it. Non-leaders (per Ω) wait for the leader's decision
@@ -982,7 +1042,7 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 		// Steady state: a held lease turns the proposal into a single
 		// accept round. Any failure falls through to the full protocol.
 		if isLeader && inst.MultiPaxos {
-			if val, ok := n.fastRound(inst, v); ok {
+			if val, ok := n.leasedRound(inst, v); ok {
 				return val, true
 			}
 			select {
@@ -1023,7 +1083,6 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 		n.claimBallot(ballot)
 		obs.Inc(&n.counters.Rounds)
 		if val, ok := n.round(inst, ballot, v); ok {
-			n.decideBroadcast(inst, val)
 			return val, true
 		}
 		select {
@@ -1057,43 +1116,6 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 			hedgeWait = 10 * nonLeaderWait
 			mustWait = true
 		}
-	}
-}
-
-// drainStale empties the response channel of leftovers from prior rounds
-// (caller holds opMu, so no round is in flight). Responses to the upcoming
-// round cannot exist before its broadcast, so everything pending is stale —
-// but a stale response may still carry a piggybacked decision, which is
-// absorbed rather than thrown away.
-func (n *Node) drainStale() {
-	for {
-		select {
-		case pkt, open := <-n.resp:
-			if !open {
-				return
-			}
-			obs.Inc(&n.counters.RespStale)
-			switch r := pkt.Body.(type) {
-			case PrepareResp:
-				if r.Decided {
-					n.recordDecision(r.Inst, r.DecVal)
-				}
-			case AcceptResp:
-				if r.Decided {
-					n.recordDecision(r.Inst, r.DecVal)
-				}
-			}
-		default:
-			return
-		}
-	}
-}
-
-// noteRefusal remembers the highest refusal ballot seen for a realm
-// (caller holds leaseMu).
-func (n *Node) noteRefusal(rk realmKey, promised int64) {
-	if promised > n.highest[rk] {
-		n.highest[rk] = promised
 	}
 }
 
@@ -1133,214 +1155,64 @@ func (n *Node) leasedAccept(id InstanceID, v Value) (req AcceptReq, ok bool) {
 	return req, true
 }
 
-// fastRound attempts the Multi-Paxos steady-state path: one accept round at
-// the held lease ballot, no phase 1. It reports ok=false when there is no
-// covering lease or the round did not conclude — the lease is dropped on
-// any refusal (a higher ballot is loose) and the caller falls back to the
-// full protocol, which re-acquires. Safety: the lease ballot was granted by
-// a quorum for every slot ≥ fromSlot, so this is phase 2 of a completed
-// phase 1, with adoption obligations carried in lease.adopt and retried
-// slots pinned to their first value (lease.used).
-func (n *Node) fastRound(inst *Instance, v Value) (Value, bool) {
-	n.opMu.Lock()
-	defer n.opMu.Unlock()
-	if got, ok := n.Decided(inst.ID); ok {
-		return got, true
-	}
-	req, ok := n.leasedAccept(inst.ID, v)
-	if !ok {
+// leasedRound attempts the Multi-Paxos steady-state path: one accept round at
+// the held lease ballot, no phase 1, waited for. It reports ok=false when
+// there is no covering lease (or the instance is busy) or the round did not
+// conclude — the lease is dropped on any refusal (end) and the caller falls
+// back to the full protocol. Safety: the lease ballot was granted by a
+// quorum for every slot ≥ fromSlot, so this is phase 2 of a completed phase
+// 1, with adoption obligations carried in lease.adopt and retried slots
+// pinned to their first value (lease.used).
+func (n *Node) leasedRound(inst *Instance, v Value) (Value, bool) {
+	res := make(chan WindowResult, 1)
+	if !n.launch(&phase{inst: *inst, val: v, res: res, fails: &n.counters.FastRoundFailures}, nil) {
 		return nil, false
 	}
-	val := req.Val
 	obs.Inc(&n.counters.FastRounds)
-	ok, refused := n.acceptPhase(inst, req.Ballot, req)
-	if !ok {
-		if refused {
-			// A higher ballot is loose in the realm: the lease is stale.
-			rk := inst.ID.realm()
-			n.leaseMu.Lock()
-			if _, held := n.leases[rk]; held {
-				obs.Inc(&n.counters.LeasesLost)
-				delete(n.leases, rk)
-			}
-			n.leaseMu.Unlock()
-		}
-		obs.Inc(&n.counters.FastRoundFailures)
-		return nil, false
-	}
-	n.decideBroadcast(inst, val)
-	return val, true
-}
-
-// acceptPhase runs one accept quorum round at the given ballot (caller
-// holds opMu and has already chosen the value per the adoption rule).
-// refused reports whether failure was a NACK (vs. a deadline).
-func (n *Node) acceptPhase(inst *Instance, ballot int64, req AcceptReq) (ok, refused bool) {
-	n.drainStale()
-	need := inst.Scope.Count()/2 + 1
-	clear(n.dedup)
-	// The local acceptor is consulted directly — no loopback packets — and
-	// its vote counted once durable, after the broadcast (ownVote).
-	member := inst.Scope.Has(n.p)
-	if member {
-		r := n.handleAccept(req)
-		if r.Decided {
-			return false, false // Propose's decided check will pick it up
-		}
-		if !r.OK {
-			n.leaseMu.Lock()
-			n.noteRefusal(inst.ID.realm(), r.Promised)
-			n.leaseMu.Unlock()
-			return false, true
-		}
-	}
-	n.toPeers(inst.Scope, wire.TPaxAccept, req)
-	deadline := time.After(phaseDeadline)
-	if member {
-		n.ownVote()
-		n.dedup[n.p] = true
-	}
-	for len(n.dedup) < need {
-		select {
-		case pkt, open := <-n.resp:
-			if !open {
-				return false, false
-			}
-			r, isResp := pkt.Body.(AcceptResp)
-			if pkt.Type != wire.TPaxAcceptResp || !isResp || r.Inst != inst.ID || r.Ballot != ballot || n.dedup[pkt.From] {
-				continue
-			}
-			if r.Decided {
-				n.recordDecision(r.Inst, r.DecVal)
-				return false, false
-			}
-			if !r.OK {
-				n.leaseMu.Lock()
-				n.noteRefusal(inst.ID.realm(), r.Promised)
-				n.leaseMu.Unlock()
-				return false, true
-			}
-			n.dedup[pkt.From] = true
-		case <-deadline:
-			return false, false
-		}
-	}
-	return true, false
+	r := <-res
+	return r.Val, r.OK
 }
 
 // round runs one full prepare/accept round and reports the value it got
-// accepted, or false on a quorum refusal, a deadline, or shutdown. When the
-// instance is MultiPaxos and this process is the leader sample, the prepare
-// is a range acquisition: success both decides this slot and installs a
-// proposer lease for every later slot of the realm.
+// decided, or false on a refusal, a deadline, or an instance another round
+// holds. When the instance is MultiPaxos and this process is the leader
+// sample, the prepare is a range acquisition: success both decides this
+// slot and installs a proposer lease for every later slot of the realm.
 func (n *Node) round(inst *Instance, ballot int64, v Value) (Value, bool) {
-	n.opMu.Lock()
-	defer n.opMu.Unlock()
-	n.drainStale()
-	need := inst.Scope.Count()/2 + 1
 	acquire := inst.MultiPaxos && inst.Leader(n.p) == n.p
-
-	// Phase 1: prepare. Responses are deduplicated by acceptor: over an
-	// adversarial fabric a packet may be duplicated, and counting the same
-	// acceptor twice would fake a quorum and break intersection.
-	req := PrepareReq{Inst: inst.ID, Ballot: ballot, Range: acquire}
-	clear(n.dedup)
-	var best AcceptedVal
-	var rangeAdopt map[int64]AcceptedVal
-	mergeRange := func(vals []SlotVal) {
-		for _, sv := range vals {
-			if rangeAdopt == nil {
-				rangeAdopt = make(map[int64]AcceptedVal, len(vals))
-			}
-			if cur, ok := rangeAdopt[sv.Slot]; !ok || sv.Ballot > cur.Ballot {
-				rangeAdopt[sv.Slot] = AcceptedVal{Ballot: sv.Ballot, Val: sv.Val, Has: true}
-			}
-		}
-	}
-	member := inst.Scope.Has(n.p)
-	if member {
-		r := n.handlePrepare(req)
-		if r.Decided {
-			return nil, false
-		}
-		if !r.OK {
-			n.leaseMu.Lock()
-			n.noteRefusal(inst.ID.realm(), r.Promised)
-			n.leaseMu.Unlock()
-			return nil, false
-		}
-		if r.Accepted.Has {
-			best = r.Accepted
-		}
-		mergeRange(r.Range)
-	}
-	n.toPeers(inst.Scope, wire.TPaxPrepare, req)
-	deadline := time.After(phaseDeadline)
-	if member {
-		// The promise must be durable before it is counted: phase 2's accept
-		// leaves on the strength of this quorum, and an acceptor that forgot
-		// promise b in a power cycle could promise and accept a lower b'.
-		n.ownVote()
-		n.dedup[n.p] = true
-	}
-	for len(n.dedup) < need {
-		select {
-		case pkt, open := <-n.resp:
-			if !open {
-				return nil, false
-			}
-			r, isResp := pkt.Body.(PrepareResp)
-			if pkt.Type != wire.TPaxPrepareResp || !isResp || r.Inst != inst.ID || r.Ballot != ballot || n.dedup[pkt.From] {
-				continue
-			}
-			if r.Decided {
-				n.recordDecision(r.Inst, r.DecVal)
-				return nil, false
-			}
-			if !r.OK {
-				n.leaseMu.Lock()
-				n.noteRefusal(inst.ID.realm(), r.Promised)
-				n.leaseMu.Unlock()
-				return nil, false
-			}
-			if r.Accepted.Has && r.Accepted.Ballot > best.Ballot {
-				best = r.Accepted
-			}
-			mergeRange(r.Range)
-			n.dedup[pkt.From] = true
-		case <-deadline:
-			return nil, false
-		}
+	res := make(chan WindowResult, 1)
+	ph := &phase{inst: *inst, res: res}
+	if !n.launch(ph, PrepareReq{Inst: inst.ID, Ballot: ballot, Range: acquire}) || !(<-res).OK {
+		return nil, false
 	}
 	val := v
-	if best.Has {
-		val = best.Val
+	if ph.best.Has {
+		val = ph.best.Val
 	}
-
-	// Phase 2: accept (deduplicated like phase 1).
-	ok, _ := n.acceptPhase(inst, ballot, AcceptReq{Inst: inst.ID, Ballot: ballot, Val: val})
-	if !ok {
+	n.launch(ph, AcceptReq{Inst: inst.ID, Ballot: ballot, Val: val}) // the round's own entry: never refused
+	r := <-res
+	if !r.OK {
 		return nil, false
 	}
 	if acquire {
 		// The quorum granted every slot ≥ this one at this ballot: install
 		// the lease so subsequent slots elide phase 1. Adoption obligations
 		// for this slot are consumed here; the rest ride along.
-		if rangeAdopt == nil {
-			rangeAdopt = make(map[int64]AcceptedVal)
+		if ph.adopt == nil {
+			ph.adopt = make(map[int64]AcceptedVal)
 		}
-		delete(rangeAdopt, inst.ID.Slot)
+		delete(ph.adopt, inst.ID.Slot)
 		n.leaseMu.Lock()
 		n.leases[inst.ID.realm()] = &proposerLease{
 			ballot:   ballot,
 			fromSlot: inst.ID.Slot,
-			adopt:    rangeAdopt,
+			adopt:    ph.adopt,
 			used:     make(map[int64]Value),
 		}
 		n.leaseMu.Unlock()
 		obs.Inc(&n.counters.LeasesAcquired)
 	}
-	return val, true
+	return r.Val, true
 }
 
 // Wait blocks until the node's loop exits.

@@ -12,14 +12,14 @@ package paxos
 //  2. A node's *own* vote — the local handlePrepare/handleAccept a proposer
 //     consults without a loopback packet — is appended at once, the request
 //     goes out to the peers, and only then does the proposing goroutine run
-//     the barrier and count the vote (ownVote): persist while the request is
-//     on the wire. No code path adds n.p to a prepare or accept quorum, and
-//     nothing is decided on the strength of the local vote, before that
-//     barrier has returned.
+//     the barrier and count the vote (ownVote, in launch): persist while the
+//     request is on the wire. No code path adds n.p to a prepare or accept
+//     quorum, and nothing is decided on the strength of the local vote,
+//     before that barrier has returned.
 //  3. A decision needs no barrier: every vote it rests on is durable by 1
-//     and 2, so decideBroadcast syncs nothing and the message loop never
-//     runs a barrier on behalf of the local proposer. The decide record
-//     itself rides a later barrier; losing it costs a re-learn.
+//     and 2, so the decide broadcast (end) syncs nothing and the message
+//     loop never runs a barrier on behalf of the local proposer. The decide
+//     record itself rides a later barrier; losing it costs a re-learn.
 //
 // What is deliberately NOT persisted: the proposer side. Leases, value pins
 // and refusal-ballot hints are performance state — a recovered node simply

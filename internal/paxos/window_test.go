@@ -1,21 +1,29 @@
 package paxos
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/groups"
 	"repro/internal/net"
+	"repro/internal/obs"
 )
 
 // winCluster builds n nodes plus a MultiPaxos instance factory over one
 // realm, with a fixed leader sample.
 func winCluster(n int, leader groups.Process) (*net.Network, []*Node, func(slot int64) *Instance) {
+	return winClusterCounted(n, leader, nil)
+}
+
+// winClusterCounted is winCluster with every node counting into c.
+func winClusterCounted(n int, leader groups.Process, c *obs.PaxosCounters) (*net.Network, []*Node, func(slot int64) *Instance) {
 	nw := net.New(n)
 	nodes := make([]*Node, n)
 	var scope groups.ProcSet
 	for p := 0; p < n; p++ {
-		nodes[p] = StartNode(nw, groups.Process(p))
+		nodes[p] = StartNodeWithConfig(nw, groups.Process(p), Config{Counters: c})
 		scope = scope.Add(groups.Process(p))
 	}
 	mkIns := func(slot int64) *Instance {
@@ -123,6 +131,81 @@ func TestWindowDepthCap(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("parked round %d never delivered its result", i)
+		}
+	}
+}
+
+// TestWindowedRoundRefusedAtHomeIsCounted: a windowed round refused by the
+// leader's own acceptor — a higher promise got there first, the lease is
+// stolen — ends where every phase ends: it counts as a failed window round
+// and a lost lease, and delivers its one !OK result.
+func TestWindowedRoundRefusedAtHomeIsCounted(t *testing.T) {
+	rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters})
+	nw, nodes, mkIns := winClusterCounted(3, 0, rec.Paxos())
+	defer nw.Close()
+	if _, ok := nodes[0].Propose(mkIns(0), I64Value(1)); !ok {
+		t.Fatalf("lease-installing propose failed")
+	}
+	if r := nodes[0].handlePrepare(PrepareReq{Inst: mkIns(1).ID, Ballot: 1 << 40}); !r.OK {
+		t.Fatalf("planting the higher promise: %+v", r)
+	}
+	res := make(chan WindowResult, nodes[0].WindowLimit()+1)
+	if !nodes[0].ProposeWindowed(mkIns(1), I64Value(2), res) {
+		t.Fatalf("windowed round not fired under a held lease")
+	}
+	c := rec.Report().Paxos
+	if c.WindowFailures != 1 || c.WindowRounds != 1 {
+		t.Errorf("window rounds/failures = %d/%d; want 1/1", c.WindowRounds, c.WindowFailures)
+	}
+	if c.LeasesLost != 1 {
+		t.Errorf("leases lost = %d; want 1", c.LeasesLost)
+	}
+	if r := recvWithin(t, res, "the refused round's result"); r.OK {
+		t.Errorf("result = %+v; want !OK", r)
+	}
+}
+
+// TestLateVotesAreNeitherDropsNorStale: at n=3 every decided slot has a
+// third ack that arrives after the quorum. It belongs to a decided instance
+// and is nobody's business: a fault-free run of windowed slots followed by a
+// waited round counts no stale response, and the report has no column for dropped ones.
+func TestLateVotesAreNeitherDropsNorStale(t *testing.T) {
+	rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters})
+	nw, nodes, mkIns := winClusterCounted(3, 0, rec.Paxos())
+	defer nw.Close()
+	if _, ok := nodes[0].Propose(mkIns(0), I64Value(0)); !ok {
+		t.Fatalf("lease-installing propose failed")
+	}
+	const slots = 200
+	res := make(chan WindowResult, nodes[0].WindowLimit()+1)
+	// Never more rounds unread than res has room for: a result occupies the
+	// channel until it is read, whether or not its round still holds a slot
+	// of the window.
+	for next, done := int64(1), int64(0); done < slots; {
+		if next <= slots && next-done <= int64(nodes[0].WindowLimit()) && nodes[0].ProposeWindowed(mkIns(next), I64Value(next), res) {
+			next++
+			continue
+		}
+		if r := recvWithin(t, res, "a windowed result"); !r.OK {
+			t.Fatalf("slot %d failed on a fault-free fabric", r.Inst.Slot)
+		}
+		done++
+	}
+	if v, ok := nodes[0].Propose(mkIns(slots+1), I64Value(slots+1)); !ok || v.I64() != slots+1 {
+		t.Fatalf("waited round after the window = %v,%v", v, ok)
+	}
+	rep := rec.Report()
+	if c := rep.Paxos; c.RespStale != 0 || c.WindowRounds != slots || c.FastRounds != 1 {
+		t.Errorf("resp_stale/window_rounds/fast_rounds = %d/%d/%d; want 0/%d/1", c.RespStale, c.WindowRounds, c.FastRounds, slots)
+	}
+	// The one response counter a report has is the stale one.
+	var keys map[string]int64
+	if js, err := json.Marshal(rep.Paxos); err != nil || json.Unmarshal(js, &keys) != nil {
+		t.Fatalf("paxos section does not round-trip through JSON (err %v)", err)
+	}
+	for k := range keys {
+		if strings.HasPrefix(k, "resp_") && k != "resp_stale" {
+			t.Errorf("report still has a %s key", k)
 		}
 	}
 }
