@@ -109,12 +109,9 @@ type LiveRow struct {
 	WALSyncs      int64   `json:"wal_syncs,omitempty"`
 	RecoveryMs    float64 `json:"recovery_ms,omitempty"`
 	// Scheduler shape: how much stepping work the run's deliveries cost.
-	// IdleWork is the idle-CPU proxy — timer wakeups plus version-check-only
-	// skipped scans.
 	WakeupsPerDelivery float64 `json:"wakeups_per_delivery,omitempty"`
 	StepsPerDelivery   float64 `json:"steps_per_delivery,omitempty"`
 	Scans              int64   `json:"scans,omitempty"`
-	IdleWork           int64   `json:"idle_work,omitempty"`
 	// What silence costs: packets sent and CPU burnt per second over the
 	// linger after the last delivery, while nothing is multicast.
 	IdlePacketsPerS float64 `json:"idle_packets_per_s,omitempty"`
@@ -203,7 +200,6 @@ func FromReport(rep obs.RunReport) LiveRow {
 	}
 	if rep.Sched != nil {
 		row.Scans = rep.Sched.Scans
-		row.IdleWork = rep.Sched.TimerWakeups + rep.Sched.SkippedScans
 		if rep.Deliveries > 0 {
 			row.WakeupsPerDelivery = float64(rep.Sched.NotifyWakeups+rep.Sched.TimerWakeups) / float64(rep.Deliveries)
 			row.StepsPerDelivery = float64(rep.Sched.Actions) / float64(rep.Deliveries)

@@ -327,11 +327,19 @@ func (c *Chaos) Send(from, to groups.Process, t net.MsgType, body any) {
 }
 
 // deliver routes one copy: directly, via a detached goroutine (reorder), or
-// via the link's FIFO pipe (ordered delay).
+// via the link's FIFO pipe (ordered delay). A goroutine is counted in wg
+// under the lock that checks closed, so Close, which sets closed under that
+// lock before it waits, never waits on a group that is still growing.
 func (c *Chaos) deliver(l link, pkt net.Packet, delay time.Duration, reorder bool) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
 	if delay > 0 && reorder {
-		obs.Inc(&c.stats.Delayed)
 		c.wg.Add(1)
+		c.mu.Unlock()
+		obs.Inc(&c.stats.Delayed)
 		go func() {
 			defer c.wg.Done()
 			t := time.NewTimer(delay)
@@ -345,7 +353,6 @@ func (c *Chaos) deliver(l link, pkt net.Packet, delay time.Duration, reorder boo
 		}()
 		return
 	}
-	c.mu.Lock()
 	pipe, piped := c.pipes[l]
 	if !piped && delay > 0 {
 		// First delayed packet on this link: open its FIFO pipe. Once a

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,6 +215,34 @@ func TestCloseWithDelayedInFlight(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("Close deadlocked on in-flight delayed packets")
+	}
+}
+
+// TestCloseRacesDelayedSends closes the transport while several goroutines
+// are still sending delayed packets, reordered and FIFO: every delayed packet
+// starts a goroutine or opens a pipe, and Close must not wait on a group a
+// Send is still adding to. The race detector is the verdict (-race). Few
+// packets a round, so Close often lands while the first are being counted.
+func TestCloseRacesDelayedSends(t *testing.T) {
+	const senders = 4
+	for round := 0; round < 300; round++ {
+		c := Wrap(net.New(senders), int64(round))
+		c.SetFaults(Faults{DelayMin: time.Millisecond, DelayMax: 2 * time.Millisecond, Reorder: round%2 == 0})
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(from groups.Process) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 8; i++ {
+					c.Send(from, groups.Process(i%senders), tM, i)
+				}
+			}(groups.Process(s))
+		}
+		close(start)
+		c.Close()
+		wg.Wait()
 	}
 }
 

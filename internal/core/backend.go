@@ -43,10 +43,6 @@ type LogObject interface {
 	BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum, k int) Started
 	// Contains reports whether d is in the log.
 	Contains(d logobj.Datum) bool
-	// Version is a change counter: it increases on every mutation of the
-	// (locally visible) log state. Nodes snapshot it to skip guard rescans
-	// when nothing they observe has changed.
-	Version() int64
 	// MessagesSince returns the messages appended after the first from
 	// message appends, in first-append order — the incremental discovery
 	// stream (from is the caller's per-log high-water mark).
@@ -202,7 +198,6 @@ func (s simLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Dat
 }
 
 func (s simLog) Contains(d logobj.Datum) bool { return s.l.Inner().Contains(d) }
-func (s simLog) Version() int64               { return s.l.Inner().Version() }
 func (s simLog) MessagesSince(from int) []msg.ID {
 	return s.l.Inner().MessagesSince(from)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/failure"
@@ -22,10 +21,8 @@ import (
 //
 // The scan is ready-set based: discovery is incremental (a per-group-log
 // high-water mark into the log's first-append message stream, never a
-// re-listing), delivered messages are retired from the scan set, and a scan
-// that fired nothing captures the versions of this process's log handles so
-// the next Step can be skipped outright while nothing it observes has
-// changed (see canSkip for why that is sound).
+// re-listing), delivered messages are retired from the scan set, and a pass
+// ends at the action it fires.
 //
 // The node touches the shared objects only through the Backend interfaces
 // (backend.go), so the same code runs over the deterministic in-memory
@@ -46,19 +43,9 @@ type Node struct {
 	// is no cross-log dedup to do.
 	hw map[groups.GroupID]int
 
-	// snapVers (parallel to myPairs) holds the log versions the last
-	// no-fire scan pass was evaluated against; snapValid marks it usable as
-	// a skip certificate. The versions are read BEFORE the pass: a mutation
-	// landing mid-scan (its guard effect possibly unseen) then fails the
-	// next canSkip version check instead of being silently absorbed into
-	// the certificate. preVers is the pre-scan scratch buffer. dirty is set
-	// from outside the stepping goroutine (Multicast, Rescan) to force the next
-	// Step to scan regardless; a scan pass consumes it before it reads the
-	// outbox, so one that is set when the pass ends was set during it.
-	snapVers  []int64
-	preVers   []int64
-	snapValid bool
-	dirty     atomic.Bool
+	// quiet records that the last pass fired nothing and saw no message in
+	// a time-gated phase (see Quiescent).
+	quiet bool
 
 	// outbox holds client multicast requests not yet handed to Algorithm 1
 	// (waiting behind their L_g predecessors), per destination group. The
@@ -196,9 +183,6 @@ func (n *Node) Multicast(m *msg.Message) {
 	n.boxMu.Lock()
 	n.outbox[m.Dst] = append(n.outbox[m.Dst], req)
 	n.boxMu.Unlock()
-	// The enqueue enables tryMulticast without touching any log, so the
-	// version-snapshot skip certificate no longer covers the guard inputs.
-	n.Rescan()
 }
 
 // Phase returns the local phase of m.
@@ -233,21 +217,13 @@ func (n *Node) gateOK(ctx *engine.Ctx, g groups.GroupID) bool {
 	return q.SubsetOf(ctx.E.ActiveParticipants(ctx.Now))
 }
 
-// Step implements engine.Automaton: discover new messages, then try one
-// action (at most one per Step — the deterministic engine's accounting and
-// interleaving control rely on that granularity; the live runner loops via
-// Drain instead).
-//
-// A Step whose predecessor captured a valid skip certificate returns false
-// without scanning at all; otherwise the scan retires delivered messages
-// from the active set as it walks it, and a pass that fired nothing
-// recaptures the certificate.
+// Step implements engine.Automaton: one guard pass, which discovers new
+// messages, retires delivered ones from the active set as it walks it and
+// fires at most one action (the deterministic engine's accounting and
+// interleaving control rely on that granularity; the live runner calls Step
+// until it returns false).
 func (n *Node) Step(ctx *engine.Ctx) bool {
 	sched := n.sh.Opt.Rec.Sched()
-	if n.canSkip() {
-		obs.Inc(&sched.SkippedScans)
-		return false
-	}
 	obs.Inc(&sched.Scans)
 	fired := n.scanPass(ctx)
 	obs.Add(&sched.GuardVisits, n.visits)
@@ -259,20 +235,15 @@ func (n *Node) Step(ctx *engine.Ctx) bool {
 }
 
 // scanPass is one guard pass of Step: it reports whether an action fired,
-// and captures the skip certificate when none did.
+// and records whether the node is quiet.
 func (n *Node) scanPass(ctx *engine.Ctx) bool {
-	// Consumed here, before the outbox is read — not in canSkip, which a node
-	// without a certificate never reaches: the flag then stayed up for ever
-	// and vetoed every later capture. An enqueue landing mid-pass raises it
-	// again and vetoes this pass's.
-	n.dirty.Store(false)
-	n.preScanVersions()
 	n.discover()
 	if n.tryMulticast(ctx) {
+		n.quiet = false
 		return true
 	}
 	fired := false
-	timeSensitive := 0
+	timeGated := false
 	w := 0
 	for i := 0; i < len(n.active); i++ {
 		id := n.active[i]
@@ -285,9 +256,9 @@ func (n *Node) scanPass(ctx *engine.Ctx) bool {
 		if ph == PhasePending || ph == PhaseCommit {
 			// tryCommit and tryStable consult γ(g) (and the Strict variant
 			// the 1^{g∩h} indicator) at the current time: these guards can
-			// open with no object mutating, so their presence vetoes the
-			// skip certificate.
-			timeSensitive++
+			// open with no object mutating, so their presence keeps the node
+			// from being quiet.
+			timeGated = true
 		}
 		if !n.gateOK(ctx, n.sh.Reg.Get(id).Dst) {
 			continue
@@ -316,99 +287,16 @@ func (n *Node) scanPass(ctx *engine.Ctx) bool {
 		}
 	}
 	n.active = n.active[:w]
-	if !fired {
-		n.captureSnap(timeSensitive)
-	}
+	n.quiet = !fired && !timeGated
 	return fired
 }
 
-// Drain fires every enabled action before returning, reporting how many
-// fired. The live runner calls it once per wakeup so a single notification
-// retires the whole chain of actions it enabled; the deterministic engine
-// keeps calling Step directly, one action at a time.
-func (n *Node) Drain(ctx *engine.Ctx) int {
-	fired := 0
-	for n.Step(ctx) {
-		fired++
-	}
-	return fired
-}
-
-// canSkip reports whether the whole Step may be elided: the last scan fired
-// nothing, no client request arrived since (dirty), no active message sits
-// in a time-gated phase (checked at capture), the quorum gate is off (its
-// guard reads engine state no log version reflects), and every log handle of
-// this process still has the version the certificate recorded.
-//
-// The certificate covers remote progress because anything that enables a
-// guard here either mutates one of this process's logs (replica applies bump
-// Version; in the Sim backend the objects are shared outright) or is a local
-// action of this node — and local actions only happen inside scans, which
-// invalidate the certificate by firing. Conflict-class learning rides on
-// decided log ops, so it too bumps a covered version.
-func (n *Node) canSkip() bool {
-	if !n.snapValid || n.sh.Opt.QuorumGate {
-		return false
-	}
-	if n.dirty.Load() {
-		n.snapValid = false
-		return false
-	}
-	for i, key := range n.myPairs {
-		if n.logs[key].Version() != n.snapVers[i] {
-			n.snapValid = false
-			return false
-		}
-	}
-	return true
-}
-
-// Quiescent reports whether the node holds a skip certificate: its last pass
-// fired nothing, no message of its scan set sits in a time-gated phase and no
-// request was enqueued since. Such a node has nothing to do until one of its
-// logs changes or a request arrives — both wake it — so the live runner
-// parks it without a timer. Call from the stepping goroutine only.
-func (n *Node) Quiescent() bool { return n.snapValid }
-
-// Rescan makes the next Step scan whatever certificate the node holds: for a
-// guard input that moved and is neither a log version nor time — the outbox,
-// or L_g when another daemon's sender registers in it. Safe from any
-// goroutine.
-func (n *Node) Rescan() { n.dirty.Store(true) }
-
-// preScanVersions records every log handle's version before the guard pass
-// evaluates anything. Only these pre-scan values may become the skip
-// certificate: reading versions after the pass would absorb a mutation that
-// landed mid-scan — whose guard effect the pass may not have seen — and the
-// wakeup it queued would then be skipped as a no-change, leaving the enabled
-// action stranded until the heartbeat.
-func (n *Node) preScanVersions() {
-	if n.sh.Opt.QuorumGate {
-		return
-	}
-	if n.preVers == nil {
-		n.preVers = make([]int64, len(n.myPairs))
-	}
-	for i, key := range n.myPairs {
-		n.preVers[i] = n.logs[key].Version()
-	}
-}
-
-// captureSnap promotes the pre-scan versions to the skip certificate after
-// a scan pass that fired nothing, unless a time-gated phase, the quorum
-// gate or a pending client enqueue makes the log versions an incomplete
-// summary of the guard inputs.
-func (n *Node) captureSnap(timeSensitive int) {
-	if n.sh.Opt.QuorumGate || timeSensitive > 0 || n.dirty.Load() || n.preVers == nil {
-		return
-	}
-	n.snapVers, n.preVers = n.preVers, n.snapVers
-	if n.snapVers == nil {
-		// First capture: preVers moved over, leave a fresh scratch buffer.
-		n.preVers = make([]int64, len(n.myPairs))
-	}
-	n.snapValid = true
-}
+// Quiescent reports whether the node's last pass fired nothing and saw no
+// message in a time-gated phase. Such a node has nothing to do until one of
+// its logs applies an operation, a request is enqueued or registered, or a
+// process crashes — each of which wakes it — so the live runner parks it
+// without a timer. Call from the stepping goroutine only.
+func (n *Node) Quiescent() bool { return n.quiet }
 
 // discover ingests the new suffix of each group log's message stream. Newly
 // seen messages enter the phase map at PhaseStart and join the active scan

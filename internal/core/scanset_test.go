@@ -61,19 +61,17 @@ func TestScanSetBoundedSoak(t *testing.T) {
 	}
 }
 
-// TestSenderRegainsSkipCertificate: a node that has sent a multicast must
-// get its skip certificate back once the message is delivered. Multicast
-// raises the dirty flag; it used to be consumed only by a node that already
-// held a certificate, and a raised flag vetoed every capture — so on a node
-// without one (any node at its first request) the flag stayed up for ever,
-// every later Step was a full scan, and the live runner's node never
-// qualified for a timerless park.
-func TestSenderRegainsSkipCertificate(t *testing.T) {
+// TestSenderParksAfterDelivery: once a sender's multicast is delivered, its
+// next Step is one guard pass that fires nothing and leaves the node
+// quiescent, so the live runner parks it without a timer. A sender once
+// never qualified for that park: the enqueue raised a flag that only a node
+// already parked could lower.
+func TestSenderParksAfterDelivery(t *testing.T) {
 	topo := groups.Figure1()
 	rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters})
 	s := NewSystem(topo, failure.NewPattern(topo.NumProcesses()), Options{Rec: rec}, 7)
 	const sender = groups.Process(0)
-	s.Multicast(sender, 0, nil) // the sender's first Step has not run: no certificate yet
+	s.Multicast(sender, 0, nil)
 	if !s.Run() {
 		t.Fatal("run did not quiesce")
 	}
@@ -87,10 +85,10 @@ func TestSenderRegainsSkipCertificate(t *testing.T) {
 	}
 	after := *rec.Report().Sched
 	if !n.Quiescent() {
-		t.Error("sender holds no skip certificate after its message is delivered")
+		t.Error("sender is not quiescent after its message is delivered")
 	}
-	if after.Scans != before.Scans || after.SkippedScans != before.SkippedScans+1 {
-		t.Errorf("step after quiescence: scans %d → %d, skipped %d → %d; want one skipped scan and no full one",
-			before.Scans, after.Scans, before.SkippedScans, after.SkippedScans)
+	if after.Scans != before.Scans+1 || after.Actions != before.Actions {
+		t.Errorf("step after quiescence: scans %d → %d, actions %d → %d; want one scan that fires nothing",
+			before.Scans, after.Scans, before.Actions, after.Actions)
 	}
 }

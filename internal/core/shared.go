@@ -107,7 +107,6 @@ type Shared struct {
 
 	deliveries []Delivery
 	seq        int
-	version    int64
 	frozen     bool
 
 	// gammaOverride substitutes another γ implementation for the ideal one
@@ -218,7 +217,6 @@ func (sh *Shared) RequestClassed(src groups.Process, dst groups.GroupID, payload
 	sh.mu.Lock()
 	sh.seqs[dst] = append(sh.seqs[dst], m.ID)
 	sh.requestedAt[m.ID] = now
-	sh.version++
 	sh.mu.Unlock()
 	sh.Opt.Rec.Multicast(src, m.ID, dst, now)
 	sh.Opt.Rec.NoteClass(uint64(m.Class))
@@ -292,7 +290,6 @@ func (sh *Shared) RecordDelivery(p groups.Process, m msg.ID, t failure.Time) {
 	if _, ok := sh.firstDelivered[m]; !ok {
 		sh.firstDelivered[m] = t
 	}
-	sh.version++
 	sh.mu.Unlock()
 	if rec := sh.Opt.Rec; rec != nil {
 		if mm := sh.Reg.Get(m); mm != nil {

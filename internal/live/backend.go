@@ -249,12 +249,6 @@ func (l liveLog) Contains(d logobj.Datum) bool {
 	return out
 }
 
-func (l liveLog) Version() int64 {
-	var out int64
-	l.r.Read(func(lg *logobj.Log) { out = lg.Version() })
-	return out
-}
-
 func (l liveLog) MessagesSince(from int) []msg.ID {
 	var out []msg.ID
 	l.r.Read(func(lg *logobj.Log) { out = lg.MessagesSince(from) })

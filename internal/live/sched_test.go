@@ -24,10 +24,10 @@ func countedSystem(topo *groups.Topology, pat *failure.Pattern, cfg Config) *Sys
 // TestIdleNodesNearZeroWork pins down the event-driven contract from both
 // sides. Idle side: a started system with no traffic does nothing — no
 // action, no guard scan beyond the start-up pass, and no timer wakeup at all:
-// a node that holds its skip certificate parks without a heartbeat. Liveness
-// side: a multicast issued after a long idle stretch still delivers, and
-// with no timer anywhere it can only have got there on notify wakeups — a
-// lost notification would hang the run, not delay it by a beat.
+// a quiescent node parks without a heartbeat. Liveness side: a multicast
+// issued after a long idle stretch still delivers, and with no timer
+// anywhere it can only have got there on notify wakeups — a lost
+// notification would hang the run, not delay it by a beat.
 func TestIdleNodesNearZeroWork(t *testing.T) {
 	topo := groups.Figure1()
 	sys := countedSystem(topo, failure.NewPattern(topo.NumProcesses()), Config{})
@@ -115,7 +115,7 @@ func TestHeartbeatOnlyWhileTimeGated(t *testing.T) {
 		t.Errorf("delivered at tick %d; want within [%d, %d]: γ opens the guard at %d and the next heartbeat sees it", at, release, release+slack, release)
 	}
 
-	time.Sleep(4 * heartbeat) // the last armed beat fires, finds a certificate
+	time.Sleep(4 * heartbeat) // the last armed beat fires, leaves the node quiescent
 	before := sys.Report().Sched.TimerWakeups
 	time.Sleep(100 * time.Millisecond)
 	if after := sys.Report().Sched.TimerWakeups; after != before {
@@ -128,9 +128,9 @@ func TestHeartbeatOnlyWhileTimeGated(t *testing.T) {
 }
 
 // TestAnnounceWakesOwnedMembers: a registration by another daemon's sender
-// grows L_g, which the group-sequential gate reads and no log version
-// covers. A parked node has no timer to notice it later, so Announce makes
-// the owned members of the destination group rescan — and nobody else.
+// grows L_g, which the group-sequential gate reads and no replica apply
+// announces. A parked node has no timer to notice it later, so Announce wakes
+// the owned members of the destination group — and nobody else.
 func TestAnnounceWakesOwnedMembers(t *testing.T) {
 	topo := groups.Figure1() // g1 = {p1, p2}
 	mem := NewMembership(nil, 1, 3)

@@ -28,8 +28,8 @@ const (
 	// the owning node — so the timer covers only guards gated on time
 	// alone: γ(g) and the §6.1 indicators move with the failure pattern,
 	// never with a shared object, so nothing else re-opens them. It is armed
-	// while the node holds no skip certificate (core.Node.Quiescent), which
-	// a message in a time-gated phase denies it, and at no other time.
+	// while the node is not quiescent (core.Node.Quiescent), which a message
+	// in a time-gated phase denies it, and at no other time.
 	heartbeat = 5 * time.Millisecond
 )
 
@@ -276,13 +276,13 @@ func (s *System) runCrashes(start time.Time, crashes []groups.Process) {
 }
 
 // runNode steps one node until shutdown (or its crash). Stepping is
-// wakeup-driven: drain every enabled action, then sleep until a replica
-// apply, a client enqueue or a scheduled crash wakes the node. A node that
-// holds a skip certificate parks without a timer — every input of its
-// guards that can move wakes it (DESIGN.md §12); one that does not, because
-// a message sits in a time-gated phase, rescans every heartbeat. A step
-// that blocks inside a shared-object operation is unblocked by Net.Close at
-// Stop.
+// wakeup-driven: every wakeup runs passes until one fires nothing, then the
+// node sleeps until a replica apply, a client enqueue or registration or a
+// scheduled crash wakes it. A quiescent node parks without a timer — every
+// input of its guards that can move wakes it (DESIGN.md §12); one that is
+// not, because a message sits in a time-gated phase, rescans every
+// heartbeat. A step that blocks inside a shared-object operation is
+// unblocked by Net.Close at Stop.
 func (s *System) runNode(p groups.Process) {
 	defer s.wg.Done()
 	n := s.Nodes[p]
@@ -366,13 +366,12 @@ func (s *System) Announce(src groups.Process, dst groups.GroupID, payload []byte
 // daemons must pass the same tag as the owning daemon's MulticastClassed.
 //
 // The registration grows L_dst, which the senders' group-sequential gate
-// reads and no log version covers, so the owned members of dst are made to
-// rescan and woken: a parked node has no timer that would do it later.
+// reads and no replica apply announces, so the owned members of dst are
+// woken: a parked node has no timer that would rescan later.
 func (s *System) AnnounceClassed(src groups.Process, dst groups.GroupID, payload []byte, class msg.Class) *msg.Message {
 	m := s.Sh.RequestClassed(src, dst, payload, class, s.now())
 	for _, p := range s.Topo.Group(dst).Members() {
 		if s.owns(p) {
-			s.Nodes[p].Rescan()
 			s.wake(p)
 		}
 	}

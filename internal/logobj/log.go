@@ -105,10 +105,9 @@ func (d Datum) String() string {
 // Log is the shared log object. Slots are numbered from 1; position 0 means
 // "absent". The zero value is not usable; call New.
 type Log struct {
-	name    string
-	slots   map[Datum]slot
-	head    int // first free slot after which there are only free slots
-	version int64
+	name  string
+	slots map[Datum]slot
+	head  int // first free slot after which there are only free slots
 
 	// msgSeq records the KindMsg datums in first-append order. Appends are
 	// deduplicated, so each message appears exactly once; readers use it as
@@ -168,9 +167,6 @@ func New(name string) *Log {
 // Name returns the log's diagnostic name.
 func (l *Log) Name() string { return l.name }
 
-// Version increases on every mutation; idle-detection hooks use it.
-func (l *Log) Version() int64 { return l.version }
-
 // Append inserts d at the head slot and returns its position. If d is
 // already in the log the operation does nothing and returns the current
 // position; so does a KindCons proposal to a CONS_{m,f} that is already
@@ -200,7 +196,6 @@ func (l *Log) Append(d Datum) int {
 		}
 		l.decided[consKey{d.Msg, d.H}] = d.I
 	}
-	l.version++
 	return p
 }
 
@@ -252,7 +247,6 @@ func (l *Log) BumpAndLock(d Datum, k int) {
 	}
 	s.locked = true
 	l.slots[d] = s
-	l.version++
 }
 
 // moveUp re-ranks message id from position from to the higher position to:

@@ -285,17 +285,3 @@ func TestDatumOrderAndString(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
-
-func TestVersionAdvances(t *testing.T) {
-	l := New("v")
-	v0 := l.Version()
-	l.Append(MsgDatum(1))
-	if l.Version() == v0 {
-		t.Fatalf("version not bumped on append")
-	}
-	v1 := l.Version()
-	l.Append(MsgDatum(1)) // no-op
-	if l.Version() != v1 {
-		t.Fatalf("version bumped on no-op append")
-	}
-}

@@ -355,7 +355,7 @@ func TestFirstProposalDecides(t *testing.T) {
 	won := l.Append(ConsDatum(1, 2, 7))
 	mp.ref.Append(ConsDatum(1, 2, 7))
 	mp.check(t)
-	head, version := l.head, l.Version()
+	head, items := l.head, l.Items()
 	for _, k := range []int{9, 0, 7} {
 		if got := l.Append(ConsDatum(1, 2, k)); got != won {
 			t.Fatalf("proposal %d to a decided object landed at %d, the winner sits at %d", k, got, won)
@@ -363,8 +363,8 @@ func TestFirstProposalDecides(t *testing.T) {
 		mp.ref.Append(ConsDatum(1, 2, k))
 		mp.check(t)
 	}
-	if l.head != head || l.Version() != version {
-		t.Fatalf("losing proposals moved the log: head %d→%d, version %d→%d", head, l.head, version, l.Version())
+	if got := l.Items(); l.head != head || !reflect.DeepEqual(got, items) {
+		t.Fatalf("losing proposals moved the log: head %d→%d, items %v→%v", head, l.head, items, got)
 	}
 	if k, ok := l.Decided(1, 2); !ok || k != 7 {
 		t.Fatalf("Decided(m1, f10) = %d,%v, want 7", k, ok)

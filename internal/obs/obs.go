@@ -493,18 +493,18 @@ func (c *ReplogCounters) MeanBatchOps() float64 {
 }
 
 // SchedCounters count the stepping scheduler's work: how often nodes woke
-// (split by cause), how many guard scan passes they ran, how many Step calls
-// the change-vector check short-circuited without scanning, and how many
-// protocol actions fired. Scans/Actions is the scan efficiency of the ready
-// set; TimerWakeups alongside SkippedScans is the idle-CPU proxy — an
-// event-driven system shows timer wakeups that skip their scan, a polling
-// one shows scans growing with wall time regardless of traffic.
+// (split by cause), how many guard scan passes they ran (one per Step) and
+// how many protocol actions fired. Scans/Actions is the scan efficiency of
+// the ready set; a polling scheduler would show timer wakeups and scans
+// growing with wall time regardless of traffic.
 type SchedCounters struct {
 	NotifyWakeups int64 `json:"notify_wakeups"`
 	TimerWakeups  int64 `json:"timer_wakeups"`
 	Scans         int64 `json:"scans"`
-	SkippedScans  int64 `json:"skipped_scans"`
-	Actions       int64 `json:"actions"`
+	// SkippedScans is always 0: every Step scans, and nothing counts it any
+	// more. It stays for the readers that still report it.
+	SkippedScans int64 `json:"skipped_scans"`
+	Actions      int64 `json:"actions"`
 	// GuardVisits counts the predecessor entries the guards of Algorithm 1
 	// examined (log entries before a message, L_g entries before an outbox
 	// head). Per delivery it must not grow with the length of the run: the

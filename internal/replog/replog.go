@@ -16,9 +16,11 @@
 // the loop then drains the window and repairs the realm synchronously from
 // the decided prefix, which cannot skip the hole.
 //
-// This is the substrate behind the in-memory objects the deterministic
-// engine uses; the engine's charge model (internal/uc) mirrors the costs
-// this package actually pays.
+// This is the live counterpart of the in-memory objects the deterministic
+// engine uses, but not of their costs: the engine's charge model
+// (internal/uc) charges a contention-free operation on LOG_{g∩h} to g∩h
+// alone (the adopt-commit fast path of §4.3), while here every operation is
+// a consensus slot voted on by the log's whole hosting scope.
 package replog
 
 import (
