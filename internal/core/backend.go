@@ -19,13 +19,15 @@ import (
 //     (internal/uc over internal/logobj) stepped by the virtual-time engine,
 //     used by the proofs-as-tests and the Table-1 reproductions;
 //   - the Live backend (internal/live) — every log a replicated state
-//     machine (internal/replog) over paxos inside its hosting group, every
-//     CONS_{m,f} decided by the first proposal appended to LOG_{dst(m)},
-//     all of it running over net.Transport (reliable or chaos-wrapped).
+//     machine (internal/replog) over paxos inside its hosting group, all of
+//     it running over net.Transport (reliable or chaos-wrapped).
 //
 // The split mirrors §4.3 of the paper: Algorithm 1 is specified against
 // shared objects, and the universal construction realises those objects over
-// message passing. Here both realisations are first-class.
+// message passing. Here both realisations are first-class. The only object
+// is the log: a linearizable log is a consensus object too, so on both
+// backends CONS_{m,f} is the first (m, f, k) proposal appended to
+// LOG_{dst(m)} (logobj.KindCons), read back with Decided.
 
 // LogObject is the surface of one shared log LOG_{g∩h} (LOG_g when g = h) as
 // Algorithm 1 uses it: the two mutators of §4.3 plus the read-side helpers
@@ -57,6 +59,9 @@ type LogObject interface {
 	HasPosTuple(m msg.ID, h groups.GroupID) bool
 	// MaxPosTuple returns max{i : (m,-,i) ∈ L} over position tuples of m.
 	MaxPosTuple(m msg.ID) (int, bool)
+	// Decided returns the decision of CONS_{m,f}: the k of the first
+	// (m, f, k) proposal appended to the log, and whether there is one yet.
+	Decided(m msg.ID, f groups.GroupSet) (int, bool)
 }
 
 // Started is a mutation of a shared object that has been issued. A backend
@@ -89,13 +94,6 @@ func (s Started) Wait() int {
 	return s.pos
 }
 
-// Consensus is CONS_{m,f} (Algorithm 1, line 3): single-shot consensus on
-// the final position of a message, hosted by dst(m).
-type Consensus interface {
-	// Propose submits v and returns the decided value.
-	Propose(ctx *engine.Ctx, v int) int
-}
-
 // Backend supplies the shared objects of a run, from the point of view of
 // one process. The Sim backend hands every process the same ideal object;
 // replicated backends hand each process its own replica, so reads may lag
@@ -104,32 +102,22 @@ type Consensus interface {
 type Backend interface {
 	// Log returns p's handle on LOG_{g∩h} (LOG_g when g == h).
 	Log(p groups.Process, g, h groups.GroupID) LogObject
-	// Cons returns p's handle on CONS_{m,fam}.
-	Cons(p groups.Process, m msg.ID, fam groups.GroupSet) Consensus
 }
 
 // ---------------------------------------------------------------------------
 // Sim backend: the deterministic in-memory objects of the engine runs.
 
 // simBackend realises the shared objects as ideal in-memory logs charged per
-// the §4.3 universal construction (internal/uc) and first-proposal-wins
-// consensus objects. It is the substrate of every deterministic run.
+// the §4.3 universal construction (internal/uc). It is the substrate of every
+// deterministic run.
 type simBackend struct {
-	topo *groups.Topology
-	reg  *msg.Registry
 	logs map[PairKey]*uc.Log
-	cons map[consKey]*consensusObject
 }
 
 // newSimBackend builds the ideal objects for a topology: one log per group
 // and per intersecting pair, hosted as in §4.3.
-func newSimBackend(topo *groups.Topology, reg *msg.Registry, opt Options) *simBackend {
-	b := &simBackend{
-		topo: topo,
-		reg:  reg,
-		logs: make(map[PairKey]*uc.Log),
-		cons: make(map[consKey]*consensusObject),
-	}
+func newSimBackend(topo *groups.Topology, opt Options) *simBackend {
+	b := &simBackend{logs: make(map[PairKey]*uc.Log)}
 	k := topo.NumGroups()
 	for g := 0; g < k; g++ {
 		gid := groups.GroupID(g)
@@ -173,18 +161,6 @@ func (b *simBackend) Log(p groups.Process, g, h groups.GroupID) LogObject {
 	return simLog{b.ucLog(g, h)}
 }
 
-// Cons implements Backend: CONS_{m,fam}, lazily created, hosted by dst(m)
-// (consensus is solvable in each group from Σ_g ∧ Ω_g).
-func (b *simBackend) Cons(p groups.Process, m msg.ID, fam groups.GroupSet) Consensus {
-	key := consKey{m: m, fam: fam}
-	if o, ok := b.cons[key]; ok {
-		return o
-	}
-	o := &consensusObject{hosts: b.topo.Group(b.reg.Get(m).Dst)}
-	b.cons[key] = o
-	return o
-}
-
 // simLog adapts a universal-construction log to the LogObject surface.
 type simLog struct{ l *uc.Log }
 
@@ -204,25 +180,6 @@ func (s simLog) MessagesSince(from int) []msg.ID {
 func (s simLog) ScanBefore(d logobj.Datum, minPos int, fn func(m msg.ID, pos int) bool) {
 	s.l.Inner().ScanBefore(d, minPos, fn)
 }
-func (s simLog) HasPosTuple(m msg.ID, h groups.GroupID) bool { return s.l.Inner().HasPosTuple(m, h) }
-func (s simLog) MaxPosTuple(m msg.ID) (int, bool)            { return s.l.Inner().MaxPosTuple(m) }
-
-// consensusObject is the Sim CONS_{m,f}: first proposal wins, hosts charged.
-type consensusObject struct {
-	hosts   groups.ProcSet
-	decided bool
-	value   int
-}
-
-// Propose implements Consensus with host charging.
-func (o *consensusObject) Propose(ctx *engine.Ctx, v int) int {
-	if !o.decided {
-		o.decided = true
-		o.value = v
-	}
-	if ctx != nil && ctx.E != nil {
-		ctx.E.ChargeSet(o.hosts, 1)
-		ctx.E.CountMessages(int64(2 * o.hosts.Count()))
-	}
-	return o.value
-}
+func (s simLog) HasPosTuple(m msg.ID, h groups.GroupID) bool     { return s.l.Inner().HasPosTuple(m, h) }
+func (s simLog) MaxPosTuple(m msg.ID) (int, bool)                { return s.l.Inner().MaxPosTuple(m) }
+func (s simLog) Decided(m msg.ID, f groups.GroupSet) (int, bool) { return s.l.Inner().Decided(m, f) }

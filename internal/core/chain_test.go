@@ -7,13 +7,12 @@ import (
 	"repro/internal/failure"
 	"repro/internal/groups"
 	"repro/internal/logobj"
-	"repro/internal/msg"
 )
 
 // fenceBackend stands in for a replicated backend with no clock: the Sim
 // objects underneath, but a mutator only takes effect when somebody waits
-// for it (or the test flushes), and every start, propose and wait of the
-// action in progress is logged. From the log the test counts an action's
+// for it (or the test flushes), and every start and wait of the action in
+// progress is logged. From the log the test counts an action's
 // wait rounds — maximal runs of Wait with no start in between — which is the
 // number of operation latencies the action pays in sequence on a backend
 // where operations take time.
@@ -27,16 +26,12 @@ type fenceBackend struct {
 type fenceEvent uint8
 
 const (
-	fenceStart fenceEvent = iota // a mutator started, or CONS proposed
+	fenceStart fenceEvent = iota // a mutator started
 	fenceWait
 )
 
 func (b *fenceBackend) Log(p groups.Process, g, h groups.GroupID) LogObject {
 	return fenceLog{b.Backend.Log(p, g, h), b}
-}
-
-func (b *fenceBackend) Cons(p groups.Process, m msg.ID, fam groups.GroupSet) Consensus {
-	return fenceCons{b.Backend.Cons(p, m, fam), b}
 }
 
 // waitRounds counts the wait rounds in the log and clears it.
@@ -101,16 +96,6 @@ func (l fenceLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.D
 	return l.b.start(func() int { return l.LogObject.BumpAndLock(ctx, origin, d, k).Wait() })
 }
 
-type fenceCons struct {
-	Consensus
-	b *fenceBackend
-}
-
-func (c fenceCons) Propose(ctx *engine.Ctx, v int) int {
-	c.b.events = append(c.b.events, fenceStart)
-	return c.Consensus.Propose(ctx, v)
-}
-
 // TestActionsStartTogether fences the delivery chain of a process in two
 // intersecting groups: each action of Algorithm 1 starts its independent
 // log operations together and waits only for what it reads. An edit that
@@ -118,7 +103,7 @@ func (c fenceCons) Propose(ctx *engine.Ctx, v int) int {
 // fails here, with no clock involved, before it shows in a benchmark:
 //
 //	pending    2 rounds: the LOG_{g∩h} appends, then the (m,h,i) tuples
-//	commit     1 round after CONS: the bumps
+//	commit     2 rounds: the CONS proposal on LOG_g, then the bumps
 //	stabilize  0: nothing the action does next reads the (m,h) tuple, and
 //	           a rescan before the tuple is applied does not start it again
 func TestActionsStartTogether(t *testing.T) {
@@ -126,7 +111,7 @@ func TestActionsStartTogether(t *testing.T) {
 	topo := groups.MustNew(3, groups.NewProcSet(0, 1), groups.NewProcSet(1, 2))
 	var fb *fenceBackend
 	sh := NewSharedWithBackend(topo, failure.NewPattern(3), Options{}, func(sh *Shared) Backend {
-		fb = &fenceBackend{Backend: newSimBackend(topo, sh.Reg, sh.Opt), stable: make(map[logobj.Datum]int)}
+		fb = &fenceBackend{Backend: newSimBackend(topo, sh.Opt), stable: make(map[logobj.Datum]int)}
 		return fb
 	})
 	n := NewNode(1, sh)
@@ -149,8 +134,8 @@ func TestActionsStartTogether(t *testing.T) {
 	if got := step(PhasePending); got != 2 {
 		t.Errorf("pending paid %d wait rounds, want 2 (appends together, then tuples together)", got)
 	}
-	if got := step(PhaseCommit); got != 1 {
-		t.Errorf("commit paid %d wait rounds after CONS, want 1 (bumps together)", got)
+	if got := step(PhaseCommit); got != 2 {
+		t.Errorf("commit paid %d wait rounds, want 2 (CONS, then the bumps together)", got)
 	}
 	if got := step(PhaseCommit); got != 0 { // stabilize: the phase stays
 		t.Errorf("stabilize paid %d wait rounds, want 0 (nothing reads the tuple)", got)

@@ -24,7 +24,7 @@ import (
 // re-listing), delivered messages are retired from the scan set, and a pass
 // ends at the action it fires.
 //
-// The node touches the shared objects only through the Backend interfaces
+// The node touches the shared objects only through the Backend interface
 // (backend.go), so the same code runs over the deterministic in-memory
 // substrate and over the live replicated one. Under the live backend Step is
 // called from a per-process goroutine and reads may lag the replicas; every
@@ -570,9 +570,15 @@ func (n *Node) tryCommit(ctx *engine.Ctx, id msg.ID) bool {
 		// not have caught up yet.
 		return false
 	}
+	// CONS_{m,f}.propose(k) (line 20): LOG_g is linearizable, so the first
+	// (m, f, k) appended to it is the decision. A proposal to a decided
+	// CONS_{m,f} is a no-op that completes at once.
 	fam := n.consensusFamily(g)
 	n.sh.Opt.Rec.Propose(n.p, id, g, k, ctx.Now)
-	k = n.sh.Backend().Cons(n.p, id, fam).Propose(ctx, k)
+	glog.Append(ctx, g, logobj.ConsDatum(id, fam, k)).Wait()
+	if v, ok := glog.Decided(id, fam); ok {
+		k = v // undecided only at a live shutdown, where the trace is frozen
+	}
 	n.sh.Opt.Rec.Decide(n.p, id, g, k, ctx.Now)
 	// The bumps touch one log each: start them all, then wait for all.
 	n.ops = n.ops[:0]

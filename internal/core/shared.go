@@ -24,13 +24,6 @@ func CanonPair(g, h groups.GroupID) PairKey {
 	return PairKey{g, h}
 }
 
-// consKey identifies a consensus object CONS_{m,f} (Algorithm 1, line 3):
-// the message and the family of groups agreeing on its final position.
-type consKey struct {
-	m   msg.ID
-	fam groups.GroupSet
-}
-
 // Delivery is one delivery event of the run's global trace.
 type Delivery struct {
 	P groups.Process
@@ -140,14 +133,14 @@ func (sh *Shared) OverrideGamma(g fd.Gamma) { sh.gammaOverride = g }
 // backend (ideal in-memory objects).
 func NewShared(topo *groups.Topology, pat *failure.Pattern, opt Options) *Shared {
 	sh := newSharedState(topo, pat, opt)
-	sh.be = newSimBackend(topo, sh.Reg, sh.Opt)
+	sh.be = newSimBackend(topo, sh.Opt)
 	return sh
 }
 
 // NewSharedWithBackend builds the shared state of a run over an explicit
 // backend (internal/live supplies the replicated one). The factory receives
-// the freshly built shared state — backends need its registry to resolve
-// message destinations and its detector bundle to drive leader election.
+// the freshly built shared state — backends need its registry to carry
+// conflict classes and its detector bundle to drive leader election.
 func NewSharedWithBackend(topo *groups.Topology, pat *failure.Pattern, opt Options, mk func(sh *Shared) Backend) *Shared {
 	sh := newSharedState(topo, pat, opt)
 	sh.be = mk(sh)

@@ -1,8 +1,10 @@
 // Package live runs Algorithm 1 over the real message-passing stack: every
 // shared log is an internal/replog replicated state machine (per-slot paxos
-// inside its hosting group) and every CONS_{m,f} the first proposal appended
-// to LOG_{dst(m)}, all over a net.Transport — the reliable fabric or the
-// adversarial one (internal/chaos). It is the §4.3 composition made concrete: the node logic
+// inside its hosting group), all over a net.Transport — the reliable fabric
+// or the adversarial one (internal/chaos). CONS_{m,f} is, as on the Sim
+// backend, the first proposal appended to LOG_{dst(m)}: one more op in the
+// group log's leased, batched slot stream, which recovers, forwards and
+// journals with it. It is the §4.3 composition made concrete: the node logic
 // of internal/core is substrate-agnostic, and this package supplies the
 // replicated substrate, where the deterministic engine supplies the ideal
 // one.
@@ -32,10 +34,10 @@ import (
 	"repro/internal/storage"
 )
 
-// Backend implements core.Backend over replicated logs; consensus is read
-// off the group logs. Each process has one paxos node (acceptor + proposer)
-// on the transport and one replog replica per log it touches; replicas of a
-// log replicate over the log's hosting group.
+// Backend implements core.Backend over replicated logs. Each process has one
+// paxos node (acceptor + proposer) on the transport and one replog replica
+// per log it touches; replicas of a log replicate over the log's hosting
+// group.
 type Backend struct {
 	topo   *groups.Topology
 	reg    *msg.Registry
@@ -201,17 +203,6 @@ func (b *Backend) replica(p groups.Process, pair core.PairKey) *replog.Replica {
 	return r
 }
 
-// Cons implements core.Backend: CONS_{m,fam} is hosted by dst(m) (consensus
-// is solvable in each group from Σ_g ∧ Ω_g), and LOG_{dst(m)} is a
-// linearizable object that group already hosts — so the decision is the first
-// (m, fam, k) proposal appended to it (logobj.KindCons). The proposal is one
-// more op in the log's leased, batched slot stream and recovers, forwards and
-// journals with it.
-func (b *Backend) Cons(p groups.Process, m msg.ID, fam groups.GroupSet) core.Consensus {
-	dst := b.reg.Get(m).Dst
-	return liveCons{r: b.replica(p, core.PairKey{A: dst, B: dst}), key: logobj.ConsDatum(m, fam, 0)}
-}
-
 // liveLog adapts a replog replica to the core.LogObject surface. Mutators
 // enqueue the operation at the replica, which sees it decided and applied
 // whether or not the caller waits; reads run against the local copy, which
@@ -275,23 +266,9 @@ func (l liveLog) MaxPosTuple(m msg.ID) (int, bool) {
 	return out, ok
 }
 
-// liveCons is p's handle on one CONS_{m,f}: its replica of LOG_{dst(m)} and
-// the (m, f, ·) proposal datum with the value left open.
-type liveCons struct {
-	r   *replog.Replica
-	key logobj.Datum
-}
-
-// Propose appends (m, f, v) — a no-op that completes at once if this copy of
-// the log already holds a decision — and reads the decision back.
-func (c liveCons) Propose(ctx *engine.Ctx, v int) int {
-	d := c.key
-	d.I = v
-	c.r.Append(d).Wait()
-	c.r.Read(func(l *logobj.Log) {
-		if k, ok := l.Decided(d.Msg, groups.GroupSet(d.H)); ok {
-			v = k
-		}
-	})
-	return v // undecided only at shutdown: the value is never observed (trace is frozen)
+func (l liveLog) Decided(m msg.ID, f groups.GroupSet) (int, bool) {
+	var out int
+	var ok bool
+	l.r.Read(func(lg *logobj.Log) { out, ok = lg.Decided(m, f) })
+	return out, ok
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/groups"
+	"repro/internal/logobj"
 	"repro/internal/net"
 	"repro/internal/storage"
 )
@@ -17,6 +18,8 @@ import (
 // consensus decision pays in sequence. As a dedicated single-shot synod it
 // was two (prepare, then accept: ≈ 2.4); as the first proposal appended to
 // LOG_{dst(m)} it is one more op in the group log's leased slot stream: ≈ 1.2.
+// The proposal goes through the process's handle on LOG_g, as tryCommit's
+// does, and the decision is read back with Decided.
 func BenchmarkConsSlowSync(b *testing.B) {
 	topo := groups.MustNew(3, groups.NewProcSet(0, 1, 2))
 	nw := net.New(3)
@@ -28,10 +31,12 @@ func BenchmarkConsSlowSync(b *testing.B) {
 	})
 	defer sys.Stop()
 	ctx := &engine.Ctx{}
+	glog := sys.be.Log(0, 0, 0)
 	propose := func(v int) {
 		m := sys.Sh.Request(0, 0, nil, 0)
-		if got := sys.be.Cons(0, m.ID, 0).Propose(ctx, v); got != v {
-			b.Fatalf("CONS for m%d decided %d, want the only proposal %d", m.ID, got, v)
+		glog.Append(ctx, 0, logobj.ConsDatum(m.ID, 0, v)).Wait()
+		if got, ok := glog.Decided(m.ID, 0); !ok || got != v {
+			b.Fatalf("CONS for m%d decided %d,%v, want the only proposal %d", m.ID, got, ok, v)
 		}
 	}
 	propose(1) // the lease, where there is one to acquire

@@ -6,17 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Datum is a wire type: replog operations carry datums, and the multicast
-// payloads of a multi-process run are reconstructed from them. The varint
-// encoding has none of the width caps of replog's bit-packed int64 form —
-// any registered message ID, group and position round-trips.
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (d Datum) MarshalBinary() ([]byte, error) {
-	var e wire.Enc
-	d.encode(&e)
-	return e.Bytes(), nil
-}
+// A datum travels on the wire only inside replog operations (EncodeDatum,
+// DecodeDatum); it is never a packet of its own. The varint encoding has none
+// of the width caps of replog's old bit-packed int64 form — any registered
+// message ID, group and position round-trips.
 
 // encode appends the datum to an in-progress encoding (shared with the
 // replog operation codec, which embeds a datum in a larger body).
@@ -25,13 +18,6 @@ func (d Datum) encode(e *wire.Enc) {
 	e.I64(int64(d.Msg))
 	e.I64(int64(d.H))
 	e.I64(int64(d.I))
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (d *Datum) UnmarshalBinary(b []byte) error {
-	dec := wire.NewDec(b)
-	d.decode(dec)
-	return dec.Close()
 }
 
 // decode reads the datum fields from the cursor (error stays in dec).
@@ -59,14 +45,4 @@ func DecodeDatum(dec *wire.Dec) Datum {
 	var d Datum
 	d.decode(dec)
 	return d
-}
-
-func init() {
-	wire.Register(wire.TDatum, "logobj.Datum", func(b []byte) (any, error) {
-		var d Datum
-		if err := d.UnmarshalBinary(b); err != nil {
-			return nil, err
-		}
-		return d, nil
-	})
 }

@@ -8,7 +8,8 @@ import (
 
 // Varint wire codec for Op and for op batches. A batch is the consensus
 // value of one slot: a count followed by the ops, each encoded with the
-// same varint fields the standalone Op frame body uses. Paxos carries the
+// varint fields of encOp. An op is never a packet of its own: it travels
+// inside a batch or a FwdBatch. Paxos carries the
 // batch as an opaque paxos.Value, so the consensus substrate never needs to
 // know the operation structure — and any registered datum round-trips with
 // no field-width caps (the old bit-packed int64 form limited message ids to
@@ -91,28 +92,7 @@ func (f *FwdBatch) UnmarshalBinary(b []byte) error {
 	return d.Close()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (o Op) MarshalBinary() ([]byte, error) {
-	var e wire.Enc
-	encOp(&e, o)
-	return e.Bytes(), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (o *Op) UnmarshalBinary(b []byte) error {
-	d := wire.NewDec(b)
-	*o = decOp(d)
-	return d.Close()
-}
-
 func init() {
-	wire.Register(wire.TReplogOp, "replog.Op", func(b []byte) (any, error) {
-		var o Op
-		if err := o.UnmarshalBinary(b); err != nil {
-			return nil, err
-		}
-		return o, nil
-	})
 	wire.Register(wire.TReplogFwd, "replog.FwdBatch", func(b []byte) (any, error) {
 		var f FwdBatch
 		if err := f.UnmarshalBinary(b); err != nil {

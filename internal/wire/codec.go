@@ -38,6 +38,9 @@ import (
 // These are wire contract: renumbering them breaks cross-version frames.
 const (
 	// 0x01–0x04 are retired (the ABD register messages): never reuse.
+	// TReplogOp (0x20) and TDatum (0x28) are reserved: never a packet. No
+	// decoder is registered for them; they name the bodies that ride inside
+	// other frames.
 
 	// internal/paxos (synod + Multi-Paxos; NACKs travel as the OK=false arm
 	// of the two response types).
@@ -49,13 +52,12 @@ const (
 	TPaxLearn       net.MsgType = 0x15
 
 	// internal/replog (log operations; they ride inside paxos values as
-	// batches, but the operation body is a registered wire type in its own
-	// right, and followers forward pending ops to the leaseholder's batcher
+	// batches, and followers forward pending ops to the leaseholder's batcher
 	// as TReplogFwd frames).
 	TReplogOp  net.MsgType = 0x20
 	TReplogFwd net.MsgType = 0x21
 
-	// internal/logobj (multicast datums — the payload of replog ops).
+	// internal/logobj (multicast datums — the payload of replog ops; reserved).
 	TDatum net.MsgType = 0x28
 
 	// TTestLow..TTestHigh is a scratch block for transport tests and

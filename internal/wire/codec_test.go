@@ -9,7 +9,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/net"
 	"repro/internal/paxos"
-	_ "repro/internal/replog" // registers TReplogOp
+	_ "repro/internal/replog" // registers TReplogFwd
 	"repro/internal/wire"
 )
 
@@ -35,10 +35,7 @@ func samples(t testing.TB) map[net.MsgType]net.Packet {
 			Inst: inst, Ballot: 3, OK: false, Promised: 6, Decided: false}},
 		wire.TPaxDecide: {Type: wire.TPaxDecide, Body: paxos.DecideMsg{Inst: inst, Val: paxos.I64Value(123456789)}},
 		wire.TPaxLearn:  {Type: wire.TPaxLearn, Body: paxos.LearnReq{Inst: inst}},
-		wire.TReplogOp:  {Type: wire.TReplogOp, Body: sampleOp(t)},
 		wire.TReplogFwd: {Type: wire.TReplogFwd, Body: sampleFwdBatch(t)},
-		wire.TDatum: {Type: wire.TDatum, Body: logobj.Datum{
-			Kind: logobj.KindPos, Msg: msg.ID(3), H: groups.GroupID(1), I: 17}},
 	}
 	for typ, pkt := range out {
 		pkt.From, pkt.To = 1, 2
@@ -47,24 +44,9 @@ func samples(t testing.TB) map[net.MsgType]net.Packet {
 	return out
 }
 
-// sampleOp builds a replog.Op through its own decoder (the op kind type is
-// unexported, so the bytes are the public constructor).
-func sampleOp(t testing.TB) any {
-	t.Helper()
-	var e wire.Enc
-	e.I64(2) // opBumpAndLock
-	logobj.EncodeDatum(&e, logobj.Datum{Kind: logobj.KindMsg, Msg: 5, H: 2, I: 0})
-	e.I64(31)
-	e.U64(0) // conflict class
-	pkt, err := wire.DecodePacket(append([]byte{1, uint8(wire.TReplogOp), 0, 0}, e.Bytes()...))
-	if err != nil {
-		t.Fatalf("building sample replog op: %v", err)
-	}
-	return pkt.Body
-}
-
-// sampleFwdBatch builds a replog.FwdBatch the same way: realm, op count,
-// then the ops with the standalone-Op field layout.
+// sampleFwdBatch builds a replog.FwdBatch through its own decoder (the op
+// kind type is unexported, so the bytes are the public constructor): realm,
+// op count, then the ops in the batch codec's field layout.
 func sampleFwdBatch(t testing.TB) any {
 	t.Helper()
 	var e wire.Enc
@@ -118,24 +100,47 @@ func TestRoundTripEveryRegisteredType(t *testing.T) {
 	}
 }
 
+// reservedFrames builds, for each reserved tag, a frame that carries a
+// well-formed body of the kind the tag names: a replog op or a datum. Those
+// bodies only ride inside other frames, so the decoder must reject both.
+func reservedFrames() map[net.MsgType][]byte {
+	var d wire.Enc
+	logobj.EncodeDatum(&d, logobj.Datum{Kind: logobj.KindPos, Msg: msg.ID(3), H: groups.GroupID(1), I: 17})
+	var op wire.Enc
+	op.I64(1) // opAppend
+	logobj.EncodeDatum(&op, logobj.MsgDatum(5))
+	op.I64(0)
+	op.U64(0) // conflict class
+	return map[net.MsgType][]byte{
+		wire.TReplogOp: append([]byte{1, uint8(wire.TReplogOp), 0, 1}, op.Bytes()...),
+		wire.TDatum:    append([]byte{1, uint8(wire.TDatum), 0, 1}, d.Bytes()...),
+	}
+}
+
 // TestDecodeRejectsMalformedFrames spells out the codec's failure modes on
-// crafted input: short header, bad version, unregistered tag, truncated and
-// oversized bodies all come back as errors (never panics — the fuzz target
+// crafted input: short header, bad version, unregistered, retired or reserved
+// tag, truncated and oversized bodies all come back as errors (never panics — the fuzz target
 // widens this to arbitrary input).
 func TestDecodeRejectsMalformedFrames(t *testing.T) {
 	valid, err := wire.EncodePacket(samples(t)[wire.TPaxPrepareResp])
 	if err != nil {
 		t.Fatal(err)
 	}
+	reserved := reservedFrames()
 	cases := map[string][]byte{
 		"empty":             nil,
 		"short header":      {1, uint8(wire.TPaxPrepare)},
 		"bad version":       {9, uint8(wire.TPaxPrepare), 0, 1},
 		"unregistered tag":  {1, 0x99, 0, 1},
 		"reserved zero tag": {1, 0, 0, 1},
-		"empty body":        {1, uint8(wire.TPaxPrepare), 0, 1},
-		"truncated body":    valid[:len(valid)-1],
-		"trailing bytes":    append(append([]byte{}, valid...), 0),
+		"retired ABD tag":   {1, 0x01, 0, 1},
+		// Op and datum bodies only ride inside other frames: their reserved
+		// tags fail like a retired one, even over a well-formed body.
+		"reserved op tag":    reserved[wire.TReplogOp],
+		"reserved datum tag": reserved[wire.TDatum],
+		"empty body":         {1, uint8(wire.TPaxPrepare), 0, 1},
+		"truncated body":     valid[:len(valid)-1],
+		"trailing bytes":     append(append([]byte{}, valid...), 0),
 	}
 	for name, frame := range cases {
 		if _, err := wire.DecodePacket(frame); err == nil {

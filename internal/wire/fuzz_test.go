@@ -30,6 +30,12 @@ func FuzzDecodePacket(f *testing.F) {
 		f.Add([]byte{1, tag, 0, 1})
 		f.Add([]byte{1, tag, 0, 1, 1, 'r', 84})
 	}
+	// Op and datum bodies under their reserved tags, whole and truncated:
+	// rejected like a retired tag.
+	for _, frame := range reservedFrames() {
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkt, err := wire.DecodePacket(data)
 		if err != nil {
