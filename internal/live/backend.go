@@ -69,8 +69,7 @@ var _ core.Backend = (*Backend)(nil)
 // process); replicas are created on demand. clock supplies the current tick for failure-detector queries (leader election
 // follows Ω at the current time). rec, when non-nil, receives the
 // substrate's counters (paxos work, replog applies, per-pair coordination).
-// store supplies each local process's WAL (nil for none — acceptors then
-// run memory-only with no recovery). In a multi-process deployment each
+// store supplies each local process's WAL. In a multi-process deployment each
 // daemon's backend runs acceptors only for the processes it embodies — the
 // rest answer from their own OS processes over the transport.
 func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Transport, clock func() failure.Time, strong bool, rec *obs.Recorder, mem Membership, store func(groups.Process) storage.WAL) *Backend {
@@ -89,10 +88,7 @@ func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Tran
 		if !mem.Owns(groups.Process(p)) {
 			continue
 		}
-		cfg := paxos.Config{Counters: rec.Paxos()}
-		if store != nil {
-			cfg.WAL = store(groups.Process(p))
-		}
+		cfg := paxos.Config{Counters: rec.Paxos(), WAL: store(groups.Process(p))}
 		b.nodes[p] = paxos.StartNodeWithConfig(nw, groups.Process(p), cfg)
 	}
 	return b

@@ -127,14 +127,12 @@ type Config struct {
 	// Counters is the block the node counts its proposer/acceptor work
 	// into for run reports; nil means a private block nobody reads.
 	Counters *obs.PaxosCounters
-	// WAL, when non-nil, makes the acceptor durable: every promise, lease
-	// grant, accepted value and learnt decision is appended, no phase
-	// response leaves the node and no own vote is counted before a
-	// group-commit Sync covers the transition it reveals (the durability
-	// invariant, wal.go). On construction the node replays the log and
-	// serves from the recovered state. nil — the default — keeps the
-	// acceptor memory-only, the pre-durability behavior, at the cost of one
-	// pointer test per transition.
+	// WAL is where the acceptor is made durable: every promise, lease grant,
+	// accepted value and learnt decision is appended, no phase response
+	// leaves the node and no own vote is counted before a group-commit Sync
+	// covers the transition it reveals (the durability invariant, wal.go).
+	// On construction the node replays the log and serves from the recovered
+	// state. nil means a fresh storage.NewMem().
 	WAL storage.WAL
 }
 
@@ -155,8 +153,8 @@ type Instance struct {
 	// MultiPaxos opts the instance's realm into the leader-lease fast
 	// path: the realm's slots form one log proposed at by a stable leader,
 	// so a full round doubles as a phase-1 acquisition for all later slots.
-	// Single-shot instances (CONS_{m,f}, tests) leave it false and get the
-	// classic per-instance protocol.
+	// Single-shot instances (tests) leave it false and get the classic
+	// per-instance protocol.
 	MultiPaxos bool
 }
 
@@ -183,9 +181,11 @@ type AcceptedVal struct {
 	Has    bool
 }
 
-// floorLocked returns the effective promise floor of inst (caller holds mu).
+// floorLocked returns the effective promise floor of inst (caller holds mu):
+// the highest of its point promise, its accepted ballot — accepting at b is
+// promising b — and any covering range promise.
 func (a *acceptor) floorLocked(inst InstanceID) int64 {
-	f := a.promised[inst]
+	f := max(a.promised[inst], a.accepted[inst].Ballot)
 	if lg, ok := a.leases[inst.realm()]; ok && inst.Slot >= lg.FromSlot && lg.Ballot > f {
 		f = lg.Ballot
 	}
@@ -193,7 +193,7 @@ func (a *acceptor) floorLocked(inst InstanceID) int64 {
 }
 
 // SlotVal is one (slot, ballot, value) triple of a realm — accepted state
-// reported in range grants, or a decided value piggybacked on an accept.
+// reported in range grants.
 type SlotVal struct {
 	Slot   int64
 	Ballot int64
@@ -226,11 +226,6 @@ type AcceptReq struct {
 	Inst   InstanceID
 	Ballot int64
 	Val    Value
-	// PrevDecided piggybacks a recent decision of the same realm (in the
-	// steady state: the previous slot) so passive replicas learn it from
-	// the accept stream without waiting on a separate decide broadcast.
-	PrevDecided bool
-	Prev        SlotVal
 }
 type AcceptResp struct {
 	Inst     InstanceID
@@ -329,8 +324,7 @@ type Node struct {
 	done     chan struct{}
 
 	// outbox holds responses deferred by the message loop until the next
-	// group-commit Sync. Only the loop goroutine touches it; it stays empty
-	// when no WAL is configured.
+	// group-commit Sync. Only the loop goroutine touches it.
 	outbox []pendingResp
 
 	mu      sync.Mutex
@@ -482,7 +476,8 @@ func (n *Node) sawSlot(inst InstanceID) {
 	}
 }
 
-// StartNode launches the node's message loop: memory-only, uncounted.
+// StartNode launches the node's message loop over a fresh in-memory WAL,
+// uncounted.
 func StartNode(nw net.Transport, p groups.Process) *Node {
 	return StartNodeWithConfig(nw, p, Config{})
 }
@@ -490,6 +485,9 @@ func StartNode(nw net.Transport, p groups.Process) *Node {
 // StartNodeWithConfig launches the node's message loop with the given
 // counters and write-ahead log, recovering acceptor state from the latter.
 func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
+	if cfg.WAL == nil {
+		cfg.WAL = storage.NewMem()
+	}
 	n := &Node{
 		nw:       nw,
 		p:        p,
@@ -511,9 +509,7 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 	if n.counters == nil {
 		n.counters = new(obs.PaxosCounters)
 	}
-	if n.wal != nil {
-		n.recover()
-	}
+	n.recover()
 	go n.loop()
 	return n
 }
@@ -603,14 +599,9 @@ func (n *Node) dispatch(pkt net.Packet) {
 	}
 }
 
-// reply sends a phase response — deferred to the loop's post-Sync outbox
-// when a WAL is attached, so the acceptor transition it reveals is durable
-// first. Without a WAL the send is immediate, exactly the old path.
+// reply defers a phase response to the loop's post-Sync outbox, so the
+// acceptor transition it reveals is durable first.
 func (n *Node) reply(to groups.Process, t net.MsgType, body any) {
-	if n.wal == nil {
-		n.nw.Send(n.p, to, t, body)
-		return
-	}
 	n.outbox = append(n.outbox, pendingResp{to: to, t: t, body: body})
 }
 
@@ -648,12 +639,8 @@ func (n *Node) handlePrepare(body PrepareReq) PrepareResp {
 	return resp
 }
 
-// handleAccept runs the acceptor's phase-2 rule and absorbs any decision
-// piggybacked on the request.
+// handleAccept runs the acceptor's phase-2 rule.
 func (n *Node) handleAccept(body AcceptReq) AcceptResp {
-	if body.PrevDecided {
-		n.recordDecision(InstanceID{Space: body.Inst.Space, Realm: body.Inst.Realm, Slot: body.Prev.Slot}, body.Prev.Val)
-	}
 	if v, ok := n.Decided(body.Inst); ok {
 		return AcceptResp{Inst: body.Inst, Ballot: body.Ballot, Decided: true, DecVal: v}
 	}
@@ -662,7 +649,6 @@ func (n *Node) handleAccept(body AcceptReq) AcceptResp {
 	floor := a.floorLocked(body.Inst)
 	ok := body.Ballot >= floor
 	if ok {
-		a.promised[body.Inst] = body.Ballot
 		a.accepted[body.Inst] = AcceptedVal{Ballot: body.Ballot, Val: body.Val, Has: true}
 		n.walAccept(body.Inst, body.Ballot, body.Val)
 	}
@@ -1124,14 +1110,12 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 // It is the one place the lease's safety obligation is discharged: the value
 // is the one phase 1 obliged the lease to adopt if there is one, else v, and
 // a slot retried under the same lease carries the value it was first fired
-// with (lease.used) — one ballot never proposes two values. The previous
-// slot's decision rides along when known, so passive replicas learn slot
-// s-1 from slot s's accept even when the decide broadcast for s-1 was lost.
-func (n *Node) leasedAccept(id InstanceID, v Value) (req AcceptReq, ok bool) {
+// with (lease.used) — one ballot never proposes two values.
+func (n *Node) leasedAccept(id InstanceID, v Value) (AcceptReq, bool) {
 	n.leaseMu.Lock()
+	defer n.leaseMu.Unlock()
 	lease := n.leases[id.realm()]
 	if lease == nil || id.Slot < lease.fromSlot {
-		n.leaseMu.Unlock()
 		return AcceptReq{}, false
 	}
 	val := v
@@ -1143,16 +1127,7 @@ func (n *Node) leasedAccept(id InstanceID, v Value) (req AcceptReq, ok bool) {
 	} else {
 		lease.used[id.Slot] = val
 	}
-	req = AcceptReq{Inst: id, Ballot: lease.ballot, Val: val}
-	n.leaseMu.Unlock()
-	if id.Slot > 0 {
-		prev := InstanceID{Space: id.Space, Realm: id.Realm, Slot: id.Slot - 1}
-		if pv, ok := n.Decided(prev); ok {
-			req.PrevDecided = true
-			req.Prev = SlotVal{Slot: prev.Slot, Val: pv}
-		}
-	}
-	return req, true
+	return AcceptReq{Inst: id, Ballot: lease.ballot, Val: val}, true
 }
 
 // leasedRound attempts the Multi-Paxos steady-state path: one accept round at

@@ -98,6 +98,38 @@ func TestRecoveredPromiseStillBlocks(t *testing.T) {
 	}
 }
 
+// TestAcceptedBallotIsAFloor: the floor rule reads the accepted ballot. An
+// acceptor that accepted (inst, b) with no point promise on record refuses a
+// prepare and an accept at any b′ < b, reporting b as the floor that beat
+// them — and still does after a WAL replay, which restores the accepted
+// value and nothing else.
+func TestAcceptedBallotIsAFloor(t *testing.T) {
+	nw, nodes, inst := walCluster(3, 0)
+	defer nw.Close()
+	const b = 1_000_001
+	fenced := func(n *Node, when string) {
+		t.Helper()
+		n.acc.mu.Lock()
+		promised := len(n.acc.promised)
+		n.acc.mu.Unlock()
+		if promised != 0 {
+			t.Fatalf("%s: %d point promises on record; want none", when, promised)
+		}
+		if r := n.handlePrepare(PrepareReq{Inst: inst.ID, Ballot: b - 1}); r.OK || r.Promised != b {
+			t.Fatalf("%s: prepare below the accepted ballot = %+v; want refused at floor %d", when, r, b)
+		}
+		if r := n.handleAccept(AcceptReq{Inst: inst.ID, Ballot: b - 1, Val: I64Value(8)}); r.OK || r.Promised != b {
+			t.Fatalf("%s: accept below the accepted ballot = %+v; want refused at floor %d", when, r, b)
+		}
+	}
+	if r := nodes[1].handleAccept(AcceptReq{Inst: inst.ID, Ballot: b, Val: I64Value(7)}); !r.OK {
+		t.Fatalf("accept refused: %+v", r)
+	}
+	fenced(nodes[1], "live")
+	nodes[1].walSync()
+	fenced(powerCycle(nw, mustMem(t, nodes[1]), 1, Config{}), "replayed")
+}
+
 // TestRecoveredAcceptSurfacesInPhase1: an accepted value survives recovery
 // and is reported to later prepares, so a new proposer adopts it — the
 // invariant that keeps a chosen value chosen across crashes.

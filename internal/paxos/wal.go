@@ -58,9 +58,6 @@ func (n *Node) walAppend(kind uint8, data []byte) {
 }
 
 func (n *Node) walPromise(inst InstanceID, ballot int64) {
-	if n.wal == nil {
-		return
-	}
 	var e wire.Enc
 	encInst(&e, inst)
 	e.I64(ballot)
@@ -68,9 +65,6 @@ func (n *Node) walPromise(inst InstanceID, ballot int64) {
 }
 
 func (n *Node) walLease(rk realmKey, fromSlot, ballot int64) {
-	if n.wal == nil {
-		return
-	}
 	var e wire.Enc
 	e.U8(rk.Space)
 	e.U64(rk.Realm)
@@ -80,9 +74,6 @@ func (n *Node) walLease(rk realmKey, fromSlot, ballot int64) {
 }
 
 func (n *Node) walAccept(inst InstanceID, ballot int64, v Value) {
-	if n.wal == nil {
-		return
-	}
 	var e wire.Enc
 	encInst(&e, inst)
 	e.I64(ballot)
@@ -91,9 +82,6 @@ func (n *Node) walAccept(inst InstanceID, ballot int64, v Value) {
 }
 
 func (n *Node) walDecide(inst InstanceID, v Value) {
-	if n.wal == nil {
-		return
-	}
 	var e wire.Enc
 	encInst(&e, inst)
 	e.Bin(v)
@@ -119,9 +107,6 @@ const ballotBlock = 256 * 64
 // runs under propMu so a concurrent claimer cannot be handed a ballot below
 // a mark that is not durable yet.
 func (n *Node) claimBallot(ballot int64) {
-	if n.wal == nil {
-		return
-	}
 	n.propMu.Lock()
 	defer n.propMu.Unlock()
 	if ballot > n.propUsed {
@@ -139,13 +124,9 @@ func (n *Node) claimBallot(ballot int64) {
 
 // propRoundFloor seeds Propose's ballot-round counter: the last ballot
 // claimed in this incarnation, which after recovery starts at the durable
-// mark — above every ballot a previous incarnation could have used (zero
-// without a WAL: fresh nodes and the memory-only configuration start from
-// round 0 as always).
+// mark — above every ballot a previous incarnation could have used (zero on
+// a fresh WAL).
 func (n *Node) propRoundFloor() int64 {
-	if n.wal == nil {
-		return 0
-	}
 	n.propMu.Lock()
 	defer n.propMu.Unlock()
 	return n.propUsed / 64
@@ -158,9 +139,6 @@ func (n *Node) propRoundFloor() int64 {
 // nothing. The mark is read before Sync and published after it, so a record
 // counts as covered only by a Sync that started after its append.
 func (n *Node) walSync() {
-	if n.wal == nil {
-		return
-	}
 	mark := n.walAppended.Load()
 	if mark <= n.walSynced.Load() {
 		return
@@ -205,12 +183,6 @@ func (n *Node) recover() {
 			v := Value(d.Bin())
 			if d.Err() == nil && b >= a.accepted[inst].Ballot {
 				a.accepted[inst] = AcceptedVal{Ballot: b, Val: v, Has: true}
-				// Accepting at b implies the promise at b (handleAccept sets
-				// both maps); floorLocked reads only promised, so recovery
-				// must restore it or a lower ballot could slip past.
-				if b > a.promised[inst] {
-					a.promised[inst] = b
-				}
 			}
 		case walDecide:
 			inst := decInst(d)

@@ -38,6 +38,26 @@ func winClusterCounted(n int, leader groups.Process, c *obs.PaxosCounters) (*net
 	return nw, nodes, mkIns
 }
 
+// windowSlots fires slots 1…slots through the leader's window, each slot
+// proposing its own number, and waits for every one to decide.
+func windowSlots(t *testing.T, leader *Node, mkIns func(slot int64) *Instance, slots int64) {
+	t.Helper()
+	res := make(chan WindowResult, leader.WindowLimit()+1)
+	// Never more rounds unread than res has room for: a result occupies the
+	// channel until it is read, whether or not its round still holds a slot
+	// of the window.
+	for next, done := int64(1), int64(0); done < slots; {
+		if next <= slots && next-done <= int64(leader.WindowLimit()) && leader.ProposeWindowed(mkIns(next), I64Value(next), res) {
+			next++
+			continue
+		}
+		if r := recvWithin(t, res, "a windowed result"); !r.OK {
+			t.Fatalf("slot %d failed on a fault-free fabric", r.Inst.Slot)
+		}
+		done++
+	}
+}
+
 // TestWindowedPipelineDecides: after a lease is installed by one synchronous
 // round, a full window of slots fired without waiting decides every slot
 // with the proposed value, at the proposer and at a passive learner.
@@ -165,6 +185,41 @@ func TestWindowedRoundRefusedAtHomeIsCounted(t *testing.T) {
 	}
 }
 
+// TestLeasedSlotsLeaveNoPointPromise: an accepted ballot is its own promise,
+// so the steady state writes one fact per slot. After a lease acquisition and
+// 200 windowed slots at n=3, every acceptor holds all 201 accepted values and
+// not one point promise — the lease is a range promise and each accept
+// raises its slot's floor by itself.
+func TestLeasedSlotsLeaveNoPointPromise(t *testing.T) {
+	nw, nodes, mkIns := winCluster(3, 0)
+	defer nw.Close()
+	if _, ok := nodes[0].Propose(mkIns(0), I64Value(0)); !ok {
+		t.Fatalf("lease-installing propose failed")
+	}
+	const slots = 200
+	windowSlots(t, nodes[0], mkIns, slots)
+	// The third acceptor of each slot may still be voting: wait for every
+	// acceptor to hold every slot before reading what else it holds.
+	deadline := time.Now().Add(5 * time.Second)
+	for p, n := range nodes {
+		for {
+			n.acc.mu.Lock()
+			accepted, promised := len(n.acc.accepted), len(n.acc.promised)
+			n.acc.mu.Unlock()
+			if promised != 0 {
+				t.Fatalf("p%d holds %d point promises beside %d accepted slots; want none", p, promised, accepted)
+			}
+			if accepted == slots+1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("p%d accepted %d slots, want %d", p, accepted, slots+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestLateVotesAreNeitherDropsNorStale: at n=3 every decided slot has a
 // third ack that arrives after the quorum. It belongs to a decided instance
 // and is nobody's business: a fault-free run of windowed slots followed by a
@@ -177,20 +232,7 @@ func TestLateVotesAreNeitherDropsNorStale(t *testing.T) {
 		t.Fatalf("lease-installing propose failed")
 	}
 	const slots = 200
-	res := make(chan WindowResult, nodes[0].WindowLimit()+1)
-	// Never more rounds unread than res has room for: a result occupies the
-	// channel until it is read, whether or not its round still holds a slot
-	// of the window.
-	for next, done := int64(1), int64(0); done < slots; {
-		if next <= slots && next-done <= int64(nodes[0].WindowLimit()) && nodes[0].ProposeWindowed(mkIns(next), I64Value(next), res) {
-			next++
-			continue
-		}
-		if r := recvWithin(t, res, "a windowed result"); !r.OK {
-			t.Fatalf("slot %d failed on a fault-free fabric", r.Inst.Slot)
-		}
-		done++
-	}
+	windowSlots(t, nodes[0], mkIns, slots)
 	if v, ok := nodes[0].Propose(mkIns(slots+1), I64Value(slots+1)); !ok || v.I64() != slots+1 {
 		t.Fatalf("waited round after the window = %v,%v", v, ok)
 	}

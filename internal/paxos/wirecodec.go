@@ -99,8 +99,6 @@ func (m AcceptReq) MarshalBinary() ([]byte, error) {
 	encInst(&e, m.Inst)
 	e.I64(m.Ballot)
 	e.Bin(m.Val)
-	e.Bool(m.PrevDecided)
-	encSlotVal(&e, m.Prev)
 	return e.Bytes(), nil
 }
 
@@ -110,8 +108,6 @@ func (m *AcceptReq) UnmarshalBinary(b []byte) error {
 	m.Inst = decInst(d)
 	m.Ballot = d.I64()
 	m.Val = d.Bin()
-	m.PrevDecided = d.Bool()
-	m.Prev = decSlotVal(d)
 	return d.Close()
 }
 

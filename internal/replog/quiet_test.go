@@ -173,9 +173,9 @@ func TestLostAcceptAndDecideHealWhenIdle(t *testing.T) {
 
 // TestGapArmsHedge: a decision recorded beyond the frontier is evidence that
 // the frontier slot exists. Replica 2 loses everything about slot s and the
-// accept of s+1 (which would have taught it s, piggybacked); the decide of
-// s+1 gets through. It must ask for s after a hedge delay, not wait for the
-// idle trickle.
+// accept of s+1 (its vote would be evidence too); the decide of s+1 gets
+// through. It must ask for s after a hedge delay, not wait for the idle
+// trickle.
 func TestGapArmsHedge(t *testing.T) {
 	var gap atomic.Int64
 	gap.Store(-1)

@@ -29,8 +29,7 @@ func samples(t testing.TB) map[net.MsgType]net.Packet {
 				{Slot: -4, Ballot: 5, Val: paxos.I64Value(-6)}},
 			Decided: true, DecVal: paxos.I64Value(77)}},
 		wire.TPaxAccept: {Type: wire.TPaxAccept, Body: paxos.AcceptReq{
-			Inst: inst, Ballot: 3, Val: paxos.I64Value(-100), PrevDecided: true,
-			Prev: paxos.SlotVal{Slot: -8, Ballot: 2, Val: paxos.I64Value(1)}}},
+			Inst: inst, Ballot: 3, Val: paxos.I64Value(-100)}},
 		wire.TPaxAcceptResp: {Type: wire.TPaxAcceptResp, Body: paxos.AcceptResp{
 			Inst: inst, Ballot: 3, OK: false, Promised: 6, Decided: false}},
 		wire.TPaxDecide: {Type: wire.TPaxDecide, Body: paxos.DecideMsg{Inst: inst, Val: paxos.I64Value(123456789)}},
@@ -127,6 +126,19 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	reserved := reservedFrames()
+	// An accept in the layout that still carried the previous slot's
+	// decision (a bool and a slot/ballot/value triple after the value): the
+	// decoder must refuse it on the trailing bytes, like any corrupt frame.
+	oldAccept, err := wire.EncodePacket(samples(t)[wire.TPaxAccept])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev wire.Enc
+	prev.Bool(true)
+	prev.I64(-8)
+	prev.I64(2)
+	prev.Bin(paxos.I64Value(1))
+	oldAccept = append(oldAccept, prev.Bytes()...)
 	cases := map[string][]byte{
 		"empty":             nil,
 		"short header":      {1, uint8(wire.TPaxPrepare)},
@@ -141,6 +153,7 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 		"empty body":         {1, uint8(wire.TPaxPrepare), 0, 1},
 		"truncated body":     valid[:len(valid)-1],
 		"trailing bytes":     append(append([]byte{}, valid...), 0),
+		"pre-change accept":  oldAccept,
 	}
 	for name, frame := range cases {
 		if _, err := wire.DecodePacket(frame); err == nil {
