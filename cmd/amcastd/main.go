@@ -82,17 +82,6 @@ func run(cc *cliconf.Common) error {
 		return err
 	}
 
-	// The membership descriptor carries the whole deployment in one value:
-	// every replica with its daemon's address, and which one is us.
-	replicas := make([]live.Replica, len(addrs))
-	for i, a := range addrs {
-		replicas[i] = live.Replica{ID: groups.Process(i), Addr: a}
-	}
-	mem := live.NewMembership(replicas, self)
-	if err := mem.Validate(topo.NumProcesses()); err != nil {
-		return err
-	}
-
 	tr, err := wire.Listen(wire.Config{Self: self, Addrs: addrs})
 	if err != nil {
 		return err
@@ -119,9 +108,9 @@ func run(cc *cliconf.Common) error {
 	}
 
 	sys := live.NewSystem(topo, pat, tr, live.Config{
-		Opt:        opt,
-		Membership: mem,
-		Storage:    func(groups.Process) storage.WAL { return wal },
+		Opt:     opt,
+		Local:   groups.NewProcSet(self),
+		Storage: func(groups.Process) storage.WAL { return wal },
 	})
 	if f, ok := wal.(*storage.File); ok {
 		// NewSystem replayed the log while building the paxos node; by now

@@ -148,3 +148,17 @@ func TestHelpRespectsThePredecessorsGate(t *testing.T) {
 		t.Errorf("%d deliveries, want 12 (a, b, c, d at three processes)", got)
 	}
 }
+
+// TestConflictsWithUnregisteredMessage: on the live stack a pair log can name
+// a message this daemon has not announced yet. The relation cannot be
+// evaluated on it, so the pair conflicts — the guard that asks waits for the
+// announce — instead of the registry panicking.
+func TestConflictsWithUnregisteredMessage(t *testing.T) {
+	topo := groups.MustNew(2, groups.NewProcSet(0, 1))
+	sh := NewShared(topo, failure.NewPattern(2), Options{Variant: Generic, Conflict: msg.ClassesConflict})
+	m := sh.RequestClassed(0, 0, nil, msg.Class(1), 0)
+	unknown := m.ID + 1
+	if !sh.Conflicts(m.ID, unknown) || !sh.Conflicts(unknown, m.ID) {
+		t.Error("a registered message commutes with one this registry does not know")
+	}
+}

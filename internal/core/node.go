@@ -306,6 +306,15 @@ func (n *Node) discover() {
 	for _, g := range n.myGroups {
 		from := n.hw[g]
 		ids := n.groupLog(g).MessagesSince(from)
+		// A peer daemon's op can name a message this daemon has not
+		// registered yet: ingest up to it, and rescan once its Announce
+		// wakes this node.
+		for i, id := range ids {
+			if _, ok := n.sh.Reg.Lookup(id); !ok {
+				ids = ids[:i]
+				break
+			}
+		}
 		if len(ids) == 0 {
 			continue
 		}

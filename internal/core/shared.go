@@ -139,8 +139,8 @@ func NewShared(topo *groups.Topology, pat *failure.Pattern, opt Options) *Shared
 
 // NewSharedWithBackend builds the shared state of a run over an explicit
 // backend (internal/live supplies the replicated one). The factory receives
-// the freshly built shared state — backends need its registry to carry
-// conflict classes and its detector bundle to drive leader election.
+// the freshly built shared state — backends need its detector bundle to
+// drive leader election.
 func NewSharedWithBackend(topo *groups.Topology, pat *failure.Pattern, opt Options, mk func(sh *Shared) Backend) *Shared {
 	sh := newSharedState(topo, pat, opt)
 	sh.be = mk(sh)
@@ -219,13 +219,17 @@ func (sh *Shared) RequestClassed(src groups.Process, dst groups.GroupID, payload
 // Conflicts reports whether a and b must be ordered relative to each other.
 // With no relation configured every pair conflicts, so every non-Generic
 // run — and a Generic run with a nil relation — behaves exactly like
-// Algorithm 1.
+// Algorithm 1. An ID not registered here yet — a peer daemon's message this
+// one has not announced — conflicts with everything: the guard that asks
+// waits, and the Announce wakes the node to ask again.
 func (sh *Shared) Conflicts(a, b msg.ID) bool {
 	rel := sh.Opt.Conflict
 	if rel == nil {
 		return true
 	}
-	return rel(sh.Reg.Get(a), sh.Reg.Get(b))
+	ma, okA := sh.Reg.Lookup(a)
+	mb, okB := sh.Reg.Lookup(b)
+	return !okA || !okB || rel(ma, mb)
 }
 
 // Commutative reports whether m commutes with every message (the fast-path

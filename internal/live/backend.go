@@ -40,7 +40,6 @@ import (
 // group.
 type Backend struct {
 	topo   *groups.Topology
-	reg    *msg.Registry
 	nw     net.Transport
 	mu     *fd.Mu
 	clock  func() failure.Time
@@ -64,18 +63,17 @@ type repKey struct {
 
 var _ core.Backend = (*Backend)(nil)
 
-// NewBackend builds the replicated substrate: one paxos node per local
-// process of the membership descriptor (an empty descriptor means every
-// process); replicas are created on demand. clock supplies the current tick for failure-detector queries (leader election
-// follows Ω at the current time). rec, when non-nil, receives the
-// substrate's counters (paxos work, replog applies, per-pair coordination).
-// store supplies each local process's WAL. In a multi-process deployment each
-// daemon's backend runs acceptors only for the processes it embodies — the
-// rest answer from their own OS processes over the transport.
-func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Transport, clock func() failure.Time, strong bool, rec *obs.Recorder, mem Membership, store func(groups.Process) storage.WAL) *Backend {
+// NewBackend builds the replicated substrate: one paxos node per process in
+// local; replicas are created on demand. clock supplies the current tick for
+// failure-detector queries (leader election follows Ω at the current time).
+// rec, when non-nil, receives the substrate's counters (paxos work, replog
+// applies, per-pair coordination). store supplies each local process's WAL.
+// In a multi-process deployment each daemon's backend runs acceptors only
+// for the processes it embodies — the rest answer from their own OS
+// processes over the transport.
+func NewBackend(topo *groups.Topology, mu *fd.Mu, nw net.Transport, clock func() failure.Time, strong bool, rec *obs.Recorder, local groups.ProcSet, store func(groups.Process) storage.WAL) *Backend {
 	b := &Backend{
 		topo:   topo,
-		reg:    reg,
 		nw:     nw,
 		mu:     mu,
 		clock:  clock,
@@ -84,12 +82,9 @@ func NewBackend(topo *groups.Topology, reg *msg.Registry, mu *fd.Mu, nw net.Tran
 		nodes:  make([]*paxos.Node, topo.NumProcesses()),
 		reps:   make(map[repKey]*replog.Replica),
 	}
-	for p := range b.nodes {
-		if !mem.Owns(groups.Process(p)) {
-			continue
-		}
-		cfg := paxos.Config{Counters: rec.Paxos(), WAL: store(groups.Process(p))}
-		b.nodes[p] = paxos.StartNodeWithConfig(nw, groups.Process(p), cfg)
+	for _, p := range local.Members() {
+		cfg := paxos.Config{Counters: rec.Paxos(), WAL: store(p)}
+		b.nodes[p] = paxos.StartNodeWithConfig(nw, p, cfg)
 	}
 	return b
 }
@@ -153,9 +148,6 @@ func (b *Backend) replica(p groups.Process, pair core.PairKey) *replog.Replica {
 	if pair.A != pair.B {
 		name = fmt.Sprintf("LOG_g%d∩g%d", pair.A, pair.B)
 	}
-	// The realm packs the canonical pair: distinct pair logs get distinct
-	// Multi-Paxos realms on the shared per-process paxos node.
-	realm := uint64(pair.A)<<32 | uint64(uint32(pair.B))
 	scope, omega := b.hosting(pair)
 	// Only the members of g∩h hold a replica of LOG_{g∩h}, but Ω of the
 	// hosting group may name any of its members: a leader that has no replica
@@ -169,35 +161,19 @@ func (b *Backend) replica(p groups.Process, pair core.PairKey) *replog.Replica {
 		}
 		return q
 	}
-	r := replog.NewReplica(name, realm, p, b.nodes[p], b.nw, scope, leader)
+	r := replog.NewReplica(name, pairRealm(pair), p, b.nodes[p], b.nw, scope, leader)
 	r.Observe(b.rec.Replog())
 	if b.notify != nil {
 		pp := p
 		r.OnApply(func() { b.notify(pp) })
 	}
-	// Conflict-class plumbing: stamp locally enqueued message appends with
-	// the registry's tag and adopt tags arriving in decided ops, so every
-	// replica — including daemons whose local schedule carried no tag — ends
-	// up evaluating the same class-induced relation. Both hooks read only the
-	// replicated schedule (message IDs are positional), so they are
-	// deterministic across replicas as SetClassHooks requires.
-	r.SetClassHooks(
-		func(d logobj.Datum) uint64 {
-			if d.Kind != logobj.KindMsg {
-				return 0
-			}
-			return uint64(b.reg.ClassOf(d.Msg))
-		},
-		func(d logobj.Datum, c uint64) {
-			if d.Kind != logobj.KindMsg {
-				return
-			}
-			b.reg.LearnClass(d.Msg, msg.Class(c))
-		},
-	)
 	b.reps[key] = r
 	return r
 }
+
+// pairRealm is a pair log's Multi-Paxos realm on the per-process paxos node:
+// it packs the canonical pair, so distinct pair logs get distinct realms.
+func pairRealm(pair core.PairKey) uint64 { return uint64(pair.A)<<32 | uint64(uint32(pair.B)) }
 
 // liveLog adapts a replog replica to the core.LogObject surface. Mutators
 // enqueue the operation at the replica, which sees it decided and applied

@@ -29,12 +29,11 @@ func (s *System) JournalDiff() []error {
 	}
 	s.be.lk.Unlock()
 	for key, rep := range reps {
-		realm := uint64(key.pair.A)<<32 | uint64(uint32(key.pair.B))
 		snap := s.be.nodes[key.p].SnapshotDecisions()
 		j := rep.Journal()
 		for i := 0; i < len(j); {
 			slot := j[i].Slot
-			inst := paxos.InstanceID{Space: paxos.SpaceLog, Realm: realm, Slot: int64(slot)}
+			inst := paxos.InstanceID{Space: paxos.SpaceLog, Realm: pairRealm(key.pair), Slot: int64(slot)}
 			v, ok := snap[inst]
 			if !ok {
 				errs = append(errs, fmt.Errorf("p%d log %v: applied slot %d that its own decision snapshot does not contain",

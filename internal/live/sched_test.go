@@ -133,8 +133,7 @@ func TestHeartbeatOnlyWhileTimeGated(t *testing.T) {
 // the owned members of the destination group — and nobody else.
 func TestAnnounceWakesOwnedMembers(t *testing.T) {
 	topo := groups.Figure1() // g1 = {p1, p2}
-	mem := NewMembership(nil, 1, 3)
-	sys := countedSystem(topo, failure.NewPattern(topo.NumProcesses()), Config{Membership: mem})
+	sys := countedSystem(topo, failure.NewPattern(topo.NumProcesses()), Config{Local: groups.NewProcSet(1, 3)})
 	sys.Start()
 	defer sys.Stop()
 

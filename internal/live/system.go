@@ -39,30 +39,19 @@ type Config struct {
 	// must stay false: the live substrate enforces quorum responsiveness
 	// physically (paxos blocks without a majority), not via the engine.
 	Opt core.Options
-	// Membership describes the deployment: which replicas exist (with their
-	// daemons' addresses in multi-process deployments) and which of them
-	// this instance embodies. Nil means the single-OS-process default —
-	// every process is local. Only local processes get stepping goroutines
-	// and paxos/replog state, and delivery obligations are checked for
-	// local processes only; the rest of the topology lives in peer OS
-	// processes reachable over the transport. Non-local multicasts must
-	// still be announced in the same global order at every daemon via
+	// Local is the set of processes this instance embodies; empty means
+	// every process of the topology. Only local processes get stepping
+	// goroutines and paxos/replog state, and delivery obligations are
+	// checked for local processes only; the rest of the topology lives in
+	// peer OS processes reachable over the transport. Non-local multicasts
+	// must still be announced in the same global order at every daemon via
 	// Announce (message IDs are positional).
-	Membership *Membership
+	Local groups.ProcSet
 	// Storage supplies each local process's write-ahead log. Nil defaults
 	// to a fresh in-memory WAL per process (storage.NewMem) — group-commit
 	// semantics with no disk. Multi-process deployments (cmd/amcastd
 	// -data-dir) pass file-backed logs here for crash recovery.
 	Storage func(groups.Process) storage.WAL
-}
-
-// membership resolves the deployment descriptor: nil means the
-// single-OS-process default (every process local, no addresses).
-func (cfg Config) membership() Membership {
-	if cfg.Membership != nil {
-		return *cfg.Membership
-	}
-	return Membership{}
 }
 
 // System is a live run: Algorithm 1 nodes stepped by goroutines over the
@@ -84,7 +73,6 @@ type System struct {
 
 	be  *Backend
 	cfg Config
-	mem Membership
 	// started is when Start ran, nil before. Nobody advances the clock:
 	// now() divides the time since.
 	started atomic.Pointer[time.Time]
@@ -119,11 +107,15 @@ func NewSystem(topo *groups.Topology, pat *failure.Pattern, nw net.Transport, cf
 		rec := cfg.Opt.Rec
 		cfg.Storage = func(groups.Process) storage.WAL { return storage.NewMem().Observe(rec.WAL()) }
 	}
+	if cfg.Local.Empty() {
+		for p := 0; p < topo.NumProcesses(); p++ {
+			cfg.Local = cfg.Local.Add(groups.Process(p))
+		}
+	}
 	s := &System{
 		Topo: topo,
 		Pat:  pat,
 		Net:  nw,
-		mem:  cfg.membership(),
 		stop: make(chan struct{}),
 		dch:  make(chan struct{}),
 	}
@@ -138,7 +130,7 @@ func NewSystem(topo *groups.Topology, pat *failure.Pattern, nw net.Transport, cf
 	}
 	s.cfg = cfg
 	s.Sh = core.NewSharedWithBackend(topo, pat, cfg.Opt, func(sh *core.Shared) core.Backend {
-		s.be = NewBackend(topo, sh.Reg, sh.Mu, nw, s.now, cfg.Opt.Variant == core.StronglyGenuine, cfg.Opt.Rec, s.mem, cfg.Storage)
+		s.be = NewBackend(topo, sh.Mu, nw, s.now, cfg.Opt.Variant == core.StronglyGenuine, cfg.Opt.Rec, cfg.Local, cfg.Storage)
 		return s.be
 	})
 	// Wake plumbing must exist before the nodes: building a core.Node
@@ -210,11 +202,8 @@ func (s *System) now() failure.Time {
 // relative to the crash schedule).
 func (s *System) Now() failure.Time { return s.now() }
 
-// owns reports whether this System instance embodies p (all processes in
-// the single-OS-process default).
-func (s *System) owns(p groups.Process) bool {
-	return s.mem.Owns(p)
-}
+// owns reports whether this System instance embodies p.
+func (s *System) owns(p groups.Process) bool { return s.cfg.Local.Has(p) }
 
 // Start starts the clock and launches one stepping goroutine per owned
 // process, plus one that enacts the crash schedule if there is one.
@@ -366,7 +355,8 @@ func (s *System) Announce(src groups.Process, dst groups.GroupID, payload []byte
 // daemons must pass the same tag as the owning daemon's MulticastClassed.
 //
 // The registration grows L_dst, which the senders' group-sequential gate
-// reads and no replica apply announces, so the owned members of dst are
+// reads and no replica apply announces, and lets a member ingest the message
+// where a peer's op already put it in a log, so the owned members of dst are
 // woken: a parked node has no timer that would rescan later.
 func (s *System) AnnounceClassed(src groups.Process, dst groups.GroupID, payload []byte, class msg.Class) *msg.Message {
 	m := s.Sh.RequestClassed(src, dst, payload, class, s.now())

@@ -17,7 +17,7 @@ type ID int64
 // None is the null message identifier.
 const None ID = 0
 
-// Class is a compact conflict-class tag a message carries across the wire,
+// Class is a compact conflict-class tag fixed when a message is registered,
 // so a run's commutativity relation can be evaluated from tags alone:
 // ClassAll conflicts with every message, ClassFree commutes with every
 // message, and two keyed classes conflict iff they are equal.
@@ -88,16 +88,15 @@ func (m *Message) String() string {
 // live-backend runs register from the driver while nodes resolve
 // concurrently, hence the lock.
 type Registry struct {
-	mu     sync.RWMutex
-	next   ID
-	byID   map[ID]*Message
-	learnt map[ID]Class
+	mu   sync.RWMutex
+	next ID
+	byID map[ID]*Message
 }
 
 // NewRegistry returns an empty registry. The first assigned ID is 1 so that
 // None never collides with a real message.
 func NewRegistry() *Registry {
-	return &Registry{next: 1, byID: make(map[ID]*Message), learnt: make(map[ID]Class)}
+	return &Registry{next: 1, byID: make(map[ID]*Message)}
 }
 
 // New registers a fresh message (conflict class ClassAll).
@@ -115,43 +114,20 @@ func (r *Registry) NewClassed(src groups.Process, dst groups.GroupID, payload []
 	return m
 }
 
-// ClassOf returns the conflict class of id: a tag learnt from the wire wins
-// over the registration-time tag, and unknown ids are ClassAll — a message
-// we know nothing about must be treated as conflicting with everything.
-func (r *Registry) ClassOf(id ID) Class {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if c, ok := r.learnt[id]; ok {
-		return c
-	}
-	if m, ok := r.byID[id]; ok {
-		return m.Class
-	}
-	return ClassAll
-}
-
-// LearnClass records the class tag of id as carried by the replicated op
-// stream. The registration-time Message is never mutated (nodes read it
-// lock-free); the learnt tag is kept aside and surfaces through ClassOf,
-// letting a replica whose local schedule lacked the tag still report the
-// authoritative one the wire delivered.
-func (r *Registry) LearnClass(id ID, c Class) {
-	if c == ClassAll {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.learnt[id]; !ok {
-		r.learnt[id] = c
-	}
-}
-
-// Get resolves an ID; it panics on unknown IDs, which indicates a bug in the
-// caller (messages are always registered before circulating).
-func (r *Registry) Get(id ID) *Message {
+// Lookup resolves an ID; ok is false while id is not registered here. A
+// daemon of a multi-process deployment can read an ID off a shared log
+// before it has announced that message itself.
+func (r *Registry) Lookup(id ID) (*Message, bool) {
 	r.mu.RLock()
 	m, ok := r.byID[id]
 	r.mu.RUnlock()
+	return m, ok
+}
+
+// Get resolves an ID the caller knows is registered; it panics on unknown
+// IDs, which indicates a bug in the caller.
+func (r *Registry) Get(id ID) *Message {
+	m, ok := r.Lookup(id)
 	if !ok {
 		panic(fmt.Sprintf("msg: unknown message id %d", id))
 	}

@@ -45,18 +45,12 @@ const (
 	opBumpAndLock
 )
 
-// Op is one log operation. Class is the conflict-class tag of the datum's
-// message (0 for non-message datums and for runs without a conflict
-// relation): it rides the consensus value so every replica of the log learns
-// the tag from the decided op stream, even when its local schedule never
-// registered it. Ops compare with ==, so the class hooks must be
-// deterministic — every replica stamping the same datum must produce the
-// same tag.
+// Op is one log operation. Ops compare with ==: a waiter is satisfied by the
+// exact op in an applied batch (completeLocked).
 type Op struct {
 	Kind  opKind
 	Datum logobj.Datum
 	K     int
-	Class uint64
 }
 
 // maxBatchOps caps how many pending operations one slot may carry. The cap
@@ -136,11 +130,6 @@ type Replica struct {
 	queue   []*waiter // queued operations, arrival order
 	closed  bool      // shutdown: no further enqueues complete
 
-	// Conflict-class hooks (see SetClassHooks). Guarded by mu like the
-	// queue they stamp.
-	classOf    func(logobj.Datum) uint64
-	classLearn func(logobj.Datum, uint64)
-
 	// journal records every applied op when journalling is enabled (see
 	// journal.go) — debug evidence for diffing a replica's applied sequence
 	// against the paxos decision snapshot.
@@ -185,20 +174,6 @@ func (r *Replica) countBatch(n int) {
 // invoked concurrently from the apply, submit and sync paths. Safe to call
 // while the loops are running.
 func (r *Replica) OnApply(fn func()) { r.onApply.Store(&fn) }
-
-// SetClassHooks installs the conflict-class plumbing: of stamps each locally
-// enqueued op with its datum's class tag (return 0 for untagged data), learn
-// consumes the tag of every applied op, letting the caller's registry adopt
-// classes carried by the decided op stream. Both hooks MUST be deterministic
-// functions of the replicated schedule — every replica stamps the same datum
-// with the same tag, or op identity across replicas breaks. Install before
-// the replica sees traffic.
-func (r *Replica) SetClassHooks(of func(logobj.Datum) uint64, learn func(logobj.Datum, uint64)) {
-	r.mu.Lock()
-	r.classOf = of
-	r.classLearn = learn
-	r.mu.Unlock()
-}
 
 // NewReplica builds the replica of process p and starts its apply and
 // submit loops. All replicas of a log must share the name, realm, scope and
@@ -522,9 +497,6 @@ func (r *Replica) enqueueLocked(o Op) Started {
 	if r.closed {
 		return Started{}
 	}
-	if r.classOf != nil {
-		o.Class = r.classOf(o.Datum)
-	}
 	w := &waiter{op: o, done: make(chan bool, 1), enq: time.Now()}
 	r.queue = append(r.queue, w)
 	obs.Inc(&r.counters.Load().Submits)
@@ -814,9 +786,6 @@ func (r *Replica) applyAt(slot int, v paxos.Value) {
 	for _, o := range ops {
 		if jr {
 			r.journal = append(r.journal, JournalEntry{Slot: slot, Op: o})
-		}
-		if o.Class != 0 && r.classLearn != nil {
-			r.classLearn(o.Datum, o.Class)
 		}
 		switch o.Kind {
 		case opAppend:

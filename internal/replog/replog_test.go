@@ -85,6 +85,39 @@ func TestEmptyBatchIsNoop(t *testing.T) {
 	}
 }
 
+// TestReservedOpSlot: an op's last field once carried its message's conflict
+// class, and batches a pre-change peer or WAL wrote still hold one there. Such
+// a batch decodes to the ops without it, and EncodeBatch writes 0 in the slot.
+func TestReservedOpSlot(t *testing.T) {
+	ops := []Op{
+		{Kind: opAppend, Datum: logobj.MsgDatum(5)},
+		{Kind: opBumpAndLock, Datum: logobj.MsgDatum(5), K: 3},
+	}
+	layout := func(slot uint64) paxos.Value {
+		var e wire.Enc
+		e.U64(uint64(len(ops)))
+		for _, o := range ops {
+			e.I64(int64(o.Kind))
+			logobj.EncodeDatum(&e, o.Datum)
+			e.I64(int64(o.K))
+			e.U64(slot)
+		}
+		return paxos.Value(e.Bytes())
+	}
+	got, err := DecodeBatch(layout(7))
+	if err != nil || len(got) != len(ops) {
+		t.Fatalf("a batch with 7 in the slot decoded to %v, %v", got, err)
+	}
+	for i := range ops {
+		if got[i] != ops[i] {
+			t.Errorf("op %d decoded to %+v, want %+v", i, got[i], ops[i])
+		}
+	}
+	if enc := EncodeBatch(ops); !enc.Equal(layout(0)) {
+		t.Errorf("EncodeBatch wrote %x, want %x: the slot holds 0", enc, layout(0))
+	}
+}
+
 func TestAppendReplicates(t *testing.T) {
 	nw, reps := cluster(3)
 	defer nw.Close()

@@ -15,15 +15,19 @@ import (
 // no field-width caps (the old bit-packed int64 form limited message ids to
 // 2^16 and groups to 2^8).
 
+// encOp writes one op. Its last field is reserved: ops once carried their
+// message's conflict class there, and batches written before that, by a peer
+// or into a WAL, still hold one, so it is written as 0 and skipped on read.
 func encOp(e *wire.Enc, o Op) {
 	e.I64(int64(o.Kind))
 	logobj.EncodeDatum(e, o.Datum)
 	e.I64(int64(o.K))
-	e.U64(o.Class)
+	e.U64(0) // reserved
 }
 
 func decOp(d *wire.Dec) Op {
-	o := Op{Kind: opKind(d.I64()), Datum: logobj.DecodeDatum(d), K: int(d.I64()), Class: d.U64()}
+	o := Op{Kind: opKind(d.I64()), Datum: logobj.DecodeDatum(d), K: int(d.I64())}
+	d.U64() // reserved (see encOp)
 	switch o.Kind {
 	case opAppend, opBumpAndLock:
 	default:
