@@ -11,8 +11,9 @@
 //
 // Every daemon must receive identical -groups, -msgs and -crash specs:
 // message IDs are positional in the multicast schedule, so the daemons
-// reconstruct the same schedule independently (the owning daemon issues
-// each multicast, the others announce it). The daemon prints one line
+// reconstruct the same schedule independently (every daemon multicasts
+// every entry; only the sender's daemon enqueues it). The daemon prints one
+// line
 //
 //	ORDER <id> <msgID> <msgID> ...
 //
@@ -122,18 +123,13 @@ func run(cc *cliconf.Common) error {
 	sys.Start()
 	defer sys.Stop()
 
-	// Walk the schedule in canonical order at every daemon: the owning
-	// daemon issues each multicast, every other daemon announces it, so all
+	// Walk the schedule in canonical order at every daemon, so all
 	// registries assign identical message IDs.
 	for _, m := range msgs {
 		for sys.Now() < m.At {
 			time.Sleep(time.Millisecond)
 		}
-		if m.Src == self {
-			sys.MulticastClassed(m.Src, m.G, nil, m.Class)
-		} else {
-			sys.AnnounceClassed(m.Src, m.G, nil, m.Class)
-		}
+		sys.MulticastClassed(m.Src, m.G, nil, m.Class)
 	}
 
 	if !sys.AwaitDelivery(cc.Timeout) {

@@ -198,7 +198,7 @@ func (cl *logCluster) boot(p groups.Process) {
 	}
 	leader := func(groups.Process) groups.Process { return 0 }
 	cl.nodes[p] = paxos.StartNodeWithConfig(cl.c, p, cfg)
-	cl.reps[p] = replog.NewReplica("LOG", 1, p, cl.nodes[p], cl.c, cl.scope, leader)
+	cl.reps[p] = replog.NewReplica("LOG", 1, p, cl.nodes[p], cl.c, cl.scope, leader, nil, nil)
 }
 
 func (cl *logCluster) powerOff(p groups.Process) {

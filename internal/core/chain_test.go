@@ -109,11 +109,8 @@ func (l fenceLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.D
 func TestActionsStartTogether(t *testing.T) {
 	// g0 = {0,1}, g1 = {1,2}: p1 sits in both, no cyclic family.
 	topo := groups.MustNew(3, groups.NewProcSet(0, 1), groups.NewProcSet(1, 2))
-	var fb *fenceBackend
-	sh := NewSharedWithBackend(topo, failure.NewPattern(3), Options{}, func(sh *Shared) Backend {
-		fb = &fenceBackend{Backend: newSimBackend(topo, sh.Opt), stable: make(map[logobj.Datum]int)}
-		return fb
-	})
+	fb := &fenceBackend{Backend: newSimBackend(topo, Options{}), stable: make(map[logobj.Datum]int)}
+	sh := NewSharedWithBackend(topo, failure.NewPattern(3), Options{}, fb)
 	n := NewNode(1, sh)
 	m := sh.Request(1, 0, nil, 0)
 	n.Multicast(m)

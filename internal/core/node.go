@@ -159,7 +159,7 @@ func NewNode(p groups.Process, sh *Shared) *Node {
 		}
 	}
 	for _, key := range n.myPairs {
-		n.logs[key] = &nodeLog{LogObject: sh.Backend().Log(p, key.A, key.B)}
+		n.logs[key] = &nodeLog{LogObject: sh.be.Log(p, key.A, key.B)}
 	}
 	return n
 }
@@ -307,7 +307,7 @@ func (n *Node) discover() {
 		from := n.hw[g]
 		ids := n.groupLog(g).MessagesSince(from)
 		// A peer daemon's op can name a message this daemon has not
-		// registered yet: ingest up to it, and rescan once its Announce
+		// registered yet: ingest up to it, and rescan once its registration
 		// wakes this node.
 		for i, id := range ids {
 			if _, ok := n.sh.Reg.Lookup(id); !ok {

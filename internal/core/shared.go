@@ -138,12 +138,13 @@ func NewShared(topo *groups.Topology, pat *failure.Pattern, opt Options) *Shared
 }
 
 // NewSharedWithBackend builds the shared state of a run over an explicit
-// backend (internal/live supplies the replicated one). The factory receives
-// the freshly built shared state — backends need its detector bundle to
-// drive leader election.
-func NewSharedWithBackend(topo *groups.Topology, pat *failure.Pattern, opt Options, mk func(sh *Shared) Backend) *Shared {
+// backend (internal/live's System is the replicated one). Nothing asks the
+// backend for a log before the first NewNode, so a backend may read the
+// returned state — its detector bundle drives leader election — once it is
+// built.
+func NewSharedWithBackend(topo *groups.Topology, pat *failure.Pattern, opt Options, be Backend) *Shared {
 	sh := newSharedState(topo, pat, opt)
-	sh.be = mk(sh)
+	sh.be = be
 	return sh
 }
 
@@ -162,12 +163,6 @@ func newSharedState(topo *groups.Topology, pat *failure.Pattern, opt Options) *S
 		firstDelivered: make(map[msg.ID]failure.Time),
 	}
 }
-
-// Backend returns the shared-object backend of the run.
-func (sh *Shared) Backend() Backend { return sh.be }
-
-// Rec returns the run's recorder (nil when observability is off).
-func (sh *Shared) Rec() *obs.Recorder { return sh.Opt.Rec }
 
 // Log returns the universal-construction log LOG_{g∩h} (LOG_g when g == h)
 // of a Sim-backed run; it panics when g∩h = ∅ or when the run uses another
@@ -221,7 +216,7 @@ func (sh *Shared) RequestClassed(src groups.Process, dst groups.GroupID, payload
 // run — and a Generic run with a nil relation — behaves exactly like
 // Algorithm 1. An ID not registered here yet — a peer daemon's message this
 // one has not announced — conflicts with everything: the guard that asks
-// waits, and the Announce wakes the node to ask again.
+// waits, and the registration wakes the node to ask again.
 func (sh *Shared) Conflicts(a, b msg.ID) bool {
 	rel := sh.Opt.Conflict
 	if rel == nil {
@@ -295,14 +290,16 @@ func (sh *Shared) RecordDelivery(p groups.Process, m msg.ID, t failure.Time) {
 	}
 }
 
-// Freeze stops trace recording: deliveries after Freeze are dropped. The
-// live runner freezes the trace before tearing the substrate down, so
-// actions completing degraded during shutdown cannot corrupt the evidence
-// the checkers consume.
+// Freeze stops trace recording: deliveries after Freeze are dropped, and
+// the recorder's wall clock stops. The live runner freezes the trace before
+// tearing the substrate down, so actions completing degraded during
+// shutdown cannot corrupt the evidence the checkers consume, and the
+// teardown does not count as run time.
 func (sh *Shared) Freeze() {
 	sh.mu.Lock()
 	sh.frozen = true
 	sh.mu.Unlock()
+	sh.Opt.Rec.Freeze()
 }
 
 // Deliveries returns a snapshot of the global delivery trace.

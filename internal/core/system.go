@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/check"
 	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/groups"
@@ -97,11 +98,7 @@ func (s *System) RunInterruptible(stop func() bool) engine.Outcome {
 // engine ledgers (steps, charges, synthetic messages) are always present —
 // the Sim backend accounts them unconditionally.
 func (s *System) Report() obs.RunReport {
-	rep := s.Sh.Rec().Report()
-	rep.Backend = "sim"
-	rep.Processes = s.Sh.Topo.NumProcesses()
-	rep.Groups = s.Sh.Topo.NumGroups()
-	rep.Ticks = int64(s.Eng.Now())
+	rep := s.Sh.Report("sim", s.Eng.Now())
 	rep.StepsAccounted = true
 	rep.Steps = make([]int64, rep.Processes)
 	for p := 0; p < rep.Processes; p++ {
@@ -115,6 +112,14 @@ func (s *System) Report() obs.RunReport {
 	}
 	return rep
 }
+
+// Trace exports the run evidence for the checkers, with the engine's step
+// ledger.
+func (s *System) Trace() *check.Trace { return s.Sh.Trace(s.Eng.TookSteps) }
+
+// Check runs every checker appropriate for the system's variant and returns
+// the violations (empty means the run satisfied the specification).
+func (s *System) Check() []*check.Violation { return s.Sh.Check(s.Trace()) }
 
 // Node returns the node of process p.
 func (s *System) Node(p groups.Process) *Node { return s.Nodes[p] }

@@ -14,11 +14,12 @@ import (
 
 // TestPeerOpBeforeAnnounce: every daemon registers every message itself (IDs
 // are positional), but nothing orders a peer's log op about a message after
-// this daemon's Announce of it. Figure 1 runs as two daemons over one fabric,
-// A embodying {p0, p2} and B the rest, and the daemon that does not embody a
-// sender announces its message late. A node that applies such an op ingests
-// its group log only up to the message it does not know, a Generic pair-log
-// scan that meets one waits, and the Announce wakes the node.
+// this daemon's MulticastClassed of it. Figure 1 runs as two daemons over one
+// fabric, A embodying {p0, p2} and B the rest, and the daemon that does not
+// embody a sender announces its message — calls MulticastClassed for it —
+// late. A node that applies such an op ingests its group log only up to the
+// message it does not know, a Generic pair-log scan that meets one waits,
+// and the late call wakes the node.
 func TestPeerOpBeforeAnnounce(t *testing.T) {
 	generic := core.Options{Variant: core.Generic, Conflict: msg.ClassesConflict}
 	t.Run("late-announce", func(t *testing.T) {
@@ -41,7 +42,7 @@ func TestPeerOpBeforeAnnounce(t *testing.T) {
 					}
 					owner.MulticastClassed(e.src, e.dst, nil, e.class)
 					time.Sleep(30 * time.Millisecond)
-					peer.AnnounceClassed(e.src, e.dst, nil, e.class)
+					peer.MulticastClassed(e.src, e.dst, nil, e.class)
 				}
 				checkPair(t, a, b)
 			})
@@ -56,12 +57,12 @@ func TestPeerOpBeforeAnnounce(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			a, b := daemonPair(t, generic)
 			b.MulticastClassed(4, 3, nil, key)
-			a.AnnounceClassed(4, 3, nil, key)
+			a.MulticastClassed(4, 3, nil, key)
 			a.MulticastClassed(0, 2, nil, key)
 			a.MulticastClassed(2, 2, nil, key)
 			time.Sleep(200 * time.Millisecond)
-			b.AnnounceClassed(0, 2, nil, key)
-			b.AnnounceClassed(2, 2, nil, key)
+			b.MulticastClassed(0, 2, nil, key)
+			b.MulticastClassed(2, 2, nil, key)
 			checkPair(t, a, b)
 		}
 	})

@@ -9,115 +9,60 @@
 // replicated substrate, where the deterministic engine supplies the ideal
 // one.
 //
-// The System type in system.go drives a full run: one goroutine per process
-// stepping its core.Node against this backend when there is work and parked
-// when there is none, a clock nobody ticks — the tick is read off the wall
-// time since Start (failure detectors and crash schedules key on ticks) —
-// and trace extraction for internal/check.
+// One type does all of it. System is a run — one goroutine per process
+// stepping its core.Node when there is work and parked when there is none,
+// and a clock nobody ticks: the tick is read off the wall time since Start
+// (failure detectors and crash schedules key on ticks) — and it is the run's
+// core.Backend, this file: one paxos node per process it embodies and one
+// replog replica per log such a process touches, replicated over the log's
+// hosting group.
 package live
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/failure"
 	"repro/internal/fd"
 	"repro/internal/groups"
 	"repro/internal/logobj"
 	"repro/internal/msg"
-	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/paxos"
 	"repro/internal/replog"
-	"repro/internal/storage"
 )
 
-// Backend implements core.Backend over replicated logs. Each process has one
-// paxos node (acceptor + proposer) on the transport and one replog replica
-// per log it touches; replicas of a log replicate over the log's hosting
-// group.
-type Backend struct {
-	topo   *groups.Topology
-	nw     net.Transport
-	mu     *fd.Mu
-	clock  func() failure.Time
-	strong bool // StronglyGenuine: host LOG_{g∩h} inside g∩h
-	rec    *obs.Recorder
+var _ core.Backend = (*System)(nil)
 
-	nodes []*paxos.Node
-
-	// notify, when set, is invoked with the owning process whenever one of
-	// its replicas applies decided operations (see SetNotify).
-	notify func(groups.Process)
-
-	lk   sync.Mutex
-	reps map[repKey]*replog.Replica
-}
-
+// repKey names one process's replica of one pair log.
 type repKey struct {
 	p    groups.Process
 	pair core.PairKey
 }
 
-var _ core.Backend = (*Backend)(nil)
-
-// NewBackend builds the replicated substrate: one paxos node per process in
-// local; replicas are created on demand. clock supplies the current tick for
-// failure-detector queries (leader election follows Ω at the current time).
-// rec, when non-nil, receives the substrate's counters (paxos work, replog
-// applies, per-pair coordination). store supplies each local process's WAL.
-// In a multi-process deployment each daemon's backend runs acceptors only
-// for the processes it embodies — the rest answer from their own OS
-// processes over the transport.
-func NewBackend(topo *groups.Topology, mu *fd.Mu, nw net.Transport, clock func() failure.Time, strong bool, rec *obs.Recorder, local groups.ProcSet, store func(groups.Process) storage.WAL) *Backend {
-	b := &Backend{
-		topo:   topo,
-		nw:     nw,
-		mu:     mu,
-		clock:  clock,
-		strong: strong,
-		rec:    rec,
-		nodes:  make([]*paxos.Node, topo.NumProcesses()),
-		reps:   make(map[repKey]*replog.Replica),
-	}
-	for _, p := range local.Members() {
-		cfg := paxos.Config{Counters: rec.Paxos(), WAL: store(p)}
-		b.nodes[p] = paxos.StartNodeWithConfig(nw, p, cfg)
-	}
-	return b
-}
-
-// SetNotify installs the change-notification fan-in: fn(p) is called (from
-// replica apply paths — it must be cheap and non-blocking) whenever p's copy
-// of some log gains decided operations. The live System routes it to the
-// per-process wakeup channels so stepping is event-driven rather than
-// polled. Call before the first Log — replicas attach the hook at creation.
-func (b *Backend) SetNotify(fn func(groups.Process)) { b.notify = fn }
-
 // hosting returns the replication scope of LOG_{g∩h} and the Ω that elects
 // its paxos leader. As in the Sim backend, the lower-numbered group hosts
 // ("atop some group, say g"); under the strongly genuine variation the
 // intersection hosts itself from Ω_{g∩h} ∧ Σ_{g∩h}.
-func (b *Backend) hosting(pair core.PairKey) (groups.ProcSet, fd.Omega) {
+func (s *System) hosting(pair core.PairKey) (groups.ProcSet, fd.Omega) {
+	mu := s.Sh.Mu
 	if pair.A == pair.B {
-		return b.topo.Group(pair.A), b.mu.OmegaFor(pair.A)
+		return s.Topo.Group(pair.A), mu.OmegaFor(pair.A)
 	}
-	if b.strong {
-		if o, ok := b.mu.OmegaIntersectionFor(pair.A, pair.B); ok {
-			return b.topo.Intersection(pair.A, pair.B), o
+	if s.Sh.Opt.Variant == core.StronglyGenuine {
+		if o, ok := mu.OmegaIntersectionFor(pair.A, pair.B); ok {
+			return s.Topo.Intersection(pair.A, pair.B), o
 		}
 	}
-	return b.topo.Group(pair.A), b.mu.OmegaFor(pair.A)
+	return s.Topo.Group(pair.A), mu.OmegaFor(pair.A)
 }
 
 // leaderFunc adapts an Ω history to the paxos leader interface, sampling it
-// at the backend's current tick. With no leader sample yet the process
-// trusts itself — safe (quorum intersection), merely contended.
-func (b *Backend) leaderFunc(o fd.Omega) paxos.LeaderFunc {
+// at the current tick. With no leader sample yet the process trusts itself
+// — safe (quorum intersection), merely contended.
+func (s *System) leaderFunc(o fd.Omega) paxos.LeaderFunc {
 	return func(q groups.Process) groups.Process {
-		if l, ok := o.Leader(q, b.clock()); ok {
+		if l, ok := o.Leader(q, s.Now()); ok {
 			return l
 		}
 		return q
@@ -129,45 +74,42 @@ func (b *Backend) leaderFunc(o fd.Omega) paxos.LeaderFunc {
 // replication scope every mutation coordinates (the live substrate has no
 // adopt-commit fast path — every operation is a replicated slot in the
 // hosting scope).
-func (b *Backend) Log(p groups.Process, g, h groups.GroupID) core.LogObject {
+func (s *System) Log(p groups.Process, g, h groups.GroupID) core.LogObject {
 	pair := core.CanonPair(g, h)
-	scope, _ := b.hosting(pair)
-	return liveLog{r: b.replica(p, pair), rec: b.rec, pair: obs.Pair{A: pair.A, B: pair.B}, scope: scope}
+	scope, _ := s.hosting(pair)
+	return liveLog{r: s.replica(p, pair), rec: s.Sh.Opt.Rec, pair: obs.Pair{A: pair.A, B: pair.B}, scope: scope}
 }
 
 // replica returns p's replica of the pair's log, created on first use (the
-// replica starts its apply loop immediately).
-func (b *Backend) replica(p groups.Process, pair core.PairKey) *replog.Replica {
+// replica starts its apply loop immediately). It counts into the recorder
+// and wakes p's stepper whenever it applies decided operations.
+func (s *System) replica(p groups.Process, pair core.PairKey) *replog.Replica {
 	key := repKey{p: p, pair: pair}
-	b.lk.Lock()
-	defer b.lk.Unlock()
-	if r, ok := b.reps[key]; ok {
+	s.lk.Lock()
+	defer s.lk.Unlock()
+	if r, ok := s.reps[key]; ok {
 		return r
 	}
 	name := fmt.Sprintf("LOG_g%d", pair.A)
 	if pair.A != pair.B {
 		name = fmt.Sprintf("LOG_g%d∩g%d", pair.A, pair.B)
 	}
-	scope, omega := b.hosting(pair)
+	scope, omega := s.hosting(pair)
 	// Only the members of g∩h hold a replica of LOG_{g∩h}, but Ω of the
 	// hosting group may name any of its members: a leader that has no replica
 	// has no batcher to forward to and no use for the lease, so such a sample
 	// reads as "lead it yourself". (A group log's g∩g is the whole group.)
-	hosts := b.topo.Intersection(pair.A, pair.B)
-	sample := b.leaderFunc(omega)
+	hosts := s.Topo.Intersection(pair.A, pair.B)
+	sample := s.leaderFunc(omega)
 	leader := func(q groups.Process) groups.Process {
 		if l := sample(q); hosts.Has(l) {
 			return l
 		}
 		return q
 	}
-	r := replog.NewReplica(name, pairRealm(pair), p, b.nodes[p], b.nw, scope, leader)
-	r.Observe(b.rec.Replog())
-	if b.notify != nil {
-		pp := p
-		r.OnApply(func() { b.notify(pp) })
-	}
-	b.reps[key] = r
+	r := replog.NewReplica(name, pairRealm(pair), p, s.pax[p], s.Net, scope, leader,
+		s.Sh.Opt.Rec.Replog(), func() { s.wake(p) })
+	s.reps[key] = r
 	return r
 }
 

@@ -31,7 +31,7 @@ func BenchmarkConsSlowSync(b *testing.B) {
 	})
 	defer sys.Stop()
 	ctx := &engine.Ctx{}
-	glog := sys.be.Log(0, 0, 0)
+	glog := sys.Log(0, 0, 0)
 	propose := func(v int) {
 		m := sys.Sh.Request(0, 0, nil, 0)
 		glog.Append(ctx, 0, logobj.ConsDatum(m.ID, 0, v)).Wait()

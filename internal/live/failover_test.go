@@ -110,8 +110,8 @@ func runLeaseFailover(t *testing.T, seed int64) {
 	// carries the same value at both. This is stronger than the delivery
 	// checker — it catches a slot silently re-decided with a different
 	// value even if the damage never surfaces in a delivery order.
-	snaps := make([]map[paxos.InstanceID]paxos.Value, len(sys.be.nodes))
-	for p, node := range sys.be.nodes {
+	snaps := make([]map[paxos.InstanceID]paxos.Value, len(sys.pax))
+	for p, node := range sys.pax {
 		snaps[p] = node.SnapshotDecisions()
 	}
 	for p := range snaps {
@@ -202,8 +202,8 @@ func runFailoverMidWindow(t *testing.T, seed int64) {
 	}
 
 	// Paxos-level agreement, bit-for-bit.
-	snaps := make([]map[paxos.InstanceID]paxos.Value, len(sys.be.nodes))
-	for p, node := range sys.be.nodes {
+	snaps := make([]map[paxos.InstanceID]paxos.Value, len(sys.pax))
+	for p, node := range sys.pax {
 		snaps[p] = node.SnapshotDecisions()
 	}
 	for p := range snaps {
@@ -220,11 +220,11 @@ func runFailoverMidWindow(t *testing.T, seed int64) {
 	// Replog-level agreement: every pair of replicas of the same log agrees
 	// on the common prefix of the applied operation order.
 	byPair := make(map[core.PairKey][]*replog.Replica)
-	sys.be.lk.Lock()
-	for key, rep := range sys.be.reps {
+	sys.lk.Lock()
+	for key, rep := range sys.reps {
 		byPair[key.pair] = append(byPair[key.pair], rep)
 	}
-	sys.be.lk.Unlock()
+	sys.lk.Unlock()
 	for pair, reps := range byPair {
 		ref := reps[0].Snapshot()
 		for _, rep := range reps[1:] {
@@ -338,7 +338,7 @@ func TestLiveLeaseFailoverBeforeCons(t *testing.T) {
 		t.Fatal("the leader never proposed to CONS while armed: the scenario did not happen")
 	}
 	decided := false
-	for _, d := range sys.be.replica(1, core.PairKey{A: 0, B: 0}).Snapshot() {
+	for _, d := range sys.replica(1, core.PairKey{A: 0, B: 0}).Snapshot() {
 		decided = decided || (d.Kind == logobj.KindCons && d.Msg == m.ID)
 	}
 	if !decided {

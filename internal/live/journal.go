@@ -22,14 +22,14 @@ import (
 // without synchronising against live stepping.
 func (s *System) JournalDiff() []error {
 	var errs []error
-	s.be.lk.Lock()
-	reps := make(map[repKey]*replog.Replica, len(s.be.reps))
-	for key, rep := range s.be.reps {
+	s.lk.Lock()
+	reps := make(map[repKey]*replog.Replica, len(s.reps))
+	for key, rep := range s.reps {
 		reps[key] = rep
 	}
-	s.be.lk.Unlock()
+	s.lk.Unlock()
 	for key, rep := range reps {
-		snap := s.be.nodes[key.p].SnapshotDecisions()
+		snap := s.pax[key.p].SnapshotDecisions()
 		j := rep.Journal()
 		for i := 0; i < len(j); {
 			slot := j[i].Slot

@@ -129,8 +129,9 @@ func TestHeartbeatOnlyWhileTimeGated(t *testing.T) {
 
 // TestAnnounceWakesOwnedMembers: a registration by another daemon's sender
 // grows L_g, which the group-sequential gate reads and no replica apply
-// announces. A parked node has no timer to notice it later, so Announce wakes
-// the owned members of the destination group — and nobody else.
+// announces. A parked node has no timer to notice it later, so Multicast for
+// a sender this daemon does not embody wakes the owned members of the
+// destination group — and nobody else.
 func TestAnnounceWakesOwnedMembers(t *testing.T) {
 	topo := groups.Figure1() // g1 = {p1, p2}
 	sys := countedSystem(topo, failure.NewPattern(topo.NumProcesses()), Config{Local: groups.NewProcSet(1, 3)})
@@ -152,7 +153,7 @@ func TestAnnounceWakesOwnedMembers(t *testing.T) {
 	if before.Scans != 2 || before.NotifyWakeups != 0 {
 		t.Fatalf("before the announce: %d scans, %d notify wakeups; want the two start-up passes and no wakeup", before.Scans, before.NotifyWakeups)
 	}
-	sys.Announce(2, 1, nil) // p2 lives in another daemon; p1 ∈ g1 is ours, p3 is not in g1
+	sys.Multicast(2, 1, nil) // p2 lives in another daemon; p1 ∈ g1 is ours, p3 is not in g1
 	for scans() == before.Scans && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

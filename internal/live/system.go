@@ -15,6 +15,8 @@ import (
 	"repro/internal/msg"
 	"repro/internal/net"
 	"repro/internal/obs"
+	"repro/internal/paxos"
+	"repro/internal/replog"
 	"repro/internal/storage"
 )
 
@@ -43,9 +45,9 @@ type Config struct {
 	// every process of the topology. Only local processes get stepping
 	// goroutines and paxos/replog state, and delivery obligations are
 	// checked for local processes only; the rest of the topology lives in
-	// peer OS processes reachable over the transport. Non-local multicasts
-	// must still be announced in the same global order at every daemon via
-	// Announce (message IDs are positional).
+	// peer OS processes reachable over the transport. Every daemon must still
+	// call MulticastClassed for every multicast, local or not, in the same
+	// global order (message IDs are positional).
 	Local groups.ProcSet
 	// Storage supplies each local process's write-ahead log. Nil defaults
 	// to a fresh in-memory WAL per process (storage.NewMem) — group-commit
@@ -55,7 +57,8 @@ type Config struct {
 }
 
 // System is a live run: Algorithm 1 nodes stepped by goroutines over the
-// replicated backend, with crash injection driven by the failure pattern.
+// replicated logs it hands them as their core.Backend (backend.go), with
+// crash injection driven by the failure pattern.
 //
 //	nw := net.New(topo.NumProcesses())       // or chaos.Wrap(...)
 //	sys := live.NewSystem(topo, pat, nw, live.Config{})
@@ -71,11 +74,11 @@ type System struct {
 	Nodes []*core.Node
 	Net   net.Transport
 
-	be  *Backend
 	cfg Config
-	// started is when Start ran, nil before. Nobody advances the clock:
-	// now() divides the time since.
+	// started is when Start ran, nil before; ended is when Stop ran, nil
+	// before. Nobody advances the clock: Now divides the time between.
 	started atomic.Pointer[time.Time]
+	ended   atomic.Pointer[time.Time]
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	once    sync.Once
@@ -91,6 +94,12 @@ type System struct {
 	// re-checking the predicate).
 	dmu sync.Mutex
 	dch chan struct{}
+
+	// pax holds the paxos node (acceptor + proposer) of each embodied
+	// process, nil for the rest; reps, under lk, every replica created.
+	pax  []*paxos.Node
+	lk   sync.Mutex
+	reps map[repKey]*replog.Replica
 }
 
 // NewSystem assembles a live system over the transport. The transport must
@@ -118,6 +127,8 @@ func NewSystem(topo *groups.Topology, pat *failure.Pattern, nw net.Transport, cf
 		Net:  nw,
 		stop: make(chan struct{}),
 		dch:  make(chan struct{}),
+		pax:  make([]*paxos.Node, topo.NumProcesses()),
+		reps: make(map[repKey]*replog.Replica),
 	}
 	// Every local delivery pings the AwaitDelivery broadcast; the caller's
 	// hook (if any) still runs, after ours.
@@ -129,28 +140,24 @@ func NewSystem(topo *groups.Topology, pat *failure.Pattern, nw net.Transport, cf
 		}
 	}
 	s.cfg = cfg
-	s.Sh = core.NewSharedWithBackend(topo, pat, cfg.Opt, func(sh *core.Shared) core.Backend {
-		s.be = NewBackend(topo, sh.Mu, nw, s.now, cfg.Opt.Variant == core.StronglyGenuine, cfg.Opt.Rec, cfg.Local, cfg.Storage)
-		return s.be
-	})
-	// Wake plumbing must exist before the nodes: building a core.Node
-	// eagerly creates its backend log replicas, and replica creation is
-	// when the apply-notification hook is attached.
-	s.wakeCh = make([]chan struct{}, topo.NumProcesses())
-	for p := range s.wakeCh {
-		if s.owns(groups.Process(p)) {
-			s.wakeCh[p] = make(chan struct{}, 1)
-		}
+	s.Sh = core.NewSharedWithBackend(topo, pat, cfg.Opt, s)
+	// In a multi-process deployment each daemon runs acceptors only for the
+	// processes it embodies — the rest answer from their own OS processes
+	// over the transport.
+	for _, p := range cfg.Local.Members() {
+		s.pax[p] = paxos.StartNodeWithConfig(nw, p, paxos.Config{Counters: cfg.Opt.Rec.Paxos(), WAL: cfg.Storage(p)})
 	}
-	s.be.SetNotify(s.wake)
-	// Only owned processes get automatons: a non-owned process's replicas
-	// live in the daemon that owns it. Slots for non-owned processes stay
-	// nil (Multicast and runNode only ever touch owned ones).
+	// Only owned processes get a wakeup channel and an automaton: a
+	// non-owned process's replicas live in the daemon that owns it. Slots
+	// for non-owned processes stay nil (MulticastClassed and runNode only
+	// ever touch owned ones). The channel comes first: building p's node
+	// eagerly creates p's log replicas, and each wakes p from the moment it
+	// is built.
+	s.wakeCh = make([]chan struct{}, topo.NumProcesses())
 	s.Nodes = make([]*core.Node, topo.NumProcesses())
-	for p := range s.Nodes {
-		if s.owns(groups.Process(p)) {
-			s.Nodes[p] = core.NewNode(groups.Process(p), s.Sh)
-		}
+	for _, p := range cfg.Local.Members() {
+		s.wakeCh[p] = make(chan struct{}, 1)
+		s.Nodes[p] = core.NewNode(p, s.Sh)
 	}
 	return s
 }
@@ -189,18 +196,20 @@ func (s *System) deliveryCh() <-chan struct{} {
 	return s.dch
 }
 
-// now is the backend's clock: the current tick, 0 until Start.
-func (s *System) now() failure.Time {
+// Now is the run's clock: the current tick, 0 until Start and where Stop
+// left it afterwards. Failure detectors and crash schedules key on it, and
+// drivers schedule multicasts relative to the crash schedule with it.
+func (s *System) Now() failure.Time {
 	at := s.started.Load()
 	if at == nil {
 		return 0
 	}
-	return failure.Time(time.Since(*at) / tickEvery)
+	end := time.Now()
+	if e := s.ended.Load(); e != nil {
+		end = *e
+	}
+	return failure.Time(end.Sub(*at) / tickEvery)
 }
-
-// Now returns the current tick (drivers use it to schedule multicasts
-// relative to the crash schedule).
-func (s *System) Now() failure.Time { return s.now() }
 
 // owns reports whether this System instance embodies p.
 func (s *System) owns(p groups.Process) bool { return s.cfg.Local.Has(p) }
@@ -230,12 +239,9 @@ func (s *System) Start() {
 		s.wg.Add(1)
 		go s.runCrashes(start, crashes)
 	}
-	for p := range s.Nodes {
-		if !s.owns(groups.Process(p)) {
-			continue
-		}
+	for _, p := range s.cfg.Local.Members() {
 		s.wg.Add(1)
-		go s.runNode(groups.Process(p))
+		go s.runNode(p)
 	}
 }
 
@@ -293,7 +299,7 @@ func (s *System) runNode(p groups.Process) {
 		// check inside the loop matters: after Stop closes the transport,
 		// shared-object operations complete degraded and a guard can stay
 		// enabled forever — the drain must not outlive the run.
-		for n.Step(&engine.Ctx{Now: s.now()}) {
+		for n.Step(&engine.Ctx{Now: s.Now()}) {
 			select {
 			case <-s.stop:
 				return
@@ -332,38 +338,24 @@ func (s *System) Multicast(src groups.Process, dst groups.GroupID, payload []byt
 }
 
 // MulticastClassed is Multicast with an explicit conflict-class tag
-// (Generic-variant runs driven by class-tagged schedules).
+// (Generic-variant runs driven by class-tagged schedules). Message IDs are
+// positional in the registry, so every daemon calls it for every multicast
+// of the schedule, in the same order and with the same arguments. The
+// daemon that embodies src enqueues the message at src's node and wakes it.
+// Every other daemon only registers it: the registration grows L_dst, which
+// the senders' group-sequential gate reads and no replica apply announces,
+// and lets a member ingest the message where a peer's op already put it in
+// a log, so the owned members of dst are woken — a parked node has no timer
+// that would rescan later.
 func (s *System) MulticastClassed(src groups.Process, dst groups.GroupID, payload []byte, class msg.Class) *msg.Message {
-	m := s.Sh.RequestClassed(src, dst, payload, class, s.now())
-	s.Nodes[src].Multicast(m)
-	s.wake(src)
-	return m
-}
-
-// Announce registers a multicast issued by a process another daemon
-// embodies. Message IDs are positional in the registry, so every daemon
-// must see the same multicast schedule in the same order — the owning
-// daemon calls Multicast, every other daemon calls Announce with identical
-// arguments, and both paths register the message and append it to the
-// relevant logs' obligations without enqueueing it at a local (non-owned)
-// sender node.
-func (s *System) Announce(src groups.Process, dst groups.GroupID, payload []byte) *msg.Message {
-	return s.AnnounceClassed(src, dst, payload, msg.ClassAll)
-}
-
-// AnnounceClassed is Announce with an explicit conflict-class tag; peer
-// daemons must pass the same tag as the owning daemon's MulticastClassed.
-//
-// The registration grows L_dst, which the senders' group-sequential gate
-// reads and no replica apply announces, and lets a member ingest the message
-// where a peer's op already put it in a log, so the owned members of dst are
-// woken: a parked node has no timer that would rescan later.
-func (s *System) AnnounceClassed(src groups.Process, dst groups.GroupID, payload []byte, class msg.Class) *msg.Message {
-	m := s.Sh.RequestClassed(src, dst, payload, class, s.now())
+	m := s.Sh.RequestClassed(src, dst, payload, class, s.Now())
+	if s.owns(src) {
+		s.Nodes[src].Multicast(m)
+		s.wake(src)
+		return m
+	}
 	for _, p := range s.Topo.Group(dst).Members() {
-		if s.owns(p) {
-			s.wake(p)
-		}
+		s.wake(p)
 	}
 	return m
 }
@@ -429,12 +421,15 @@ func (s *System) AwaitDeliveryCtx(ctx context.Context) bool {
 	}
 }
 
-// Stop freezes the trace and tears the run down: the trace freeze comes
-// first so operations completing degraded during shutdown cannot corrupt
-// the evidence; closing the transport then unblocks every node parked
-// inside a consensus operation.
+// Stop stops the clock, freezes the trace and tears the run down: the
+// clock and the trace freeze first so operations completing degraded during
+// shutdown can neither corrupt the evidence nor count as run time; closing
+// the transport then unblocks every node parked inside a consensus
+// operation.
 func (s *System) Stop() {
 	s.once.Do(func() {
+		end := time.Now()
+		s.ended.Store(&end)
 		s.Sh.Freeze()
 		close(s.stop)
 		s.Net.Close()
@@ -442,48 +437,19 @@ func (s *System) Stop() {
 	})
 }
 
-// Trace exports the run evidence for the checkers. TookSteps is nil — wall
-// clock runs have no step ledger, so the Minimality checker is skipped
+// Trace exports the run evidence for the checkers. It has no step ledger
+// — a wall-clock run keeps none — so the Minimality checker is skipped
 // (genuineness is an engine-run property; see internal/check).
-func (s *System) Trace() *check.Trace {
-	local := make(map[groups.Process][]msg.ID)
-	for _, d := range s.Sh.Deliveries() {
-		local[d.P] = append(local[d.P], d.M)
-	}
-	multicast := make(map[msg.ID]failure.Time, s.Sh.Reg.Len())
-	first := make(map[msg.ID]failure.Time)
-	for _, m := range s.Sh.Reg.All() {
-		multicast[m.ID] = s.Sh.RequestedAt(m.ID)
-		if t, ok := s.Sh.FirstDeliveredAt(m.ID); ok {
-			first[m.ID] = t
-		}
-	}
-	tr := &check.Trace{
-		Topo:           s.Topo,
-		Pat:            s.Pat,
-		Reg:            s.Sh.Reg,
-		LocalOrder:     local,
-		Multicast:      multicast,
-		FirstDelivered: first,
-	}
-	if s.Sh.Opt.Variant == core.Generic {
-		tr.Conflicts = s.Sh.Conflicts
-	}
-	return tr
-}
+func (s *System) Trace() *check.Trace { return s.Sh.Trace(nil) }
 
 // Report assembles the run's observability: the recorder's view (timeline,
 // latency, coordination, paxos/replog counters) decorated with what only
-// this layer knows — the tick clock, the transport's traffic counters, and
-// the nemesis injection counters when the transport is chaos-wrapped. The
-// live substrate keeps no per-process step ledger, so StepsAccounted stays
-// false (steps are an engine-run quantity).
+// this layer knows — the transport's traffic counters, and the nemesis
+// injection counters when the transport is chaos-wrapped. The live
+// substrate keeps no per-process step ledger, so StepsAccounted stays false
+// (steps are an engine-run quantity).
 func (s *System) Report() obs.RunReport {
-	rep := s.Sh.Rec().Report()
-	rep.Backend = "live"
-	rep.Processes = s.Topo.NumProcesses()
-	rep.Groups = s.Topo.NumGroups()
-	rep.Ticks = int64(s.now())
+	rep := s.Sh.Report("live", s.Now())
 	if nr, ok := s.Net.(obs.NetReporter); ok {
 		rep.Net = nr.NetReport()
 	}
@@ -499,9 +465,4 @@ func (s *System) Report() obs.RunReport {
 // Check validates the completed run against the specification and returns
 // the violations (empty means the run satisfied it). Call after Stop, or
 // at a quiescent point.
-func (s *System) Check() []*check.Violation {
-	strict := s.Sh.Opt.Variant == core.Strict
-	pairwise := s.Sh.Opt.Variant == core.Pairwise
-	generic := s.Sh.Opt.Variant == core.Generic
-	return check.All(s.Trace(), strict, pairwise, generic)
-}
+func (s *System) Check() []*check.Violation { return s.Sh.Check(s.Trace()) }

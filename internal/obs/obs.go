@@ -134,6 +134,8 @@ type Recorder struct {
 
 	level Level
 	epoch time.Time // zero ⇒ no wall stamps
+	// frozen is the wall offset Freeze stopped the clock at (0: running).
+	frozen atomic.Int64
 
 	mu         sync.Mutex
 	seq        int64
@@ -203,13 +205,26 @@ func (r *Recorder) WAL() *WALCounters { return &r.orDiscard().wal }
 // Sched returns the block the stepping scheduler counts into.
 func (r *Recorder) Sched() *SchedCounters { return &r.orDiscard().sched }
 
-// wallNow returns the wall offset since the epoch, or zero when the
-// recorder does not stamp wall time.
+// wallNow returns the wall offset since the epoch — or where Freeze stopped
+// it — and zero when the recorder does not stamp wall time.
 func (r *Recorder) wallNow() time.Duration {
 	if r.epoch.IsZero() {
 		return 0
 	}
+	if f := r.frozen.Load(); f != 0 {
+		return time.Duration(f)
+	}
 	return time.Since(r.epoch)
+}
+
+// Freeze stops the wall clock where the run ended: a report taken after a
+// stopped run reads the run's span, not the caller's teardown. Later calls
+// keep the first instant.
+func (r *Recorder) Freeze() {
+	if r == nil || r.epoch.IsZero() {
+		return
+	}
+	r.frozen.CompareAndSwap(0, int64(time.Since(r.epoch)))
 }
 
 // record appends one event under the cap (caller holds r.mu).

@@ -128,7 +128,7 @@ next:
 		accepted++
 	}
 	if accepted > 0 {
-		obs.Add(&r.counters.Load().RemoteOps, int64(accepted))
+		obs.Add(&r.counters.RemoteOps, int64(accepted))
 		select {
 		case r.kick <- struct{}{}:
 		default:

@@ -56,7 +56,7 @@ func newPCHarness(n int, seed int64) *pcHarness {
 func (h *pcHarness) boot(p groups.Process) {
 	node := paxos.StartNodeWithConfig(h.c, p, paxos.Config{WAL: h.wals[p]})
 	h.nodes[p] = node
-	h.reps[p] = NewReplica("LOG", 1, p, node, h.c, h.scope, h.leader)
+	h.reps[p] = NewReplica("LOG", 1, p, node, h.c, h.scope, h.leader, nil, nil)
 }
 
 // powerOff is the kill -9 moment: the endpoint is already crashed (the

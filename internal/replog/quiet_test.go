@@ -46,9 +46,8 @@ func quietCluster(nw net.Transport, n int, wal func(groups.Process) storage.WAL)
 			cfg.WAL = wal(groups.Process(p))
 		}
 		node := paxos.StartNodeWithConfig(nw, groups.Process(p), cfg)
-		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader)
 		counts[p] = new(obs.ReplogCounters)
-		reps[p].Observe(counts[p])
+		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader, counts[p], nil)
 	}
 	return reps, counts
 }

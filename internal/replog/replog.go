@@ -113,14 +113,8 @@ type Replica struct {
 	leader paxos.LeaderFunc
 	mkIns  func(slot int) *paxos.Instance
 
-	// counters starts as a private block and is replaced via Observe after
-	// the loops are already running, hence the atomic pointer rather than a
-	// constructor argument. Never nil.
-	counters atomic.Pointer[obs.ReplogCounters]
-
-	// onApply is the change-notification hook (see OnApply); an atomic
-	// pointer for the same reason as counters.
-	onApply atomic.Pointer[func()]
+	counters *obs.ReplogCounters // never nil
+	onApply  func()              // nil: no hook (see NewReplica)
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signalled on every apply (and on SyncWait timeout)
@@ -156,24 +150,11 @@ type Replica struct {
 	loops sync.WaitGroup // the apply and submit loops
 }
 
-// Observe makes the replica count into c (non-nil). Safe to call while the
-// loops are running.
-func (r *Replica) Observe(c *obs.ReplogCounters) { r.counters.Store(c) }
-
 // countBatch counts one batch of n operations fired at a consensus slot.
 func (r *Replica) countBatch(n int) {
-	c := r.counters.Load()
-	obs.Inc(&c.Batches)
-	obs.Add(&c.BatchedOps, int64(n))
+	obs.Inc(&r.counters.Batches)
+	obs.Add(&r.counters.BatchedOps, int64(n))
 }
-
-// OnApply installs a change-notification hook, fired (outside the replica
-// lock) whenever a decided slot applies operations to the local copy — the
-// moment a guard evaluated against this replica may newly hold. The hook
-// must be cheap and non-blocking (wakeup-channel sends, not work); it may be
-// invoked concurrently from the apply, submit and sync paths. Safe to call
-// while the loops are running.
-func (r *Replica) OnApply(fn func()) { r.onApply.Store(&fn) }
 
 // NewReplica builds the replica of process p and starts its apply and
 // submit loops. All replicas of a log must share the name, realm, scope and
@@ -184,25 +165,36 @@ func (r *Replica) OnApply(fn func()) { r.onApply.Store(&fn) }
 // Multi-Paxos log: a stable leader acquires a lease over the whole realm
 // and streams batched slots through a window of accept rounds. The loops
 // stop when the paxos node's message loop exits (network shutdown).
-func NewReplica(name string, realm uint64, p groups.Process, node *paxos.Node, nw net.Transport, scope groups.ProcSet, leader paxos.LeaderFunc) *Replica {
+//
+// The replica counts into counters (nil: a private block). onApply, when
+// non-nil, is the change-notification hook, fired (outside the replica
+// lock) whenever a decided slot applies operations to the local copy — the
+// moment a guard evaluated against this replica may newly hold. It must be
+// cheap and non-blocking (wakeup-channel sends, not work); it may be
+// invoked concurrently from the apply, submit and sync paths.
+func NewReplica(name string, realm uint64, p groups.Process, node *paxos.Node, nw net.Transport, scope groups.ProcSet, leader paxos.LeaderFunc, counters *obs.ReplogCounters, onApply func()) *Replica {
+	if counters == nil {
+		counters = new(obs.ReplogCounters)
+	}
 	r := &Replica{
-		name:   name,
-		realm:  realm,
-		p:      p,
-		node:   node,
-		scope:  scope,
-		nw:     nw,
-		leader: leader,
-		local:  logobj.New(name),
-		kick:   make(chan struct{}, 1),
-		timer:  time.NewTimer(time.Hour),
+		name:     name,
+		realm:    realm,
+		p:        p,
+		node:     node,
+		scope:    scope,
+		nw:       nw,
+		leader:   leader,
+		local:    logobj.New(name),
+		counters: counters,
+		onApply:  onApply,
+		kick:     make(chan struct{}, 1),
+		timer:    time.NewTimer(time.Hour),
 		// One result per outstanding windowed round, plus the immediate
 		// resolutions ProposeWindowed may deliver inline: a channel this
 		// deep never blocks the node's message loop.
 		winRes: make(chan paxos.WindowResult, node.WindowLimit()+2),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.counters.Store(new(obs.ReplogCounters))
 	r.mkIns = func(slot int) *paxos.Instance {
 		return &paxos.Instance{
 			ID:         r.instID(slot),
@@ -304,7 +296,7 @@ func (r *Replica) awaitDecision(slot int, ch <-chan paxos.Value, behind bool) (p
 				r.idle.Store(false)
 				return false, true
 			}
-			c := r.counters.Load()
+			c := r.counters
 			if r.idle.CompareAndSwap(true, false) {
 				// The quiet wait ran out, and the timer is ours again.
 				if behind {
@@ -499,7 +491,7 @@ func (r *Replica) enqueueLocked(o Op) Started {
 	}
 	w := &waiter{op: o, done: make(chan bool, 1), enq: time.Now()}
 	r.queue = append(r.queue, w)
-	obs.Inc(&r.counters.Load().Submits)
+	obs.Inc(&r.counters.Submits)
 	select {
 	case r.kick <- struct{}{}:
 	default:
@@ -539,7 +531,7 @@ func (r *Replica) submitLoop() {
 			now := time.Now()
 			overdue, fwd, pending := r.splitPending(now, now.Sub(lastFwd) >= r.resendEvery())
 			if len(fwd) > 0 {
-				obs.Add(&r.counters.Load().FwdOps, int64(len(fwd)))
+				obs.Add(&r.counters.FwdOps, int64(len(fwd)))
 				r.nw.Send(r.p, lead, wire.TReplogFwd, FwdBatch{Realm: r.realm, Ops: fwd})
 				lastFwd = now
 			}
@@ -796,7 +788,7 @@ func (r *Replica) applyAt(slot int, v paxos.Value) {
 			}
 		}
 		r.applied++
-		obs.Inc(&r.counters.Load().Applies)
+		obs.Inc(&r.counters.Applies)
 	}
 	r.slot++
 	r.completeLocked(ops)
@@ -806,8 +798,8 @@ func (r *Replica) applyAt(slot int, v paxos.Value) {
 	// and nothing it needs is guarded by mu. Empty slots (hole repairs)
 	// change no state, so they wake nobody.
 	if len(ops) > 0 {
-		if fn := r.onApply.Load(); fn != nil {
-			(*fn)()
+		if r.onApply != nil {
+			r.onApply()
 		}
 	}
 }

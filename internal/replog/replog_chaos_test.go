@@ -25,7 +25,7 @@ func chaosCluster(n int, seed int64) (*chaos.Chaos, []*Replica) {
 	reps := make([]*Replica, n)
 	for p := 0; p < n; p++ {
 		node := paxos.StartNode(c, groups.Process(p))
-		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, c, scope, leader)
+		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, c, scope, leader, nil, nil)
 	}
 	return c, reps
 }

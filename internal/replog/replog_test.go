@@ -15,7 +15,9 @@ import (
 	"repro/internal/wire"
 )
 
-func cluster(n int) (*net.Network, []*Replica) {
+// cluster builds n replicas of one log over a fresh fabric, led by p0; the
+// replica of process i counts into counters[i] when there is one.
+func cluster(n int, counters ...*obs.ReplogCounters) (*net.Network, []*Replica) {
 	nw := net.New(n)
 	var scope groups.ProcSet
 	for p := 0; p < n; p++ {
@@ -25,7 +27,11 @@ func cluster(n int) (*net.Network, []*Replica) {
 	reps := make([]*Replica, n)
 	for p := 0; p < n; p++ {
 		node := paxos.StartNode(nw, groups.Process(p))
-		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader)
+		var c *obs.ReplogCounters
+		if p < len(counters) {
+			c = counters[p]
+		}
+		reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader, c, nil)
 	}
 	return nw, reps
 }
@@ -220,10 +226,9 @@ func TestMinorityCrashKeepsAvailability(t *testing.T) {
 // leader's batcher instead of proposing themselves — the leader's replica
 // must observe remotely-enqueued ops while every append still completes.
 func TestForwardToLeaderBatches(t *testing.T) {
-	nw, reps := cluster(3)
-	defer nw.Close()
 	c := &obs.ReplogCounters{}
-	reps[0].Observe(c)
+	nw, reps := cluster(3, c)
+	defer nw.Close()
 	var wg sync.WaitGroup
 	for p := 1; p < 3; p++ {
 		wg.Add(1)
@@ -266,7 +271,7 @@ func TestForwardFallbackWhenLeaderDead(t *testing.T) {
 				if p == 0 && tc.noReplica {
 					continue
 				}
-				reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader)
+				reps[p] = NewReplica("LOG", 1, groups.Process(p), node, nw, scope, leader, nil, nil)
 			}
 			if tc.noReplica {
 				// What a peer from before the NACK's removal answers: ignored.

@@ -189,8 +189,18 @@ type System struct {
 	names  []string
 	byName map[string]groups.GroupID
 	rec    *obs.Recorder
+	sh     *core.Shared // the run's shared state, on either backend
+	run    run          // the backend's system, whichever it is
 	sys    *core.System // Sim backend (nil under Live)
 	lsys   *live.System // Live backend (nil under Sim)
+}
+
+// run is what the facade asks of either backend's system in the same way;
+// core.System and live.System both implement it.
+type run interface {
+	Multicast(src groups.Process, dst groups.GroupID, payload []byte) *msg.Message
+	Check() []*check.Violation
+	Report() obs.RunReport
 }
 
 // ErrUnknownGroup is returned for group names that were never declared.
@@ -264,10 +274,12 @@ func New(t *Topology, cfg Config) (*System, error) {
 	s := &System{topo: topo, names: names, byName: byName, rec: rec}
 	if cfg.Backend == Live {
 		s.lsys = live.NewSystem(topo, pat, net.New(t.n), live.Config{Opt: opt})
+		s.sh, s.run = s.lsys.Sh, s.lsys
 		s.lsys.Start()
 		return s, nil
 	}
 	s.sys = core.NewSystem(topo, pat, opt, cfg.Seed)
+	s.sh, s.run = s.sys.Sh, s.sys
 	return s, nil
 }
 
@@ -314,11 +326,7 @@ func (s *System) Multicast(src int, group string, payload []byte) (Message, erro
 	if !s.topo.Group(g).Has(groups.Process(src)) {
 		return Message{}, fmt.Errorf("multicast: sender %d not in group %q", src, group)
 	}
-	if s.lsys != nil {
-		m := s.lsys.Multicast(groups.Process(src), g, payload)
-		return Message{ID: int64(m.ID), Src: src, Group: group, Payload: payload}, nil
-	}
-	m := s.sys.Multicast(groups.Process(src), g, payload)
+	m := s.run.Multicast(groups.Process(src), g, payload)
 	return Message{ID: int64(m.ID), Src: src, Group: group, Payload: payload}, nil
 }
 
@@ -388,34 +396,15 @@ type Delivery struct {
 	At      int64
 }
 
-// shared returns the run's shared state, whichever backend holds it.
-func (s *System) shared() *core.Shared {
-	if s.lsys != nil {
-		return s.lsys.Sh
-	}
-	return s.sys.Sh
-}
-
 // Delivered returns the delivery order at process p.
 func (s *System) Delivered(p int) []Delivery {
-	sh := s.shared()
-	var ids []int64
-	if s.lsys != nil {
-		for _, d := range sh.Deliveries() {
-			if d.P == groups.Process(p) {
-				ids = append(ids, int64(d.M))
-			}
+	var out []Delivery
+	for _, d := range s.sh.Deliveries() {
+		if d.P != groups.Process(p) {
+			continue
 		}
-	} else {
-		for _, id := range s.sys.DeliveredAt(groups.Process(p)) {
-			ids = append(ids, int64(id))
-		}
-	}
-	out := make([]Delivery, 0, len(ids))
-	for _, id64 := range ids {
-		id := msg.ID(id64)
-		m := sh.Reg.Get(id)
-		at, _ := sh.FirstDeliveredAt(id)
+		m := s.sh.Reg.Get(d.M)
+		at, _ := s.sh.FirstDeliveredAt(d.M)
 		out = append(out, Delivery{
 			Message: Message{
 				ID:      int64(m.ID),
@@ -434,13 +423,7 @@ func (s *System) Delivered(p int) []Delivery {
 // StrictOrder systems) and returns the violations.
 func (s *System) Validate() []error {
 	var out []error
-	var vs []*check.Violation
-	if s.lsys != nil {
-		vs = s.lsys.Check()
-	} else {
-		vs = s.sys.Check()
-	}
-	for _, v := range vs {
+	for _, v := range s.run.Check() {
 		out = append(out, v)
 	}
 	return out
@@ -460,10 +443,7 @@ func (s *System) Report() (obs.RunReport, error) {
 	if s.rec == nil {
 		return obs.RunReport{}, fmt.Errorf("%w: observability disabled (Config.Observe = LevelOff)", obs.ErrNotAccounted)
 	}
-	if s.lsys != nil {
-		return s.lsys.Report(), nil
-	}
-	return s.sys.Report(), nil
+	return s.run.Report(), nil
 }
 
 // CyclicFamilies renders the cyclic families of the topology (the structure
@@ -478,14 +458,6 @@ func (s *System) CyclicFamilies() [][]string {
 		out = append(out, fam)
 	}
 	return out
-}
-
-// internalTrace exposes the run trace to sibling tooling (cmd/, benches).
-func (s *System) internalTrace() *check.Trace {
-	if s.lsys != nil {
-		return s.lsys.Trace()
-	}
-	return s.sys.Trace()
 }
 
 // Core exposes the underlying core system for advanced uses (benchmarks,

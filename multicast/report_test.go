@@ -118,6 +118,38 @@ func TestReportLive(t *testing.T) {
 	}
 }
 
+// TestReportClockStopsWithTheRun: Run stops a Live system, and its clock
+// stops with it — a report taken later reads the ticks and the wall span the
+// run had at Stop, not the time the caller took to ask.
+func TestReportClockStopsWithTheRun(t *testing.T) {
+	sys, err := New(chainTopo(), Config{Backend: Live})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Multicast(0, "g1", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	first, err := sys.Report()
+	if err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	second, err := sys.Report()
+	if err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	if second.Ticks != first.Ticks || second.Wall != first.Wall {
+		t.Errorf("the stopped run's clock moved: ticks %d → %d, wall %v → %v",
+			first.Ticks, second.Ticks, first.Wall, second.Wall)
+	}
+	if first.Wall <= 0 {
+		t.Errorf("wall = %v, want the run's positive span", first.Wall)
+	}
+}
+
 func TestReportObserveOff(t *testing.T) {
 	sys, err := New(chainTopo(), Config{Seed: 1, Observe: obs.LevelOff})
 	if err != nil {
