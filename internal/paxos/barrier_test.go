@@ -104,14 +104,11 @@ func (c *barrierCluster) awaitAcks(t *testing.T, slot int64, voters ...groups.Pr
 	id := c.mkIns(slot).ID
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		n0 := c.nodes[0]
-		n0.phMu.Lock()
-		ph := n0.phases[id]
-		ok := ph != nil && ph.voters.Count() == len(voters)
+		st := peek(c.nodes[0], id)
+		ok := st.round && st.voters.Count() == len(voters)
 		for _, p := range voters {
-			ok = ok && ph.voters.Has(p)
+			ok = ok && st.voters.Has(p)
 		}
-		n0.phMu.Unlock()
 		if ok {
 			return
 		}

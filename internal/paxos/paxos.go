@@ -33,6 +33,7 @@ package paxos
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,10 +80,9 @@ const (
 	SpaceLog
 )
 
-// InstanceID is the comparable identity of one consensus instance. It
-// replaces the old "name/slot" string keys: map lookups on the hot path
-// cost a struct compare instead of a string hash plus an allocation at
-// every fmt.Sprintf call site.
+// InstanceID is the comparable identity of one consensus instance: a slot
+// of a realm. Per-slot state is not keyed by it — the acceptor and the
+// learner keep a slot in a page of its realm (slotTable).
 type InstanceID struct {
 	Space uint8
 	Realm uint64
@@ -160,14 +160,20 @@ type Instance struct {
 
 // acceptor is the per-process acceptor state of all instances.
 type acceptor struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// promised holds point promises, made only by a plain prepare: a
+	// serving run's slots are covered by a lease grant and their accepted
+	// ballots, and leave it empty.
 	promised map[InstanceID]int64
-	accepted map[InstanceID]AcceptedVal
+	accepted slotTable[AcceptedVal]
 	// leases holds range promises: a grant at (ballot, fromSlot) promises
 	// every slot ≥ fromSlot of the realm at once. The effective promise
 	// floor of an instance is the max of its point promise and any
 	// covering range promise.
 	leases map[realmKey]leaseGrant
+	// rec is the buffer WAL records are encoded into (walPromise, walLease,
+	// walAccept): the WAL copies a record's data on Append.
+	rec []byte
 }
 
 type leaseGrant struct {
@@ -185,7 +191,10 @@ type AcceptedVal struct {
 // the highest of its point promise, its accepted ballot — accepting at b is
 // promising b — and any covering range promise.
 func (a *acceptor) floorLocked(inst InstanceID) int64 {
-	f := max(a.promised[inst], a.accepted[inst].Ballot)
+	f := a.promised[inst]
+	if av := a.accepted.get(inst); av != nil && av.Ballot > f {
+		f = av.Ballot
+	}
 	if lg, ok := a.leases[inst.realm()]; ok && inst.Slot >= lg.FromSlot && lg.Ballot > f {
 		f = lg.Ballot
 	}
@@ -327,9 +336,12 @@ type Node struct {
 	// group-commit Sync. Only the loop goroutine touches it.
 	outbox []pendingResp
 
+	// mu guards the learner: what the node has learnt per slot, the Await
+	// channels waiting for what it has not, and rec, the buffer decide
+	// records are encoded into.
 	mu      sync.Mutex
-	decided map[InstanceID]Value
-	watch   map[InstanceID][]chan Value
+	decided slotTable[learnt]
+	rec     []byte
 
 	// leaseMu guards the proposer-lease table and the refusal-ballot
 	// hints. It is taken under phMu (launch) and on its own by the message
@@ -374,6 +386,14 @@ type Node struct {
 	// claiming ballots and firing rounds, so a power-cycled node's leftover
 	// goroutines cannot race its successor.
 	fenced atomic.Bool
+}
+
+// learnt is the learner's entry of one slot: its decision once known, and
+// until then the Await channels waiting for it.
+type learnt struct {
+	val     Value
+	has     bool
+	waiters []chan Value
 }
 
 // Fence marks this node as a dead incarnation: Propose and ProposeWindowed
@@ -437,18 +457,18 @@ func (n *Node) WatchRealm(space uint8, realm uint64, saw func(slot int64)) {
 	n.hmu.Unlock()
 	top := int64(-1)
 	n.acc.mu.Lock()
-	for id, av := range n.acc.accepted {
-		if av.Has && id.realm() == rk && id.Slot > top {
-			top = id.Slot
+	n.acc.accepted.each(rk, 0, func(slot int64, av *AcceptedVal) {
+		if av.Has && slot > top {
+			top = slot
 		}
-	}
+	})
 	n.acc.mu.Unlock()
 	n.mu.Lock()
-	for id := range n.decided {
-		if id.realm() == rk && id.Slot > top {
-			top = id.Slot
+	n.decided.each(rk, 0, func(slot int64, l *learnt) {
+		if l.has && slot > top {
+			top = slot
 		}
-	}
+	})
 	n.mu.Unlock()
 	if top >= 0 {
 		saw(top)
@@ -495,12 +515,11 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 		wal:      cfg.WAL,
 		acc: &acceptor{
 			promised: make(map[InstanceID]int64),
-			accepted: make(map[InstanceID]AcceptedVal),
+			accepted: make(slotTable[AcceptedVal]),
 			leases:   make(map[realmKey]leaseGrant),
 		},
+		decided: make(slotTable[learnt]),
 		done:    make(chan struct{}),
-		decided: make(map[InstanceID]Value),
-		watch:   make(map[InstanceID][]chan Value),
 		leases:  make(map[realmKey]*proposerLease),
 		highest: make(map[realmKey]int64),
 		phases:  make(map[InstanceID]*phase),
@@ -618,7 +637,10 @@ func (n *Node) handlePrepare(body PrepareReq) PrepareResp {
 	if body.Ballot <= floor {
 		return PrepareResp{Inst: body.Inst, Ballot: body.Ballot, OK: false, Promised: floor}
 	}
-	resp := PrepareResp{Inst: body.Inst, Ballot: body.Ballot, OK: true, Accepted: a.accepted[body.Inst]}
+	resp := PrepareResp{Inst: body.Inst, Ballot: body.Ballot, OK: true}
+	if av := a.accepted.get(body.Inst); av != nil {
+		resp.Accepted = *av
+	}
 	if body.Range {
 		// Grant a promise for every slot ≥ Inst.Slot of the realm and
 		// report the accepted values the grant must carry (the lease
@@ -627,10 +649,12 @@ func (n *Node) handlePrepare(body PrepareReq) PrepareResp {
 		rk := body.Inst.realm()
 		a.leases[rk] = leaseGrant{Ballot: body.Ballot, FromSlot: body.Inst.Slot}
 		n.walLease(rk, body.Inst.Slot, body.Ballot)
-		for id, av := range a.accepted {
-			if av.Has && id.realm() == rk && id.Slot >= body.Inst.Slot && id != body.Inst {
-				resp.Range = append(resp.Range, SlotVal{Slot: id.Slot, Ballot: av.Ballot, Val: av.Val})
-			}
+		if body.Inst.Slot < math.MaxInt64 {
+			a.accepted.each(rk, body.Inst.Slot+1, func(slot int64, av *AcceptedVal) {
+				if av.Has {
+					resp.Range = append(resp.Range, SlotVal{Slot: slot, Ballot: av.Ballot, Val: av.Val})
+				}
+			})
 		}
 	} else {
 		a.promised[body.Inst] = body.Ballot
@@ -649,7 +673,7 @@ func (n *Node) handleAccept(body AcceptReq) AcceptResp {
 	floor := a.floorLocked(body.Inst)
 	ok := body.Ballot >= floor
 	if ok {
-		a.accepted[body.Inst] = AcceptedVal{Ballot: body.Ballot, Val: body.Val, Has: true}
+		*a.accepted.at(body.Inst) = AcceptedVal{Ballot: body.Ballot, Val: body.Val, Has: true}
 		n.walAccept(body.Inst, body.Ballot, body.Val)
 	}
 	a.mu.Unlock()
@@ -661,15 +685,16 @@ func (n *Node) handleAccept(body AcceptReq) AcceptResp {
 
 func (n *Node) recordDecision(inst InstanceID, v Value) {
 	n.mu.Lock()
-	_, seen := n.decided[inst]
+	l := n.decided.at(inst)
+	seen := l.has
 	if !seen {
 		obs.Inc(&n.counters.Decisions)
-		n.decided[inst] = v
+		l.val, l.has = v, true
 		n.walDecide(inst, v)
-		for _, ch := range n.watch[inst] {
+		for _, ch := range l.waiters {
 			ch <- v
 		}
-		delete(n.watch, inst)
+		l.waiters = nil
 	}
 	n.mu.Unlock()
 	if !seen {
@@ -695,9 +720,13 @@ func (n *Node) clearPin(inst InstanceID) {
 func (n *Node) SnapshotDecisions() map[InstanceID]Value {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[InstanceID]Value, len(n.decided))
-	for k, v := range n.decided {
-		out[k] = v
+	out := make(map[InstanceID]Value)
+	for k, pg := range n.decided {
+		for i := range pg {
+			if l := &pg[i]; l.has {
+				out[InstanceID{Space: k.realm.Space, Realm: k.realm.Realm, Slot: k.page<<pageBits | int64(i)}] = l.val
+			}
+		}
 	}
 	return out
 }
@@ -706,18 +735,20 @@ func (n *Node) SnapshotDecisions() map[InstanceID]Value {
 func (n *Node) Decided(inst InstanceID) (Value, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	v, ok := n.decided[inst]
-	return v, ok
+	if l := n.decided.get(inst); l != nil && l.has {
+		return l.val, true
+	}
+	return nil, false
 }
 
 // await registers interest in a decision.
 func (n *Node) await(inst InstanceID) <-chan Value {
 	ch := make(chan Value, 1)
 	n.mu.Lock()
-	if v, ok := n.decided[inst]; ok {
-		ch <- v
+	if l := n.decided.at(inst); l.has {
+		ch <- l.val
 	} else {
-		n.watch[inst] = append(n.watch[inst], ch)
+		l.waiters = append(l.waiters, ch)
 	}
 	n.mu.Unlock()
 	return ch

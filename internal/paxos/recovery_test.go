@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,10 +43,14 @@ func powerCycle(nw *net.Network, wal *storage.Mem, p groups.Process, cfg Config)
 }
 
 // TestRecoverDecisions: a power-cycled node comes back knowing every
-// decision covered by a durability barrier, without re-running any round.
-// (The decide record itself rides the barrier *after* the decision — losing
-// the very last one only costs an anti-entropy re-learn — so the test runs
-// one more Sync before pulling the plug, as any later traffic would.)
+// decision covered by a durability barrier, without re-running any round —
+// a single-shot instance's, and those of a leased realm whose slots span
+// four pages of the learner's table, carrying values of different lengths
+// (the empty one included) encoded one after another into one record
+// buffer. (The decide record itself rides the barrier *after* the decision
+// — losing the very last one only costs an anti-entropy re-learn — so the
+// test runs one more Sync before pulling the plug, as any later traffic
+// would.)
 func TestRecoverDecisions(t *testing.T) {
 	nw, nodes, inst := walCluster(3, 0)
 	defer nw.Close()
@@ -53,10 +58,33 @@ func TestRecoverDecisions(t *testing.T) {
 	if !ok || v.I64() != 42 {
 		t.Fatalf("decide = %v,%v; want 42", v, ok)
 	}
+	want := make(map[InstanceID]Value)
+	for slot := int64(0); slot < 3*pageSize+2; slot += 5 {
+		leased := &Instance{
+			ID:         InstanceID{Space: SpaceLog, Realm: 7, Slot: slot},
+			Scope:      inst.Scope,
+			Net:        nw,
+			Leader:     inst.Leader,
+			MultiPaxos: true,
+		}
+		val := Value(bytes.Repeat([]byte{byte(slot)}, int(slot%23)))
+		if got, ok := nodes[0].Propose(leased, val); !ok || !got.Equal(val) {
+			t.Fatalf("slot %d: decide = %v,%v; want %v", slot, got, ok, val)
+		}
+		want[leased.ID] = val
+	}
 	nodes[0].walSync()
 	n0 := powerCycle(nw, mustMem(t, nodes[0]), 0, Config{})
 	if got, ok := n0.Decided(inst.ID); !ok || got.I64() != 42 {
 		t.Fatalf("recovered node lost the decision: %v,%v", got, ok)
+	}
+	for id, val := range want {
+		if got, ok := n0.Decided(id); !ok || !got.Equal(val) {
+			t.Fatalf("recovered slot %d = %v,%v; want %v", id.Slot, got, ok, val)
+		}
+	}
+	if snap := n0.SnapshotDecisions(); len(snap) != len(want)+1 {
+		t.Fatalf("recovered %d decisions; want %d", len(snap), len(want)+1)
 	}
 }
 
@@ -109,10 +137,7 @@ func TestAcceptedBallotIsAFloor(t *testing.T) {
 	const b = 1_000_001
 	fenced := func(n *Node, when string) {
 		t.Helper()
-		n.acc.mu.Lock()
-		promised := len(n.acc.promised)
-		n.acc.mu.Unlock()
-		if promised != 0 {
+		if promised := peek(n, inst.ID).promised; promised != 0 {
 			t.Fatalf("%s: %d point promises on record; want none", when, promised)
 		}
 		if r := n.handlePrepare(PrepareReq{Inst: inst.ID, Ballot: b - 1}); r.OK || r.Promised != b {

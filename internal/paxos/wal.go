@@ -57,35 +57,44 @@ func (n *Node) walAppend(kind uint8, data []byte) {
 	n.walAppended.Add(1)
 }
 
+// The acceptor's records are encoded into acc.rec under acc.mu, a decide
+// record into n.rec under n.mu — the locks the transitions they record run
+// under. Reusing the buffer is sound because WAL.Append copies a record's
+// data (the storage.WAL contract).
+
 func (n *Node) walPromise(inst InstanceID, ballot int64) {
-	var e wire.Enc
+	e := wire.EncOver(n.acc.rec)
 	encInst(&e, inst)
 	e.I64(ballot)
-	n.walAppend(walPromise, e.Bytes())
+	n.acc.rec = e.Bytes()
+	n.walAppend(walPromise, n.acc.rec)
 }
 
 func (n *Node) walLease(rk realmKey, fromSlot, ballot int64) {
-	var e wire.Enc
+	e := wire.EncOver(n.acc.rec)
 	e.U8(rk.Space)
 	e.U64(rk.Realm)
 	e.I64(fromSlot)
 	e.I64(ballot)
-	n.walAppend(walLease, e.Bytes())
+	n.acc.rec = e.Bytes()
+	n.walAppend(walLease, n.acc.rec)
 }
 
 func (n *Node) walAccept(inst InstanceID, ballot int64, v Value) {
-	var e wire.Enc
+	e := wire.EncOver(n.acc.rec)
 	encInst(&e, inst)
 	e.I64(ballot)
 	e.Bin(v)
-	n.walAppend(walAccept, e.Bytes())
+	n.acc.rec = e.Bytes()
+	n.walAppend(walAccept, n.acc.rec)
 }
 
 func (n *Node) walDecide(inst InstanceID, v Value) {
-	var e wire.Enc
+	e := wire.EncOver(n.rec)
 	encInst(&e, inst)
 	e.Bin(v)
-	n.walAppend(walDecide, e.Bytes())
+	n.rec = e.Bytes()
+	n.walAppend(walDecide, n.rec)
 }
 
 // ballotBlock is how far ahead of the ballot in hand claimBallot persists
@@ -181,14 +190,16 @@ func (n *Node) recover() {
 			inst := decInst(d)
 			b := d.I64()
 			v := Value(d.Bin())
-			if d.Err() == nil && b >= a.accepted[inst].Ballot {
-				a.accepted[inst] = AcceptedVal{Ballot: b, Val: v, Has: true}
+			if d.Err() == nil {
+				if av := a.accepted.at(inst); b >= av.Ballot {
+					*av = AcceptedVal{Ballot: b, Val: v, Has: true}
+				}
 			}
 		case walDecide:
 			inst := decInst(d)
 			v := Value(d.Bin())
 			if d.Err() == nil {
-				n.decided[inst] = v
+				*n.decided.at(inst) = learnt{val: v, has: true}
 			}
 		case walPropose:
 			b := d.I64()

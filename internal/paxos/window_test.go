@@ -203,9 +203,8 @@ func TestLeasedSlotsLeaveNoPointPromise(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for p, n := range nodes {
 		for {
-			n.acc.mu.Lock()
-			accepted, promised := len(n.acc.accepted), len(n.acc.promised)
-			n.acc.mu.Unlock()
+			st := peek(n, InstanceID{})
+			accepted, promised := len(st.accepted), st.promised
 			if promised != 0 {
 				t.Fatalf("p%d holds %d point promises beside %d accepted slots; want none", p, promised, accepted)
 			}

@@ -225,3 +225,64 @@ func TestFileCorruptionInEarlierSegmentMasksLater(t *testing.T) {
 	}
 	wantRecords(t, collect(t, w), nil)
 }
+
+// TestAppendCopiesData: Append copies a record's data (the WAL contract), so
+// a caller may encode its next record into the same buffer — what paxos does
+// with its record scratch buffers. Overwriting the caller's slice after
+// Append, before and after Sync, leaves the replayed bytes untouched.
+func TestAppendCopiesData(t *testing.T) {
+	open := map[string]func(t *testing.T) (WAL, func() WAL){
+		"mem": func(t *testing.T) (WAL, func() WAL) {
+			m := NewMem()
+			return m, func() WAL { m.PowerCycle(); return m }
+		},
+		"file": func(t *testing.T) (WAL, func() WAL) {
+			dir := t.TempDir()
+			w, err := OpenFile(dir, FileOptions{NoFsync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w, func() WAL {
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				w2, err := OpenFile(dir, FileOptions{NoFsync: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { w2.Close() })
+				return w2
+			}
+		},
+	}
+	for name, mk := range open {
+		t.Run(name, func(t *testing.T) {
+			w, reopen := mk(t)
+			wantRecords(t, collect(t, w), nil)
+			buf := make([]byte, 0, 64)
+			var want []Record
+			for i := 0; i < 8; i++ {
+				buf = append(buf[:0], fmt.Sprintf("record-%d-%s", i, bytes.Repeat([]byte{'x'}, i*5))...)
+				want = append(want, Record{Kind: uint8(i), Data: append([]byte(nil), buf...)})
+				if err := w.Append(Record{Kind: uint8(i), Data: buf}); err != nil {
+					t.Fatal(err)
+				}
+				for j := range buf {
+					buf[j] = '!'
+				}
+				if i%3 == 2 {
+					if err := w.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			for j := range buf[:cap(buf)] {
+				buf[:cap(buf)][j] = '?'
+			}
+			wantRecords(t, collect(t, reopen()), want)
+		})
+	}
+}

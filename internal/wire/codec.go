@@ -207,6 +207,12 @@ type Enc struct {
 	b []byte
 }
 
+// EncOver returns an encoder that appends to buf[:0]: a caller that encodes
+// one record after another into the same scratch buffer reuses its capacity
+// (keep e.Bytes() as the next buf) and must be done with one encoding before
+// it starts the next.
+func EncOver(buf []byte) Enc { return Enc{b: buf[:0]} }
+
 // Bytes returns the encoded buffer.
 func (e *Enc) Bytes() []byte { return e.b }
 
