@@ -61,12 +61,19 @@ func (s ProcSet) Count() int { return bits.OnesCount64(uint64(s)) }
 // SubsetOf reports whether every member of s is in t.
 func (s ProcSet) SubsetOf(t ProcSet) bool { return s&^t == 0 }
 
+// Each calls fn on the processes in the set in increasing order. It walks
+// the set's bits and builds nothing, so hot paths use it where Members
+// would allocate a slice per call.
+func (s ProcSet) Each(fn func(Process)) {
+	for v := uint64(s); v != 0; v &= v - 1 {
+		fn(Process(bits.TrailingZeros64(v)))
+	}
+}
+
 // Members returns the processes in the set in increasing order.
 func (s ProcSet) Members() []Process {
 	out := make([]Process, 0, s.Count())
-	for v := uint64(s); v != 0; v &= v - 1 {
-		out = append(out, Process(bits.TrailingZeros64(v)))
-	}
+	s.Each(func(p Process) { out = append(out, p) })
 	return out
 }
 

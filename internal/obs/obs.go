@@ -162,7 +162,7 @@ var discard Recorder
 type pairCoord struct {
 	ops       int64
 	contended int64
-	perProc   map[groups.Process]int64
+	perProc   [groups.MaxProcesses]int64 // indexed by process
 }
 
 // NewRecorder builds a recorder. A LevelOff recorder is returned as nil —
@@ -342,16 +342,14 @@ func (r *Recorder) Coordination(pair Pair, set groups.ProcSet, contended bool) {
 	r.mu.Lock()
 	pc, ok := r.coord[pair]
 	if !ok {
-		pc = &pairCoord{perProc: make(map[groups.Process]int64)}
+		pc = new(pairCoord)
 		r.coord[pair] = pc
 	}
 	pc.ops++
 	if contended {
 		pc.contended++
 	}
-	for _, p := range set.Members() {
-		pc.perProc[p]++
-	}
+	set.Each(func(p groups.Process) { pc.perProc[p]++ })
 	r.mu.Unlock()
 }
 
@@ -495,6 +493,9 @@ type ReplogCounters struct {
 	RemoteOps  int64 `json:"remote_ops,omitempty"`
 	Hedges     int64 `json:"hedges,omitempty"`
 	IdleProbes int64 `json:"idle_probes,omitempty"`
+	// FailStops counts replicas that stopped serving on a decided value
+	// that does not decode.
+	FailStops int64 `json:"fail_stops,omitempty"`
 }
 
 // MeanBatchOps is the mean operations per proposed batch — the lever that

@@ -207,9 +207,11 @@ func (r *Recorder) Report() RunReport {
 	})
 	for _, pair := range pairs {
 		pc := r.coord[pair]
-		per := make(map[groups.Process]int64, len(pc.perProc))
+		per := make(map[groups.Process]int64)
 		for p, v := range pc.perProc {
-			per[p] = v
+			if v != 0 {
+				per[groups.Process(p)] = v
+			}
 		}
 		out.Coordination = append(out.Coordination, PairCoordination{
 			A: pair.A, B: pair.B, Ops: pc.ops, Contended: pc.contended, PerProc: per,

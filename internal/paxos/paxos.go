@@ -287,8 +287,8 @@ type WindowResult struct {
 
 // phase is the table entry of one round at an instance: the prepare or the
 // accept it is gathering a quorum for. The message loop counts remote votes
-// into it, the proposing goroutine the node's own, the deadline timer ends
-// it if neither a quorum nor a refusal does.
+// into it, the proposing goroutine the node's own, the node's deadline timer
+// ends it if neither a quorum nor a refusal does.
 type phase struct {
 	inst    Instance
 	ballot  int64
@@ -299,11 +299,14 @@ type phase struct {
 	// counting the same acceptor twice would fake a quorum and break
 	// intersection.
 	voters groups.ProcSet
-	// timer is the phase deadline; nil while the entry gathers nothing — a
-	// full round between its promised quorum and its accept, or a phase that
-	// has ended and is running its effects. A vote that finds it nil is late.
-	timer *time.Timer
-	res   chan<- WindowResult
+	// open is up while the entry gathers votes; it is down for a full round
+	// between its promised quorum and its accept, and for a phase that has
+	// ended and is running its effects. A vote that finds it down is late.
+	open bool
+	// gen counts the entry's launches: the deadline a launch queued ends the
+	// phase only while gen is still that launch's (see expire).
+	gen uint32
+	res chan<- WindowResult
 	// fails is the counter a failed ending bumps: WindowFailures or
 	// FastRoundFailures for a leased round, nil for the phases of a full
 	// round, whose failure Propose's loop counts once.
@@ -336,9 +339,9 @@ type Node struct {
 	// group-commit Sync. Only the loop goroutine touches it.
 	outbox []pendingResp
 
-	// mu guards the learner: what the node has learnt per slot, the Await
-	// channels waiting for what it has not, and rec, the buffer decide
-	// records are encoded into.
+	// mu guards the learner: what the node has learnt per slot, the
+	// channels of proposals waiting for what it has not, and rec, the
+	// buffer decide records are encoded into.
 	mu      sync.Mutex
 	decided slotTable[learnt]
 	rec     []byte
@@ -351,11 +354,21 @@ type Node struct {
 	highest map[realmKey]int64 // highest refusal ballot observed per realm
 
 	// phMu guards the phase table — one entry per instance with a round
-	// outstanding — and the per-realm entry count; votes come from the
-	// message loop and the proposing goroutines, deadlines from timers.
+	// outstanding — the per-realm entry count and the deadline queue; votes
+	// come from the message loop and the proposing goroutines, deadlines
+	// from the node's one timer.
 	phMu   sync.Mutex
 	phases map[InstanceID]*phase
 	depth  map[realmKey]int
+	// deadlines is the phase-deadline FIFO from dlHead on: every launch
+	// queues one entry, and since every phase has the same phaseDeadline,
+	// launch order is deadline order. dlTimer fires at the first deadline
+	// of a phase still open; it is armed exactly while gathering, the number
+	// of open phases, is above zero, so an idle node holds no timer.
+	deadlines []deadline
+	dlHead    int
+	dlTimer   *time.Timer
+	gathering int
 
 	// hmu guards the extra-handler table (Mount) and serialises writers of
 	// the realm-watch list (WatchRealm).
@@ -389,7 +402,7 @@ type Node struct {
 }
 
 // learnt is the learner's entry of one slot: its decision once known, and
-// until then the Await channels waiting for it.
+// until then the channels of the proposals waiting for it (await).
 type learnt struct {
 	val     Value
 	has     bool
@@ -438,14 +451,16 @@ func (n *Node) Mount(t net.MsgType, mk func() Handler) Handler {
 }
 
 // WatchRealm registers saw as the observer of one realm: it is called with
-// the slot whenever this node's acceptor votes in the realm or the node
-// learns a decision of it — the two events that tell a passive learner a
-// slot exists. It runs on whichever goroutine made the transition (the
-// message loop, a proposer), outside the node's locks, and must be cheap and
-// non-blocking. One observer per realm; what the node already holds for the
-// realm (recovered from the WAL, or voted before the caller existed) is
-// reported once, as its highest slot, before WatchRealm returns.
-func (n *Node) WatchRealm(space uint8, realm uint64, saw func(slot int64)) {
+// the slot whenever this node's acceptor votes in the realm (decided false)
+// or the node learns a decision of it (decided true, once Decided reports
+// it) — the two events that tell a passive learner a slot exists, and the
+// one that tells it the slot can be applied. It runs on whichever goroutine
+// made the transition (the message loop, a proposer), outside the node's
+// locks, and must be cheap and non-blocking. One observer per realm; what
+// the node already holds for the realm (recovered from the WAL, or voted
+// before the caller existed) is reported once, as its highest slot, before
+// WatchRealm returns.
+func (n *Node) WatchRealm(space uint8, realm uint64, saw func(slot int64, decided bool)) {
 	rk := realmKey{Space: space, Realm: realm}
 	n.hmu.Lock()
 	var ws []realmWatch
@@ -455,7 +470,7 @@ func (n *Node) WatchRealm(space uint8, realm uint64, saw func(slot int64)) {
 	ws = append(ws, realmWatch{realm: rk, saw: saw})
 	n.watches.Store(&ws)
 	n.hmu.Unlock()
-	top := int64(-1)
+	top, decided := int64(-1), false
 	n.acc.mu.Lock()
 	n.acc.accepted.each(rk, 0, func(slot int64, av *AcceptedVal) {
 		if av.Has && slot > top {
@@ -465,24 +480,25 @@ func (n *Node) WatchRealm(space uint8, realm uint64, saw func(slot int64)) {
 	n.acc.mu.Unlock()
 	n.mu.Lock()
 	n.decided.each(rk, 0, func(slot int64, l *learnt) {
-		if l.has && slot > top {
-			top = slot
+		if l.has && slot >= top {
+			top, decided = slot, true
 		}
 	})
 	n.mu.Unlock()
 	if top >= 0 {
-		saw(top)
+		saw(top, decided)
 	}
 }
 
 // realmWatch is one registered realm observer.
 type realmWatch struct {
 	realm realmKey
-	saw   func(slot int64)
+	saw   func(slot int64, decided bool)
 }
 
-// sawSlot tells the realm's observer, if there is one, that inst exists.
-func (n *Node) sawSlot(inst InstanceID) {
+// sawSlot tells the realm's observer, if there is one, that inst exists, and
+// whether this is its decision.
+func (n *Node) sawSlot(inst InstanceID, decided bool) {
 	ws := n.watches.Load()
 	if ws == nil {
 		return
@@ -490,7 +506,7 @@ func (n *Node) sawSlot(inst InstanceID) {
 	rk := inst.realm()
 	for _, w := range *ws {
 		if w.realm == rk {
-			w.saw(inst.Slot)
+			w.saw(inst.Slot, decided)
 			return
 		}
 	}
@@ -528,6 +544,8 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 	if n.counters == nil {
 		n.counters = new(obs.PaxosCounters)
 	}
+	n.dlTimer = time.AfterFunc(phaseDeadline, n.expire)
+	n.dlTimer.Stop()
 	n.recover()
 	go n.loop()
 	return n
@@ -678,7 +696,7 @@ func (n *Node) handleAccept(body AcceptReq) AcceptResp {
 	}
 	a.mu.Unlock()
 	if ok {
-		n.sawSlot(body.Inst)
+		n.sawSlot(body.Inst, false)
 	}
 	return AcceptResp{Inst: body.Inst, Ballot: body.Ballot, OK: ok, Promised: floor}
 }
@@ -699,7 +717,7 @@ func (n *Node) recordDecision(inst InstanceID, v Value) {
 	n.mu.Unlock()
 	if !seen {
 		n.clearPin(inst)
-		n.sawSlot(inst)
+		n.sawSlot(inst, true)
 	}
 }
 
@@ -741,7 +759,9 @@ func (n *Node) Decided(inst InstanceID) (Value, bool) {
 	return nil, false
 }
 
-// await registers interest in a decision.
+// await returns a channel that delivers the decision of inst once it is
+// learnt locally (immediately if already known) — what Propose waits on.
+// The channel never closes; select against Done for shutdown.
 func (n *Node) await(inst InstanceID) <-chan Value {
 	ch := make(chan Value, 1)
 	n.mu.Lock()
@@ -753,11 +773,6 @@ func (n *Node) await(inst InstanceID) <-chan Value {
 	n.mu.Unlock()
 	return ch
 }
-
-// Await returns a channel that delivers the decision of inst once it is
-// learnt locally (immediately if already known). The channel never closes;
-// select against Done for shutdown.
-func (n *Node) Await(inst InstanceID) <-chan Value { return n.await(inst) }
 
 // Done is closed when the node's message loop exits (network shutdown).
 func (n *Node) Done() <-chan struct{} { return n.done }
@@ -780,11 +795,7 @@ func (n *Node) RequestDecision(scope groups.ProcSet, inst InstanceID) {
 // acceptor/learner state is updated directly, so a loopback packet would
 // only burn two trips through the transport.
 func (n *Node) toPeers(scope groups.ProcSet, t net.MsgType, body any) {
-	for _, p := range scope.Members() {
-		if p != n.p {
-			n.nw.Send(n.p, p, t, body)
-		}
-	}
+	scope.Remove(n.p).Each(func(p groups.Process) { n.nw.Send(n.p, p, t, body) })
 }
 
 // ownVote makes this node's own promise or accept durable before it is
@@ -814,7 +825,7 @@ func (r AcceptResp) vote() PrepareResp {
 //
 // Exactly one result per launched phase is delivered on ph.res, possibly
 // before launch returns; res must never block, because results are
-// delivered by the node's message loop and its timers. launch returns once
+// delivered by the node's message loop and its deadline timer. launch returns once
 // this node's own vote is durable and counted — one WAL barrier, run in the
 // caller's goroutine while the request is on the wire.
 func (n *Node) launch(ph *phase, req any) bool {
@@ -851,7 +862,7 @@ func (n *Node) launch(ph *phase, req any) bool {
 		ph.ballot = prep.Ballot
 	}
 	ph.prepare, ph.voters = prepare, 0
-	ph.timer = time.AfterFunc(phaseDeadline, func() { n.phaseTimeout(ph, prepare) })
+	n.openPhase(ph)
 	n.phMu.Unlock()
 
 	// The local acceptor is consulted directly — no loopback packets. The
@@ -887,7 +898,7 @@ func (n *Node) launch(ph *phase, req any) bool {
 func (n *Node) phaseResp(from groups.Process, prepare bool, r PrepareResp) {
 	n.phMu.Lock()
 	ph := n.phases[r.Inst]
-	if ph == nil || ph.timer == nil || ph.ballot != r.Ballot || ph.prepare != prepare ||
+	if ph == nil || !ph.open || ph.ballot != r.Ballot || ph.prepare != prepare ||
 		ph.voters.Has(from) || !ph.inst.Scope.Has(from) {
 		n.phMu.Unlock()
 		// Nobody is waiting for this vote: a duplicate, or the late vote of a
@@ -923,17 +934,72 @@ func (n *Node) phaseResp(from groups.Process, prepare bool, r PrepareResp) {
 	n.end(ph, r)
 }
 
-// phaseTimeout expires a phase that gathered no quorum within the phase
-// deadline. The lease survives — a deadline says nothing about higher
-// ballots — so the caller may retry the slot, which the value pin keeps
-// safe.
-func (n *Node) phaseTimeout(ph *phase, prepare bool) {
-	n.phMu.Lock()
-	if ph.timer == nil || ph.prepare != prepare {
-		n.phMu.Unlock() // the timer lost a race with the phase's ending
-		return
+// deadline is one entry of the phase-deadline FIFO: the launch numbered gen
+// of ph is due to end at at.
+type deadline struct {
+	ph  *phase
+	gen uint32
+	at  time.Time
+}
+
+// live reports whether d still stands for an open phase: not one that has
+// ended, nor one relaunched in place since (a full round's accept leaves its
+// prepare's entry queued behind it).
+func (d deadline) live() bool { return d.ph.open && d.ph.gen == d.gen }
+
+// openPhase marks ph gathering and queues its deadline (caller holds phMu),
+// arming the node's timer if no other phase was open.
+func (n *Node) openPhase(ph *phase) {
+	ph.open = true
+	ph.gen++
+	if h := n.dlHead; h > 0 && 2*h >= len(n.deadlines) {
+		k := copy(n.deadlines, n.deadlines[h:])
+		clear(n.deadlines[k:])
+		n.deadlines, n.dlHead = n.deadlines[:k], 0
 	}
-	n.end(ph, PrepareResp{})
+	n.deadlines = append(n.deadlines, deadline{ph: ph, gen: ph.gen, at: time.Now().Add(phaseDeadline)})
+	if n.gathering++; n.gathering == 1 {
+		n.dlTimer.Reset(phaseDeadline)
+	}
+}
+
+// closePhase marks ph no longer gathering (caller holds phMu). When it was
+// the last open phase every queued entry is stale: the queue empties and the
+// timer is disarmed.
+func (n *Node) closePhase(ph *phase) {
+	ph.open = false
+	if n.gathering--; n.gathering == 0 {
+		n.dlTimer.Stop()
+		clear(n.deadlines)
+		n.deadlines, n.dlHead = n.deadlines[:0], 0
+	}
+}
+
+// expire is the deadline timer's function. It ends every open phase whose
+// deadline has passed, with the zero response, drops the entries of phases
+// that ended or were relaunched, and re-arms the timer for the first open
+// phase not yet due. The lease survives an expiry — a deadline says nothing
+// about higher ballots — so the caller may retry the slot, which the value
+// pin keeps safe.
+func (n *Node) expire() {
+	n.phMu.Lock()
+	for n.dlHead < len(n.deadlines) {
+		d := n.deadlines[n.dlHead]
+		live := d.live()
+		if live {
+			if wait := time.Until(d.at); wait > 0 {
+				n.dlTimer.Reset(wait)
+				break
+			}
+		}
+		n.deadlines[n.dlHead] = deadline{}
+		n.dlHead++
+		if live {
+			n.end(d.ph, PrepareResp{}) // releases phMu
+			n.phMu.Lock()
+		}
+	}
+	n.phMu.Unlock()
 }
 
 // end is where every phase ends, exactly once: r is the vote that completed
@@ -943,8 +1009,7 @@ func (n *Node) phaseTimeout(ph *phase, prepare bool) {
 // out of the node (realm observers, the transport), and delivers the result
 // last, once the instance is free for its next round.
 func (n *Node) end(ph *phase, r PrepareResp) {
-	ph.timer.Stop()
-	ph.timer = nil
+	n.closePhase(ph)
 	n.phMu.Unlock()
 	id := ph.inst.ID
 	rk := id.realm()

@@ -112,7 +112,7 @@ func fuzzSlot(sel byte) int64 {
 // FuzzSlotTable holds the acceptor's and the learner's slot tables against
 // slotModel. Each 4-byte op is (kind, realm, slot selector, ballot); it runs
 // through handleAccept, handlePrepare (point or Range), recordDecision,
-// Decided, Await, WatchRealm or SnapshotDecisions and compares the result
+// Decided, await, WatchRealm or SnapshotDecisions and compares the result
 // with the model's. After every op each table holds exactly the pages of
 // the slots it has state for — an extreme slot costs one page — and at the
 // end a node recovered from the WAL holds the same decisions and accepted
@@ -162,7 +162,7 @@ func FuzzSlotTable(f *testing.F) {
 					m.decided[id] = val
 				}
 			case 3:
-				waits = append(waits, wait{id, n.Await(id)})
+				waits = append(waits, wait{id, n.await(id)})
 				m.awaited[id] = true
 			case 4:
 				if got := n.SnapshotDecisions(); !reflect.DeepEqual(got, m.decided) {
@@ -170,7 +170,7 @@ func FuzzSlotTable(f *testing.F) {
 				}
 			case 6:
 				reported := int64(-1)
-				n.WatchRealm(rk.Space, rk.Realm, func(slot int64) { reported = slot })
+				n.WatchRealm(rk.Space, rk.Realm, func(slot int64, _ bool) { reported = slot })
 				if want := m.top(rk); reported != want {
 					t.Fatalf("op %d: WatchRealm(%v) reported %d; model top %d", i/4, rk, reported, want)
 				}
@@ -182,11 +182,11 @@ func FuzzSlotTable(f *testing.F) {
 				select {
 				case v := <-w.ch:
 					if want, ok := m.decided[w.id]; !ok || !v.Equal(want) {
-						t.Fatalf("op %d: Await(%+v) delivered %v; model %v,%v", i/4, w.id, v, want, ok)
+						t.Fatalf("op %d: await(%+v) delivered %v; model %v,%v", i/4, w.id, v, want, ok)
 					}
 				default:
 					if _, ok := m.decided[w.id]; ok {
-						t.Fatalf("op %d: Await(%+v) silent after the decision", i/4, w.id)
+						t.Fatalf("op %d: await(%+v) silent after the decision", i/4, w.id)
 					}
 				}
 			}

@@ -24,7 +24,6 @@
 package replog
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,6 +122,10 @@ type Replica struct {
 	local   *logobj.Log
 	queue   []*waiter // queued operations, arrival order
 	closed  bool      // shutdown: no further enqueues complete
+	// failed marks a fail-stop on a decided value that does not decode: the
+	// replica applies nothing from then on.
+	failed bool
+	ops    []Op // the batch being applied, decoded in place (applyAt)
 
 	// journal records every applied op when journalling is enabled (see
 	// journal.go) — debug evidence for diffing a replica's applied sequence
@@ -131,6 +134,9 @@ type Replica struct {
 
 	kick   chan struct{} // wakes the submit loop on enqueue (cap 1)
 	winRes chan paxos.WindowResult
+	// learnt wakes the apply loop when the node learns a decision of the
+	// realm (cap 1); the loop then looks its frontier slot up on the node.
+	learnt chan struct{}
 
 	// Evidence plumbing of the apply loop (see awaitDecision). horizon is the
 	// highest slot of the realm this process's acceptor voted in or its node
@@ -188,6 +194,7 @@ func NewReplica(name string, realm uint64, p groups.Process, node *paxos.Node, n
 		counters: counters,
 		onApply:  onApply,
 		kick:     make(chan struct{}, 1),
+		learnt:   make(chan struct{}, 1),
 		timer:    time.NewTimer(time.Hour),
 		// One result per outstanding windowed round, plus the immediate
 		// resolutions ProposeWindowed may deliver inline: a channel this
@@ -234,15 +241,15 @@ func (r *Replica) applyLoop() {
 	behind := false
 	for {
 		slot := r.Slot()
-		ch := r.node.Await(r.instID(slot))
-		select {
-		case v := <-ch: // already known: catching up, nothing to wait for
-			r.applyAt(slot, v)
+		if v, ok := r.node.Decided(r.instID(slot)); ok {
+			// Already known: catching up, nothing to wait for.
+			if !r.applyAt(slot, v) {
+				return
+			}
 			continue
-		default:
 		}
 		var ok bool
-		if behind, ok = r.awaitDecision(slot, ch, behind); !ok {
+		if behind, ok = r.awaitDecision(slot, behind); !ok {
 			return
 		}
 	}
@@ -253,6 +260,11 @@ func (r *Replica) applyLoop() {
 // replica past the slot; ok is false at shutdown. probed reports whether the
 // decision came after a probe had gone out for it.
 //
+// A decision is heard as a token on learnt (sawSlot), which any decision of
+// the realm raises; the loop then looks the frontier slot up. A decision
+// learnt after the caller's lookup raises the token after it is recorded,
+// so none is missed, and one for another slot costs a lookup.
+//
 // The loop sleeps on one timer and asks itself what it is waiting for when
 // the timer runs out. While the replica has evidence that the slot exists it
 // hedges: a probe hedgeDelay after the evidence, then doubling up to
@@ -262,7 +274,7 @@ func (r *Replica) applyLoop() {
 // pushes is the timer (armHedge) — the loop itself wakes for decisions and
 // expiries, nothing else, so a busy stream pays an atomic load per accept and
 // enqueue and one timer reset per idle→busy transition.
-func (r *Replica) awaitDecision(slot int, ch <-chan paxos.Value, behind bool) (probed, ok bool) {
+func (r *Replica) awaitDecision(slot int, behind bool) (probed, ok bool) {
 	inst := r.instID(slot)
 	wait := r.hedgeDelay()
 	switch {
@@ -279,16 +291,19 @@ func (r *Replica) awaitDecision(slot int, ch <-chan paxos.Value, behind bool) (p
 	hedged, asked := false, false
 	for {
 		select {
-		case v := <-ch:
+		case <-r.learnt:
+			v, known := r.node.Decided(inst)
+			if !known {
+				continue
+			}
 			r.idle.Store(false)
 			at := r.evidentAt.Swap(0)
 			if at != 0 {
 				r.observe(time.Duration(mono() - at))
 			}
-			r.applyAt(slot, v)
 			// A probe on no evidence that evidence then followed went
 			// unanswered: the decision came the ordinary way.
-			return hedged || (asked && at == 0), true
+			return hedged || (asked && at == 0), r.applyAt(slot, v)
 		case <-r.node.Done():
 			return false, false
 		case <-r.timer.C:
@@ -349,9 +364,16 @@ func (r *Replica) evidence(slot int) bool {
 }
 
 // sawSlot is the paxos node's realm observer (paxos.Node.WatchRealm): a vote
-// or a decision for slot. Every slot below the frontier is decided here, so
-// a horizon that rises has risen to the frontier or beyond.
-func (r *Replica) sawSlot(slot int64) {
+// or a decision for slot. A decision wakes the apply loop. Every slot below
+// the frontier is decided here, so a horizon that rises has risen to the
+// frontier or beyond.
+func (r *Replica) sawSlot(slot int64, decided bool) {
+	if decided {
+		select {
+		case r.learnt <- struct{}{}:
+		default:
+		}
+	}
 	for {
 		cur := r.horizon.Load()
 		if slot <= cur {
@@ -559,7 +581,9 @@ func (r *Replica) submitLoop() {
 					r.shutdown()
 					return
 				}
-				r.applyAt(slot, decided)
+				if !r.applyAt(slot, decided) {
+					return
+				}
 				r.requeue(ws)
 				continue
 			}
@@ -585,7 +609,9 @@ func (r *Replica) submitLoop() {
 				// timeslice per slot. applyAt is a no-op unless this slot is
 				// exactly the next unapplied one, so the call is safe out of
 				// order and doubles as catch-up when the frontier lags.
-				r.applyAt(int(res.Inst.Slot), res.Val)
+				if !r.applyAt(int(res.Inst.Slot), res.Val) {
+					return
+				}
 				if had && !res.Val.Equal(fb.val) {
 					// An adopted or foreign value decided this slot; our
 					// batch did not land — its unsatisfied ops go again.
@@ -658,10 +684,9 @@ func (r *Replica) repair(maxSlot int) bool {
 		}
 		ws := r.takePending(maxBatchOps)
 		decided, ok := r.node.Propose(r.mkIns(slot), EncodeBatch(opsOf(ws)))
-		if !ok {
+		if !ok || !r.applyAt(slot, decided) {
 			return false
 		}
-		r.applyAt(slot, decided)
 		r.requeue(ws)
 	}
 }
@@ -752,28 +777,38 @@ func (r *Replica) Sync() {
 	for {
 		slot := r.Slot()
 		v, ok := r.node.Decided(r.instID(slot))
-		if !ok {
+		if !ok || !r.applyAt(slot, v) {
 			return
 		}
-		r.applyAt(slot, v)
 	}
 }
 
 // applyAt applies the decided batch of a slot exactly once, in order, and
-// completes every queued waiter whose operation is now satisfied.
-func (r *Replica) applyAt(slot int, v paxos.Value) {
-	ops, err := DecodeBatch(v)
-	if err != nil {
-		// Only valid batches are ever proposed (and adoption re-proposes
-		// other replicas' batches verbatim), so a decided value that does
-		// not decode is state corruption, not input error.
-		panic(fmt.Sprintf("replog %s: decided value of slot %d does not decode: %v", r.name, slot, err))
-	}
+// completes every queued waiter whose operation is now satisfied. It
+// reports false when the replica has fail-stopped, on this value or an
+// earlier one, and will apply nothing more.
+//
+// Only valid batches are ever proposed (and adoption re-proposes other
+// replicas' batches verbatim), so a decided value that does not decode is
+// state corruption, not input error: the replica stops serving rather than
+// skip a slot its peers applied. It counts the fail-stop, fails every
+// waiter and refuses further operations (shutdown).
+func (r *Replica) applyAt(slot int, v paxos.Value) bool {
 	r.mu.Lock()
-	if slot != r.slot {
+	if r.failed || slot != r.slot {
+		failed := r.failed
 		r.mu.Unlock()
-		return // already applied (or a future slot the prefix hasn't reached)
+		return !failed // already applied (or a future slot the prefix hasn't reached)
 	}
+	ops, err := appendBatch(r.ops[:0], v)
+	if err != nil {
+		r.failed = true
+		r.mu.Unlock()
+		obs.Inc(&r.counters.FailStops)
+		r.shutdown()
+		return false
+	}
+	r.ops = ops
 	jr := journalOn.Load()
 	for _, o := range ops {
 		if jr {
@@ -802,6 +837,7 @@ func (r *Replica) applyAt(slot int, v paxos.Value) {
 			r.onApply()
 		}
 	}
+	return true
 }
 
 // completeLocked finishes every waiter whose operation is satisfied by the

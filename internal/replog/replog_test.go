@@ -2,6 +2,7 @@ package replog
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -306,5 +307,43 @@ func TestIdempotentHelp(t *testing.T) {
 	reps[2].SyncWait(1, time.Second)
 	if got := len(reps[2].Snapshot()); got != 1 {
 		t.Fatalf("helping duplicated the datum: %d items", got)
+	}
+}
+
+// TestUndecodableDecisionFailStops: a decided value that is not a batch is
+// state corruption. Every replica that meets it stops serving instead of
+// panicking: it fails its waiters, refuses further operations and counts
+// one fail-stop.
+func TestUndecodableDecisionFailStops(t *testing.T) {
+	cs := []*obs.ReplogCounters{new(obs.ReplogCounters), new(obs.ReplogCounters), new(obs.ReplogCounters)}
+	nw, reps := cluster(3, cs...)
+	defer nw.Close()
+	garbage := paxos.Value{0xff} // a count whose varint never ends
+	if _, err := DecodeBatch(garbage); err == nil {
+		t.Fatal("the garbage decodes")
+	}
+	if v, ok := reps[0].node.Propose(reps[0].mkIns(0), garbage); !ok || !v.Equal(garbage) {
+		t.Fatalf("Propose = %v, %v; want the garbage decided", v, ok)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for p, c := range cs {
+		for atomic.LoadInt64(&c.FailStops) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d never fail-stopped on the garbage", p)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for p, r := range reps {
+		r.Sync() // one more pass over the bad slot must not count again
+		if _, ok := r.Append(logobj.Datum{Kind: logobj.KindMsg, Msg: 1}).Wait(); ok {
+			t.Errorf("replica %d accepted an operation after its fail-stop", p)
+		}
+		if r.Slot() != 0 {
+			t.Errorf("replica %d moved past the bad slot to %d", p, r.Slot())
+		}
+		if n := atomic.LoadInt64(&cs[p].FailStops); n != 1 {
+			t.Errorf("replica %d counted %d fail-stops, want 1", p, n)
+		}
 	}
 }

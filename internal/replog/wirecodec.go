@@ -1,6 +1,8 @@
 package replog
 
 import (
+	"slices"
+
 	"repro/internal/logobj"
 	"repro/internal/paxos"
 	"repro/internal/wire"
@@ -50,10 +52,14 @@ func EncodeBatch(ops []Op) paxos.Value {
 
 // DecodeBatch is the inverse of EncodeBatch. Arbitrary input yields an
 // error, never a panic.
-func DecodeBatch(v paxos.Value) ([]Op, error) {
+func DecodeBatch(v paxos.Value) ([]Op, error) { return appendBatch(nil, v) }
+
+// appendBatch decodes a batch onto ops, which the caller may reuse from
+// batch to batch.
+func appendBatch(ops []Op, v paxos.Value) ([]Op, error) {
 	d := wire.NewDec([]byte(v))
 	n := d.Len(3)
-	ops := make([]Op, 0, n)
+	ops = slices.Grow(ops, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		ops = append(ops, decOp(d))
 	}

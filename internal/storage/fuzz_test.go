@@ -67,3 +67,65 @@ func frameF(kind uint8, data []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[k:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	return append(hdr[:k+4], body...)
 }
+
+// FuzzMem runs Append, Sync, PowerCycle and Replay in a fuzzed order against
+// a model that keeps the durable and the pending records as plain slices.
+// Record sizes cover empty records, records larger than a page and sizes
+// around the first page's, so records fall on both sides of every page
+// boundary.
+func FuzzMem(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 0, 2, 3})
+	f.Add([]byte{0, 5, 1, 0, 0, 7, 3, 0})                    // replay with an unsynced record
+	f.Add([]byte{0, 5, 1, 0, 12, 0, 2, 0, 0, 9, 1, 0, 3, 0}) // a power cycle drops a whole page
+	f.Add([]byte{4, 0, 1, 5, 7, 3, 2, 3})
+	f.Add([]byte{6, 9, 0, 200, 0, 255, 1, 2, 0, 17, 1, 3})
+	f.Add(bytes.Repeat([]byte{0, 250, 8, 90}, 40))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := NewMem()
+		var durable, pending []Record
+		appended := 0
+		for i := 0; i+1 < len(ops) && appended < 1<<20; i += 2 {
+			op, arg := ops[i], int(ops[i+1])
+			switch op % 4 {
+			case 0:
+				size := arg
+				switch op / 4 % 4 {
+				case 1:
+					size = 0
+				case 2:
+					size = memPageMax>>6 - arg%32 // about the first page's room
+				case 3:
+					size = memPageMax + arg // larger than any page
+				}
+				data := make([]byte, size)
+				for j := range data {
+					data[j] = byte(i + j)
+				}
+				pending = append(pending, Record{Kind: op, Data: append([]byte(nil), data...)})
+				if err := m.Append(Record{Kind: op, Data: data}); err != nil {
+					t.Fatal(err)
+				}
+				for j := range data {
+					data[j] = 0xff // Append copied the record
+				}
+				appended += size
+			case 1:
+				if err := m.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				durable, pending = append(durable, pending...), nil
+			case 2:
+				m.PowerCycle()
+				pending = nil
+			case 3:
+				wantRecords(t, collect(t, m), durable)
+				if m.Len() != len(durable) {
+					t.Fatalf("Len = %d, want %d durable records", m.Len(), len(durable))
+				}
+			}
+		}
+		m.PowerCycle()
+		wantRecords(t, collect(t, m), durable)
+	})
+}

@@ -11,10 +11,12 @@
 //
 // Two implementations:
 //
-//   - Mem keeps records in memory. It is the default for in-process
-//     deployments: it preserves today's behavior (a crashed process loses
-//     nothing because nothing outlives the process anyway) while letting
-//     power-cycle tests hand a dead node's log to its replacement.
+//   - Mem keeps records in memory, as one append-only byte log in pages
+//     that hold no pointers, with a durable watermark that Sync moves and a
+//     power cycle cuts back to. It is the default for in-process
+//     deployments: a crashed process loses nothing because nothing outlives
+//     the process anyway, while power-cycle tests hand a dead node's log to
+//     its replacement.
 //   - File persists records to checksummed segment files in a directory,
 //     with group-commit fsync batching and segment rotation; it is what a
 //     daemon's -data-dir points at.

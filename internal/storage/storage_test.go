@@ -286,3 +286,73 @@ func TestAppendCopiesData(t *testing.T) {
 		})
 	}
 }
+
+// TestMemReplayWhileAppending replays the durable prefix while another
+// goroutine appends and syncs: every replay is a prefix of the appended
+// sequence, at least as long as what was durable when it began. Run it
+// under -race: Replay reads the pages below the watermark without the lock.
+func TestMemReplayWhileAppending(t *testing.T) {
+	rec := func(i int) Record {
+		return Record{Kind: uint8(i), Data: bytes.Repeat([]byte{byte(i)}, i%97)}
+	}
+	m := NewMem()
+	const initial, total = 50, 3000
+	for i := 0; i < initial; i++ {
+		if err := m.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := initial; i < total; i++ {
+			if err := m.Append(rec(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%7 == 0 {
+				if err := m.Sync(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		got := collect(t, m)
+		if len(got) < initial {
+			t.Fatalf("replayed %d records, %d were durable before", len(got), initial)
+		}
+		for i, r := range got {
+			if want := rec(i); r.Kind != want.Kind || !bytes.Equal(r.Data, want.Data) {
+				t.Fatalf("record %d = {%d %x}, want {%d %x}", i, r.Kind, r.Data, want.Kind, want.Data)
+			}
+		}
+	}
+}
+
+// TestMemAppendAllocs: Append copies into the open page and Sync moves a
+// watermark, so a record costs no allocation but its share of a new page.
+func TestMemAppendAllocs(t *testing.T) {
+	m := NewMem()
+	rec := Record{Kind: 3, Data: bytes.Repeat([]byte{'r'}, 48)}
+	avg := testing.AllocsPerRun(5000, func() {
+		if err := m.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg >= 0.05 {
+		t.Fatalf("Append+Sync: %.3f allocs per record, want < 0.05", avg)
+	}
+}
