@@ -260,6 +260,25 @@ func BenchmarkLogObject(b *testing.B) {
 	}
 }
 
+// BenchmarkLogRecord appends what one multicast leaves in a group log on
+// the chain — the message, its pos tuples in two pair logs, a stable tuple
+// and a CONS_{m,f} proposal — and bumps the message to its final position:
+// the per-message cost of a record. It must stay at 0 allocs/op.
+func BenchmarkLogRecord(b *testing.B) {
+	l, f := logobj.New("bench"), groups.NewGroupSet(1, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := msg.ID(i + 1)
+		p := l.Append(logobj.MsgDatum(m))
+		l.Append(logobj.PosDatum(m, 1, p+1))
+		l.Append(logobj.PosDatum(m, 2, p+2))
+		l.Append(logobj.StableDatum(m, 1))
+		l.Append(logobj.ConsDatum(m, f, p+2))
+		l.BumpAndLock(logobj.MsgDatum(m), p+2)
+	}
+}
+
 // filledLog returns a log holding messages 1..n at positions 1..n.
 func filledLog(n int) *logobj.Log {
 	l := logobj.New("bench")

@@ -20,6 +20,7 @@ package live
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -57,15 +58,33 @@ func (s *System) hosting(pair core.PairKey) (groups.ProcSet, fd.Omega) {
 	return s.Topo.Group(pair.A), mu.OmegaFor(pair.A)
 }
 
-// leaderFunc adapts an Ω history to the paxos leader interface, sampling it
-// at the current tick. With no leader sample yet the process trusts itself
-// — safe (quorum intersection), merely contended.
-func (s *System) leaderFunc(o fd.Omega) paxos.LeaderFunc {
+// leaderFunc adapts Ω_P, P the scope, to the paxos leader interface,
+// sampling it at the current tick. With no leader sample yet the process
+// trusts itself — safe (quorum intersection), merely contended. The ideal Ω
+// (fd.NewOmega) outputs one leader at every member of P from the tick
+// pat.Horizon()+Delay on, as long as P has a correct member; a sample that
+// has seen that tick caches it, and every later one answers without reading
+// the clock.
+func (s *System) leaderFunc(scope groups.ProcSet, o fd.Omega) paxos.LeaderFunc {
+	stable := s.Pat.Horizon() + s.Sh.Opt.FD.Delay
+	settles := !s.Pat.Correct().Intersect(scope).Empty()
+	var settled atomic.Int64 // the stable leader + 1; 0 until a sample sees it
 	return func(q groups.Process) groups.Process {
-		if l, ok := o.Leader(q, s.Now()); ok {
-			return l
+		if l := settled.Load(); l != 0 {
+			if scope.Has(q) {
+				return groups.Process(l - 1)
+			}
+			return q
 		}
-		return q
+		t := s.Now()
+		l, ok := o.Leader(q, t)
+		if !ok {
+			return q
+		}
+		if settles && t >= stable {
+			settled.Store(int64(l) + 1)
+		}
+		return l
 	}
 }
 
@@ -100,7 +119,7 @@ func (s *System) replica(p groups.Process, pair core.PairKey) *replog.Replica {
 	// has no batcher to forward to and no use for the lease, so such a sample
 	// reads as "lead it yourself". (A group log's g∩g is the whole group.)
 	hosts := s.Topo.Intersection(pair.A, pair.B)
-	sample := s.leaderFunc(omega)
+	sample := s.leaderFunc(scope, omega)
 	leader := func(q groups.Process) groups.Process {
 		if l := sample(q); hosts.Has(l) {
 			return l

@@ -2,6 +2,8 @@ package live
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,9 +22,11 @@ import (
 // TestLiveLeaseFailover crashes the stable Multi-Paxos leader of g0 while
 // multicasts stream through its logs and asserts, across chaos seeds:
 //
-//	(a) the surviving leader re-acquires the log lease via a full phase-1
-//	    round — observable as the lease-acquisition counter advancing after
-//	    the crash, when only dead p0 could previously hold the g0 leases;
+//	(a) the surviving leader holds the group log's lease, won by a full
+//	    phase-1 range round — observed on the wire, per process and tick
+//	    (leaseTap): the newest range phase 1 won in LOG_g0's realm is p1's,
+//	    whether p1 won it after the crash or before it and was never
+//	    out-balloted by p0 since;
 //	(b) no decided slot ever changes value — every pair of paxos nodes
 //	    agrees on every instance both decided, compared bit-for-bit over
 //	    the nodes' full decision maps;
@@ -48,8 +52,10 @@ func runLeaseFailover(t *testing.T, seed int64) {
 	const crashTick = 120
 	pat := failure.NewPattern(7).WithCrash(0, crashTick)
 	c := chaos.Wrap(net.New(7), seed)
+	tap := &leaseTap{Transport: c, realm: pairRealm(core.CanonPair(0, 0))}
 	rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters, WallClock: true})
-	sys := NewSystem(topo, pat, c, Config{Opt: core.Options{Rec: rec}})
+	sys := NewSystem(topo, pat, tap, Config{Opt: core.Options{Rec: rec}})
+	tap.now = sys.Now
 	sys.Start()
 	defer sys.Stop()
 
@@ -59,23 +65,12 @@ func runLeaseFailover(t *testing.T, seed int64) {
 
 	// Phase 1: stream multicasts into g0 (and the neighbouring groups, so
 	// the pair logs g0 hosts see traffic) until the crash tick has passed.
-	// acquiredBefore tracks the lease-acquisition count as of the last look
-	// at a pre-crash clock: the survivor may re-acquire the g0 leases the
-	// moment Ω flips, so a snapshot taken after the crash tick would race
-	// with the very event under test.
 	senders := []struct {
 		p groups.Process
 		g groups.GroupID
 	}{{1, 0}, {2, 1}, {2, 0}, {4, 1}}
-	var acquiredBefore int64
 	i := 0
-	for {
-		now := sys.Now()
-		if now < crashTick {
-			acquiredBefore = obs.Snapshot(rec.Paxos()).LeasesAcquired
-		} else if now >= crashTick+20 {
-			break
-		}
+	for sys.Now() < crashTick+20 {
 		s := senders[i%len(senders)]
 		sys.Multicast(s.p, s.g, []byte{byte(i)})
 		i++
@@ -99,11 +94,20 @@ func runLeaseFailover(t *testing.T, seed int64) {
 	}
 	sys.Stop()
 
-	// (a) Failover re-acquisition happened, via the only path that can
-	// install a lease: a full phase-1 range round.
-	if got := obs.Snapshot(rec.Paxos()).LeasesAcquired; got <= acquiredBefore {
-		t.Errorf("seed %d: no lease re-acquisition after the leader crash (acquired %d before, %d after)",
-			seed, acquiredBefore, got)
+	// (a) The survivor holds LOG_g0's lease: the newest range phase 1 won
+	// in the realm — the only path that installs a lease — is p1's. Ω
+	// rotates over g0 until it stabilises, so p1 may have won it before
+	// the crash, and then it only re-acquires if p0 out-balloted it since.
+	won := tap.acquisitions()
+	var newest acquisition
+	for _, a := range won {
+		if a.ballot > newest.ballot {
+			newest = a
+		}
+	}
+	if newest.p != 1 || newest.ballot == 0 {
+		t.Errorf("seed %d: LOG_g0's newest lease is not p1's after p0 crashed at tick %d; wins (p, ballot, tick): %v",
+			seed, crashTick, won)
 	}
 
 	// (b) Agreement at the paxos layer: any instance decided by two nodes
@@ -258,6 +262,68 @@ func runFailoverMidWindow(t *testing.T, seed int64) {
 	}
 }
 
+// leaseTap is a transport that logs, per process, the lease acquisitions
+// in one realm by the phase 1 each wins: a proposer sends a range prepare at
+// a ballot, and sends an accept at that ballot only once a quorum has
+// granted the range — so the first accept of a ballot that a range prepare
+// opened marks its phase 1 won. Each is logged with the tick its prepare was
+// sent at, read off now.
+type leaseTap struct {
+	net.Transport
+	realm uint64
+	now   func() failure.Time
+
+	mu   sync.Mutex
+	open map[int64]failure.Time // range prepares not yet won: ballot → tick sent
+	won  []acquisition
+}
+
+// acquisition is a range phase 1 won by p at a ballot, prepared at tick at.
+type acquisition struct {
+	p      groups.Process
+	ballot int64
+	at     failure.Time
+}
+
+func (l *leaseTap) Send(from, to groups.Process, t net.MsgType, body any) {
+	switch b := body.(type) {
+	case paxos.PrepareReq:
+		if b.Range && l.watched(b.Inst) {
+			at := l.now()
+			l.mu.Lock()
+			if _, ok := l.open[b.Ballot]; !ok {
+				if l.open == nil {
+					l.open = make(map[int64]failure.Time)
+				}
+				l.open[b.Ballot] = at
+			}
+			l.mu.Unlock()
+		}
+	case paxos.AcceptReq:
+		if l.watched(b.Inst) {
+			l.mu.Lock()
+			if at, ok := l.open[b.Ballot]; ok {
+				delete(l.open, b.Ballot)
+				l.won = append(l.won, acquisition{p: from, ballot: b.Ballot, at: at})
+			}
+			l.mu.Unlock()
+		}
+	}
+	l.Transport.Send(from, to, t, body)
+}
+
+// acquisitions returns the phase-1 wins logged so far.
+func (l *leaseTap) acquisitions() []acquisition {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.won)
+}
+
+// watched reports whether id is a log slot of the tapped realm.
+func (l *leaseTap) watched(id paxos.InstanceID) bool {
+	return id.Space == paxos.SpaceLog && id.Realm == l.realm
+}
+
 // consKiller is a transport that fail-stops a process at the moment it would
 // send its first accept request for a slot carrying a CONS proposal: its pos
 // tuples are in LOG_g, its consensus proposal reaches nobody.
@@ -346,5 +412,55 @@ func TestLiveLeaseFailoverBeforeCons(t *testing.T) {
 	}
 	for _, v := range sys.Check() {
 		t.Errorf("specification violation: %v", v)
+	}
+}
+
+// TestLeaderSamplerMatchesOmega holds the leader sampler a replica is given
+// against the Ω history it adapts, sampled at the same tick, on both sides
+// of the stabilisation tick: on the failover test's pattern (p0 crashes at
+// tick 120), where the sampler stops reading the clock once it has seen the
+// stable leader, and on one where every member of g0 crashes, where Ω never
+// settles and neither may the sampler. Processes outside g0 trust themselves
+// throughout.
+func TestLeaderSamplerMatchesOmega(t *testing.T) {
+	topo := chainTopo(t)
+	for _, pat := range []*failure.Pattern{
+		failure.NewPattern(7).WithCrash(0, 120),
+		failure.NewPattern(7).WithCrash(0, 20).WithCrash(1, 40).WithCrash(2, 60),
+	} {
+		sys := NewSystem(topo, pat, net.New(7), Config{})
+		scope, omega := sys.hosting(core.CanonPair(0, 0))
+		sample := sys.leaderFunc(scope, omega)
+		stable := pat.Horizon() + sys.Sh.Opt.FD.Delay
+		sys.Start()
+		var before, after int
+		for sys.Now() < stable+40 {
+			for q := groups.Process(0); q < 7; q++ {
+				at := sys.Now()
+				got := sample(q)
+				if sys.Now() != at {
+					continue // the tick moved under the sample
+				}
+				want, ok := omega.Leader(q, at)
+				if !ok {
+					want = q
+				}
+				if got != want {
+					sys.Stop()
+					t.Fatalf("crashes at %v: sampler says p%d leads for p%d at tick %d, Ω says p%d",
+						pat, got, q, at, want)
+				}
+				if at < stable {
+					before++
+				} else {
+					after++
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+		sys.Stop()
+		if before == 0 || after == 0 {
+			t.Fatalf("crashes at %v: %d samples before tick %d, %d after: the test saw one side only", pat, before, stable, after)
+		}
 	}
 }

@@ -12,12 +12,19 @@ import (
 // operation (Claims 2-5 plus head discipline and order totality), and holds
 // every read of the indexed log against the map-scan reference model
 // (model_test.go), which includes that the first proposal to a CONS_{m,f}
-// decides it for good. Each input byte pair encodes one operation.
+// decides it for good. Each input byte pair (op, arg) encodes one
+// operation: op's low nibble picks the message, bit 0x10 a pos tuple, 0x20 a
+// CONS proposal, 0x40 (without either) a stable tuple, all shaped by arg,
+// else the message itself; bit 0x80 bumps the datum to arg instead of
+// appending it.
 func FuzzLogOperations(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x05, 0x23, 0x81, 0x40})
 	f.Add([]byte{0x00, 0x00, 0x80, 0x01})
 	f.Add([]byte{0x11, 0x91, 0x12, 0x92, 0x13, 0x93})
 	f.Add([]byte{0x21, 0x05, 0x21, 0x09, 0xa1, 0x30, 0x21, 0x06, 0x22, 0x09})
+	// Every kind a record holds, for one message: m1, (m1,g1,5), (m1,g2),
+	// cons(m1,f1)=3, (m1,g2,6); then both pos tuples bumped past the rest.
+	f.Add([]byte{0x00, 0x00, 0x10, 0x05, 0x40, 0x02, 0x20, 0x0d, 0x10, 0x0e, 0x90, 0x0e, 0x90, 0x05})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		mp := newModelPair(16, 3)
 		l := mp.l
@@ -29,6 +36,9 @@ func FuzzLogOperations(f *testing.F) {
 		for i := 0; i+1 < len(tape); i += 2 {
 			op, arg := tape[i], tape[i+1]
 			d := MsgDatum(msg.ID(op&0x0f) + 1)
+			if op&0x40 != 0 {
+				d = StableDatum(msg.ID(op&0x0f)+1, groups.GroupID(arg&0x3))
+			}
 			if op&0x10 != 0 {
 				d = PosDatum(msg.ID(op&0x0f)+1, groups.GroupID(arg&0x3), int(arg&0x7))
 			}

@@ -12,9 +12,10 @@
 // and serialises readers and the apply loop under the replica mutex.
 //
 // Reads on Algorithm 1's guard path never rescan the log's history: the
-// messages are kept in a slice ordered by <_L, the position tuples are
-// indexed per message, and ScanBefore walks the order from a caller-supplied
-// position (see Log).
+// log keeps one record per message — every datum it holds about m, chained
+// through one arena per log and found by m's ID — the messages are kept in a
+// slice ordered by <_L, and ScanBefore walks the order from a
+// caller-supplied position (see Log).
 package logobj
 
 import (
@@ -104,10 +105,27 @@ func (d Datum) String() string {
 
 // Log is the shared log object. Slots are numbered from 1; position 0 means
 // "absent". The zero value is not usable; call New.
+//
+// Every datum concerns one message — m, (m,h,i), (m,h) or (m,f,k) — and
+// Algorithm 1 reads the log one message at a time, so the log keeps one
+// record per message: recs finds the record by message ID, and the record is
+// a chain, through one arena of items per log, of every datum the log holds
+// about that message, each with its position and lock bit. The chain starts
+// at the first datum appended for the message; later ones are linked in
+// right behind it, so only a message's first datum writes to recs. A
+// message carries a handful of data (its own datum, its pos and stable
+// tuples, a CONS proposal), so a read walks a few items after one
+// 8-byte-key lookup, and neither the arena nor recs holds a pointer the
+// garbage collector must trace.
 type Log struct {
-	name  string
-	slots map[Datum]slot
-	head  int // first free slot after which there are only free slots
+	name string
+	head int // first free slot after which there are only free slots
+
+	// recs maps a message to the arena index of the first item of its
+	// record; items[0] is a sentinel, so index 0 ends a chain. An int32
+	// index reaches 2^31 items, 64 GiB of arena.
+	recs  map[msg.ID]int32
+	items []item
 
 	// msgSeq records the KindMsg datums in first-append order. Appends are
 	// deduplicated, so each message appears exactly once; readers use it as
@@ -120,27 +138,22 @@ type Log struct {
 	// only moves a datum up, so it rotates the datum over the ranks it
 	// passes and leaves the rest of the slice alone.
 	order []msgEntry
-
-	// tuples indexes the KindPos data (m, h, i) by message: line 18-19 of
-	// Algorithm 1 read them per message, at most one per intersecting group.
-	tuples map[msg.ID][]posTuple
-
-	// decided indexes the KindCons data: the k of the one proposal (m, f, k)
-	// the log holds per (m, f). Made on first use — only group logs see any.
-	decided map[consKey]int
 }
 
-// consKey names CONS_{m,f}; f is held the way Datum.H carries it.
-type consKey struct {
-	m msg.ID
-	f groups.GroupID
-}
-
-// slot is where a datum sits and whether it is locked there.
-type slot struct {
+// item is one datum of a record: the datum less its message, where it sits,
+// whether it is locked there, and the next item of the same record — 32
+// bytes.
+type item struct {
+	h      groups.GroupID
+	i      int
 	pos    int
+	next   int32
+	kind   uint8 // one of the four Kinds (Append takes no other)
 	locked bool
 }
+
+// datum rebuilds the datum the item holds about message m.
+func (it *item) datum(m msg.ID) Datum { return Datum{Kind: Kind(it.kind), Msg: m, H: it.h, I: it.i} }
 
 // msgEntry is one rank of the message order.
 type msgEntry struct {
@@ -153,48 +166,75 @@ func (e msgEntry) before(pos int, id msg.ID) bool {
 	return e.pos < pos || (e.pos == pos && e.id < id)
 }
 
-// posTuple is the (h, i) part of a KindPos datum (m, h, i).
-type posTuple struct {
-	h groups.GroupID
-	i int
-}
-
 // New returns an empty log with a diagnostic name.
 func New(name string) *Log {
-	return &Log{name: name, slots: make(map[Datum]slot), tuples: make(map[msg.ID][]posTuple), head: 1}
+	return &Log{name: name, recs: make(map[msg.ID]int32), items: make([]item, 1), head: 1}
 }
 
 // Name returns the log's diagnostic name.
 func (l *Log) Name() string { return l.name }
 
+// find returns the item holding d in the record that starts at first, or
+// nil.
+func (l *Log) find(first int32, d Datum) *item {
+	for r := first; r != 0; {
+		it := &l.items[r]
+		if Kind(it.kind) == d.Kind && it.h == d.H && it.i == d.I {
+			return it
+		}
+		r = it.next
+	}
+	return nil
+}
+
+// lookup returns the item holding d, or nil when d is absent.
+func (l *Log) lookup(d Datum) *item { return l.find(l.recs[d.Msg], d) }
+
+// decision returns the one KindCons item of the record at first that
+// proposes to CONS_{m,f} with f carried as Datum.H carries it, or nil.
+func (l *Log) decision(first int32, f groups.GroupID) *item {
+	for r := first; r != 0; {
+		it := &l.items[r]
+		if Kind(it.kind) == KindCons && it.h == f {
+			return it
+		}
+		r = it.next
+	}
+	return nil
+}
+
 // Append inserts d at the head slot and returns its position. If d is
 // already in the log the operation does nothing and returns the current
 // position; so does a KindCons proposal to a CONS_{m,f} that is already
-// decided, which returns the position of the proposal that won.
+// decided, which returns the position of the proposal that won. A datum of
+// none of the four kinds is a bug in the caller (DecodeDatum rejects one)
+// and panics.
 func (l *Log) Append(d Datum) int {
-	if s, ok := l.slots[d]; ok {
-		return s.pos
+	if d.Kind < KindMsg || d.Kind > KindCons {
+		panic(fmt.Sprintf("logobj: Append(%v) of a datum of kind %d in %s", d, d.Kind, l.name))
+	}
+	first := l.recs[d.Msg]
+	if it := l.find(first, d); it != nil {
+		return it.pos
 	}
 	if d.Kind == KindCons {
-		if k, ok := l.decided[consKey{d.Msg, d.H}]; ok {
-			d.I = k
-			return l.slots[d].pos
+		if it := l.decision(first, d.H); it != nil {
+			return it.pos
 		}
 	}
 	p := l.head
-	l.slots[d] = slot{pos: p}
+	r := int32(len(l.items))
+	it := item{kind: uint8(d.Kind), h: d.H, i: d.I, pos: p}
+	if first == 0 {
+		l.recs[d.Msg] = r
+	} else {
+		it.next, l.items[first].next = l.items[first].next, r
+	}
+	l.items = append(l.items, it)
 	l.head = p + 1
-	switch d.Kind {
-	case KindMsg:
+	if d.Kind == KindMsg {
 		l.msgSeq = append(l.msgSeq, d.Msg)
 		l.order = append(l.order, msgEntry{pos: p, id: d.Msg})
-	case KindPos:
-		l.tuples[d.Msg] = append(l.tuples[d.Msg], posTuple{h: d.H, i: d.I})
-	case KindCons:
-		if l.decided == nil {
-			l.decided = make(map[consKey]int)
-		}
-		l.decided[consKey{d.Msg, d.H}] = d.I
 	}
 	return p
 }
@@ -202,51 +242,54 @@ func (l *Log) Append(d Datum) int {
 // Decided returns the decision of CONS_{m,f}: the k of the first (m, f, k)
 // proposal appended, and whether there is one yet.
 func (l *Log) Decided(m msg.ID, f groups.GroupSet) (int, bool) {
-	k, ok := l.decided[consKey{m, groups.GroupID(f)}]
-	return k, ok
+	if it := l.decision(l.recs[m], groups.GroupID(f)); it != nil {
+		return it.i, true
+	}
+	return 0, false
 }
 
 // Appended reports whether append(d) has nothing left to do: d is in the
 // log, or d proposes to a CONS_{m,f} that is already decided.
 func (l *Log) Appended(d Datum) bool {
-	if l.slots[d].pos != 0 {
-		return true
+	first := l.recs[d.Msg]
+	if d.Kind == KindCons {
+		return l.decision(first, d.H) != nil
 	}
-	if d.Kind != KindCons {
-		return false
-	}
-	_, ok := l.decided[consKey{d.Msg, d.H}]
-	return ok
+	return l.find(first, d) != nil
 }
 
 // Pos returns the position of d, or 0 if d is absent.
-func (l *Log) Pos(d Datum) int { return l.slots[d].pos }
+func (l *Log) Pos(d Datum) int {
+	if it := l.lookup(d); it != nil {
+		return it.pos
+	}
+	return 0
+}
 
 // Contains reports whether d is in the log.
-func (l *Log) Contains(d Datum) bool { return l.slots[d].pos != 0 }
+func (l *Log) Contains(d Datum) bool { return l.lookup(d) != nil }
 
 // BumpAndLock moves d from its slot s to slot max(k, s) and locks it there.
 // Once locked a datum cannot be bumped anymore, so a second call is a no-op.
 // Calling BumpAndLock on an absent datum is a bug in the caller and panics.
 func (l *Log) BumpAndLock(d Datum, k int) {
-	s, ok := l.slots[d]
-	if !ok {
+	it := l.lookup(d)
+	if it == nil {
 		panic(fmt.Sprintf("logobj: BumpAndLock(%v) on absent datum in %s", d, l.name))
 	}
-	if s.locked {
+	if it.locked {
 		return
 	}
-	if k > s.pos {
+	if k > it.pos {
 		if d.Kind == KindMsg {
-			l.moveUp(s.pos, k, d.Msg)
+			l.moveUp(it.pos, k, d.Msg)
 		}
-		s.pos = k
+		it.pos = k
 		if k >= l.head {
 			l.head = k + 1
 		}
 	}
-	s.locked = true
-	l.slots[d] = s
+	it.locked = true
 }
 
 // moveUp re-ranks message id from position from to the higher position to:
@@ -286,14 +329,16 @@ func (l *Log) search(pos int, id msg.ID) int {
 }
 
 // Locked reports whether d is locked in the log.
-func (l *Log) Locked(d Datum) bool { return l.slots[d].locked }
+func (l *Log) Locked(d Datum) bool {
+	it := l.lookup(d)
+	return it != nil && it.locked
+}
 
 // Less reports d <_L d': both in the log, and either at a lower position or
 // tied on position and smaller in the a-priori order.
 func (l *Log) Less(d, o Datum) bool {
-	sd, ok1 := l.slots[d]
-	so, ok2 := l.slots[o]
-	if !ok1 || !ok2 {
+	sd, so := l.lookup(d), l.lookup(o)
+	if sd == nil || so == nil {
 		return false
 	}
 	if sd.pos != so.pos {
@@ -302,25 +347,30 @@ func (l *Log) Less(d, o Datum) bool {
 	return d.Less(o)
 }
 
-// Items returns every datum in <_L order: the message order merged with the
-// (sorted) tuples.
+// Items returns every datum in <_L order.
 func (l *Log) Items() []Datum {
-	rest := make([]Datum, 0, len(l.slots)-len(l.order))
-	for d := range l.slots {
-		if d.Kind != KindMsg {
-			rest = append(rest, d)
+	type placed struct {
+		d   Datum
+		pos int
+	}
+	all := make([]placed, 0, len(l.items)-1)
+	for m, r := range l.recs {
+		for ; r != 0; r = l.items[r].next {
+			it := &l.items[r]
+			all = append(all, placed{it.datum(m), it.pos})
 		}
 	}
-	sort.Slice(rest, func(i, j int) bool { return l.Less(rest[i], rest[j]) })
-	out := make([]Datum, 0, len(l.slots))
-	for _, e := range l.order {
-		m := MsgDatum(e.id)
-		for len(rest) > 0 && l.Less(rest[0], m) {
-			out, rest = append(out, rest[0]), rest[1:]
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].pos != all[j].pos {
+			return all[i].pos < all[j].pos
 		}
-		out = append(out, m)
+		return all[i].d.Less(all[j].d)
+	})
+	out := make([]Datum, len(all))
+	for i, p := range all {
+		out[i] = p.d
 	}
-	return append(out, rest...)
+	return out
 }
 
 // Messages returns the message IDs present as KindMsg data, in <_L order.
@@ -350,12 +400,12 @@ func (l *Log) MessagesSince(from int) []msg.ID {
 // not allocate, and it costs the ranks between minPos and d plus the search
 // for minPos — never the length of the log. fn must not mutate the log.
 func (l *Log) ScanBefore(d Datum, minPos int, fn func(m msg.ID, pos int) bool) {
-	s, ok := l.slots[d]
-	if !ok {
+	it := l.lookup(d)
+	if it == nil {
 		return
 	}
 	for _, e := range l.order[l.search(minPos, math.MinInt64):] {
-		if e.pos > s.pos || (e.pos == s.pos && !MsgDatum(e.id).Less(d)) {
+		if e.pos > it.pos || (e.pos == it.pos && !MsgDatum(e.id).Less(d)) {
 			return
 		}
 		if !fn(e.id, e.pos) {
@@ -379,19 +429,22 @@ func (l *Log) MessagesBefore(d Datum) []msg.ID {
 // MaxPosTuple returns max{i : (m,-,i) ∈ L} over KindPos tuples for message
 // m, and whether any such tuple exists (line 19 of Algorithm 1).
 func (l *Log) MaxPosTuple(m msg.ID) (int, bool) {
-	max := 0
-	for _, t := range l.tuples[m] {
-		if t.i > max {
-			max = t.i
+	max, found := 0, false
+	for r := l.recs[m]; r != 0; r = l.items[r].next {
+		if it := &l.items[r]; Kind(it.kind) == KindPos {
+			found = true
+			if it.i > max {
+				max = it.i
+			}
 		}
 	}
-	return max, len(l.tuples[m]) > 0
+	return max, found
 }
 
 // HasPosTuple reports whether some (m, h, -) tuple is in the log.
 func (l *Log) HasPosTuple(m msg.ID, h groups.GroupID) bool {
-	for _, t := range l.tuples[m] {
-		if t.h == h {
+	for r := l.recs[m]; r != 0; r = l.items[r].next {
+		if it := &l.items[r]; Kind(it.kind) == KindPos && it.h == h {
 			return true
 		}
 	}
@@ -406,9 +459,9 @@ func (l *Log) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		s := l.slots[d]
-		fmt.Fprintf(&b, "%v@%d", d, s.pos)
-		if s.locked {
+		it := l.lookup(d)
+		fmt.Fprintf(&b, "%v@%d", d, it.pos)
+		if it.locked {
 			b.WriteByte('!')
 		}
 	}

@@ -285,3 +285,19 @@ func TestDatumOrderAndString(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
+
+// TestAppendOfNoKindPanics: a datum of none of the four kinds is a caller's
+// bug, as DecodeDatum's rejection of one says; Append refuses it rather than
+// store it under a kind the arena cannot hold.
+func TestAppendOfNoKindPanics(t *testing.T) {
+	for _, k := range []Kind{0, KindCons + 1, KindMsg + 256, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append of a kind-%d datum did not panic", k)
+				}
+			}()
+			New("kinds").Append(Datum{Kind: k, Msg: 1})
+		}()
+	}
+}

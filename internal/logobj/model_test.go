@@ -1,6 +1,7 @@
 package logobj
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -125,22 +126,39 @@ func (l *refLog) HasPosTuple(m msg.ID, h groups.GroupID) bool {
 	return false
 }
 
+// consKey names CONS_{m,f}; f is held the way Datum.H carries it.
+type consKey struct {
+	m msg.ID
+	f groups.GroupID
+}
+
 // modelPair drives a Log and its reference model with the same operations
 // and compares every read after each of them.
 type modelPair struct {
 	l   *Log
 	ref *refLog
-	// maxMsg and maxGroup bound the message and group identifiers the
-	// operations draw from; the tuple reads are compared over that range.
-	maxMsg   msg.ID
+	// ids are the message identifiers the operations draw from followed by
+	// one they never use, maxGroup bounds the group identifiers; the tuple
+	// reads are compared over both ranges.
+	ids      []msg.ID
 	maxGroup groups.GroupID
 	// decided remembers the first decision seen per CONS_{m,f}: no later
 	// operation may change it.
 	decided map[consKey]int
 }
 
+// newModelPair draws messages from 1..maxMsg.
 func newModelPair(maxMsg msg.ID, maxGroup groups.GroupID) *modelPair {
-	return &modelPair{l: New("model"), ref: newRefLog(), maxMsg: maxMsg, maxGroup: maxGroup}
+	ids := make([]msg.ID, 0, maxMsg+1)
+	for m := msg.ID(1); m <= maxMsg+1; m++ {
+		ids = append(ids, m)
+	}
+	return newModelPairOver(ids, maxGroup)
+}
+
+// newModelPairOver draws messages from ids, all but the last.
+func newModelPairOver(ids []msg.ID, maxGroup groups.GroupID) *modelPair {
+	return &modelPair{l: New("model"), ref: newRefLog(), ids: ids, maxGroup: maxGroup}
 }
 
 func (mp *modelPair) append(t testing.TB, d Datum) {
@@ -197,7 +215,7 @@ func (mp *modelPair) check(t testing.TB) {
 	if got := l.Messages(); len(got) != len(wantMsgs) || (len(got) > 0 && !reflect.DeepEqual(got, wantMsgs)) {
 		t.Fatalf("Messages = %v, model says %v", got, wantMsgs)
 	}
-	probes := append(items, MsgDatum(mp.maxMsg+1)) // and one absent datum
+	probes := append(items, MsgDatum(mp.ids[len(mp.ids)-1])) // and one absent datum
 	for _, d := range probes {
 		if got, want := l.Pos(d), ref.pos[d]; got != want {
 			t.Fatalf("Pos(%v) = %d, model says %d", d, got, want)
@@ -237,7 +255,7 @@ func (mp *modelPair) check(t testing.TB) {
 			}
 		}
 	}
-	for m := msg.ID(1); m <= mp.maxMsg+1; m++ {
+	for _, m := range mp.ids {
 		gi, gok := l.MaxPosTuple(m)
 		wi, wok := ref.MaxPosTuple(m)
 		if gi != wi || gok != wok {
@@ -275,11 +293,17 @@ func (mp *modelPair) check(t testing.TB) {
 	}
 }
 
+// wireIDs are message identifiers a datum decoded off the wire may carry
+// besides the registered ones: the null ID, negative ones, the extremes of
+// the range. The last is never appended.
+var wireIDs = []msg.ID{0, -1, -7, 1, 2, 1 << 62, 1<<62 + 1, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1}
+
 // TestIndexAgainstModel drives the indexed log and the map-scan model with
 // random operation sequences built to hit what the index could get wrong:
 // bumps onto occupied positions (ties broken by message ID), bumps past many
 // ranks, bumps of data that are already locked, and position and stability
-// tuples appended (and bumped) between the messages.
+// tuples appended (and bumped) between the messages — over registered
+// message IDs, and over the IDs a datum off the wire may carry (wireIDs).
 func TestIndexAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	trials := 200
@@ -287,10 +311,13 @@ func TestIndexAgainstModel(t *testing.T) {
 		trials = 40
 	}
 	const maxMsg, maxGroup = 14, 3
-	for trial := 0; trial < trials; trial++ {
+	for trial := 0; trial < trials+trials/4; trial++ {
 		mp := newModelPair(maxMsg, maxGroup)
+		if trial >= trials {
+			mp = newModelPairOver(wireIDs, maxGroup)
+		}
 		randDatum := func() Datum {
-			m := msg.ID(rng.Intn(maxMsg) + 1)
+			m := mp.ids[rng.Intn(len(mp.ids)-1)]
 			switch rng.Intn(7) {
 			case 0:
 				return PosDatum(m, groups.GroupID(rng.Intn(maxGroup+1)), rng.Intn(20))

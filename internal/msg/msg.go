@@ -4,6 +4,7 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/groups"
@@ -86,18 +87,16 @@ func (m *Message) String() string {
 // Registry assigns identifiers and resolves them back to messages. A single
 // registry is shared by every process of a run (message identity is global);
 // live-backend runs register from the driver while nodes resolve
-// concurrently, hence the lock.
+// concurrently, hence the lock. IDs are positional — message i+1 is msgs[i]
+// — because the registry alone assigns them, in order.
 type Registry struct {
 	mu   sync.RWMutex
-	next ID
-	byID map[ID]*Message
+	msgs []*Message
 }
 
 // NewRegistry returns an empty registry. The first assigned ID is 1 so that
 // None never collides with a real message.
-func NewRegistry() *Registry {
-	return &Registry{next: 1, byID: make(map[ID]*Message)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // New registers a fresh message (conflict class ClassAll).
 func (r *Registry) New(src groups.Process, dst groups.GroupID, payload []byte) *Message {
@@ -108,9 +107,8 @@ func (r *Registry) New(src groups.Process, dst groups.GroupID, payload []byte) *
 func (r *Registry) NewClassed(src groups.Process, dst groups.GroupID, payload []byte, class Class) *Message {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := &Message{ID: r.next, Src: src, Dst: dst, Payload: payload, Class: class}
-	r.next++
-	r.byID[m.ID] = m
+	m := &Message{ID: ID(len(r.msgs) + 1), Src: src, Dst: dst, Payload: payload, Class: class}
+	r.msgs = append(r.msgs, m)
 	return m
 }
 
@@ -118,10 +116,13 @@ func (r *Registry) NewClassed(src groups.Process, dst groups.GroupID, payload []
 // daemon of a multi-process deployment can read an ID off a shared log
 // before it has announced that message itself.
 func (r *Registry) Lookup(id ID) (*Message, bool) {
+	var m *Message
 	r.mu.RLock()
-	m, ok := r.byID[id]
+	if id >= 1 && id <= ID(len(r.msgs)) {
+		m = r.msgs[id-1]
+	}
 	r.mu.RUnlock()
-	return m, ok
+	return m, m != nil
 }
 
 // Get resolves an ID the caller knows is registered; it panics on unknown
@@ -138,18 +139,12 @@ func (r *Registry) Get(id ID) *Message {
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.byID)
+	return len(r.msgs)
 }
 
 // All returns every registered message in ID order.
 func (r *Registry) All() []*Message {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Message, 0, len(r.byID))
-	for id := ID(1); id < r.next; id++ {
-		if m, ok := r.byID[id]; ok {
-			out = append(out, m)
-		}
-	}
-	return out
+	return slices.Clone(r.msgs)
 }

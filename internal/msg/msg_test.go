@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"math"
 	"testing"
 )
 
@@ -35,6 +36,26 @@ func TestRegistryGetUnknownPanics(t *testing.T) {
 		}
 	}()
 	NewRegistry().Get(99)
+}
+
+// TestRegistryLookupOutOfRange: an ID the registry has not assigned — the
+// null ID, a negative one, the next one, the largest — resolves to nothing,
+// as an ID read off a peer's op before its message is announced here must.
+func TestRegistryLookupOutOfRange(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 3; i++ {
+		r.New(0, 0, nil)
+	}
+	for _, id := range []ID{0, -1, ID(r.Len() + 1), math.MaxInt64, math.MinInt64} {
+		if m, ok := r.Lookup(id); ok || m != nil {
+			t.Errorf("Lookup(%d) = %v, %v; want nothing", id, m, ok)
+		}
+	}
+	for id := ID(1); id <= ID(r.Len()); id++ {
+		if m, ok := r.Lookup(id); !ok || m.ID != id {
+			t.Errorf("Lookup(%d) = %v, %v", id, m, ok)
+		}
+	}
 }
 
 func TestRegistryAllInOrder(t *testing.T) {

@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -341,9 +342,12 @@ type Node struct {
 
 	// mu guards the learner: what the node has learnt per slot, the
 	// channels of proposals waiting for what it has not, and rec, the
-	// buffer decide records are encoded into.
+	// buffer decide records are encoded into. Only Propose waits, so the
+	// waiters sit in a side table of their own instead of in every slot's
+	// entry; it is empty whenever no Propose waits.
 	mu      sync.Mutex
 	decided slotTable[learnt]
+	waiters []waiter
 	rec     []byte
 
 	// leaseMu guards the proposer-lease table and the refusal-ballot
@@ -401,12 +405,16 @@ type Node struct {
 	fenced atomic.Bool
 }
 
-// learnt is the learner's entry of one slot: its decision once known, and
-// until then the channels of the proposals waiting for it (await).
+// learnt is the learner's entry of one slot: its decision once known.
 type learnt struct {
-	val     Value
-	has     bool
-	waiters []chan Value
+	val Value
+	has bool
+}
+
+// waiter is a Propose waiting for the decision of inst (await).
+type waiter struct {
+	inst InstanceID
+	ch   chan Value
 }
 
 // Fence marks this node as a dead incarnation: Propose and ProposeWindowed
@@ -709,10 +717,15 @@ func (n *Node) recordDecision(inst InstanceID, v Value) {
 		obs.Inc(&n.counters.Decisions)
 		l.val, l.has = v, true
 		n.walDecide(inst, v)
-		for _, ch := range l.waiters {
-			ch <- v
+		if len(n.waiters) > 0 {
+			n.waiters = slices.DeleteFunc(n.waiters, func(w waiter) bool {
+				if w.inst != inst {
+					return false
+				}
+				w.ch <- v
+				return true
+			})
 		}
-		l.waiters = nil
 	}
 	n.mu.Unlock()
 	if !seen {
@@ -761,17 +774,26 @@ func (n *Node) Decided(inst InstanceID) (Value, bool) {
 
 // await returns a channel that delivers the decision of inst once it is
 // learnt locally (immediately if already known) — what Propose waits on.
-// The channel never closes; select against Done for shutdown.
+// The channel never closes; select against Done for shutdown, and unawait
+// a channel given up on.
 func (n *Node) await(inst InstanceID) <-chan Value {
 	ch := make(chan Value, 1)
 	n.mu.Lock()
-	if l := n.decided.at(inst); l.has {
+	if l := n.decided.get(inst); l != nil && l.has {
 		ch <- l.val
 	} else {
-		l.waiters = append(l.waiters, ch)
+		n.waiters = append(n.waiters, waiter{inst, ch})
 	}
 	n.mu.Unlock()
 	return ch
+}
+
+// unawait drops ch from the waiter table, if its decision has not taken it
+// out already.
+func (n *Node) unawait(ch <-chan Value) {
+	n.mu.Lock()
+	n.waiters = slices.DeleteFunc(n.waiters, func(w waiter) bool { return w.ch == ch })
+	n.mu.Unlock()
 }
 
 // Done is closed when the node's message loop exits (network shutdown).
@@ -1094,7 +1116,7 @@ func (n *Node) ProposeWindowed(inst *Instance, v Value, res chan<- WindowResult)
 // Leaders of MultiPaxos realms ride the lease fast path when one is held.
 // Propose never returns a wrong value; it returns ok=false only when the
 // network shuts down first.
-func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
+func (n *Node) Propose(inst *Instance, v Value) (_ Value, ok bool) {
 	obs.Inc(&n.counters.Proposals)
 	if n.fenced.Load() {
 		return nil, false
@@ -1103,6 +1125,11 @@ func (n *Node) Propose(inst *Instance, v Value) (Value, bool) {
 		return got, true
 	}
 	decidedCh := n.await(inst.ID)
+	defer func() {
+		if !ok { // a decision has not taken the channel out of the table
+			n.unawait(decidedCh)
+		}
+	}()
 	ballotRound := n.propRoundFloor()
 	// Non-leaders park on the decision channel for one hedge window before
 	// proposing themselves. One timer for the whole window, not a polling

@@ -12,6 +12,8 @@ type nodeState struct {
 	accepted map[InstanceID]AcceptedVal
 	// acceptorPages and learnerPages are the pages the two slot tables hold.
 	acceptorPages, learnerPages map[pageKey]bool
+	// waiting counts the waiter table's entries per instance.
+	waiting map[InstanceID]int
 	// round reports whether a round holds the asked instance, and voters the
 	// acceptors it has counted so far.
 	round  bool
@@ -28,9 +30,9 @@ func tablePages[E any](t slotTable[E]) map[pageKey]bool {
 }
 
 // peek is the one reader of a node's internals for tests: the acceptor's
-// tables, the learner's pages and the phase table entry at id.
+// tables, the learner's pages and waiters and the phase table entry at id.
 func peek(n *Node, id InstanceID) nodeState {
-	st := nodeState{accepted: make(map[InstanceID]AcceptedVal)}
+	st := nodeState{accepted: make(map[InstanceID]AcceptedVal), waiting: make(map[InstanceID]int)}
 	n.acc.mu.Lock()
 	st.promised = len(n.acc.promised)
 	for k, pg := range n.acc.accepted {
@@ -44,6 +46,9 @@ func peek(n *Node, id InstanceID) nodeState {
 	n.acc.mu.Unlock()
 	n.mu.Lock()
 	st.learnerPages = tablePages(n.decided)
+	for _, w := range n.waiters {
+		st.waiting[w.inst]++
+	}
 	n.mu.Unlock()
 	n.phMu.Lock()
 	if ph := n.phases[id]; ph != nil {

@@ -6,9 +6,12 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/groups"
 	"repro/internal/net"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // slotModel is the plain-map reference the slot tables are held against:
@@ -18,7 +21,6 @@ type slotModel struct {
 	accepted map[InstanceID]AcceptedVal
 	leases   map[realmKey]leaseGrant
 	decided  map[InstanceID]Value
-	awaited  map[InstanceID]bool
 }
 
 func (m *slotModel) floor(id InstanceID) int64 {
@@ -114,7 +116,8 @@ func fuzzSlot(sel byte) int64 {
 // through handleAccept, handlePrepare (point or Range), recordDecision,
 // Decided, await, WatchRealm or SnapshotDecisions and compares the result
 // with the model's. After every op each table holds exactly the pages of
-// the slots it has state for — an extreme slot costs one page — and at the
+// the slots it has state for — an extreme slot costs one page, and a wait
+// none — the waiter table exactly the awaited slots not yet decided, and at the
 // end a node recovered from the WAL holds the same decisions and accepted
 // values.
 func FuzzSlotTable(f *testing.F) {
@@ -133,7 +136,7 @@ func FuzzSlotTable(f *testing.F) {
 		n := StartNodeWithConfig(nw, 0, Config{WAL: wal})
 		m := &slotModel{
 			promised: map[InstanceID]int64{}, accepted: map[InstanceID]AcceptedVal{},
-			leases: map[realmKey]leaseGrant{}, decided: map[InstanceID]Value{}, awaited: map[InstanceID]bool{},
+			leases: map[realmKey]leaseGrant{}, decided: map[InstanceID]Value{},
 		}
 		type wait struct {
 			id InstanceID
@@ -163,7 +166,6 @@ func FuzzSlotTable(f *testing.F) {
 				}
 			case 3:
 				waits = append(waits, wait{id, n.await(id)})
-				m.awaited[id] = true
 			case 4:
 				if got := n.SnapshotDecisions(); !reflect.DeepEqual(got, m.decided) {
 					t.Fatalf("op %d: SnapshotDecisions = %v; model %v", i/4, got, m.decided)
@@ -195,15 +197,17 @@ func FuzzSlotTable(f *testing.F) {
 			if want := pagesOf(m.accepted); !reflect.DeepEqual(st.acceptorPages, want) {
 				t.Fatalf("op %d: acceptor holds pages %v; its accepted slots touch %v", i/4, st.acceptorPages, want)
 			}
-			learn := make(map[InstanceID]bool, len(m.decided)+len(m.awaited))
-			for id := range m.decided {
-				learn[id] = true
+			if want := pagesOf(m.decided); !reflect.DeepEqual(st.learnerPages, want) {
+				t.Fatalf("op %d: learner holds pages %v; its decided slots touch %v", i/4, st.learnerPages, want)
 			}
-			for id := range m.awaited {
-				learn[id] = true
+			// The waiter table holds the awaited slots still undecided, once
+			// per wait, and nothing else.
+			waiting := make(map[InstanceID]int)
+			for _, w := range waits {
+				waiting[w.id]++
 			}
-			if want := pagesOf(learn); !reflect.DeepEqual(st.learnerPages, want) {
-				t.Fatalf("op %d: learner holds pages %v; its decided and awaited slots touch %v", i/4, st.learnerPages, want)
+			if !reflect.DeepEqual(st.waiting, waiting) {
+				t.Fatalf("op %d: waiter table holds %v; the undecided awaits are %v", i/4, st.waiting, waiting)
 			}
 		}
 		// Recovery rebuilds the same tables from the records they appended.
@@ -214,6 +218,102 @@ func FuzzSlotTable(f *testing.F) {
 		}
 		if got := peek(r, InstanceID{}).accepted; !reflect.DeepEqual(got, m.accepted) {
 			t.Fatalf("recovered accepted values %v; model %v", got, m.accepted)
+		}
+	})
+}
+
+// TestProposeWaitsInWaiterTable follows a waiting Propose through the
+// learner's side table: it completes with the decision whether that arrives
+// in a decide frame, in the answer to its own prepare (taught instead of
+// duelled), or was learnt before the wait began; and whichever way Propose
+// returns, shutdown included, it leaves no waiter and no learner page of an
+// undecided slot behind.
+func TestProposeWaitsInWaiterTable(t *testing.T) {
+	scope := groups.NewProcSet(0, 1, 2)
+	mkInst := func(slot int64, leader groups.Process) *Instance {
+		return &Instance{ID: InstanceID{Space: SpaceTest, Realm: 3, Slot: slot}, Scope: scope,
+			Leader: func(groups.Process) groups.Process { return leader }}
+	}
+	propose := func(n *Node, inst *Instance, v Value) <-chan Value {
+		out := make(chan Value, 1)
+		go func() {
+			got, _ := n.Propose(inst, v)
+			out <- got
+		}()
+		return out
+	}
+	waitFor := func(t *testing.T, n *Node, id InstanceID) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); peek(n, id).waiting[id] == 0; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("Propose(%+v) never entered the waiter table", id)
+			}
+		}
+	}
+	settled := func(t *testing.T, n *Node, id InstanceID, out <-chan Value, want Value) {
+		t.Helper()
+		var got Value
+		select {
+		case got = <-out:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Propose(%+v) still waiting 10 s after its decision", id)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("Propose(%+v) = %v, want the decision %v", id, got, want)
+		}
+		if st := peek(n, id); len(st.waiting) != 0 {
+			t.Fatalf("waiter table holds %v after the decision", st.waiting)
+		}
+	}
+
+	t.Run("decide frame", func(t *testing.T) {
+		// p1 and p2 never run: p0 waits on p1's lead, then duels alone, and
+		// only the decide frame ends it.
+		nw := net.New(3)
+		defer nw.Close()
+		n := StartNode(nw, 0)
+		inst, want := mkInst(1, 1), I64Value(41)
+		out := propose(n, inst, I64Value(7))
+		waitFor(t, n, inst.ID)
+		nw.Send(1, 0, wire.TPaxDecide, DecideMsg{Inst: inst.ID, Val: want})
+		settled(t, n, inst.ID, out, want)
+	})
+
+	t.Run("taught prepare", func(t *testing.T) {
+		// p1 learnt the slot before p0 leads it: p0's prepare is answered
+		// with the decision.
+		nw := net.New(3)
+		defer nw.Close()
+		n, peer := StartNode(nw, 0), StartNode(nw, 1)
+		inst, want := mkInst(2, 0), I64Value(42)
+		peer.recordDecision(inst.ID, want)
+		settled(t, n, inst.ID, propose(n, inst, I64Value(7)), want)
+	})
+
+	t.Run("decided before the wait", func(t *testing.T) {
+		nw := net.New(3)
+		defer nw.Close()
+		n := StartNode(nw, 0)
+		inst, want := mkInst(3, 1), I64Value(43)
+		n.recordDecision(inst.ID, want)
+		if got := <-n.await(inst.ID); !got.Equal(want) {
+			t.Fatalf("await of a decided slot delivered %v, want %v", got, want)
+		}
+		settled(t, n, inst.ID, propose(n, inst, I64Value(7)), want)
+	})
+
+	t.Run("shutdown", func(t *testing.T) {
+		nw := net.New(3)
+		n := StartNode(nw, 0)
+		inst := mkInst(4, 1)
+		out := propose(n, inst, I64Value(7))
+		waitFor(t, n, inst.ID)
+		nw.Close()
+		if got := <-out; got != nil {
+			t.Fatalf("Propose returned %v after shutdown", got)
+		}
+		if st := peek(n, inst.ID); len(st.waiting) != 0 || len(st.learnerPages) != 0 {
+			t.Fatalf("an abandoned wait left waiters %v and learner pages %v", st.waiting, st.learnerPages)
 		}
 	})
 }
