@@ -226,12 +226,14 @@ func (cl *logCluster) rep(p int) *replog.Replica {
 // durable — until the nemesis quiesces. Liveness after quiesce: a fence
 // append lands at every replica (the rebooted incarnations included). Safety:
 // the paxos decision maps agree bit-for-bit across every pair of nodes, the
-// applied logs agree on their common prefix, and the replicas' local apply
-// orders pass the pairwise-ordering checker (the paper's Ordering property
-// restricted to one scope).
+// applied-op journals agree on their common prefix, and the replicas' local
+// apply orders pass the pairwise-ordering checker (the paper's Ordering
+// property restricted to one scope).
 func logWorkload(durable bool) func(chaos.Plan) error {
 	return func(plan chaos.Plan) error {
 		n := plan.N
+		replog.SetJournal(true)
+		defer replog.SetJournal(false)
 		cl := newLogCluster(n, plan.Seed, durable)
 		defer cl.c.Close()
 
@@ -309,19 +311,15 @@ func logWorkload(durable bool) func(chaos.Plan) error {
 			}
 		}
 
-		// Applied-log agreement: common prefix bit-for-bit, plus the pairwise
-		// ordering checker over the full local orders.
-		ref := reps[0].Snapshot()
+		// Applied-log agreement: the applied journals' common prefix
+		// bit-for-bit, plus the pairwise ordering checker over the full local
+		// orders.
 		orders := make(map[groups.Process][]msg.ID, n)
 		for p, r := range reps {
-			snap := r.Snapshot()
-			for i := 0; i < len(snap) && i < len(ref); i++ {
-				if snap[i] != ref[i] {
-					return fmt.Errorf("applied log forked at position %d: %v at p0 vs %v at p%d",
-						i, ref[i], snap[i], p)
-				}
+			if err := replog.JournalFork(reps[0].Journal(), r.Journal()); err != nil {
+				return fmt.Errorf("p0 vs p%d: %v", p, err)
 			}
-			for _, d := range snap {
+			for _, d := range r.Snapshot() {
 				orders[groups.Process(p)] = append(orders[groups.Process(p)], d.Msg)
 			}
 		}

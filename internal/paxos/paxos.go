@@ -82,8 +82,8 @@ const (
 )
 
 // InstanceID is the comparable identity of one consensus instance: a slot
-// of a realm. Per-slot state is not keyed by it — the acceptor and the
-// learner keep a slot in a page of its realm (slotTable).
+// of a realm. Per-slot state is not keyed by it — a node keeps a slot in a
+// page of its realm (slotTable).
 type InstanceID struct {
 	Space uint8
 	Realm uint64
@@ -159,24 +159,8 @@ type Instance struct {
 	MultiPaxos bool
 }
 
-// acceptor is the per-process acceptor state of all instances.
-type acceptor struct {
-	mu sync.Mutex
-	// promised holds point promises, made only by a plain prepare: a
-	// serving run's slots are covered by a lease grant and their accepted
-	// ballots, and leave it empty.
-	promised map[InstanceID]int64
-	accepted slotTable[AcceptedVal]
-	// leases holds range promises: a grant at (ballot, fromSlot) promises
-	// every slot ≥ fromSlot of the realm at once. The effective promise
-	// floor of an instance is the max of its point promise and any
-	// covering range promise.
-	leases map[realmKey]leaseGrant
-	// rec is the buffer WAL records are encoded into (walPromise, walLease,
-	// walAccept): the WAL copies a record's data on Append.
-	rec []byte
-}
-
+// leaseGrant is an acceptor's range promise: a grant at (Ballot, FromSlot)
+// promises every slot ≥ FromSlot of the realm at once.
 type leaseGrant struct {
 	Ballot   int64
 	FromSlot int64
@@ -188,15 +172,15 @@ type AcceptedVal struct {
 	Has    bool
 }
 
-// floorLocked returns the effective promise floor of inst (caller holds mu):
-// the highest of its point promise, its accepted ballot — accepting at b is
-// promising b — and any covering range promise.
-func (a *acceptor) floorLocked(inst InstanceID) int64 {
-	f := a.promised[inst]
-	if av := a.accepted.get(inst); av != nil && av.Ballot > f {
-		f = av.Ballot
+// floorLocked returns the effective promise floor of inst, whose entry is e
+// or nil (caller holds mu): the highest of its point promise, its accepted
+// ballot — accepting at b is promising b — and any covering range promise.
+func (n *Node) floorLocked(inst InstanceID, e *entry) int64 {
+	var f int64
+	if e != nil {
+		f = max(e.promised, e.ballot)
 	}
-	if lg, ok := a.leases[inst.realm()]; ok && inst.Slot >= lg.FromSlot && lg.Ballot > f {
+	if lg, ok := n.grants[inst.realm()]; ok && inst.Slot >= lg.FromSlot && lg.Ballot > f {
 		f = lg.Ballot
 	}
 	return f
@@ -333,20 +317,18 @@ type Node struct {
 	p        groups.Process
 	counters *obs.PaxosCounters
 	wal      storage.WAL
-	acc      *acceptor
 	done     chan struct{}
 
 	// outbox holds responses deferred by the message loop until the next
 	// group-commit Sync. Only the loop goroutine touches it.
 	outbox []pendingResp
 
-	// mu guards the learner: what the node has learnt per slot, the
-	// channels of proposals waiting for what it has not, and rec, the
-	// buffer decide records are encoded into. Only Propose waits, so the
-	// waiters sit in a side table of their own instead of in every slot's
-	// entry; it is empty whenever no Propose waits.
+	// mu guards every slot's entry, the acceptor's range promises, the
+	// Propose calls waiting for a decision — a side table, empty whenever
+	// none waits — and rec, the buffer WAL records are encoded into.
 	mu      sync.Mutex
-	decided slotTable[learnt]
+	slots   slotTable
+	grants  map[realmKey]leaseGrant
 	waiters []waiter
 	rec     []byte
 
@@ -403,12 +385,6 @@ type Node struct {
 	// claiming ballots and firing rounds, so a power-cycled node's leftover
 	// goroutines cannot race its successor.
 	fenced atomic.Bool
-}
-
-// learnt is the learner's entry of one slot: its decision once known.
-type learnt struct {
-	val Value
-	has bool
 }
 
 // waiter is a Propose waiting for the decision of inst (await).
@@ -479,17 +455,10 @@ func (n *Node) WatchRealm(space uint8, realm uint64, saw func(slot int64, decide
 	n.watches.Store(&ws)
 	n.hmu.Unlock()
 	top, decided := int64(-1), false
-	n.acc.mu.Lock()
-	n.acc.accepted.each(rk, 0, func(slot int64, av *AcceptedVal) {
-		if av.Has && slot > top {
-			top = slot
-		}
-	})
-	n.acc.mu.Unlock()
 	n.mu.Lock()
-	n.decided.each(rk, 0, func(slot int64, l *learnt) {
-		if l.has && slot >= top {
-			top, decided = slot, true
+	n.slots.each(rk, 0, func(slot int64, e *entry) {
+		if e.accepted || e.decided {
+			top, decided = slot, e.decided
 		}
 	})
 	n.mu.Unlock()
@@ -537,17 +506,13 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 		p:        p,
 		counters: cfg.Counters,
 		wal:      cfg.WAL,
-		acc: &acceptor{
-			promised: make(map[InstanceID]int64),
-			accepted: make(slotTable[AcceptedVal]),
-			leases:   make(map[realmKey]leaseGrant),
-		},
-		decided: make(slotTable[learnt]),
-		done:    make(chan struct{}),
-		leases:  make(map[realmKey]*proposerLease),
-		highest: make(map[realmKey]int64),
-		phases:  make(map[InstanceID]*phase),
-		depth:   make(map[realmKey]int),
+		slots:    make(slotTable),
+		grants:   make(map[realmKey]leaseGrant),
+		done:     make(chan struct{}),
+		leases:   make(map[realmKey]*proposerLease),
+		highest:  make(map[realmKey]int64),
+		phases:   make(map[InstanceID]*phase),
+		depth:    make(map[realmKey]int),
 	}
 	if n.counters == nil {
 		n.counters = new(obs.PaxosCounters)
@@ -653,69 +618,73 @@ func (n *Node) reply(to groups.Process, t net.MsgType, body any) {
 // handlePrepare runs the acceptor's phase-1 rule. A known decision
 // short-circuits the round: late proposers get taught instead of duelled.
 func (n *Node) handlePrepare(body PrepareReq) PrepareResp {
-	if v, ok := n.Decided(body.Inst); ok {
-		return PrepareResp{Inst: body.Inst, Ballot: body.Ballot, Decided: true, DecVal: v}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	e := n.slots.get(body.Inst)
+	if e != nil && e.decided {
+		return PrepareResp{Inst: body.Inst, Ballot: body.Ballot, Decided: true, DecVal: e.val}
 	}
-	a := n.acc
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	floor := a.floorLocked(body.Inst)
+	floor := n.floorLocked(body.Inst, e)
 	if body.Ballot <= floor {
 		return PrepareResp{Inst: body.Inst, Ballot: body.Ballot, OK: false, Promised: floor}
 	}
 	resp := PrepareResp{Inst: body.Inst, Ballot: body.Ballot, OK: true}
-	if av := a.accepted.get(body.Inst); av != nil {
-		resp.Accepted = *av
+	if e != nil && e.accepted {
+		resp.Accepted = AcceptedVal{Ballot: e.ballot, Val: e.val, Has: true}
 	}
 	if body.Range {
 		// Grant a promise for every slot ≥ Inst.Slot of the realm and
 		// report the accepted values the grant must carry (the lease
-		// holder's adoption obligations). The scan is acquisition-only
-		// cost; the steady state never takes this branch.
+		// holder's adoption obligations) — a decided slot's as (its
+		// accepted ballot, the decision), never skipped (DESIGN.md §11).
+		// The scan is acquisition-only cost; the steady state never takes
+		// this branch.
 		rk := body.Inst.realm()
-		a.leases[rk] = leaseGrant{Ballot: body.Ballot, FromSlot: body.Inst.Slot}
+		n.grants[rk] = leaseGrant{Ballot: body.Ballot, FromSlot: body.Inst.Slot}
 		n.walLease(rk, body.Inst.Slot, body.Ballot)
 		if body.Inst.Slot < math.MaxInt64 {
-			a.accepted.each(rk, body.Inst.Slot+1, func(slot int64, av *AcceptedVal) {
-				if av.Has {
-					resp.Range = append(resp.Range, SlotVal{Slot: slot, Ballot: av.Ballot, Val: av.Val})
+			n.slots.each(rk, body.Inst.Slot+1, func(slot int64, e *entry) {
+				if e.accepted {
+					resp.Range = append(resp.Range, SlotVal{Slot: slot, Ballot: e.ballot, Val: e.val})
 				}
 			})
 		}
 	} else {
-		a.promised[body.Inst] = body.Ballot
-		n.walPromise(body.Inst, body.Ballot)
+		n.slots.at(body.Inst).promised = body.Ballot
+		n.walVote(walPromise, body.Inst, body.Ballot, nil)
 	}
 	return resp
 }
 
-// handleAccept runs the acceptor's phase-2 rule.
+// handleAccept runs the acceptor's phase-2 rule, teaching a known decision
+// instead of voting.
 func (n *Node) handleAccept(body AcceptReq) AcceptResp {
-	if v, ok := n.Decided(body.Inst); ok {
-		return AcceptResp{Inst: body.Inst, Ballot: body.Ballot, Decided: true, DecVal: v}
+	r := AcceptResp{Inst: body.Inst, Ballot: body.Ballot}
+	n.mu.Lock()
+	if e := n.slots.get(body.Inst); e != nil && e.decided {
+		r.Decided, r.DecVal = true, e.val
+	} else if r.Promised = n.floorLocked(body.Inst, e); body.Ballot >= r.Promised {
+		if e == nil { // a refusal touches no page
+			e = n.slots.at(body.Inst)
+		}
+		r.OK = true
+		e.accept(body.Ballot, body.Val)
+		n.walVote(walAccept, body.Inst, body.Ballot, body.Val)
 	}
-	a := n.acc
-	a.mu.Lock()
-	floor := a.floorLocked(body.Inst)
-	ok := body.Ballot >= floor
-	if ok {
-		*a.accepted.at(body.Inst) = AcceptedVal{Ballot: body.Ballot, Val: body.Val, Has: true}
-		n.walAccept(body.Inst, body.Ballot, body.Val)
-	}
-	a.mu.Unlock()
-	if ok {
+	n.mu.Unlock()
+	if r.OK {
 		n.sawSlot(body.Inst, false)
 	}
-	return AcceptResp{Inst: body.Inst, Ballot: body.Ballot, OK: ok, Promised: floor}
+	return r
 }
 
 func (n *Node) recordDecision(inst InstanceID, v Value) {
 	n.mu.Lock()
-	l := n.decided.at(inst)
-	seen := l.has
+	e := n.slots.at(inst)
+	seen := e.decided
 	if !seen {
 		obs.Inc(&n.counters.Decisions)
-		l.val, l.has = v, true
+		e.decide(v)
 		n.walDecide(inst, v)
 		if len(n.waiters) > 0 {
 			n.waiters = slices.DeleteFunc(n.waiters, func(w waiter) bool {
@@ -752,10 +721,10 @@ func (n *Node) SnapshotDecisions() map[InstanceID]Value {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make(map[InstanceID]Value)
-	for k, pg := range n.decided {
+	for k, pg := range n.slots {
 		for i := range pg {
-			if l := &pg[i]; l.has {
-				out[InstanceID{Space: k.realm.Space, Realm: k.realm.Realm, Slot: k.page<<pageBits | int64(i)}] = l.val
+			if e := &pg[i]; e.decided {
+				out[InstanceID{Space: k.realm.Space, Realm: k.realm.Realm, Slot: k.page<<pageBits | int64(i)}] = e.val
 			}
 		}
 	}
@@ -766,8 +735,8 @@ func (n *Node) SnapshotDecisions() map[InstanceID]Value {
 func (n *Node) Decided(inst InstanceID) (Value, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if l := n.decided.get(inst); l != nil && l.has {
-		return l.val, true
+	if e := n.slots.get(inst); e != nil && e.decided {
+		return e.val, true
 	}
 	return nil, false
 }
@@ -779,8 +748,8 @@ func (n *Node) Decided(inst InstanceID) (Value, bool) {
 func (n *Node) await(inst InstanceID) <-chan Value {
 	ch := make(chan Value, 1)
 	n.mu.Lock()
-	if l := n.decided.get(inst); l != nil && l.has {
-		ch <- l.val
+	if e := n.slots.get(inst); e != nil && e.decided {
+		ch <- e.val
 	} else {
 		n.waiters = append(n.waiters, waiter{inst, ch})
 	}

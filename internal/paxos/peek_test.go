@@ -8,10 +8,13 @@ import (
 // the lock that guards it.
 type nodeState struct {
 	promised int // point promises on record
-	// accepted is every slot holding an accepted value, every realm.
+	// accepted is every slot holding an accepted value, every realm, as a
+	// prepare reports it: a decided slot's value is its decision.
 	accepted map[InstanceID]AcceptedVal
-	// acceptorPages and learnerPages are the pages the two slot tables hold.
-	acceptorPages, learnerPages map[pageKey]bool
+	// held is every slot with a point promise, an accepted value or a
+	// decision, and pages the pages the slot table holds.
+	held  map[InstanceID]bool
+	pages map[pageKey]bool
 	// waiting counts the waiter table's entries per instance.
 	waiting map[InstanceID]int
 	// round reports whether a round holds the asked instance, and voters the
@@ -20,32 +23,27 @@ type nodeState struct {
 	voters groups.ProcSet
 }
 
-// tablePages is the set of pages a slot table holds.
-func tablePages[E any](t slotTable[E]) map[pageKey]bool {
-	out := make(map[pageKey]bool)
-	for k := range t {
-		out[k] = true
-	}
-	return out
-}
-
-// peek is the one reader of a node's internals for tests: the acceptor's
-// tables, the learner's pages and waiters and the phase table entry at id.
+// peek is the one reader of a node's internals for tests: the slot table,
+// the waiters and the phase table entry at id.
 func peek(n *Node, id InstanceID) nodeState {
-	st := nodeState{accepted: make(map[InstanceID]AcceptedVal), waiting: make(map[InstanceID]int)}
-	n.acc.mu.Lock()
-	st.promised = len(n.acc.promised)
-	for k, pg := range n.acc.accepted {
-		for i, av := range pg {
-			if av.Has {
-				st.accepted[InstanceID{Space: k.realm.Space, Realm: k.realm.Realm, Slot: k.page<<pageBits | int64(i)}] = av
+	st := nodeState{accepted: make(map[InstanceID]AcceptedVal), held: make(map[InstanceID]bool),
+		pages: make(map[pageKey]bool), waiting: make(map[InstanceID]int)}
+	n.mu.Lock()
+	for k, pg := range n.slots {
+		st.pages[k] = true
+		for i, e := range pg {
+			slot := InstanceID{Space: k.realm.Space, Realm: k.realm.Realm, Slot: k.page<<pageBits | int64(i)}
+			if e.promised > 0 {
+				st.promised++
+			}
+			if e.accepted {
+				st.accepted[slot] = AcceptedVal{Ballot: e.ballot, Val: e.val, Has: true}
+			}
+			if e.promised > 0 || e.accepted || e.decided {
+				st.held[slot] = true
 			}
 		}
 	}
-	st.acceptorPages = tablePages(n.acc.accepted)
-	n.acc.mu.Unlock()
-	n.mu.Lock()
-	st.learnerPages = tablePages(n.decided)
 	for _, w := range n.waiters {
 		st.waiting[w.inst]++
 	}

@@ -157,7 +157,13 @@ func TestAcceptedBallotIsAFloor(t *testing.T) {
 
 // TestRecoveredAcceptSurfacesInPhase1: an accepted value survives recovery
 // and is reported to later prepares, so a new proposer adopts it — the
-// invariant that keeps a chosen value chosen across crashes.
+// invariant that keeps a chosen value chosen across crashes. A slot that
+// accepted v′ and then learnt the decision v is reported to a Range prepare
+// below it as (its ballot, v), live and replayed, and not skipped: the
+// grantee must adopt the decision. A WAL holding an accept logged after the
+// decision of its slot — which a vote that checked "decided?" before taking
+// the acceptor's lock could append — replays to the decision at the later
+// ballot.
 func TestRecoveredAcceptSurfacesInPhase1(t *testing.T) {
 	nw, nodes, inst := walCluster(3, 0)
 	defer nw.Close()
@@ -176,6 +182,42 @@ func TestRecoveredAcceptSurfacesInPhase1(t *testing.T) {
 	if !r.Accepted.Has || r.Accepted.Ballot != 65 || r.Accepted.Val.I64() != 77 {
 		t.Fatalf("recovered acceptor lost its accepted value: %+v", r.Accepted)
 	}
+
+	// grant asks n for a Range promise from slot 2 at ballot b and wants
+	// exactly slot s reported, as (ballot, val).
+	s := InstanceID{Space: SpaceLog, Realm: 4, Slot: 5}
+	grant := func(n *Node, b, ballot int64, val Value, when string) {
+		t.Helper()
+		r := n.handlePrepare(PrepareReq{Inst: InstanceID{Space: s.Space, Realm: s.Realm, Slot: 2}, Ballot: b, Range: true})
+		want := []SlotVal{{Slot: s.Slot, Ballot: ballot, Val: val}}
+		if !r.OK || len(r.Range) != 1 || r.Range[0].Slot != want[0].Slot || r.Range[0].Ballot != ballot || !r.Range[0].Val.Equal(val) {
+			t.Fatalf("%s: range grant = %+v; want OK reporting %v", when, r, want)
+		}
+	}
+	decided, other := I64Value(41), I64Value(42)
+	if r := nodes[2].handleAccept(AcceptReq{Inst: s, Ballot: 70, Val: other}); !r.OK {
+		t.Fatalf("accept refused: %+v", r)
+	}
+	nodes[2].recordDecision(s, decided)
+	grant(nodes[2], 200, 70, decided, "decided after accepting another value")
+	nodes[2].walSync()
+	grant(powerCycle(nw, mustMem(t, nodes[2]), 2, Config{}), 300, 70, decided, "replayed")
+
+	// The older order: decide, then an accept at a later ballot.
+	one := net.New(1)
+	defer one.Close()
+	wal := storage.NewMem()
+	older := StartNodeWithConfig(one, 0, Config{WAL: wal})
+	older.recordDecision(s, decided)
+	older.mu.Lock()
+	older.walVote(walAccept, s, 90, other)
+	older.mu.Unlock()
+	older.walSync()
+	n := StartNodeWithConfig(one, 0, Config{WAL: wal})
+	if v, ok := n.Decided(s); !ok || !v.Equal(decided) {
+		t.Fatalf("decide-then-accept WAL replays Decided = %v,%v; want %v", v, ok, decided)
+	}
+	grant(n, 100, 90, decided, "decide-then-accept replayed")
 }
 
 // TestRecoveredLeaseGrantStillBlocks: a range promise (Multi-Paxos lease

@@ -1,6 +1,6 @@
 package paxos
 
-// Durable acceptor state. Every transition of the acceptor maps (a point
+// Durable acceptor state. Every transition of the acceptor (a point
 // promise, a range lease grant, an accepted value) and every learnt decision
 // is appended to the configured storage.WAL. When the barrier (walSync) runs
 // relative to what the transition lets others conclude is the durability
@@ -57,36 +57,31 @@ func (n *Node) walAppend(kind uint8, data []byte) {
 	n.walAppended.Add(1)
 }
 
-// The acceptor's records are encoded into acc.rec under acc.mu, a decide
-// record into n.rec under n.mu — the locks the transitions they record run
-// under. Reusing the buffer is sound because WAL.Append copies a record's
-// data (the storage.WAL contract).
+// The slot records are encoded into n.rec under n.mu, the lock the
+// transitions they record run under. Reusing the buffer is sound because
+// WAL.Append copies a record's data (the storage.WAL contract).
 
-func (n *Node) walPromise(inst InstanceID, ballot int64) {
-	e := wire.EncOver(n.acc.rec)
+// walVote appends a vote: a point promise (walPromise) or an accepted value
+// (walAccept, the one that carries v).
+func (n *Node) walVote(kind uint8, inst InstanceID, ballot int64, v Value) {
+	e := wire.EncOver(n.rec)
 	encInst(&e, inst)
 	e.I64(ballot)
-	n.acc.rec = e.Bytes()
-	n.walAppend(walPromise, n.acc.rec)
+	if kind == walAccept {
+		e.Bin(v)
+	}
+	n.rec = e.Bytes()
+	n.walAppend(kind, n.rec)
 }
 
 func (n *Node) walLease(rk realmKey, fromSlot, ballot int64) {
-	e := wire.EncOver(n.acc.rec)
+	e := wire.EncOver(n.rec)
 	e.U8(rk.Space)
 	e.U64(rk.Realm)
 	e.I64(fromSlot)
 	e.I64(ballot)
-	n.acc.rec = e.Bytes()
-	n.walAppend(walLease, n.acc.rec)
-}
-
-func (n *Node) walAccept(inst InstanceID, ballot int64, v Value) {
-	e := wire.EncOver(n.acc.rec)
-	encInst(&e, inst)
-	e.I64(ballot)
-	e.Bin(v)
-	n.acc.rec = e.Bytes()
-	n.walAppend(walAccept, n.acc.rec)
+	n.rec = e.Bytes()
+	n.walAppend(walLease, n.rec)
 }
 
 func (n *Node) walDecide(inst InstanceID, v Value) {
@@ -163,43 +158,44 @@ func (n *Node) walSync() {
 	}
 }
 
-// recover rebuilds the acceptor and learner state from the WAL, called on
-// construction before the message loop starts serving. Replay order is
-// mutation order (appends happen under the same locks as the state
-// changes), so straight overwrites reproduce the final pre-crash state; the
-// max() guards only defend against a WAL that was fed by an older, less
-// ordered writer.
+// recover rebuilds the slot table and the range promises from the WAL,
+// called on construction before the message loop starts serving. Replay
+// order is mutation order (appends happen under the lock the state changes
+// under) and each record replays through the rule that made it, so the final
+// pre-crash state comes back; the max() guards and entry.accept's kept
+// decision defend against a WAL fed by an older, less ordered writer.
 func (n *Node) recover() {
-	a := n.acc
 	err := n.wal.Replay(func(rec storage.Record) error {
 		d := wire.NewDec(rec.Data)
 		switch rec.Kind {
 		case walPromise:
 			inst := decInst(d)
 			b := d.I64()
-			if d.Err() == nil && b > a.promised[inst] {
-				a.promised[inst] = b
+			if d.Err() == nil {
+				if e := n.slots.at(inst); b > e.promised {
+					e.promised = b
+				}
 			}
 		case walLease:
 			rk := realmKey{Space: d.U8(), Realm: d.U64()}
 			from, b := d.I64(), d.I64()
 			if d.Err() == nil {
-				a.leases[rk] = leaseGrant{Ballot: b, FromSlot: from}
+				n.grants[rk] = leaseGrant{Ballot: b, FromSlot: from}
 			}
 		case walAccept:
 			inst := decInst(d)
 			b := d.I64()
 			v := Value(d.Bin())
 			if d.Err() == nil {
-				if av := a.accepted.at(inst); b >= av.Ballot {
-					*av = AcceptedVal{Ballot: b, Val: v, Has: true}
+				if e := n.slots.at(inst); b >= e.ballot {
+					e.accept(b, v)
 				}
 			}
 		case walDecide:
 			inst := decInst(d)
 			v := Value(d.Bin())
 			if d.Err() == nil {
-				*n.decided.at(inst) = learnt{val: v, has: true}
+				n.slots.at(inst).decide(v)
 			}
 		case walPropose:
 			b := d.I64()

@@ -1,19 +1,17 @@
 package replog
 
 import (
+	"fmt"
 	"os"
 	"sync/atomic"
 )
 
-// Applied-op journal — the debug instrument for the rare decided-log fork
-// once seen in TestLiveFailoverMidWindow (ROADMAP item 3): two replicas of
-// one pair log applied adjacent ops in opposite orders while their paxos
-// decision snapshots agreed. The journal records, per replica, exactly
-// which op was applied from which slot, so a fork can be diffed against the
-// decision snapshot at the moment it happens: if the journals disagree
-// where the snapshots agree, the bug is in decide *delivery* (applyAt fed
-// by a different value than the acceptor recorded); if the snapshots also
-// disagree, it is a consensus fork.
+// Applied-op journal: per replica, exactly which op was applied from which
+// slot, in application order. It is what fork checks compare (JournalFork:
+// two replicas' journals agree on their common prefix), and what a fork is
+// diffed against the decision snapshot with (live.System.JournalDiff): if
+// the journals disagree where the snapshots agree, the bug is in decide
+// delivery; if the snapshots disagree too, it is a consensus fork.
 //
 // Off by default — a journal of every applied op would grow without bound
 // on long soaks — and enabled either by SetJournal or the
@@ -46,4 +44,18 @@ func (r *Replica) Journal() []JournalEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]JournalEntry(nil), r.journal...)
+}
+
+// JournalFork describes the first entry at which two replicas' applied-op
+// journals differ on their common prefix, or returns nil: the fork check for
+// replicas at different apply points. Their log copies' item orders are not
+// one — a bump applied past the lagging point moves an item without a fork.
+func JournalFork(a, b []JournalEntry) error {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Errorf("applied journals fork at op %d: slot %d %+v vs slot %d %+v",
+				i, a[i].Slot, a[i].Op, b[i].Slot, b[i].Op)
+		}
+	}
+	return nil
 }

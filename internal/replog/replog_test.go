@@ -1,6 +1,7 @@
 package replog
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,9 +164,50 @@ func TestBumpAndLockReplicates(t *testing.T) {
 	}
 }
 
+// TestJournalForkComparesAppliedOps fences the fork check both ways. A
+// replica that lags behind a bump its peer applied passes, although the
+// item orders of the two log copies differ; a journal with one op applied
+// out of order fails.
+func TestJournalForkComparesAppliedOps(t *testing.T) {
+	SetJournal(true)
+	defer SetJournal(false)
+	nw, reps := cluster(3)
+	defer nw.Close()
+	for _, m := range []msg.ID{1, 2} {
+		if _, ok := reps[0].Append(logobj.MsgDatum(m)).Wait(); !ok {
+			t.Fatalf("append m%d failed", m)
+		}
+	}
+	if !reps[1].SyncWait(2, time.Second) {
+		t.Fatalf("replica 1 did not catch up")
+	}
+	lagJournal, lagItems := reps[1].Journal(), reps[1].Snapshot()
+	if pos, ok := reps[0].BumpAndLock(logobj.MsgDatum(1), 7).Wait(); !ok || pos != 7 {
+		t.Fatalf("bump = %d, %v, want 7, true", pos, ok)
+	}
+	full, items := reps[0].Journal(), reps[0].Snapshot()
+	if len(full) != 3 || len(lagJournal) != 2 {
+		t.Fatalf("journals hold %d and %d ops; want 3 and 2", len(full), len(lagJournal))
+	}
+	if slices.Equal(items[:len(lagItems)], lagItems) {
+		t.Fatalf("the bump left the item order %v as the lagging copy's %v", items, lagItems)
+	}
+	if err := JournalFork(full, lagJournal); err != nil {
+		t.Fatalf("a lagging replica reads as a fork: %v", err)
+	}
+	swapped := slices.Clone(full)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	if JournalFork(full, swapped) == nil || JournalFork(lagJournal, swapped) == nil {
+		t.Fatalf("an op applied out of order passes: %+v vs %+v", full, swapped)
+	}
+}
+
 // TestConcurrentAppendsAgree: replicas appending concurrently converge on
-// one operation order, i.e. identical snapshots.
+// one operation order, i.e. applied journals that agree on their common
+// prefix.
 func TestConcurrentAppendsAgree(t *testing.T) {
+	SetJournal(true)
+	defer SetJournal(false)
 	nw, reps := cluster(3)
 	defer nw.Close()
 
@@ -192,19 +234,10 @@ func TestConcurrentAppendsAgree(t *testing.T) {
 	if len(ref) < 15 {
 		t.Fatalf("replica 0 has %d items, want >= 15", len(ref))
 	}
-	// All replicas agree on the common prefix of the operation order.
-	minLen := len(ref)
+	// All replicas agree on the common prefix of the applied operations.
 	for p := 1; p < 3; p++ {
-		if l := len(reps[p].Snapshot()); l < minLen {
-			minLen = l
-		}
-	}
-	for p := 1; p < 3; p++ {
-		got := reps[p].Snapshot()
-		for i := 0; i < minLen; i++ {
-			if got[i] != ref[i] {
-				t.Fatalf("replicas diverge at %d: %v vs %v", i, got[i], ref[i])
-			}
+		if err := JournalFork(reps[0].Journal(), reps[p].Journal()); err != nil {
+			t.Fatalf("replica 0 vs %d: %v", p, err)
 		}
 	}
 }
