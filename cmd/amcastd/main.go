@@ -18,8 +18,12 @@
 //	ORDER <id> <msgID> <msgID> ...
 //
 // with its local delivery order — the harness (or the operator, across
-// three terminals) checks pairwise agreement — and "OK <id>" on clean
-// shutdown.
+// three terminals) checks pairwise agreement — then
+//
+//	BATCHES <id> g<group>:<head>-<last> ...
+//
+// the requests its group logs let in together, each batch by its first and
+// last message, and "OK <id>" on clean shutdown.
 //
 // With -data-dir the daemon's acceptor state is durable: every promise and
 // accepted value is written to a write-ahead log under the directory before
@@ -34,6 +38,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -143,6 +148,16 @@ func run(cc *cliconf.Common) error {
 		}
 	}
 	fmt.Printf("ORDER %d %s\n", cc.ID, strings.Join(order, " "))
+	// The batches of this process's group logs, as gN:head-last: a daemon
+	// that recovered must read the ones its peers read.
+	var batches []string
+	for _, g := range topo.GroupsOf(self).Members() {
+		for h, last := range sys.Batches(self, g) {
+			batches = append(batches, fmt.Sprintf("g%d:%d-%d", g, h, last))
+		}
+	}
+	sort.Strings(batches)
+	fmt.Printf("BATCHES %d %s\n", cc.ID, strings.Join(batches, " "))
 	os.Stdout.Sync()
 
 	// Linger: this daemon's acceptor may still be needed for a peer's

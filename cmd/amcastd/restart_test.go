@@ -102,6 +102,7 @@ func TestKillNineRestartRejoins(t *testing.T) {
 	}
 
 	orders := map[int][]string{1: parseOrder(t, 1, r1.out)}
+	batches := map[int]map[string]string{1: parseBatches(t, 1, r1.out)}
 	for i := 0; i < 2; i++ {
 		select {
 		case r := <-results:
@@ -112,6 +113,7 @@ func TestKillNineRestartRejoins(t *testing.T) {
 				t.Fatalf("daemon %d did not shut down cleanly:\n%s", r.id, r.out)
 			}
 			orders[r.id] = parseOrder(t, r.id, r.out)
+			batches[r.id] = parseBatches(t, r.id, r.out)
 		case <-time.After(2 * time.Minute):
 			t.Fatal("surviving daemons did not finish within 2 minutes")
 		}
@@ -135,6 +137,33 @@ func TestKillNineRestartRejoins(t *testing.T) {
 			}
 		}
 	}
+	// The restarted daemon re-derives every batch of the logs it shares:
+	// g0 = {p0, p1} with daemon 0, g1 = {p1, p2} with daemon 2.
+	for g, peer := range map[string]int{"g0": 0, "g1": 2} {
+		if got, want := batches[1][g], batches[peer][g]; got != want {
+			t.Errorf("restarted daemon reads the batches of %s as %q, daemon %d as %q", g, got, peer, want)
+		}
+	}
+}
+
+// parseBatches extracts a daemon's BATCHES line as the batches of each
+// group log, by group.
+func parseBatches(t *testing.T, id int, out string) map[string]string {
+	t.Helper()
+	prefix := fmt.Sprintf("BATCHES %d", id)
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		byGroup := make(map[string]string)
+		for _, b := range strings.Fields(strings.TrimPrefix(line, prefix)) {
+			g, extent, _ := strings.Cut(b, ":")
+			byGroup[g] = strings.TrimSpace(byGroup[g] + " " + extent)
+		}
+		return byGroup
+	}
+	t.Fatalf("daemon %d printed no BATCHES line:\n%s", id, out)
+	return nil
 }
 
 // recoveredRecords extracts the record count from the RECOVER line.

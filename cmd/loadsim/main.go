@@ -78,8 +78,8 @@ func campaign(w *os.File, cc cliconf.Common) error {
 		return err
 	}
 	doc := benchfmt.NewDoc()
-	fmt.Fprintf(w, "%-12s %3s %3s %-4s %9s %9s | %8s %8s %8s | %8s %5s %5s | %9s %9s\n",
-		"scenario", "n", "k", "tpt", "offered/s", "goodput/s", "p50 ms", "p99 ms", "p999 ms", "pkts/dlv", "fast", "soak", "idle pk/s", "idle ms/s")
+	fmt.Fprintf(w, "%-12s %3s %3s %-4s %9s %9s | %8s %8s %8s | %8s %6s %5s %5s | %9s %9s\n",
+		"scenario", "n", "k", "tpt", "offered/s", "goodput/s", "p50 ms", "p99 ms", "p999 ms", "pkts/dlv", "batch", "fast", "soak", "idle pk/s", "idle ms/s")
 	for _, sc := range scs {
 		sc = sc.Scale(cc.LoadScale)
 		row, err := runScenario(sc, cc.Seed, cc.Transport, cc.Timeout)
@@ -91,11 +91,11 @@ func campaign(w *os.File, cc cliconf.Common) error {
 		if sc.Soak {
 			soak = "ok"
 		}
-		fmt.Fprintf(w, "%-12s %3d %3d %-4s %9s %9.0f | %8.2f %8s %8s | %8.1f %5.2f %5s | %9s %9s\n",
+		fmt.Fprintf(w, "%-12s %3d %3d %-4s %9s %9.0f | %8.2f %8s %8s | %8.1f %6.1f %5.2f %5s | %9s %9s\n",
 			row.Scenario, row.Processes, row.Groups, row.Transport,
 			cell("%.0f", row.OfferedPerSec), row.MsgsPerSec,
 			row.P50Ms, cell("%.2f", row.P99Ms), cell("%.2f", row.P999Ms),
-			row.PacketsPerDelivery, row.FastShare, soak,
+			row.PacketsPerDelivery, row.MeanBatch, row.FastShare, soak,
 			cell("%.0f", row.IdlePacketsPerS), cell("%.2f", row.IdleCPUMsPerS))
 	}
 	fmt.Fprintf(w, "\nlatency is measured from each arrival's intended send time (open loop):\n")
@@ -103,7 +103,8 @@ func campaign(w *os.File, cc cliconf.Common) error {
 	fmt.Fprintf(w, "not into a slowed-down load generator; a burst row has no offered rate and\n")
 	fmt.Fprintf(w, "its latency is time-to-drain. A tail percentile with fewer than %d samples\n", minTailSamples)
 	fmt.Fprintf(w, "beyond it is left out. The idle columns are packets sent and CPU-ms burnt\n")
-	fmt.Fprintf(w, "per second over the %v of silence after the last delivery. Replay any\n", idleLinger)
+	fmt.Fprintf(w, "per second over the %v of silence after the last delivery; batch is the\n", idleLinger)
+	fmt.Fprintf(w, "mean requests each Algorithm-1 delivery carried. Replay any\n")
 	fmt.Fprintf(w, "row with its (scenario, seed): the stream_digest column certifies the\n")
 	fmt.Fprintf(w, "same workload.\n")
 	if cc.JSON != "" {

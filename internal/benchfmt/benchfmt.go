@@ -89,8 +89,10 @@ type LiveRow struct {
 	FastDeliveries int64   `json:"fast_deliveries,omitempty"`
 	FastShare      float64 `json:"fast_share,omitempty"`
 	WallMs         float64 `json:"wall_ms,omitempty"`
-	// Batching pipeline shape: mean ops per proposed replog batch and the
-	// peak number of outstanding windowed accept rounds in any realm.
+	// Batching pipeline shape: mean requests per Algorithm-1 delivery (the
+	// batches of L_g), mean ops per proposed replog batch and the peak
+	// number of outstanding windowed accept rounds in any realm.
+	MeanBatch       float64 `json:"mean_batch,omitempty"`
 	AvgBatchOps     float64 `json:"avg_batch_ops,omitempty"`
 	WindowDepthPeak int64   `json:"window_depth_peak,omitempty"`
 	FwdOps          int64   `json:"fwd_ops,omitempty"`
@@ -172,6 +174,7 @@ func FromReport(rep obs.RunReport) LiveRow {
 		row.PacketsPerDelivery = ppd
 	}
 	row.ChaosInjections = rep.Chaos.Injections()
+	row.MeanBatch = rep.Sched.MeanBatch()
 	row.AvgBatchOps = rep.Replog.MeanBatchOps()
 	if rep.Replog != nil {
 		row.FwdOps = rep.Replog.FwdOps

@@ -55,6 +55,40 @@ func violationf(prop, format string, args ...any) *Violation {
 	return &Violation{Property: prop, Detail: fmt.Sprintf(format, args...)}
 }
 
+// BatchExtents checks what a group log says about batches (the batches of
+// the core package's DESIGN.md §13) against L_g, the group's requests in
+// registration order: each head in the log is a request of seq, a head's
+// extent — the requests of seq after it up to and including its batch's
+// last request, batch(head), none when that is msg.None — is a run of seq,
+// and no request is in two batches, a head's own or another's. It returns,
+// for every request that entered, the head of the batch that carried it.
+func BatchExtents(seq, heads []msg.ID, batch func(head msg.ID) msg.ID) (map[msg.ID]msg.ID, *Violation) {
+	idx := make(map[msg.ID]int, len(seq))
+	for i, m := range seq {
+		idx[m] = i
+	}
+	headOf := make(map[msg.ID]msg.ID)
+	for _, h := range heads {
+		i, ok := idx[h]
+		if !ok {
+			return nil, violationf("BatchExtents", "head m%d is not a request of L_g", h)
+		}
+		j := i
+		if tail := batch(h); tail != msg.None {
+			if j, ok = idx[tail]; !ok || j <= i {
+				return nil, violationf("BatchExtents", "batch of m%d ends at m%d, which is not after it in L_g", h, tail)
+			}
+		}
+		for _, m := range seq[i : j+1] {
+			if other, dup := headOf[m]; dup {
+				return nil, violationf("BatchExtents", "m%d is in the batches of m%d and m%d", m, other, h)
+			}
+			headOf[m] = h
+		}
+	}
+	return headOf, nil
+}
+
 // Integrity checks that every process delivers each message at most once,
 // only if addressed to it, and only if it was multicast.
 func Integrity(tr *Trace) *Violation {

@@ -247,3 +247,37 @@ func TestAllComposes(t *testing.T) {
 		t.Fatalf("clean trace flagged: %v", vs)
 	}
 }
+
+// TestBatchExtents: the verdict accepts extents that are disjoint runs of
+// L_g and names the request two batches claim, a head missing from L_g and
+// a batch that ends before its head.
+func TestBatchExtents(t *testing.T) {
+	seq := []msg.ID{1, 2, 3, 4, 5, 6}
+	batches := func(b map[msg.ID]msg.ID) func(msg.ID) msg.ID {
+		return func(h msg.ID) msg.ID { return b[h] }
+	}
+	headOf, v := BatchExtents(seq, []msg.ID{1, 4, 6}, batches(map[msg.ID]msg.ID{1: 3, 4: 5}))
+	if v != nil {
+		t.Fatalf("disjoint extents: %v", v)
+	}
+	want := map[msg.ID]msg.ID{1: 1, 2: 1, 3: 1, 4: 4, 5: 4, 6: 6}
+	for m, h := range want {
+		if headOf[m] != h {
+			t.Errorf("m%d carried by m%d, want m%d", m, headOf[m], h)
+		}
+	}
+	for name, c := range map[string]struct {
+		heads   []msg.ID
+		batches map[msg.ID]msg.ID
+	}{
+		"overlap":         {[]msg.ID{1, 3}, map[msg.ID]msg.ID{1: 4}},
+		"head in extent":  {[]msg.ID{1, 2}, map[msg.ID]msg.ID{1: 2}},
+		"unknown head":    {[]msg.ID{9}, nil},
+		"ends before it":  {[]msg.ID{4}, map[msg.ID]msg.ID{4: 2}},
+		"unknown request": {[]msg.ID{4}, map[msg.ID]msg.ID{4: 9}},
+	} {
+		if _, v := BatchExtents(seq, c.heads, batches(c.batches)); v == nil {
+			t.Errorf("%s: no violation", name)
+		}
+	}
+}

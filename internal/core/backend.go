@@ -45,6 +45,10 @@ type LogObject interface {
 	BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Datum, k int) Started
 	// Contains reports whether d is in the log.
 	Contains(d logobj.Datum) bool
+	// Batch returns the last request of the batch m heads: the I of m's
+	// KindMsg datum, which the first append of m fixed (msg.None when m
+	// entered alone or is not in the log).
+	Batch(m msg.ID) msg.ID
 	// MessagesSince returns the messages appended after the first from
 	// message appends, in first-append order — the incremental discovery
 	// stream (from is the caller's per-log high-water mark).
@@ -174,6 +178,7 @@ func (s simLog) BumpAndLock(ctx *engine.Ctx, origin groups.GroupID, d logobj.Dat
 }
 
 func (s simLog) Contains(d logobj.Datum) bool { return s.l.Inner().Contains(d) }
+func (s simLog) Batch(m msg.ID) msg.ID        { return s.l.Inner().Batch(m) }
 func (s simLog) MessagesSince(from int) []msg.ID {
 	return s.l.Inner().MessagesSince(from)
 }

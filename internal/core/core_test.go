@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/fd"
 	"repro/internal/groups"
+	"repro/internal/logobj"
+	"repro/internal/msg"
 )
 
 // runAndCheck drives the system to quiescence and fails on any violation.
@@ -204,4 +207,59 @@ func TestWholeGroupCrash(t *testing.T) {
 
 func fdOpts(delay failure.Time) fd.Options {
 	return fd.Options{Delay: delay}
+}
+
+// TestOutstandingIgnoresDuplicates: the count lowers once per pair, at its
+// first delivery, and a delivery the frozen trace drops does not lower it.
+func TestOutstandingIgnoresDuplicates(t *testing.T) {
+	topo := groups.MustNew(3, groups.NewProcSet(0, 1, 2))
+	sh := NewShared(topo, failure.NewPattern(3), Options{})
+	sh.Watch(groups.NewProcSet(0, 1))
+	a := sh.Request(0, 0, nil, 0)
+	b := sh.Request(1, 0, nil, 0)
+	steps := []struct {
+		p    groups.Process
+		m    msg.ID
+		want int
+	}{
+		{0, a.ID, 3}, {0, a.ID, 3}, {2, a.ID, 3}, {1, a.ID, 2}, {1, b.ID, 1},
+	}
+	for _, s := range steps {
+		sh.RecordDelivery(s.p, s.m, 1)
+		if got := sh.Outstanding(); got != s.want {
+			t.Fatalf("after p%d delivers m%d: %d outstanding, want %d", s.p, s.m, got, s.want)
+		}
+	}
+	sh.Freeze()
+	sh.RecordDelivery(0, b.ID, 2)
+	if got := sh.Outstanding(); got != 1 {
+		t.Fatalf("a delivery after Freeze lowered the count to %d", got)
+	}
+}
+
+// TestSimLogFirstMessageAppendWins: the sim's shared objects keep the batch
+// rule of the log they are built on. Two appends of one message as batch
+// heads with different extents leave one datum, at the first position,
+// with the first extent, and the guard reads find it.
+func TestSimLogFirstMessageAppendWins(t *testing.T) {
+	topo := groups.MustNew(3, groups.NewProcSet(0, 1, 2))
+	sh := NewShared(topo, failure.NewPattern(3), Options{})
+	ms := []*msg.Message{sh.Request(0, 0, nil, 0), sh.Request(1, 0, nil, 0), sh.Request(2, 0, nil, 0)}
+	ctx := &engine.Ctx{}
+	first := logobj.Datum{Kind: logobj.KindMsg, Msg: ms[0].ID, I: int(ms[2].ID)}
+	pos := sh.be.Log(0, 0, 0).Append(ctx, 0, first).Wait()
+	second := logobj.Datum{Kind: logobj.KindMsg, Msg: ms[0].ID, I: int(ms[1].ID)}
+	if got := sh.be.Log(1, 0, 0).Append(ctx, 0, second).Wait(); got != pos {
+		t.Fatalf("second append of m%d at %d, the first sits at %d", ms[0].ID, got, pos)
+	}
+	l := sh.be.Log(2, 0, 0)
+	if got := l.Batch(ms[0].ID); got != ms[2].ID {
+		t.Errorf("Batch(m%d) = m%d, want the first append's m%d", ms[0].ID, got, ms[2].ID)
+	}
+	if !l.Contains(logobj.MsgDatum(ms[0].ID)) || len(sh.GroupLog(0).Inner().Items()) != 1 {
+		t.Errorf("LOG_g0 = %v, want m%d alone", sh.GroupLog(0).Inner(), ms[0].ID)
+	}
+	if got := sh.extent(0, ms[0].ID, l.Batch(ms[0].ID)); len(got) != 2 || got[0] != ms[1].ID || got[1] != ms[2].ID {
+		t.Errorf("extent of m%d = %v, want [m%d m%d]", ms[0].ID, got, ms[1].ID, ms[2].ID)
+	}
 }

@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/failure"
 	"repro/internal/fd"
 	"repro/internal/groups"
 	"repro/internal/logobj"
 	"repro/internal/msg"
+	"repro/internal/obs"
 )
 
 // This file checks the Table 2 invariants (Claims 9-15) on live runs of
@@ -93,21 +95,68 @@ func TestClaim10_IntersectionLogContents(t *testing.T) {
 	}
 }
 
+// batchHeads returns, for every request of the run that entered Algorithm 1,
+// the head of the batch that carried it (a head maps to itself), read from
+// the group logs against L_g; it fails the test unless every group log's
+// extents are disjoint and contiguous in L_g (check.BatchExtents).
+func batchHeads(t *testing.T, s *System) map[msg.ID]msg.ID {
+	t.Helper()
+	out := make(map[msg.ID]msg.ID)
+	for g := 0; g < s.Sh.Topo.NumGroups(); g++ {
+		gid := groups.GroupID(g)
+		l := s.Sh.GroupLog(gid).Inner()
+		headOf, v := check.BatchExtents(s.Sh.SeqList(gid), l.Messages(), l.Batch)
+		if v != nil {
+			t.Fatalf("LOG_g%d: %v", g, v)
+		}
+		for m, h := range headOf {
+			out[m] = h
+		}
+	}
+	return out
+}
+
 // TestClaim12_13_DeliveryMembershipAndLog: deliveries only at destinations
 // (Claim 12) and delivered messages are in the log of their destination
-// group (Claim 13).
+// group (Claim 13) — a request a batch carried through its head: the head is
+// in LOG_dst, and exactly one head there has an extent that covers it.
 func TestClaim12_13_DeliveryMembershipAndLog(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		s, _ := monitoredRun(t, 920+seed)
+		headOf := batchHeads(t, s)
 		for _, d := range s.Sh.Deliveries() {
 			m := s.Sh.Reg.Get(d.M)
 			if !s.Sh.Topo.Group(m.Dst).Has(d.P) {
 				t.Fatalf("seed %d: claim 12 violated: p%d ∉ dst(m%d)", seed, d.P, d.M)
 			}
-			if !s.Sh.GroupLog(m.Dst).Inner().Contains(logobj.MsgDatum(d.M)) {
-				t.Fatalf("seed %d: claim 13 violated: delivered m%d not in LOG_dst", seed, d.M)
+			h, ok := headOf[d.M]
+			if !ok || !s.Sh.GroupLog(m.Dst).Inner().Contains(logobj.MsgDatum(h)) {
+				t.Fatalf("seed %d: claim 13 violated: delivered m%d is in no batch of LOG_dst", seed, d.M)
 			}
 		}
+	}
+}
+
+// TestBatchExtentsDisjoint: over seeded random runs of every variant, the
+// extents in each LOG_g are disjoint and contiguous in L_g (batchHeads), and
+// the runs do form batches, so the assertion is not vacuous.
+func TestBatchExtentsDisjoint(t *testing.T) {
+	constituents := int64(0)
+	for _, v := range []Variant{Vanilla, Strict, Pairwise, StronglyGenuine, Generic} {
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 15; trial++ {
+			sc := genScenario(rng)
+			rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters})
+			s := runScenario(t, sc, Options{Variant: v, FD: fd.Options{Delay: 8}, Rec: rec})
+			batchHeads(t, s)
+			for _, viol := range s.Check() {
+				t.Fatalf("%v trial %d: %v", v, trial, viol)
+			}
+			constituents += rec.Report().Sched.Constituents
+		}
+	}
+	if constituents == 0 {
+		t.Fatal("no run formed a batch")
 	}
 }
 

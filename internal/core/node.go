@@ -179,7 +179,11 @@ func (n *Node) Multicast(m *msg.Message) {
 	if m.Src != n.p {
 		panic("core: Multicast called at a node other than the source")
 	}
-	req := request{id: m.ID, seq: n.sh.seqIndex(m.Dst, m.ID)}
+	seq, ok := n.sh.seqIndex(m.ID)
+	if !ok {
+		panic("core: Multicast of a message that was never requested")
+	}
+	req := request{id: m.ID, seq: seq}
 	n.boxMu.Lock()
 	n.outbox[m.Dst] = append(n.outbox[m.Dst], req)
 	n.boxMu.Unlock()
@@ -303,16 +307,27 @@ func (n *Node) Quiescent() bool { return n.quiet }
 // set, which stays sorted by ID (the scan order of Step).
 func (n *Node) discover() {
 	unsorted := false
+	batching := n.sh.batching()
 	for _, g := range n.myGroups {
 		from := n.hw[g]
-		ids := n.groupLog(g).MessagesSince(from)
+		glog := n.groupLog(g)
+		ids := glog.MessagesSince(from)
 		// A peer daemon's op can name a message this daemon has not
-		// registered yet: ingest up to it, and rescan once its registration
-		// wakes this node.
+		// registered yet, or a batch whose last constituent it has not:
+		// ingest up to it, and rescan once the registration wakes this node.
 		for i, id := range ids {
 			if _, ok := n.sh.Reg.Lookup(id); !ok {
 				ids = ids[:i]
 				break
+			}
+			if !batching {
+				continue
+			}
+			if tail := glog.Batch(id); tail != msg.None {
+				if _, ok := n.sh.seqIndex(tail); !ok {
+					ids = ids[:i]
+					break
+				}
 			}
 		}
 		if len(ids) == 0 {
@@ -371,9 +386,12 @@ func (n *Node) outboxPop(g groups.GroupID) {
 }
 
 // tryMulticast implements the Proposition 1 group-sequential gate plus
-// line 5-7 of Algorithm 1: the head of the outbox is appended to LOG_g once
-// every predecessor in L_g is delivered locally; helping appends a stalled
-// predecessor on the sender's behalf.
+// line 5-7 of Algorithm 1. The first request of L_g not yet in Algorithm 1
+// — the outbox head, or a stalled predecessor the walk helps in on its
+// sender's behalf — enters once every request before it in L_g is delivered
+// locally, and it enters as a batch: its KindMsg datum's I names the last
+// request registered in L_g, and every request after it up to that one is
+// delivered with it (DESIGN.md §13).
 func (n *Node) tryMulticast(ctx *engine.Ctx) bool {
 	for _, g := range n.myGroups {
 		head, ok := n.outboxHead(g)
@@ -387,23 +405,28 @@ func (n *Node) tryMulticast(ctx *engine.Ctx) bool {
 			return true
 		}
 		log := n.groupLog(g)
-		help, blocked := n.seqGate(g, head)
+		enter, blocked := n.seqGate(g, head)
 		if blocked {
 			continue
 		}
-		if help != msg.None {
-			// Help: make sure the predecessor entered Algorithm 1.
-			v := log.Append(ctx, g, logobj.MsgDatum(help)).Wait()
-			n.sh.Opt.Rec.Append(n.p, help, g, g, uint8(logobj.KindMsg), v, ctx.Now)
-			return true
+		if enter == msg.None {
+			// Every predecessor is delivered: multicast(head), unless someone
+			// (or a previous step) already appended it or a batch carried it.
+			if n.Phase(head.id) != PhaseStart || log.Contains(logobj.MsgDatum(head.id)) {
+				n.outboxPop(g)
+				return true
+			}
+			enter = head.id
 		}
-		// Every predecessor is delivered: multicast(head), unless someone (or
-		// a previous step) already appended it.
-		if n.Phase(head.id) == PhaseStart && !log.Contains(logobj.MsgDatum(head.id)) {
-			v := log.Append(ctx, g, logobj.MsgDatum(head.id)).Wait()
-			n.sh.Opt.Rec.Append(n.p, head.id, g, g, uint8(logobj.KindMsg), v, ctx.Now)
+		d := logobj.MsgDatum(enter)
+		if n.sh.batching() {
+			d.I = int(n.sh.seqTail(g, enter))
 		}
-		n.outboxPop(g)
+		v := log.Append(ctx, g, d).Wait()
+		n.sh.Opt.Rec.Append(n.p, enter, g, g, uint8(logobj.KindMsg), v, ctx.Now)
+		if enter == head.id {
+			n.outboxPop(g)
+		}
 		return true
 	}
 	return false
@@ -715,16 +738,35 @@ func (n *Node) tryFastDeliver(ctx *engine.Ctx, id msg.ID) bool {
 }
 
 // deliver finalises a local delivery (fast marks a skipped-coordination
-// fast-path delivery for the observability layer).
+// fast-path delivery for the observability layer): id, then every
+// constituent of the batch it heads, in L_g order.
 func (n *Node) deliver(ctx *engine.Ctx, id msg.ID, fast bool) {
+	sched := n.sh.Opt.Rec.Sched()
+	obs.Inc(&sched.Batches)
+	n.deliverOne(ctx, id)
+	if fast {
+		n.sh.Opt.Rec.FastDelivery()
+	}
+	if !n.sh.batching() {
+		return // every message entered alone (fast ones among them)
+	}
+	g := n.sh.Reg.Get(id).Dst
+	if tail := n.groupLog(g).Batch(id); tail != msg.None {
+		c := n.sh.extent(g, id, tail)
+		obs.Add(&sched.Constituents, int64(len(c)))
+		for _, m := range c {
+			n.deliverOne(ctx, m)
+		}
+	}
+}
+
+// deliverOne delivers one request locally.
+func (n *Node) deliverOne(ctx *engine.Ctx, id msg.ID) {
 	n.phase[id] = PhaseDeliver
 	n.delivered = append(n.delivered, id)
 	delete(n.fastMemo, id) // delivered: neither memo will be consulted again
 	delete(n.stabIssued, id)
 	n.sh.RecordDelivery(n.p, id, ctx.Now)
-	if fast {
-		n.sh.Opt.Rec.FastDelivery()
-	}
 	if n.sh.Opt.OnDeliver != nil {
 		n.sh.Opt.OnDeliver(n.p, n.sh.Reg.Get(id), ctx.Now)
 	}

@@ -91,9 +91,10 @@ type Shared struct {
 	// locally.
 	seqs map[groups.GroupID][]msg.ID
 
-	// requestedAt records when each message was handed to multicast() —
-	// the left endpoint of the real-time relation ⇝.
-	requestedAt map[msg.ID]failure.Time
+	// requests records, per registered message, when it was handed to
+	// multicast() — the left endpoint of the real-time relation ⇝ — and its
+	// index in L_{dst(m)}.
+	requests map[msg.ID]requestRecord
 	// firstDelivered records the first delivery time of each message — the
 	// right endpoint of ⇝.
 	firstDelivered map[msg.ID]failure.Time
@@ -102,6 +103,14 @@ type Shared struct {
 	seq        int
 	frozen     bool
 
+	// watched are the processes whose deliveries Outstanding counts;
+	// waiting holds, per registered message, the watched members of its
+	// destination that have not delivered it yet (a message leaves when the
+	// last one does), and outstanding the sum of their counts.
+	watched     groups.ProcSet
+	waiting     map[msg.ID]groups.ProcSet
+	outstanding int
+
 	// gammaOverride substitutes another γ implementation for the ideal one
 	// (ablations and the necessity emulations plug in theirs here).
 	gammaOverride fd.Gamma
@@ -109,6 +118,12 @@ type Shared struct {
 	// guardOracle, set by tests only, is shown every predecessor-guard
 	// verdict so a brute-force evaluation can be held against it.
 	guardOracle func(n *Node, l *nodeLog, id msg.ID, min Phase, got bool)
+}
+
+// requestRecord is what Shared keeps about one registered message.
+type requestRecord struct {
+	at  failure.Time
+	seq int
 }
 
 // Gamma returns the γ in effect for this run. The strict variant derives
@@ -159,7 +174,8 @@ func newSharedState(topo *groups.Topology, pat *failure.Pattern, opt Options) *S
 		Mu:             fd.NewMu(topo, pat, opt.FD),
 		Opt:            opt,
 		seqs:           make(map[groups.GroupID][]msg.ID),
-		requestedAt:    make(map[msg.ID]failure.Time),
+		requests:       make(map[msg.ID]requestRecord),
+		waiting:        make(map[msg.ID]groups.ProcSet),
 		firstDelivered: make(map[msg.ID]failure.Time),
 	}
 }
@@ -203,8 +219,12 @@ func (sh *Shared) RequestClassed(src groups.Process, dst groups.GroupID, payload
 	}
 	m := sh.Reg.NewClassed(src, dst, payload, class)
 	sh.mu.Lock()
+	sh.requests[m.ID] = requestRecord{at: now, seq: len(sh.seqs[dst])}
 	sh.seqs[dst] = append(sh.seqs[dst], m.ID)
-	sh.requestedAt[m.ID] = now
+	if w := sh.Topo.Group(dst).Intersect(sh.watched); !w.Empty() {
+		sh.waiting[m.ID] = w
+		sh.outstanding += w.Count()
+	}
 	sh.mu.Unlock()
 	sh.Opt.Rec.Multicast(src, m.ID, dst, now)
 	sh.Opt.Rec.NoteClass(uint64(m.Class))
@@ -255,19 +275,43 @@ func (sh *Shared) SeqListFrom(g groups.GroupID, from int) []msg.ID {
 	return s[from:len(s):len(s)]
 }
 
-// seqIndex returns the index of m in L_g. Nodes ask right after Request
-// appended m, so the search runs back from the tail and ends within the few
-// requests that raced with it.
-func (sh *Shared) seqIndex(g groups.GroupID, m msg.ID) int {
+// seqIndex returns the index of m in L_{dst(m)}, and whether m is
+// registered here yet.
+func (sh *Shared) seqIndex(m msg.ID) (int, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	r, ok := sh.requests[m]
+	return r.seq, ok
+}
+
+// batching reports whether the run forms batches: wherever every pair of
+// messages conflicts, which is every variant but Generic with a relation
+// (DESIGN.md §13). There a gate walk passes commuting predecessors in
+// flight, and would take the constituents of one for requests not yet in
+// Algorithm 1.
+func (sh *Shared) batching() bool {
+	return sh.Opt.Variant != Generic || sh.Opt.Conflict == nil
+}
+
+// seqTail returns the last request registered in L_g, or msg.None when m
+// is that request: the I of the KindMsg datum that enters m.
+func (sh *Shared) seqTail(g groups.GroupID, m msg.ID) msg.ID {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s := sh.seqs[g]
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == m {
-			return i
-		}
+	if t := s[len(s)-1]; t != m {
+		return t
 	}
-	panic(fmt.Sprintf("core: m%d was never requested for g%d", m, g))
+	return msg.None
+}
+
+// extent returns the constituents of the batch head leads: the requests of
+// L_g after head up to and including tail, both registered here. The slice
+// aliases L_g and must not be modified.
+func (sh *Shared) extent(g groups.GroupID, head, tail msg.ID) []msg.ID {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.seqs[g][sh.requests[head].seq+1 : sh.requests[tail].seq+1]
 }
 
 // RecordDelivery appends to the global delivery trace.
@@ -279,6 +323,14 @@ func (sh *Shared) RecordDelivery(p groups.Process, m msg.ID, t failure.Time) {
 	}
 	sh.deliveries = append(sh.deliveries, Delivery{P: p, M: m, T: t, Seq: sh.seq})
 	sh.seq++
+	if w := sh.waiting[m]; w.Has(p) {
+		sh.outstanding--
+		if w = w.Remove(p); w.Empty() {
+			delete(sh.waiting, m)
+		} else {
+			sh.waiting[m] = w
+		}
+	}
 	if _, ok := sh.firstDelivered[m]; !ok {
 		sh.firstDelivered[m] = t
 	}
@@ -288,6 +340,24 @@ func (sh *Shared) RecordDelivery(p groups.Process, m msg.ID, t failure.Time) {
 			rec.Deliver(p, m, mm.Dst, t)
 		}
 	}
+}
+
+// Watch makes Outstanding count the deliveries of ps; call it before the
+// first registration.
+func (sh *Shared) Watch(ps groups.ProcSet) {
+	sh.mu.Lock()
+	sh.watched = ps
+	sh.mu.Unlock()
+}
+
+// Outstanding returns how many (watched member of dst(m), m) pairs over the
+// registered messages m the trace does not hold a delivery of yet. It
+// costs O(1): a registration raises the count, the first recorded delivery
+// of a pair lowers it, and a delivery dropped by Freeze does not.
+func (sh *Shared) Outstanding() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.outstanding
 }
 
 // Freeze stops trace recording: deliveries after Freeze are dropped, and
@@ -313,7 +383,7 @@ func (sh *Shared) Deliveries() []Delivery {
 func (sh *Shared) RequestedAt(m msg.ID) failure.Time {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.requestedAt[m]
+	return sh.requests[m].at
 }
 
 // FirstDeliveredAt returns the first delivery time of m; ok is false when m

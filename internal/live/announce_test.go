@@ -10,6 +10,7 @@ import (
 	"repro/internal/groups"
 	"repro/internal/msg"
 	"repro/internal/net"
+	"repro/internal/replog"
 )
 
 // TestPeerOpBeforeAnnounce: every daemon registers every message itself (IDs
@@ -64,6 +65,47 @@ func TestPeerOpBeforeAnnounce(t *testing.T) {
 			b.MulticastClassed(0, 2, nil, key)
 			b.MulticastClassed(2, 2, nil, key)
 			checkPair(t, a, b)
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		// A registers m1 → g2 = {p0, p2, p3}, then m2, m3, m4 while m1 is in
+		// flight, so its members let m2..m4 in as one batch (or m1..m4, had
+		// A's gate opened later). B, whose p3 is the third member, announces
+		// them one by one: p3 ingests LOG_g2 up to the batch head, waits, and
+		// delivers the whole batch once m4, its last request, registers.
+		replog.SetJournal(true)
+		defer replog.SetJournal(false)
+		a, b := daemonPair(t, core.Options{})
+		for _, src := range []groups.Process{0, 2, 0, 2} {
+			a.Multicast(src, 2, nil)
+		}
+		last := msg.ID(4)
+		time.Sleep(100 * time.Millisecond)
+		for _, src := range []groups.Process{0, 2, 0} {
+			b.Multicast(src, 2, nil)
+			time.Sleep(30 * time.Millisecond)
+		}
+		batches := a.Batches(0, 2)
+		head := msg.None
+		for h, t := range batches {
+			if t == last {
+				head = h
+			}
+		}
+		if head == msg.None {
+			t.Fatalf("A formed no batch ending at m%d: %v", last, batches)
+		}
+		for _, d := range b.Sh.Deliveries() {
+			if d.M >= head {
+				t.Fatalf("p%d delivered m%d of the batch of m%d before m%d registered at B", d.P, d.M, head, last)
+			}
+		}
+		b.Multicast(2, 2, nil)
+		checkPair(t, a, b)
+		for _, s := range []*System{a, b} {
+			for _, err := range s.JournalDiff() {
+				t.Error(err)
+			}
 		}
 	})
 }

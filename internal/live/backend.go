@@ -173,6 +173,12 @@ func (l liveLog) Contains(d logobj.Datum) bool {
 	return out
 }
 
+func (l liveLog) Batch(m msg.ID) msg.ID {
+	var out msg.ID
+	l.r.Read(func(lg *logobj.Log) { out = lg.Batch(m) })
+	return out
+}
+
 func (l liveLog) MessagesSince(from int) []msg.ID {
 	var out []msg.ID
 	l.r.Read(func(lg *logobj.Log) { out = lg.MessagesSince(from) })

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/failure"
 	"repro/internal/groups"
+	"repro/internal/logobj"
 	"repro/internal/msg"
 	"repro/internal/net"
 	"repro/internal/obs"
@@ -141,6 +142,10 @@ func NewSystem(topo *groups.Topology, pat *failure.Pattern, nw net.Transport, cf
 	}
 	s.cfg = cfg
 	s.Sh = core.NewSharedWithBackend(topo, pat, cfg.Opt, s)
+	// AwaitDelivery's obligation: only owned processes can be checked
+	// locally (a peer daemon's deliveries are not visible in this Shared),
+	// and only correct ones must deliver.
+	s.Sh.Watch(cfg.Local.Intersect(pat.Correct()))
 	// In a multi-process deployment each daemon runs acceptors only for the
 	// processes it embodies — the rest answer from their own OS processes
 	// over the transport.
@@ -362,30 +367,9 @@ func (s *System) MulticastClassed(src groups.Process, dst groups.GroupID, payloa
 
 // allDelivered mirrors the Termination checker's obligation: every
 // multicast message is delivered by every correct member of its
-// destination group.
-func (s *System) allDelivered() bool {
-	type ev struct {
-		p groups.Process
-		m msg.ID
-	}
-	got := make(map[ev]bool)
-	for _, d := range s.Sh.Deliveries() {
-		got[ev{d.P, d.M}] = true
-	}
-	for _, m := range s.Sh.Reg.All() {
-		for _, p := range s.Topo.Group(m.Dst).Members() {
-			// Only owned processes can be checked locally: a peer daemon's
-			// deliveries are not visible in this Shared instance.
-			if !s.Pat.IsCorrect(p) || !s.owns(p) {
-				continue
-			}
-			if !got[ev{p, m.ID}] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// destination group that this instance owns. Shared keeps the count of
+// pairs outstanding, so a wake costs O(1) however long the run.
+func (s *System) allDelivered() bool { return s.Sh.Outstanding() == 0 }
 
 // AwaitDelivery blocks until every issued multicast is delivered at every
 // correct destination member, or the timeout elapses; it reports success.
@@ -435,6 +419,21 @@ func (s *System) Stop() {
 		s.Net.Close()
 		s.wg.Wait()
 	})
+}
+
+// Batches returns the batches p's copy of LOG_g holds, each head that
+// carries more than itself mapped to its last request (DESIGN.md §13). p
+// must be an owned member of g. Call after Stop, or at a quiescent point.
+func (s *System) Batches(p groups.Process, g groups.GroupID) map[msg.ID]msg.ID {
+	out := make(map[msg.ID]msg.ID)
+	s.replica(p, core.PairKey{A: g, B: g}).Read(func(l *logobj.Log) {
+		for _, h := range l.Messages() {
+			if t := l.Batch(h); t != msg.None {
+				out[h] = t
+			}
+		}
+	})
+	return out
 }
 
 // Trace exports the run evidence for the checkers. It has no step ledger

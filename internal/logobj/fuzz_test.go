@@ -15,7 +15,8 @@ import (
 // decides it for good. Each input byte pair (op, arg) encodes one
 // operation: op's low nibble picks the message, bit 0x10 a pos tuple, 0x20 a
 // CONS proposal, 0x40 (without either) a stable tuple, all shaped by arg,
-// else the message itself; bit 0x80 bumps the datum to arg instead of
+// else the message itself — a batch head whose extent ends at message
+// arg>>4 when arg has bit 0x08; bit 0x80 bumps the datum to arg instead of
 // appending it.
 func FuzzLogOperations(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x05, 0x23, 0x81, 0x40})
@@ -25,6 +26,9 @@ func FuzzLogOperations(f *testing.F) {
 	// Every kind a record holds, for one message: m1, (m1,g1,5), (m1,g2),
 	// cons(m1,f1)=3, (m1,g2,6); then both pos tuples bumped past the rest.
 	f.Add([]byte{0x00, 0x00, 0x10, 0x05, 0x40, 0x02, 0x20, 0x0d, 0x10, 0x0e, 0x90, 0x0e, 0x90, 0x05})
+	// Batch heads: m1 over m3, then m1 again over m5 (a no-op), m2 alone,
+	// m1 bumped past it.
+	f.Add([]byte{0x00, 0x38, 0x00, 0x58, 0x01, 0x00, 0x80, 0x09})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		mp := newModelPair(16, 3)
 		l := mp.l
@@ -36,6 +40,9 @@ func FuzzLogOperations(f *testing.F) {
 		for i := 0; i+1 < len(tape); i += 2 {
 			op, arg := tape[i], tape[i+1]
 			d := MsgDatum(msg.ID(op&0x0f) + 1)
+			if op&0xf0 == 0 && arg&0x08 != 0 {
+				d.I = int(arg >> 4)
+			}
 			if op&0x40 != 0 {
 				d = StableDatum(msg.ID(op&0x0f)+1, groups.GroupID(arg&0x3))
 			}

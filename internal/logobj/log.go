@@ -175,11 +175,13 @@ func New(name string) *Log {
 func (l *Log) Name() string { return l.name }
 
 // find returns the item holding d in the record that starts at first, or
-// nil.
+// nil. A record holds at most one KindMsg item, and it holds d whatever d's
+// I: the first append of a message wins and keeps its batch extent (see
+// Batch).
 func (l *Log) find(first int32, d Datum) *item {
 	for r := first; r != 0; {
 		it := &l.items[r]
-		if Kind(it.kind) == d.Kind && it.h == d.H && it.i == d.I {
+		if Kind(it.kind) == d.Kind && it.h == d.H && (it.i == d.I || d.Kind == KindMsg) {
 			return it
 		}
 		r = it.next
@@ -205,8 +207,9 @@ func (l *Log) decision(first int32, f groups.GroupID) *item {
 
 // Append inserts d at the head slot and returns its position. If d is
 // already in the log the operation does nothing and returns the current
-// position; so does a KindCons proposal to a CONS_{m,f} that is already
-// decided, which returns the position of the proposal that won. A datum of
+// position; so does a KindMsg datum of a message already in the log with
+// another I, and a KindCons proposal to a CONS_{m,f} that is already
+// decided, each returning the position of the datum that won. A datum of
 // none of the four kinds is a bug in the caller (DecodeDatum rejects one)
 // and panics.
 func (l *Log) Append(d Datum) int {
@@ -246,6 +249,16 @@ func (l *Log) Decided(m msg.ID, f groups.GroupSet) (int, bool) {
 		return it.i, true
 	}
 	return 0, false
+}
+
+// Batch returns the I of m's KindMsg datum: the last request of the batch m
+// heads (0 when m is alone, or not in the log). It is the first append's I,
+// so every copy of the log that holds m answers the same.
+func (l *Log) Batch(m msg.ID) msg.ID {
+	if it := l.find(l.recs[m], MsgDatum(m)); it != nil {
+		return msg.ID(it.i)
+	}
+	return msg.None
 }
 
 // Appended reports whether append(d) has nothing left to do: d is in the
@@ -403,6 +416,9 @@ func (l *Log) ScanBefore(d Datum, minPos int, fn func(m msg.ID, pos int) bool) {
 	it := l.lookup(d)
 	if it == nil {
 		return
+	}
+	if d.Kind == KindMsg {
+		d.I = 0 // a message's datum, whatever extent it was appended with
 	}
 	for _, e := range l.order[l.search(minPos, math.MinInt64):] {
 		if e.pos > it.pos || (e.pos == it.pos && !MsgDatum(e.id).Less(d)) {

@@ -16,17 +16,41 @@ import (
 // had before it kept an ordered message index — two maps, and every ordered
 // read a scan of the position map followed by a sort. It survives here as the
 // oracle the indexed Log is held against.
+//
+// A message has at most one KindMsg datum: the maps key it with I = 0 and
+// batch keeps the I of its first append, which no later append changes.
 type refLog struct {
 	pos    map[Datum]int
 	locked map[Datum]bool
+	batch  map[msg.ID]int
 	head   int
 }
 
 func newRefLog() *refLog {
-	return &refLog{pos: make(map[Datum]int), locked: make(map[Datum]bool), head: 1}
+	return &refLog{pos: make(map[Datum]int), locked: make(map[Datum]bool), batch: make(map[msg.ID]int), head: 1}
 }
 
+// key is the map key of d: a message's datum whatever its I.
+func key(d Datum) Datum {
+	if d.Kind == KindMsg {
+		d.I = 0
+	}
+	return d
+}
+
+// Pos is the position of d, 0 when absent.
+func (l *refLog) Pos(d Datum) int { return l.pos[key(d)] }
+
+// Batch is the I of m's first KindMsg append.
+func (l *refLog) Batch(m msg.ID) msg.ID { return msg.ID(l.batch[m]) }
+
 func (l *refLog) Append(d Datum) int {
+	if d.Kind == KindMsg {
+		if _, ok := l.pos[key(d)]; !ok {
+			l.batch[d.Msg] = d.I
+		}
+		d = key(d)
+	}
 	if p, ok := l.pos[d]; ok {
 		return p
 	}
@@ -43,6 +67,7 @@ func (l *refLog) Append(d Datum) int {
 }
 
 func (l *refLog) BumpAndLock(d Datum, k int) {
+	d = key(d)
 	cur := l.pos[d]
 	if l.locked[d] {
 		return
@@ -57,6 +82,7 @@ func (l *refLog) BumpAndLock(d Datum, k int) {
 }
 
 func (l *refLog) Less(d, o Datum) bool {
+	d, o = key(d), key(o)
 	pd, ok1 := l.pos[d]
 	po, ok2 := l.pos[o]
 	if !ok1 || !ok2 {
@@ -74,11 +100,16 @@ func (l *refLog) Items() []Datum {
 		out = append(out, d)
 	}
 	sort.Slice(out, func(i, j int) bool { return l.Less(out[i], out[j]) })
+	for i, d := range out {
+		if d.Kind == KindMsg {
+			out[i].I = l.batch[d.Msg]
+		}
+	}
 	return out
 }
 
 func (l *refLog) MessagesBefore(d Datum) []msg.ID {
-	if _, ok := l.pos[d]; !ok {
+	if _, ok := l.pos[key(d)]; !ok {
 		return nil
 	}
 	var out []msg.ID
@@ -217,10 +248,10 @@ func (mp *modelPair) check(t testing.TB) {
 	}
 	probes := append(items, MsgDatum(mp.ids[len(mp.ids)-1])) // and one absent datum
 	for _, d := range probes {
-		if got, want := l.Pos(d), ref.pos[d]; got != want {
+		if got, want := l.Pos(d), ref.Pos(d); got != want {
 			t.Fatalf("Pos(%v) = %d, model says %d", d, got, want)
 		}
-		if got, want := l.Locked(d), ref.locked[d]; got != want {
+		if got, want := l.Locked(d), ref.locked[key(d)]; got != want {
 			t.Fatalf("Locked(%v) = %v, model says %v", d, got, want)
 		}
 		// MessagesBefore answers in <_L order, the model in ID order.
@@ -236,7 +267,7 @@ func (mp *modelPair) check(t testing.TB) {
 			t.Fatalf("MessagesBefore(%v) = %v, model says %v", d, byID, want)
 		}
 		// ScanBefore from a floor is MessagesBefore minus what lies below it.
-		for _, floor := range []int{0, ref.pos[d] / 2, ref.pos[d], ref.pos[d] + 1} {
+		for _, floor := range []int{0, ref.Pos(d) / 2, ref.Pos(d), ref.Pos(d) + 1} {
 			var want, scanned []msg.ID
 			for _, m := range got {
 				if ref.pos[MsgDatum(m)] >= floor {
@@ -256,6 +287,9 @@ func (mp *modelPair) check(t testing.TB) {
 		}
 	}
 	for _, m := range mp.ids {
+		if got, want := l.Batch(m), ref.Batch(m); got != want {
+			t.Fatalf("Batch(m%d) = %d, model says %d", m, got, want)
+		}
 		gi, gok := l.MaxPosTuple(m)
 		wi, wok := ref.MaxPosTuple(m)
 		if gi != wi || gok != wok {
@@ -318,7 +352,10 @@ func TestIndexAgainstModel(t *testing.T) {
 		}
 		randDatum := func() Datum {
 			m := mp.ids[rng.Intn(len(mp.ids)-1)]
-			switch rng.Intn(7) {
+			switch rng.Intn(8) {
+			case 7:
+				// A batch head: its extent ends at another message.
+				return Datum{Kind: KindMsg, Msg: m, I: int(mp.ids[rng.Intn(len(mp.ids))])}
 			case 0:
 				return PosDatum(m, groups.GroupID(rng.Intn(maxGroup+1)), rng.Intn(20))
 			case 1:
@@ -410,6 +447,47 @@ func TestFirstProposalDecides(t *testing.T) {
 	}
 }
 
+// TestFirstMessageAppendWins states the batch rule: a message has at most one
+// KindMsg datum per log. A second append of it with another I is a no-op that
+// returns the first position and takes no slot, Batch keeps the first I, and
+// every read finds the datum whatever I it is asked with.
+func TestFirstMessageAppendWins(t *testing.T) {
+	mp := newModelPair(6, 1)
+	l := mp.l
+	head := Datum{Kind: KindMsg, Msg: 2, I: 5}
+	mp.append(t, MsgDatum(1))
+	mp.append(t, head)
+	won := l.Pos(head)
+	for _, i := range []int{0, 4, 6} {
+		d := Datum{Kind: KindMsg, Msg: 2, I: i}
+		before := l.head
+		if got := l.Append(d); got != won || l.head != before {
+			t.Fatalf("Append(%v) = %d, head %d→%d; the first append sits at %d", d, got, before, l.head, won)
+		}
+		mp.ref.Append(d)
+		mp.check(t)
+		if !l.Contains(d) || l.Pos(d) != won || !l.Appended(d) {
+			t.Fatalf("%v not found as m2's datum", d)
+		}
+	}
+	if got := l.Batch(2); got != 5 {
+		t.Fatalf("Batch(m2) = %d, want the first append's 5", got)
+	}
+	if got := l.Batch(1); got != 0 {
+		t.Fatalf("Batch(m1) = %d, want 0 for a message appended alone", got)
+	}
+	mp.append(t, MsgDatum(3))
+	var seen []msg.ID
+	l.ScanBefore(Datum{Kind: KindMsg, Msg: 3, I: 6}, 0, func(m msg.ID, _ int) bool { seen = append(seen, m); return true })
+	if !reflect.DeepEqual(seen, []msg.ID{1, 2}) {
+		t.Fatalf("ScanBefore(m3 with an extent) visited %v, want [1 2]", seen)
+	}
+	mp.bumpAndLock(t, Datum{Kind: KindMsg, Msg: 2, I: 9}, 10)
+	if !l.Locked(head) || l.Pos(MsgDatum(2)) != 10 || l.Batch(2) != 5 {
+		t.Fatalf("bump of m2 by another extent: pos %d locked %v batch %d", l.Pos(MsgDatum(2)), l.Locked(head), l.Batch(2))
+	}
+}
+
 // TestDatumCodec round-trips every kind of datum through EncodeDatum and
 // DecodeDatum and rejects the kinds on either side of the range.
 func TestDatumCodec(t *testing.T) {
@@ -420,7 +498,7 @@ func TestDatumCodec(t *testing.T) {
 		got := DecodeDatum(dec)
 		return got, dec.Close()
 	}
-	for _, d := range []Datum{MsgDatum(7), PosDatum(7, 2, 31), StableDatum(7, 3), ConsDatum(7, 0b1011, 44)} {
+	for _, d := range []Datum{MsgDatum(7), {Kind: KindMsg, Msg: 7, I: 12}, PosDatum(7, 2, 31), StableDatum(7, 3), ConsDatum(7, 0b1011, 44)} {
 		if got, err := roundTrip(d); err != nil || got != d {
 			t.Errorf("round trip of %v = %v, %v", d, got, err)
 		}

@@ -180,3 +180,17 @@ func TestReportConcurrentWithWriters(t *testing.T) {
 		t.Errorf("wire frames %d, want %d", got, writers*per)
 	}
 }
+
+// TestMeanBatch: requests per Algorithm-1 delivery, a head counted once.
+func TestMeanBatch(t *testing.T) {
+	var none *obs.SchedCounters
+	if got := none.MeanBatch(); got != 0 {
+		t.Errorf("nil block: %v", got)
+	}
+	if got := (&obs.SchedCounters{}).MeanBatch(); got != 0 {
+		t.Errorf("no deliveries: %v", got)
+	}
+	if got := (&obs.SchedCounters{Batches: 4, Constituents: 6}).MeanBatch(); got != 2.5 {
+		t.Errorf("4 batches carrying 6 constituents: %v requests each, want 2.5", got)
+	}
+}

@@ -509,10 +509,11 @@ func (c *ReplogCounters) MeanBatchOps() float64 {
 }
 
 // SchedCounters count the stepping scheduler's work: how often nodes woke
-// (split by cause), how many guard scan passes they ran (one per Step) and
-// how many protocol actions fired. Scans/Actions is the scan efficiency of
-// the ready set; a polling scheduler would show timer wakeups and scans
-// growing with wall time regardless of traffic.
+// (split by cause), how many guard scan passes they ran (one per Step), how
+// many protocol actions fired and what the deliveries among them carried.
+// Scans/Actions is the scan efficiency of the ready set; a polling
+// scheduler would show timer wakeups and scans growing with wall time
+// regardless of traffic.
 type SchedCounters struct {
 	NotifyWakeups int64 `json:"notify_wakeups"`
 	TimerWakeups  int64 `json:"timer_wakeups"`
@@ -526,6 +527,20 @@ type SchedCounters struct {
 	// head). Per delivery it must not grow with the length of the run: the
 	// guards start at a delivered frontier, not at the first entry.
 	GuardVisits int64 `json:"guard_visits"`
+	// Batches counts Algorithm-1 deliveries, one per message that entered
+	// Algorithm 1 (a batch head, or a run of one), and Constituents the
+	// requests those deliveries carried after their head (DESIGN.md §13).
+	Batches      int64 `json:"batches"`
+	Constituents int64 `json:"constituents"`
+}
+
+// MeanBatch is the mean requests delivered per Algorithm-1 delivery (0 on
+// a nil block or when nothing was delivered).
+func (c *SchedCounters) MeanBatch() float64 {
+	if c == nil || c.Batches == 0 {
+		return 0
+	}
+	return 1 + perUnit(c.Constituents, c.Batches)
 }
 
 // WALCounters count the durable-storage work of the live substrate's

@@ -306,7 +306,7 @@ func (r *RunReport) String() string {
 		{"wire", r.Wire, r.Wire.FramesPerFlush(), "frames/flush"},
 		{"paxos", r.Paxos, 0, ""},
 		{"replog", r.Replog, r.Replog.MeanBatchOps(), "ops/batch"},
-		{"sched", r.Sched, 0, ""},
+		{"sched", r.Sched, r.Sched.MeanBatch(), "msgs/batch"},
 		{"wal", r.WAL, r.WAL.BytesPerAppend(), "B/append"},
 		{"chaos", r.Chaos, 0, ""},
 	} {

@@ -343,6 +343,34 @@ func TestIdempotentHelp(t *testing.T) {
 	}
 }
 
+// TestBatchHeadFirstAppendWins: two replicas append one message as a batch
+// head with different extents. The first append applied wins at every
+// replica: one datum, one position, and its extent, whichever replica asks.
+func TestBatchHeadFirstAppendWins(t *testing.T) {
+	nw, reps := cluster(3)
+	defer nw.Close()
+	first := logobj.Datum{Kind: logobj.KindMsg, Msg: 1, I: 5}
+	second := logobj.Datum{Kind: logobj.KindMsg, Msg: 1, I: 7}
+	pos, ok := reps[0].Append(first).Wait()
+	if !ok {
+		t.Fatal("first append failed")
+	}
+	if got, ok := reps[1].Append(second).Wait(); !ok || got != pos {
+		t.Fatalf("second append = %d,%v, want the first's position %d", got, ok, pos)
+	}
+	for p, r := range reps {
+		if !r.SyncWait(1, time.Second) {
+			t.Fatalf("replica %d did not catch up", p)
+		}
+		var batch msg.ID
+		var items int
+		r.Read(func(l *logobj.Log) { batch, items = l.Batch(1), len(l.Items()) })
+		if batch != 5 || items != 1 || r.Pos(second) != pos {
+			t.Errorf("replica %d: Batch(m1) = %d, %d items, m1 at %d; want 5, 1, %d", p, batch, items, r.Pos(second), pos)
+		}
+	}
+}
+
 // TestUndecodableDecisionFailStops: a decided value that is not a batch is
 // state corruption. Every replica that meets it stops serving instead of
 // panicking: it fails its waiters, refuses further operations and counts

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/logobj"
+	"repro/internal/wire"
 )
 
 // FuzzWALReplay throws arbitrary bytes at the segment reader as the tail of
@@ -23,6 +26,7 @@ func FuzzWALReplay(f *testing.F) {
 	corrupt := frameF(4, []byte("checksum-victim"))
 	corrupt[len(corrupt)-1] ^= 0x80
 	f.Add(corrupt)
+	f.Add(batchHeadAccept())
 
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()
@@ -57,6 +61,27 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("recovered records beyond the valid prefix do not round-trip:\ntail  %x\nreenc %x", tail, reenc)
 		}
 	})
+}
+
+// batchHeadAccept is the frame of a paxos accept record (kind 3: instance,
+// ballot, value) whose value is a replog batch of one append of a batch
+// head — a KindMsg datum whose I names the last request of its batch. The
+// bytes are spelled out with the codecs the writers use, so the seed needs
+// neither package.
+func batchHeadAccept() []byte {
+	var batch wire.Enc
+	batch.U64(1) // one op
+	batch.I64(1) // opAppend
+	logobj.EncodeDatum(&batch, logobj.Datum{Kind: logobj.KindMsg, Msg: 4, I: 9})
+	batch.I64(0) // K
+	batch.U64(0) // reserved
+	var rec wire.Enc
+	rec.U8(0)              // instance space
+	rec.U64(1<<32 | 1)     // realm: LOG_g1
+	rec.I64(3)             // slot
+	rec.I64(64)            // ballot
+	rec.Bin(batch.Bytes()) // value
+	return frameF(3, rec.Bytes())
 }
 
 // frameF mirrors File's frame encoding for fuzz corpus construction.

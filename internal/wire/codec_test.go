@@ -66,6 +66,24 @@ func sampleFwdBatch(t testing.TB) any {
 	return pkt.Body
 }
 
+// batchHeadFwd is the frame of a replog forward of one append of a batch
+// head, in sampleFwdBatch's layout.
+func batchHeadFwd(t testing.TB) []byte {
+	t.Helper()
+	var e wire.Enc
+	e.U64(1<<32 | 1) // realm
+	e.U64(1)         // one op
+	e.I64(1)         // opAppend
+	logobj.EncodeDatum(&e, logobj.Datum{Kind: logobj.KindMsg, Msg: 4, I: 9})
+	e.I64(0)
+	e.U64(0) // reserved
+	frame := append([]byte{1, uint8(wire.TReplogFwd), 0, 0}, e.Bytes()...)
+	if _, err := wire.DecodePacket(frame); err != nil {
+		t.Fatalf("building a batch-head forward: %v", err)
+	}
+	return frame
+}
+
 // TestRoundTripEveryRegisteredType encodes and decodes one sample of every
 // registered message type and requires exact equality — and requires that
 // the sample table covers the registry, so adding a type without a

@@ -30,6 +30,11 @@ func FuzzDecodePacket(f *testing.F) {
 		f.Add([]byte{1, tag, 0, 1})
 		f.Add([]byte{1, tag, 0, 1, 1, 'r', 84})
 	}
+	// A forwarded op batch whose append carries a batch head: a KindMsg
+	// datum whose I names the last request of its batch.
+	head := batchHeadFwd(f)
+	f.Add(head)
+	f.Add(head[:len(head)-1])
 	// Op and datum bodies under their reserved tags, whole and truncated:
 	// rejected like a retired tag.
 	for _, frame := range reservedFrames() {
