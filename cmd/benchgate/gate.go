@@ -64,11 +64,14 @@ func microGate(w io.Writer, oldPath, newPath string, alpha, ratioMax float64) (f
 // rows on their identity (benchfmt.Key). Only chaos-free rows gate;
 // packets/delivery is the protocol-cost check and deliveries/sec the
 // catastrophic-throughput floor, each compared only when both rows carry
-// the column. Durability rows (fsync_mode != "mem") keep the packets gate —
-// storage does not change the wire protocol — but use fileDlvFloor for
-// throughput: fsync latency is a property of the runner's disk, and a
-// shared-CI runner's can be an order of magnitude worse than the baseline
-// machine's.
+// the column. Where both rows also carry mean_batch, the packets gated and
+// printed are those of one Algorithm-1 delivery (packets/delivery ×
+// mean_batch): a burst's packets are its batches', and how many batches a
+// burst enters as is timing, not protocol cost (DESIGN.md §13). Durability
+// rows (fsync_mode != "mem") keep the packets gate — storage does not change
+// the wire protocol — but use fileDlvFloor for throughput: fsync latency is
+// a property of the runner's disk, and a shared-CI runner's can be an order
+// of magnitude worse than the baseline machine's.
 func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlvFloor float64) (failed bool, err error) {
 	if oldPath == "" || newPath == "" {
 		return false, fmt.Errorf("live: -old and -new are required")
@@ -85,7 +88,7 @@ func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlv
 	for _, r := range old.Runs {
 		base[r.Key] = r
 	}
-	fmt.Fprintf(w, "%-38s %22s %18s  %s\n", "row", "pkts/dlv old->new", "dlv/sec old->new", "verdict")
+	fmt.Fprintf(w, "%-38s %22s %18s  %s\n", "row", "pkts old->new", "dlv/sec old->new", "verdict")
 	matched := 0
 	for _, r := range cur.Runs {
 		b, ok := base[r.Key]
@@ -105,6 +108,11 @@ func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlv
 		}
 		matched++
 		pkts := benchfmt.Column{Old: b.PacketsPerDelivery, New: r.PacketsPerDelivery}
+		pktsUnit := "delivery"
+		if b.MeanBatch > 0 && r.MeanBatch > 0 {
+			pkts = benchfmt.Column{Old: pkts.Old * b.MeanBatch, New: pkts.New * r.MeanBatch}
+			pktsUnit = "Algorithm-1 delivery"
+		}
 		dlv := benchfmt.Column{Old: b.DeliveriesPerSec, New: r.DeliveriesPerSec}
 		verdict := "ok"
 		if r.ChaosSeed != 0 {
@@ -125,7 +133,7 @@ func liveGate(w io.Writer, oldPath, newPath string, pktsSlack, dlvFloor, fileDlv
 				failed = true
 			}
 			if pkts.Compared() && pkts.Ratio() > pktsSlack {
-				verdict = fmt.Sprintf("FAIL: packets/delivery %.1f > %.2fx baseline", pkts.New, pktsSlack)
+				verdict = fmt.Sprintf("FAIL: packets/%s %.1f > %.2fx baseline", pktsUnit, pkts.New, pktsSlack)
 				failed = true
 			}
 			if dlv.Compared() && dlv.Ratio() < floor {

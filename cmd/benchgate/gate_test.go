@@ -392,3 +392,44 @@ func TestLiveGateCatchesDigestDrift(t *testing.T) {
 		t.Fatalf("scaled run's digest difference failed the gate:\n%s", out.String())
 	}
 }
+
+// burstRows is a burst-n3 baseline row as loadsim writes it: 600 requests
+// to a group of three entering Algorithm 1 as one batch (33 packets for
+// 1800 deliveries, 600 requests per Algorithm-1 delivery).
+const burstRows = `{"runs": [
+  {"scenario": "burst-n3", "workload_seed": 1, "processes": 3, "groups": 1, "transport": "mem",
+   "chaos_seed": 0, "conflict_rate": 1, "fsync_mode": "mem",
+   "deliveries_per_sec": 500000, "packets_per_delivery": 0.018333, "mean_batch": 600}
+]}`
+
+func TestLiveGatePacketsPerAlgorithm1Delivery(t *testing.T) {
+	gate := func(cand string) (bool, string) {
+		t.Helper()
+		var out bytes.Buffer
+		failed, err := liveGate(&out,
+			writeTemp(t, "old.json", burstRows),
+			writeTemp(t, "new.json", cand), 1.25, 0.25, 0.10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return failed, out.String()
+	}
+	// The same burst entering as two batches: 61 packets for the same
+	// deliveries is 1.85x the packets/delivery, but 10.2 packets per
+	// Algorithm-1 delivery against 11.
+	twoBatches := strings.NewReplacer("0.018333", "0.033889", `"mean_batch": 600`, `"mean_batch": 300`).Replace(burstRows)
+	if failed, out := gate(twoBatches); failed {
+		t.Fatalf("a burst entering as two batches failed the gate:\n%s", out)
+	}
+	// Doubled packets at the same batch count are protocol cost.
+	doubled := strings.Replace(burstRows, "0.018333", "0.036667", 1)
+	if failed, out := gate(doubled); !failed || !strings.Contains(out, "Algorithm-1 delivery") {
+		t.Fatalf("doubled packets per Algorithm-1 delivery passed the gate, or the verdict does not say which packets:\n%s", out)
+	}
+	// Without mean_batch on one side the old rule holds: two batches'
+	// packets/delivery fail it.
+	noBatch := strings.Replace(twoBatches, `, "mean_batch": 300`, "", 1)
+	if failed, out := gate(noBatch); !failed || !strings.Contains(out, "packets/delivery") {
+		t.Fatalf("a row without mean_batch was not gated on packets/delivery:\n%s", out)
+	}
+}

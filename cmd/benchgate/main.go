@@ -19,9 +19,12 @@
 //	    identity keys (internal/benchfmt); a row that lacks one is refused
 //	    by name. On chaos-free rows, packets/delivery — a protocol
 //	    property, not a timing — may not exceed the baseline by more than
-//	    -pkts-slack (default 1.25x), deliveries/sec may not fall below
-//	    -dlv-floor (default 0.25x) of the baseline, and the stream digest
-//	    may not move while the multicast count stays. A column only one
+//	    -pkts-slack (default 1.25x); where both rows carry mean_batch it
+//	    is packets per Algorithm-1 delivery (× mean_batch) that may not,
+//	    since how many batches a burst enters as is timing.
+//	    deliveries/sec may not fall below -dlv-floor (default 0.25x) of
+//	    the baseline, and the stream digest may not move while the
+//	    multicast count stays. A column only one
 //	    side carries is reported "not compared". Chaos-seeded rows are
 //	    reported but never gate: the nemesis owns their variance. File-WAL
 //	    durability rows gate throughput against the softer -file-dlv-floor

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/failure"
@@ -189,8 +191,207 @@ func TestStrictOrderingDistinguishesRealTime(t *testing.T) {
 	if v := Ordering(tr); v != nil {
 		t.Fatalf("plain ordering should hold: %v", v)
 	}
-	if v := StrictOrdering(tr); v == nil {
+	v := StrictOrdering(tr)
+	if v == nil {
 		t.Fatalf("↦ ∪ ⇝ cycle not caught")
+	}
+	if strings.Contains(v.Detail, "-") {
+		t.Fatalf("the cycle reported names a virtual node of ⇝'s chain: %v", v)
+	}
+}
+
+// randomTrace builds a run over np processes and a few random groups in
+// which every process delivers, in one global order, the messages addressed
+// to it — then breaks it the ways runs break: a duplicate delivery, a
+// swapped pair, a delivery missing at one process. Request times precede
+// first deliveries, in the order messages were requested, except where a
+// message sits out a while before it is requested.
+func randomTrace(rng *rand.Rand) *Trace {
+	np := 2 + rng.Intn(4)
+	var gs []groups.ProcSet
+	for len(gs) < 1+rng.Intn(4) {
+		var g groups.ProcSet
+		for p := 0; p < np; p++ {
+			if rng.Intn(2) == 0 {
+				g = g.Add(groups.Process(p))
+			}
+		}
+		if !g.Empty() {
+			gs = append(gs, g)
+		}
+	}
+	topo := groups.MustNew(np, gs...)
+	reg := msg.NewRegistry()
+	tr := &Trace{
+		Topo:           topo,
+		Pat:            failure.NewPattern(np),
+		Reg:            reg,
+		LocalOrder:     map[groups.Process][]msg.ID{},
+		Multicast:      map[msg.ID]failure.Time{},
+		FirstDelivered: map[msg.ID]failure.Time{},
+	}
+	n := 1 + rng.Intn(8)
+	for i := 0; i < n; i++ {
+		g := groups.GroupID(rng.Intn(len(gs)))
+		mem := topo.Group(g).Members()
+		m := reg.New(mem[rng.Intn(len(mem))], g, nil)
+		tr.Multicast[m.ID] = failure.Time(10*i + rng.Intn(15))
+	}
+	order := rng.Perm(n)
+	for p := 0; p < np; p++ {
+		var seq []msg.ID
+		for _, i := range order {
+			m := reg.Get(msg.ID(i + 1))
+			if topo.Group(m.Dst).Has(groups.Process(p)) {
+				seq = append(seq, m.ID)
+			}
+		}
+		if len(seq) > 0 && rng.Intn(4) == 0 {
+			seq = append(seq, seq[rng.Intn(len(seq))]) // duplicate delivery
+		}
+		if len(seq) > 1 && rng.Intn(3) == 0 {
+			i := rng.Intn(len(seq) - 1) // swapped pair
+			seq[i], seq[i+1] = seq[i+1], seq[i]
+		}
+		if len(seq) > 0 && rng.Intn(4) == 0 {
+			i := rng.Intn(len(seq)) // missing delivery
+			seq = append(seq[:i:i], seq[i+1:]...)
+		}
+		tr.LocalOrder[groups.Process(p)] = seq
+		for k, id := range seq {
+			at := tr.Multicast[id] + failure.Time(1+k+rng.Intn(20))
+			if t, ok := tr.FirstDelivered[id]; !ok || at < t {
+				tr.FirstDelivered[id] = at
+			}
+		}
+	}
+	if rng.Intn(8) == 0 {
+		// Evidence no run produces: a message first delivered before its
+		// own request, which ⇝ does not relate to itself.
+		id := msg.ID(1 + rng.Intn(n))
+		if at, ok := tr.FirstDelivered[id]; ok {
+			tr.Multicast[id] = at + failure.Time(1+rng.Intn(20))
+		}
+	}
+	return tr
+}
+
+// quadraticRealTime is ⇝ as StrictOrdering used to list it, one edge per
+// pair: the oracle realTimeEdges is held against.
+func quadraticRealTime(tr *Trace) []edge {
+	var rt []edge
+	for m, dt := range tr.FirstDelivered {
+		for mp, reqt := range tr.Multicast {
+			if m == mp {
+				continue
+			}
+			if _, deliveredToo := tr.FirstDelivered[mp]; !deliveredToo {
+				continue
+			}
+			if dt < reqt {
+				rt = append(rt, edge{m, mp})
+			}
+		}
+	}
+	return rt
+}
+
+// closure returns the transitive closure of edges over the n messages and
+// up to n virtual nodes (IDs -1 … -n, index n+1 … 2n), as reachability
+// between messages.
+func closure(edges []edge, n int) [][]bool {
+	at := func(id msg.ID) int {
+		if id < 0 {
+			return n - int(id)
+		}
+		return int(id)
+	}
+	r := make([][]bool, 2*n+1)
+	for i := range r {
+		r[i] = make([]bool, 2*n+1)
+	}
+	for _, e := range edges {
+		r[at(e.from)][at(e.to)] = true
+	}
+	for k := 1; k <= 2*n; k++ {
+		for i := 1; i <= 2*n; i++ {
+			for j := 1; j <= 2*n; j++ {
+				r[i][j] = r[i][j] || r[i][k] && r[k][j]
+			}
+		}
+	}
+	return r[:n+1]
+}
+
+// edgeList lists a relation's edges.
+func edgeList(edges map[edge]groups.Process) []edge {
+	var out []edge
+	for e := range edges {
+		out = append(out, e)
+	}
+	return out
+}
+
+// sameClosure fails the test where the closures of want and got differ
+// between two messages.
+func sameClosure(t *testing.T, trial int, what string, want, got []edge, tr *Trace) {
+	t.Helper()
+	n := tr.Reg.Len()
+	w, g := closure(want, n), closure(got, n)
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= n; j++ {
+			if w[i][j] != g[i][j] {
+				t.Fatalf("trial %d: %s: the new edges say m%d reaches m%d is %v, the quadratic ones %v\norders %v, requests %v, first deliveries %v",
+					trial, what, i, j, g[i][j], w[i][j], tr.LocalOrder, tr.Multicast, tr.FirstDelivered)
+			}
+		}
+	}
+}
+
+// TestOrderingMatchesQuadraticOracle: the chain orderEdges builds has the
+// transitive closure of the full relation deliveryEdges builds, and the
+// virtual chain realTimeEdges builds that of ⇝ listed pair by pair, so
+// Ordering and StrictOrdering reach the verdicts the quadratic builders
+// reach — on runs that agree, on runs with a duplicate delivery, a swapped
+// pair or a missing delivery, and on evidence of a message delivered before
+// its own request.
+func TestOrderingMatchesQuadraticOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	var cycles, strictCycles, acyclic int
+	for trial := 0; trial < 5000; trial++ {
+		tr := randomTrace(rng)
+		full, chain := deliveryEdges(tr), orderEdges(tr)
+		for e := range chain {
+			if _, ok := full[e]; !ok {
+				t.Fatalf("trial %d: chain edge m%d→m%d is not an edge of ↦", trial, e.from, e.to)
+			}
+		}
+		rt := quadraticRealTime(tr)
+		sameClosure(t, trial, "↦", edgeList(full), edgeList(chain), tr)
+		sameClosure(t, trial, "⇝", rt, realTimeEdges(tr), tr)
+		sameClosure(t, trial, "↦ ∪ ⇝", append(edgeList(full), rt...), append(edgeList(chain), realTimeEdges(tr)...), tr)
+		wantCycle := findCycle(full, nil) != nil
+		if gotCycle := Ordering(tr) != nil; gotCycle != wantCycle {
+			t.Fatalf("trial %d: Ordering reports a cycle: %v; the quadratic relation: %v\norders %v",
+				trial, gotCycle, wantCycle, tr.LocalOrder)
+		}
+		wantStrict := findCycle(full, rt) != nil
+		if gotStrict := StrictOrdering(tr) != nil; gotStrict != wantStrict {
+			t.Fatalf("trial %d: StrictOrdering reports a cycle: %v; the quadratic relation: %v\norders %v",
+				trial, gotStrict, wantStrict, tr.LocalOrder)
+		}
+		switch {
+		case wantCycle:
+			cycles++
+		case wantStrict:
+			strictCycles++
+		default:
+			acyclic++
+		}
+	}
+	if cycles == 0 || strictCycles == 0 || acyclic == 0 {
+		t.Fatalf("the traces did not exercise every verdict: %d cycles of ↦, %d of ↦ ∪ ⇝ only, %d acyclic",
+			cycles, strictCycles, acyclic)
 	}
 }
 

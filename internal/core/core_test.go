@@ -225,13 +225,13 @@ func TestOutstandingIgnoresDuplicates(t *testing.T) {
 		{0, a.ID, 3}, {0, a.ID, 3}, {2, a.ID, 3}, {1, a.ID, 2}, {1, b.ID, 1},
 	}
 	for _, s := range steps {
-		sh.RecordDelivery(s.p, s.m, 1)
+		sh.RecordDeliveries(s.p, []msg.ID{s.m}, 1)
 		if got := sh.Outstanding(); got != s.want {
 			t.Fatalf("after p%d delivers m%d: %d outstanding, want %d", s.p, s.m, got, s.want)
 		}
 	}
 	sh.Freeze()
-	sh.RecordDelivery(0, b.ID, 2)
+	sh.RecordDeliveries(0, []msg.ID{b.ID}, 2)
 	if got := sh.Outstanding(); got != 1 {
 		t.Fatalf("a delivery after Freeze lowered the count to %d", got)
 	}

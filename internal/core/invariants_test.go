@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/check"
@@ -139,7 +140,9 @@ func TestClaim12_13_DeliveryMembershipAndLog(t *testing.T) {
 
 // TestBatchExtentsDisjoint: over seeded random runs of every variant, the
 // extents in each LOG_g are disjoint and contiguous in L_g (batchHeads), and
-// the runs do form batches, so the assertion is not vacuous.
+// the runs do form batches, so the assertion is not vacuous. A batch is
+// recorded in one call, and OnDeliver still fires once per request in each
+// process's delivery order.
 func TestBatchExtentsDisjoint(t *testing.T) {
 	constituents := int64(0)
 	for _, v := range []Variant{Vanilla, Strict, Pairwise, StronglyGenuine, Generic} {
@@ -147,10 +150,19 @@ func TestBatchExtentsDisjoint(t *testing.T) {
 		for trial := 0; trial < 15; trial++ {
 			sc := genScenario(rng)
 			rec := obs.NewRecorder(obs.Options{Level: obs.LevelCounters})
-			s := runScenario(t, sc, Options{Variant: v, FD: fd.Options{Delay: 8}, Rec: rec})
+			hooked := make(map[groups.Process][]msg.ID)
+			onDeliver := func(p groups.Process, m *msg.Message, _ failure.Time) {
+				hooked[p] = append(hooked[p], m.ID)
+			}
+			s := runScenario(t, sc, Options{Variant: v, FD: fd.Options{Delay: 8}, Rec: rec, OnDeliver: onDeliver})
 			batchHeads(t, s)
 			for _, viol := range s.Check() {
 				t.Fatalf("%v trial %d: %v", v, trial, viol)
+			}
+			for p, n := range s.Nodes {
+				if got, want := hooked[groups.Process(p)], n.Delivered(); !slices.Equal(got, want) {
+					t.Fatalf("%v trial %d: p%d OnDeliver saw %v, delivered %v", v, trial, p, got, want)
+				}
 			}
 			constituents += rec.Report().Sched.Constituents
 		}

@@ -33,9 +33,15 @@ type Node struct {
 	p  groups.Process
 	sh *Shared
 
-	phase     map[msg.ID]Phase
+	// phase holds the local phase of each message at index ID-1; 0 means
+	// not discovered yet (Phase reads it as PhaseStart).
+	phase     []uint8
 	active    []msg.ID // undelivered discovered messages, ascending ID
 	delivered []msg.ID
+
+	// batch is deliver's scratch list: the head and constituents of the
+	// batch being delivered.
+	batch []msg.ID
 
 	// hw is the per-group-log discovery high-water mark: how many messages
 	// of LOG_g's first-append stream this node has already ingested. Each
@@ -138,7 +144,6 @@ func NewNode(p groups.Process, sh *Shared) *Node {
 	n := &Node{
 		p:        p,
 		sh:       sh,
-		phase:    make(map[msg.ID]Phase),
 		hw:       make(map[groups.GroupID]int),
 		outbox:   make(map[groups.GroupID][]request),
 		seqFront: make(map[groups.GroupID]int),
@@ -191,10 +196,26 @@ func (n *Node) Multicast(m *msg.Message) {
 
 // Phase returns the local phase of m.
 func (n *Node) Phase(m msg.ID) Phase {
-	if ph, ok := n.phase[m]; ok {
+	if ph := n.phaseOf(m); ph != 0 {
 		return ph
 	}
 	return PhaseStart
+}
+
+// phaseOf returns the local phase of m, 0 when m is not discovered yet.
+func (n *Node) phaseOf(m msg.ID) Phase {
+	if m < 1 || int(m) > len(n.phase) {
+		return 0
+	}
+	return Phase(n.phase[m-1])
+}
+
+// setPhase records the local phase of m, growing the table to hold it.
+func (n *Node) setPhase(m msg.ID, ph Phase) {
+	if i := int(m); i > len(n.phase) {
+		n.phase = append(n.phase, make([]uint8, i-len(n.phase))...)
+	}
+	n.phase[m-1] = uint8(ph)
 }
 
 // Delivered returns the local delivery order.
@@ -251,7 +272,7 @@ func (n *Node) scanPass(ctx *engine.Ctx) bool {
 	w := 0
 	for i := 0; i < len(n.active); i++ {
 		id := n.active[i]
-		ph := n.phase[id]
+		ph := n.phaseOf(id)
 		if ph == PhaseDeliver {
 			continue // retired: delivered messages leave the scan set
 		}
@@ -303,7 +324,7 @@ func (n *Node) scanPass(ctx *engine.Ctx) bool {
 func (n *Node) Quiescent() bool { return n.quiet }
 
 // discover ingests the new suffix of each group log's message stream. Newly
-// seen messages enter the phase map at PhaseStart and join the active scan
+// seen messages enter the phase table at PhaseStart and join the active scan
 // set, which stays sorted by ID (the scan order of Step).
 func (n *Node) discover() {
 	unsorted := false
@@ -335,10 +356,10 @@ func (n *Node) discover() {
 		}
 		n.hw[g] = from + len(ids)
 		for _, id := range ids {
-			if _, seen := n.phase[id]; seen {
+			if n.phaseOf(id) != 0 {
 				continue
 			}
-			n.phase[id] = PhaseStart
+			n.setPhase(id, PhaseStart)
 			// IDs mostly arrive in order; sorting a long backlog on every
 			// arrival is what a process that has fallen behind cannot afford.
 			if k := len(n.active); k > 0 && id < n.active[k-1] {
@@ -358,7 +379,7 @@ func (n *Node) discover() {
 func (n *Node) ScanSetSize() int {
 	w := 0
 	for _, id := range n.active {
-		if n.phase[id] != PhaseDeliver {
+		if n.phaseOf(id) != PhaseDeliver {
 			n.active[w] = id
 			w++
 		}
@@ -560,7 +581,7 @@ func (n *Node) tryPending(ctx *engine.Ctx, id msg.ID) bool {
 		op.st.Wait()
 		n.sh.Opt.Rec.Append(n.p, id, g, g, uint8(logobj.KindPos), op.pos, ctx.Now)
 	}
-	n.phase[id] = PhasePending
+	n.setPhase(id, PhasePending)
 	return true
 }
 
@@ -623,7 +644,7 @@ func (n *Node) tryCommit(ctx *engine.Ctx, id msg.ID) bool {
 		op.st.Wait()
 		n.sh.Opt.Rec.Bump(n.p, id, g, op.h, k, ctx.Now)
 	}
-	n.phase[id] = PhaseCommit
+	n.setPhase(id, PhaseCommit)
 	return true
 }
 
@@ -685,7 +706,7 @@ func (n *Node) tryStable(ctx *engine.Ctx, id msg.ID) bool {
 			}
 		}
 	}
-	n.phase[id] = PhaseStable
+	n.setPhase(id, PhaseStable)
 	return true
 }
 
@@ -739,35 +760,35 @@ func (n *Node) tryFastDeliver(ctx *engine.Ctx, id msg.ID) bool {
 
 // deliver finalises a local delivery (fast marks a skipped-coordination
 // fast-path delivery for the observability layer): id, then every
-// constituent of the batch it heads, in L_g order.
+// constituent of the batch it heads, in L_g order. The trace records the
+// whole batch at once; OnDeliver then fires once per message, in that order.
 func (n *Node) deliver(ctx *engine.Ctx, id msg.ID, fast bool) {
 	sched := n.sh.Opt.Rec.Sched()
 	obs.Inc(&sched.Batches)
-	n.deliverOne(ctx, id)
 	if fast {
 		n.sh.Opt.Rec.FastDelivery()
 	}
-	if !n.sh.batching() {
-		return // every message entered alone (fast ones among them)
-	}
-	g := n.sh.Reg.Get(id).Dst
-	if tail := n.groupLog(g).Batch(id); tail != msg.None {
-		c := n.sh.extent(g, id, tail)
-		obs.Add(&sched.Constituents, int64(len(c)))
-		for _, m := range c {
-			n.deliverOne(ctx, m)
+	n.batch = append(n.batch[:0], id)
+	// Under Generic with a relation every message entered alone (fast ones
+	// among them).
+	if n.sh.batching() {
+		g := n.sh.Reg.Get(id).Dst
+		if tail := n.groupLog(g).Batch(id); tail != msg.None {
+			c := n.sh.extent(g, id, tail)
+			obs.Add(&sched.Constituents, int64(len(c)))
+			n.batch = append(n.batch, c...)
 		}
 	}
-}
-
-// deliverOne delivers one request locally.
-func (n *Node) deliverOne(ctx *engine.Ctx, id msg.ID) {
-	n.phase[id] = PhaseDeliver
-	n.delivered = append(n.delivered, id)
-	delete(n.fastMemo, id) // delivered: neither memo will be consulted again
-	delete(n.stabIssued, id)
-	n.sh.RecordDelivery(n.p, id, ctx.Now)
-	if n.sh.Opt.OnDeliver != nil {
-		n.sh.Opt.OnDeliver(n.p, n.sh.Reg.Get(id), ctx.Now)
+	for _, m := range n.batch {
+		n.setPhase(m, PhaseDeliver)
+		delete(n.fastMemo, m) // delivered: neither memo will be consulted again
+		delete(n.stabIssued, m)
+	}
+	n.delivered = append(n.delivered, n.batch...)
+	n.sh.RecordDeliveries(n.p, n.batch, ctx.Now)
+	if on := n.sh.Opt.OnDeliver; on != nil {
+		for _, m := range n.batch {
+			on(n.p, n.sh.Reg.Get(m), ctx.Now)
+		}
 	}
 }

@@ -72,7 +72,7 @@ type Options struct {
 // backend supplying the shared objects (the substrate the protocol runs
 // over — see backend.go).
 //
-// The trace-recording surface (Request, RecordDelivery, SeqList and the
+// The trace-recording surface (Request, RecordDeliveries, SeqList and the
 // accessors) is guarded by a mutex: deterministic runs are sequential, but
 // the live backend steps every node in its own goroutine.
 type Shared struct {
@@ -86,29 +86,26 @@ type Shared struct {
 	mu sync.Mutex
 
 	// seqs are the group-sequential lists L_g of the Proposition 1
-	// reduction: client multicasts enter here, and a sender only hands its
-	// message to Algorithm 1 once every predecessor of L_g is delivered
-	// locally.
-	seqs map[groups.GroupID][]msg.ID
+	// reduction, indexed by group: client multicasts enter here, and a
+	// sender only hands its message to Algorithm 1 once every predecessor
+	// of L_g is delivered locally.
+	seqs [][]msg.ID
 
-	// requests records, per registered message, when it was handed to
-	// multicast() — the left endpoint of the real-time relation ⇝ — and its
-	// index in L_{dst(m)}.
-	requests map[msg.ID]requestRecord
-	// firstDelivered records the first delivery time of each message — the
-	// right endpoint of ⇝.
-	firstDelivered map[msg.ID]failure.Time
+	// recs holds what Shared keeps about each message at index ID-1 (IDs
+	// are positional, see msg.Registry): its request, its first delivery
+	// and who must still deliver it.
+	recs []msgRecord
 
-	deliveries []Delivery
+	// deliveries is the global delivery trace in pages of tracePage
+	// events, so that it grows without copying what it holds; seq counts
+	// the events.
+	deliveries [][]Delivery
 	seq        int
 	frozen     bool
 
 	// watched are the processes whose deliveries Outstanding counts;
-	// waiting holds, per registered message, the watched members of its
-	// destination that have not delivered it yet (a message leaves when the
-	// last one does), and outstanding the sum of their counts.
+	// outstanding sums the waiting sets of the records.
 	watched     groups.ProcSet
-	waiting     map[msg.ID]groups.ProcSet
 	outstanding int
 
 	// gammaOverride substitutes another γ implementation for the ideal one
@@ -120,10 +117,44 @@ type Shared struct {
 	guardOracle func(n *Node, l *nodeLog, id msg.ID, min Phase, got bool)
 }
 
-// requestRecord is what Shared keeps about one registered message.
-type requestRecord struct {
+// tracePage is how many delivery events one page of the trace holds.
+const tracePage = 1024
+
+// msgRecord is what Shared keeps about one message.
+type msgRecord struct {
+	// at is when the message was handed to multicast() — the left endpoint
+	// of the real-time relation ⇝ — and seq its index in L_{dst(m)}.
 	at  failure.Time
 	seq int
+	// first is the first delivery time — the right endpoint of ⇝ — valid
+	// once delivered is set.
+	first failure.Time
+	// waiting holds the watched members of the destination that have not
+	// delivered the message yet.
+	waiting groups.ProcSet
+	// registered is false for an ID a peer daemon's op named before this
+	// daemon registered it, and for an ID between its registry entry and
+	// RequestClassed's write of its record.
+	registered bool
+	delivered  bool
+}
+
+// rec returns the record of m, growing the table to hold it. Caller holds
+// sh.mu.
+func (sh *Shared) rec(m msg.ID) *msgRecord {
+	if i := int(m); i > len(sh.recs) {
+		sh.recs = append(sh.recs, make([]msgRecord, i-len(sh.recs))...)
+	}
+	return &sh.recs[m-1]
+}
+
+// peek returns the record of m, or the zero record when the table does not
+// reach m yet. Caller holds sh.mu.
+func (sh *Shared) peek(m msg.ID) msgRecord {
+	if m < 1 || int(m) > len(sh.recs) {
+		return msgRecord{}
+	}
+	return sh.recs[m-1]
 }
 
 // Gamma returns the γ in effect for this run. The strict variant derives
@@ -169,14 +200,11 @@ func newSharedState(topo *groups.Topology, pat *failure.Pattern, opt Options) *S
 		opt.Variant = Vanilla
 	}
 	return &Shared{
-		Topo:           topo,
-		Reg:            msg.NewRegistry(),
-		Mu:             fd.NewMu(topo, pat, opt.FD),
-		Opt:            opt,
-		seqs:           make(map[groups.GroupID][]msg.ID),
-		requests:       make(map[msg.ID]requestRecord),
-		waiting:        make(map[msg.ID]groups.ProcSet),
-		firstDelivered: make(map[msg.ID]failure.Time),
+		Topo: topo,
+		Reg:  msg.NewRegistry(),
+		Mu:   fd.NewMu(topo, pat, opt.FD),
+		Opt:  opt,
+		seqs: make([][]msg.ID, topo.NumGroups()),
 	}
 }
 
@@ -218,13 +246,12 @@ func (sh *Shared) RequestClassed(src groups.Process, dst groups.GroupID, payload
 		}
 	}
 	m := sh.Reg.NewClassed(src, dst, payload, class)
+	w := sh.Topo.Group(dst).Intersect(sh.watched)
 	sh.mu.Lock()
-	sh.requests[m.ID] = requestRecord{at: now, seq: len(sh.seqs[dst])}
+	r := sh.rec(m.ID)
+	r.at, r.seq, r.registered, r.waiting = now, len(sh.seqs[dst]), true, w
 	sh.seqs[dst] = append(sh.seqs[dst], m.ID)
-	if w := sh.Topo.Group(dst).Intersect(sh.watched); !w.Empty() {
-		sh.waiting[m.ID] = w
-		sh.outstanding += w.Count()
-	}
+	sh.outstanding += w.Count()
 	sh.mu.Unlock()
 	sh.Opt.Rec.Multicast(src, m.ID, dst, now)
 	sh.Opt.Rec.NoteClass(uint64(m.Class))
@@ -280,8 +307,8 @@ func (sh *Shared) SeqListFrom(g groups.GroupID, from int) []msg.ID {
 func (sh *Shared) seqIndex(m msg.ID) (int, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r, ok := sh.requests[m]
-	return r.seq, ok
+	r := sh.peek(m)
+	return r.seq, r.registered
 }
 
 // batching reports whether the run forms batches: wherever every pair of
@@ -311,33 +338,42 @@ func (sh *Shared) seqTail(g groups.GroupID, m msg.ID) msg.ID {
 func (sh *Shared) extent(g groups.GroupID, head, tail msg.ID) []msg.ID {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.seqs[g][sh.requests[head].seq+1 : sh.requests[tail].seq+1]
+	return sh.seqs[g][sh.peek(head).seq+1 : sh.peek(tail).seq+1]
 }
 
-// RecordDelivery appends to the global delivery trace.
-func (sh *Shared) RecordDelivery(p groups.Process, m msg.ID, t failure.Time) {
+// RecordDeliveries appends p's deliveries of ids, in order and all at t, to
+// the global delivery trace: a batch's head and constituents (DESIGN.md §13)
+// under one lock and one recorder call. Every message of ids must share one
+// destination group.
+func (sh *Shared) RecordDeliveries(p groups.Process, ids []msg.ID, t failure.Time) {
+	if len(ids) == 0 {
+		return
+	}
 	sh.mu.Lock()
 	if sh.frozen {
 		sh.mu.Unlock()
 		return
 	}
-	sh.deliveries = append(sh.deliveries, Delivery{P: p, M: m, T: t, Seq: sh.seq})
-	sh.seq++
-	if w := sh.waiting[m]; w.Has(p) {
-		sh.outstanding--
-		if w = w.Remove(p); w.Empty() {
-			delete(sh.waiting, m)
-		} else {
-			sh.waiting[m] = w
+	for _, m := range ids {
+		if sh.seq%tracePage == 0 {
+			sh.deliveries = append(sh.deliveries, make([]Delivery, 0, tracePage))
 		}
-	}
-	if _, ok := sh.firstDelivered[m]; !ok {
-		sh.firstDelivered[m] = t
+		pg := &sh.deliveries[len(sh.deliveries)-1]
+		*pg = append(*pg, Delivery{P: p, M: m, T: t, Seq: sh.seq})
+		sh.seq++
+		r := sh.rec(m)
+		if r.waiting.Has(p) {
+			sh.outstanding--
+			r.waiting = r.waiting.Remove(p)
+		}
+		if !r.delivered {
+			r.first, r.delivered = t, true
+		}
 	}
 	sh.mu.Unlock()
 	if rec := sh.Opt.Rec; rec != nil {
-		if mm := sh.Reg.Get(m); mm != nil {
-			rec.Deliver(p, m, mm.Dst, t)
+		if mm := sh.Reg.Get(ids[0]); mm != nil {
+			rec.DeliverAll(p, ids, mm.Dst, t)
 		}
 	}
 }
@@ -376,14 +412,18 @@ func (sh *Shared) Freeze() {
 func (sh *Shared) Deliveries() []Delivery {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return append([]Delivery(nil), sh.deliveries...)
+	out := make([]Delivery, 0, sh.seq)
+	for _, pg := range sh.deliveries {
+		out = append(out, pg...)
+	}
+	return out
 }
 
 // RequestedAt returns when the message was requested.
 func (sh *Shared) RequestedAt(m msg.ID) failure.Time {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.requests[m].at
+	return sh.peek(m).at
 }
 
 // FirstDeliveredAt returns the first delivery time of m; ok is false when m
@@ -391,6 +431,6 @@ func (sh *Shared) RequestedAt(m msg.ID) failure.Time {
 func (sh *Shared) FirstDeliveredAt(m msg.ID) (failure.Time, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	t, ok := sh.firstDelivered[m]
-	return t, ok
+	r := sh.peek(m)
+	return r.first, r.delivered
 }

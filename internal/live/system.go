@@ -91,10 +91,12 @@ type System struct {
 	wakeCh []chan struct{}
 
 	// dch broadcasts local deliveries to AwaitDelivery waiters: closed and
-	// replaced under dmu on every delivery (fetch the channel BEFORE
-	// re-checking the predicate).
-	dmu sync.Mutex
-	dch chan struct{}
+	// replaced under dmu on every delivery that finds a waiter registered
+	// in waiters (fetch the channel BEFORE re-checking the predicate; see
+	// notifyDelivery for why a delivery that finds none may skip it).
+	dmu     sync.Mutex
+	dch     chan struct{}
+	waiters atomic.Int32
 
 	// pax holds the paxos node (acceptor + proposer) of each embodied
 	// process, nil for the rest; reps, under lk, every replica created.
@@ -184,8 +186,19 @@ func (s *System) wake(p groups.Process) {
 	}
 }
 
-// notifyDelivery closes-and-replaces the delivery broadcast channel.
+// notifyDelivery closes-and-replaces the delivery broadcast channel, unless
+// no AwaitDelivery waiter is registered. Skipping it then cannot lose a
+// wakeup. It runs from OnDeliver, after core.Shared lowered Outstanding
+// under its mutex, and a waiter registers in waiters before it fetches the
+// channel and reads Outstanding under that same mutex. So either the
+// waiter's read comes after the decrement, and sees it, or it comes before:
+// then the waiter's registration happens before its unlock, which happens
+// before the decrement's lock, which happens before the load below, so the
+// load sees the waiter and the channel it fetched is closed.
 func (s *System) notifyDelivery() {
+	if s.waiters.Load() == 0 {
+		return
+	}
 	s.dmu.Lock()
 	close(s.dch)
 	s.dch = make(chan struct{})
@@ -383,13 +396,16 @@ func (s *System) AwaitDelivery(timeout time.Duration) bool {
 // blocks until full delivery, context cancellation, or Stop, and reports
 // whether full delivery was reached.
 //
-// The wait is broadcast-driven, not a poll: every local delivery closes the
-// broadcast channel, and the channel is fetched before the predicate is
-// evaluated, so a delivery landing between the check and the sleep still
-// wakes the waiter. Nothing else can make the predicate true — it inspects
-// owned processes only, and a registration can only make it false — so
-// there is no timer.
+// The wait is broadcast-driven, not a poll: the waiter registers, every
+// local delivery that finds a waiter registered closes the broadcast
+// channel, and the channel is fetched before the predicate is evaluated, so
+// a delivery landing between the check and the sleep still wakes the waiter
+// (notifyDelivery states the ordering argument). Nothing else can make the
+// predicate true — it inspects owned processes only, and a registration can
+// only make it false — so there is no timer.
 func (s *System) AwaitDeliveryCtx(ctx context.Context) bool {
+	s.waiters.Add(1)
+	defer s.waiters.Add(-1)
 	for {
 		ch := s.deliveryCh()
 		if s.allDelivered() {

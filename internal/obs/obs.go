@@ -141,8 +141,7 @@ type Recorder struct {
 	seq        int64
 	events     []Event
 	truncated  int64
-	reqTick    map[msg.ID]failure.Time
-	reqWall    map[msg.ID]time.Duration
+	reqs       []reqStamp // at index ID-1 (IDs are positional)
 	tickLat    []float64
 	wallLat    []float64
 	coord      map[Pair]*pairCoord
@@ -159,6 +158,14 @@ type Recorder struct {
 // discard is where a nil recorder's layers count: written, never read.
 var discard Recorder
 
+// reqStamp is the multicast time of one message: the left endpoint of its
+// latency samples, once set.
+type reqStamp struct {
+	tick failure.Time
+	wall time.Duration
+	set  bool
+}
+
 type pairCoord struct {
 	ops       int64
 	contended int64
@@ -173,8 +180,6 @@ func NewRecorder(o Options) *Recorder {
 	}
 	r := &Recorder{
 		level:   o.Level,
-		reqTick: make(map[msg.ID]failure.Time),
-		reqWall: make(map[msg.ID]time.Duration),
 		coord:   make(map[Pair]*pairCoord),
 		classes: make(map[uint64]int64),
 	}
@@ -250,30 +255,39 @@ func (r *Recorder) Multicast(p groups.Process, m msg.ID, g groups.GroupID, t fai
 	w := r.wallNow()
 	r.mu.Lock()
 	r.multicasts++
-	if _, ok := r.reqTick[m]; !ok {
-		r.reqTick[m] = t
-		r.reqWall[m] = w
+	if m >= 1 {
+		if i := int(m); i > len(r.reqs) {
+			r.reqs = append(r.reqs, make([]reqStamp, i-len(r.reqs))...)
+		}
+		if rs := &r.reqs[m-1]; !rs.set {
+			*rs = reqStamp{tick: t, wall: w, set: true}
+		}
 	}
 	r.record(Event{Kind: EvMulticast, P: p, M: m, G: g, H: g, T: t, Wall: w})
 	r.mu.Unlock()
 }
 
-// Deliver records a local delivery and takes a latency sample against the
-// multicast time of m.
-func (r *Recorder) Deliver(p groups.Process, m msg.ID, g groups.GroupID, t failure.Time) {
+// DeliverAll records p's deliveries of ids, in order, all addressed to g and
+// all at t — one batch — under one lock and one wall-clock reading. Each
+// takes a latency sample against the multicast time of its message.
+func (r *Recorder) DeliverAll(p groups.Process, ids []msg.ID, g groups.GroupID, t failure.Time) {
 	if r == nil {
 		return
 	}
 	w := r.wallNow()
 	r.mu.Lock()
-	r.deliveries++
-	if req, ok := r.reqTick[m]; ok {
-		r.tickLat = append(r.tickLat, float64(t-req))
-		if !r.epoch.IsZero() {
-			r.wallLat = append(r.wallLat, float64(w-r.reqWall[m])/float64(time.Millisecond))
+	r.deliveries += int64(len(ids))
+	for _, m := range ids {
+		if m >= 1 && int(m) <= len(r.reqs) {
+			if rs := r.reqs[m-1]; rs.set {
+				r.tickLat = append(r.tickLat, float64(t-rs.tick))
+				if !r.epoch.IsZero() {
+					r.wallLat = append(r.wallLat, float64(w-rs.wall)/float64(time.Millisecond))
+				}
+			}
 		}
+		r.record(Event{Kind: EvDeliver, P: p, M: m, G: g, H: g, T: t, Wall: w})
 	}
-	r.record(Event{Kind: EvDeliver, P: p, M: m, G: g, H: g, T: t, Wall: w})
 	r.mu.Unlock()
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/fd"
 	"repro/internal/groups"
+	"repro/internal/msg"
 	"repro/internal/obs"
 )
 
@@ -117,12 +118,39 @@ func TestRecorderOffIsNil(t *testing.T) {
 		t.Fatal("LevelOff recorder is not nil")
 	}
 	r.Multicast(0, 1, 0, 0)
-	r.Deliver(0, 1, 0, 0)
+	r.DeliverAll(0, []msg.ID{1}, 0, 0)
 	r.Coordination(obs.Pair{}, 0, false)
 	obs.Inc(&r.Paxos().Rounds)
 	obs.Inc(&r.Replog().Applies)
 	rep := r.Report()
 	if rep.Multicasts != 0 || rep.Events != nil || rep.Paxos != nil || rep.Replog != nil {
 		t.Errorf("nil recorder report: %+v", rep)
+	}
+}
+
+// TestDeliverAllSamplesEachMessage: one batch is one call, and it counts and
+// samples each of its messages against that message's own multicast time;
+// a message never multicast here is counted but not sampled.
+func TestDeliverAllSamplesEachMessage(t *testing.T) {
+	r := obs.NewRecorder(obs.Options{})
+	r.Multicast(0, 1, 0, 10)
+	r.Multicast(1, 3, 0, 20)
+	r.Multicast(1, 3, 0, 25) // a second stamp of m3 does not move the first
+	r.DeliverAll(2, []msg.ID{3, 1, 7}, 0, 40)
+	rep := r.Report()
+	if rep.Deliveries != 3 || rep.TickLatency.Count != 2 {
+		t.Fatalf("deliveries %d, samples %d; want 3 and 2", rep.Deliveries, rep.TickLatency.Count)
+	}
+	if rep.TickLatency.Max != 30 || rep.TickLatency.Mean != 25 {
+		t.Fatalf("tick latency %+v, want samples 20 (m3) and 30 (m1)", rep.TickLatency)
+	}
+	var got []msg.ID
+	for _, e := range rep.Events {
+		if e.Kind == obs.EvDeliver {
+			got = append(got, e.M)
+		}
+	}
+	if !reflect.DeepEqual(got, []msg.ID{3, 1, 7}) {
+		t.Fatalf("deliver events %v, want m3 m1 m7 in order", got)
 	}
 }
