@@ -473,7 +473,10 @@ func perUnit(num, den int64) float64 {
 // possibly-dropped decide messages. RespStale counts phase responses that
 // found neither a round outstanding at their instance nor a local decision
 // of it — the votes of a round that failed, ≈ 0 on a healthy run; the late
-// third ack of a decided slot is dropped uncounted.
+// third ack of a decided slot is dropped uncounted. ScopeRetries counts
+// leased accepts relaunched to the whole scope: a slot fired under a lease
+// goes first to the realm's last quorum alone, and again to every peer only
+// when that round did not decide — 0 on a fault-free run.
 type PaxosCounters struct {
 	Proposals         int64 `json:"proposals"`
 	Rounds            int64 `json:"rounds"`
@@ -488,6 +491,7 @@ type PaxosCounters struct {
 	Decisions         int64 `json:"decisions"`
 	Probes            int64 `json:"probes"`
 	RespStale         int64 `json:"resp_stale"`
+	ScopeRetries      int64 `json:"scope_retries"`
 }
 
 // ReplogCounters count the replicated-log substrate's work: operations
@@ -594,6 +598,9 @@ type WireCounters struct {
 	Reconnects    int64 `json:"reconnects"`
 	DecodeErrors  int64 `json:"decode_errors"`
 	ShortReads    int64 `json:"short_reads"`
+	// EncodeErrors are sends dropped because their body has no registered
+	// codec — a caller bug, counted instead of panicking the process.
+	EncodeErrors int64 `json:"encode_errors"`
 	// QueueDrops are send-side queue overflows; WriteDrops are frames lost
 	// inside a write loop — a failed socket write or a redial discarding the
 	// in-flight frame — which would otherwise show only as Reconnects.

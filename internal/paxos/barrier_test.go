@@ -17,12 +17,15 @@ import (
 
 // barrierCluster is a three-node leased realm whose leader (node 0) runs on
 // a tapWAL and behind a transport tap; slot 0 is decided to install the
-// lease. held names the peers whose accepts the tap currently withholds.
+// lease, by a quorum of the leader and voter, so that a leased accept goes
+// to voter alone and nonVoter learns only decisions. held names the peers
+// whose accepts the tap currently withholds.
 type barrierCluster struct {
-	nw    *net.Network
-	wal   *tapWAL
-	nodes []*Node
-	mkIns func(slot int64) *Instance
+	nw              *net.Network
+	wal             *tapWAL
+	nodes           []*Node
+	mkIns           func(slot int64) *Instance
+	voter, nonVoter groups.Process
 
 	mu      sync.Mutex
 	held    map[groups.Process]bool
@@ -71,9 +74,20 @@ func newBarrierCluster(t *testing.T) *barrierCluster {
 			MultiPaxos: true,
 		}
 	}
+	// Withholding slot 0's accept from node 2 makes the lease's quorum the
+	// leader's own vote and node 1's: the realm's voters, fixed by event
+	// order rather than by which ack happens to arrive first.
+	c.hold(2, true)
 	if _, ok := c.nodes[0].Propose(c.mkIns(0), I64Value(1000)); !ok {
 		t.Fatalf("lease-installing propose failed")
 	}
+	c.hold(2, false)
+	st := peek(c.nodes[0], c.mkIns(0).ID)
+	if !st.known || st.quorum.Count() != 1 {
+		t.Fatalf("voters after the lease = %v (known %v); want one peer", st.quorum, st.known)
+	}
+	c.voter = st.quorum.Members()[0]
+	c.nonVoter = scopeOf(3).Remove(0).Remove(c.voter).Members()[0]
 	return c
 }
 
@@ -131,9 +145,11 @@ func recvWithin[T any](t *testing.T, ch <-chan T, what string) T {
 }
 
 // TestAcceptLeavesBeforeOwnBarrierReturns: persist while the request is on
-// the wire — with the leader's barrier held, the accepts for the slot have
-// already left for both peers when the barrier is entered, and the peers'
-// two votes decide the slot while it is still held.
+// the wire — with the leader's barrier held, the accept for the slot has
+// already left for the voter, and for nobody else, when the barrier is
+// entered, and the voter's ack is counted while the barrier is still held.
+// Its vote and the leader's own are the quorum: the slot decides once the
+// barrier returns.
 func TestAcceptLeavesBeforeOwnBarrierReturns(t *testing.T) {
 	c := newBarrierCluster(t)
 	defer c.nw.Close()
@@ -141,21 +157,26 @@ func TestAcceptLeavesBeforeOwnBarrierReturns(t *testing.T) {
 	res := make(chan WindowResult, c.nodes[0].WindowLimit()+1)
 	fired := c.fire(1, res)
 	recvWithin(t, c.wal.entered, "the leader's barrier")
-	if got := c.sentTo(1); len(got) != 2 {
-		t.Fatalf("barrier entered with accepts sent to %v; want both peers first", got)
+	if got := c.sentTo(1); len(got) != 1 || got[0] != c.voter {
+		t.Fatalf("barrier entered with accepts sent to %v; want the voter p%d alone, first", got, c.voter)
 	}
-	// Two remote acks are a quorum of durable votes: decided, barrier held.
-	if r := recvWithin(t, res, "a decision by the remote quorum"); !r.OK || r.Val.I64() != 1001 {
-		t.Fatalf("slot 1 = %+v; want 1001", r)
-	}
+	c.awaitAcks(t, 1, c.voter)
 	select {
 	case <-fired:
 		t.Fatalf("ProposeWindowed returned while its barrier was held")
+	case r := <-res:
+		t.Fatalf("slot 1 revealed %+v with the leader's barrier held", r)
 	default:
 	}
 	release()
 	if !recvWithin(t, fired, "ProposeWindowed") {
 		t.Fatalf("ProposeWindowed refused under a fresh lease")
+	}
+	if r := recvWithin(t, res, "a decision by the voter and the own vote"); !r.OK || r.Val.I64() != 1001 {
+		t.Fatalf("slot 1 = %+v; want 1001", r)
+	}
+	if got := c.sentTo(1); len(got) != 1 {
+		t.Fatalf("slot 1's accepts went to %v; want the voter alone", got)
 	}
 	select {
 	case r := <-res:
@@ -165,9 +186,11 @@ func TestAcceptLeavesBeforeOwnBarrierReturns(t *testing.T) {
 }
 
 // TestOwnVoteCountsOnlyOnceDurable: with the barrier held and one remote
-// ack in, nothing is decided — the local vote is appended, not counted. A
-// second remote ack decides with the barrier still held (slot 1); releasing
-// the barrier after one remote ack decides (slot 2).
+// ack in, nothing is decided — the local vote is appended, not counted. With
+// the voter held, the accept is handed to the non-voter: its ack alone does
+// not decide, and the voter's, once its accept is let through, decides with
+// the barrier still held (slot 1). Releasing the barrier after the voter's
+// ack decides (slot 2).
 func TestOwnVoteCountsOnlyOnceDurable(t *testing.T) {
 	c := newBarrierCluster(t)
 	defer c.nw.Close()
@@ -185,18 +208,23 @@ func TestOwnVoteCountsOnlyOnceDurable(t *testing.T) {
 		}
 	}
 
-	c.hold(2, true)
+	c.hold(c.voter, true)
 	release := c.wal.hold()
 	fired := c.fire(1, res)
 	recvWithin(t, c.wal.entered, "the leader's barrier")
-	c.awaitAcks(t, 1, 1)
-	undecided(1)
-	// The withheld accept reaches node 2 after all: its ack is the second
-	// durable vote.
+	if got := c.sentTo(1); len(got) != 1 || got[0] != c.voter {
+		t.Fatalf("slot 1's accepts went to %v; want the voter p%d alone", got, c.voter)
+	}
 	c.mu.Lock()
 	req := c.reqs[1]
 	c.mu.Unlock()
-	c.nw.Send(0, 2, wire.TPaxAccept, req)
+	c.nw.Send(0, c.nonVoter, wire.TPaxAccept, req)
+	c.awaitAcks(t, 1, c.nonVoter)
+	undecided(1)
+	// The withheld accept reaches the voter after all: its ack is the second
+	// durable vote.
+	c.hold(c.voter, false)
+	c.nw.Send(0, c.voter, wire.TPaxAccept, req)
 	if r := recvWithin(t, res, "a decision by the second remote ack"); !r.OK || r.Val.I64() != 1001 {
 		t.Fatalf("slot 1 = %+v; want 1001", r)
 	}
@@ -206,7 +234,7 @@ func TestOwnVoteCountsOnlyOnceDurable(t *testing.T) {
 	release = c.wal.hold()
 	fired = c.fire(2, res)
 	recvWithin(t, c.wal.entered, "the leader's barrier")
-	c.awaitAcks(t, 2, 1)
+	c.awaitAcks(t, 2, c.voter)
 	undecided(2)
 	release()
 	if r := recvWithin(t, res, "a decision by the own vote once durable"); !r.OK || r.Val.I64() != 1002 {

@@ -12,9 +12,11 @@
 // the realm — after which each slot costs a single accept round plus a
 // decide. Phase 1 is elided until the leader sample changes or a higher
 // ballot is observed (a NACK), at which point the proposer falls back to a
-// full round. The lease is purely a performance device: acceptors apply the
-// standard promise/accept rules (a range promise is just a promise for
-// every covered slot at once), so safety is exactly single-decree Paxos's.
+// full round. A leased accept asks only the peers that formed the realm's
+// last quorum with the leader, and the whole scope when the slot is retried.
+// The lease is purely a performance device: acceptors apply the standard
+// promise/accept rules (a range promise is just a promise for every covered
+// slot at once), so safety is exactly single-decree Paxos's.
 //
 // Every quorum is gathered the same way: a prepare or accept phase is an
 // entry in the node's phase table (launch), the message loop counts the
@@ -340,12 +342,16 @@ type Node struct {
 	highest map[realmKey]int64 // highest refusal ballot observed per realm
 
 	// phMu guards the phase table — one entry per instance with a round
-	// outstanding — the per-realm entry count and the deadline queue; votes
-	// come from the message loop and the proposing goroutines, deadlines
-	// from the node's one timer.
+	// outstanding — the per-realm entry count, the per-realm voters and the
+	// deadline queue; votes come from the message loop and the proposing
+	// goroutines, deadlines from the node's one timer.
 	phMu   sync.Mutex
 	phases map[InstanceID]*phase
 	depth  map[realmKey]int
+	// voters are, per realm, the peers whose votes with this node's own
+	// completed the realm's last accept quorum: where a leased accept is
+	// sent first (launch). A realm without an entry asks its whole scope.
+	voters map[realmKey]groups.ProcSet
 	// deadlines is the phase-deadline FIFO from dlHead on: every launch
 	// queues one entry, and since every phase has the same phaseDeadline,
 	// launch order is deadline order. dlTimer fires at the first deadline
@@ -513,6 +519,7 @@ func StartNodeWithConfig(nw net.Transport, p groups.Process, cfg Config) *Node {
 		highest:  make(map[realmKey]int64),
 		phases:   make(map[InstanceID]*phase),
 		depth:    make(map[realmKey]int),
+		voters:   make(map[realmKey]groups.ProcSet),
 	}
 	if n.counters == nil {
 		n.counters = new(obs.PaxosCounters)
@@ -530,6 +537,13 @@ func (n *Node) loop() {
 	for pkt := range inbox {
 		n.dispatch(pkt)
 		if len(n.outbox) == 0 {
+			// A realm's non-voter sends no phase response, so no barrier
+			// covers the decisions it learns: they ride one every
+			// maxCommitBatch records, and a power cycle costs it fewer
+			// re-learns than that.
+			if n.walAppended.Load()-n.walSynced.Load() >= maxCommitBatch {
+				n.walSync()
+			}
 			continue
 		}
 		// Group commit: a dispatch deferred durable phase responses. Absorb
@@ -809,7 +823,10 @@ func (r AcceptResp) vote() PrepareResp {
 // the PrepareReq or AcceptReq to gather a quorum for, or nil for a leased
 // round — the accept is then built from the realm's lease and ph.val
 // (leasedAccept), and refused when no lease covers the slot or the realm's
-// window is full. Any launch is refused while another round holds the
+// window is full. A leased accept's first launch goes to the realm's voters
+// alone, if any are known; a slot retried under the same lease, a prepare
+// and a full round's accept go to the whole scope (DESIGN.md §8, "Thrifty
+// accept rounds"). Any launch is refused while another round holds the
 // instance: one outstanding round per instance is what keeps two proposers
 // at this node from counting each other's votes. The round that owns the
 // entry — a full round, back with its accept — relaunches it in place.
@@ -829,13 +846,19 @@ func (n *Node) launch(ph *phase, req any) bool {
 		n.phMu.Unlock()
 		return false
 	}
+	to := ph.inst.Scope
 	if leased {
-		lr, ok := n.leasedAccept(id, ph.val)
+		lr, retried, ok := n.leasedAccept(id, ph.val)
 		if !ok {
 			n.phMu.Unlock()
 			return false
 		}
 		req = lr
+		if retried {
+			obs.Inc(&n.counters.ScopeRetries)
+		} else if vs, ok := n.voters[rk]; ok {
+			to = vs
+		}
 	}
 	if cur == nil {
 		n.phases[id] = ph
@@ -859,7 +882,7 @@ func (n *Node) launch(ph *phase, req any) bool {
 	// The local acceptor is consulted directly — no loopback packets. The
 	// vote is appended here and counted after the broadcast (ownVote).
 	if !ph.inst.Scope.Has(n.p) {
-		n.toPeers(ph.inst.Scope, mt, req)
+		n.toPeers(to, mt, req)
 		return true
 	}
 	var own PrepareResp
@@ -869,16 +892,17 @@ func (n *Node) launch(ph *phase, req any) bool {
 		own = n.handlePrepare(prep)
 	}
 	if own.OK {
-		n.toPeers(ph.inst.Scope, mt, req)
+		n.toPeers(to, mt, req)
 		// A promise must be durable before it is counted: phase 2's accept
 		// leaves on the strength of this quorum, and an acceptor that forgot
 		// promise b in a power cycle could promise and accept a lower b'.
 		n.ownVote()
 	}
 	// The own vote takes the path a remote response takes, once durable:
-	// two remote acks may have decided the slot meanwhile (then this is a
-	// no-op), a singleton scope decides right here; a refusal or a decision
-	// known to the local acceptor ends the phase before any packet left.
+	// in a round asked of the whole scope a quorum of remote acks may have
+	// decided the slot meanwhile (then this is a no-op), a singleton scope
+	// decides right here; a refusal or a decision known to the local
+	// acceptor ends the phase before any packet left.
 	n.phaseResp(n.p, prepare, own)
 	return true
 }
@@ -920,6 +944,9 @@ func (n *Node) phaseResp(from groups.Process, prepare bool, r PrepareResp) {
 		if ph.voters.Count() < ph.inst.Scope.Count()/2+1 {
 			n.phMu.Unlock()
 			return
+		}
+		if !prepare && ph.voters.Has(n.p) {
+			n.voters[r.Inst.realm()] = ph.voters.Remove(n.p)
 		}
 	}
 	n.end(ph, r)
@@ -1202,24 +1229,25 @@ func (n *Node) Propose(inst *Instance, v Value) (_ Value, ok bool) {
 // It is the one place the lease's safety obligation is discharged: the value
 // is the one phase 1 obliged the lease to adopt if there is one, else v, and
 // a slot retried under the same lease carries the value it was first fired
-// with (lease.used) — one ballot never proposes two values.
-func (n *Node) leasedAccept(id InstanceID, v Value) (AcceptReq, bool) {
+// with (lease.used) — one ballot never proposes two values. retried reports
+// that the slot was fired under this lease before.
+func (n *Node) leasedAccept(id InstanceID, v Value) (req AcceptReq, retried, ok bool) {
 	n.leaseMu.Lock()
 	defer n.leaseMu.Unlock()
 	lease := n.leases[id.realm()]
 	if lease == nil || id.Slot < lease.fromSlot {
-		return AcceptReq{}, false
+		return AcceptReq{}, false, false
 	}
 	val := v
 	if av, ok := lease.adopt[id.Slot]; ok {
 		val = av.Val
 	}
 	if pv, ok := lease.used[id.Slot]; ok {
-		val = pv
+		val, retried = pv, true
 	} else {
 		lease.used[id.Slot] = val
 	}
-	return AcceptReq{Inst: id, Ballot: lease.ballot, Val: val}, true
+	return AcceptReq{Inst: id, Ballot: lease.ballot, Val: val}, retried, true
 }
 
 // leasedRound attempts the Multi-Paxos steady-state path: one accept round at

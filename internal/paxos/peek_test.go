@@ -21,10 +21,14 @@ type nodeState struct {
 	// acceptors it has counted so far.
 	round  bool
 	voters groups.ProcSet
+	// quorum is the asked instance's realm voters (Node.voters): the peers
+	// a leased accept goes to first; known reports that there are any.
+	quorum groups.ProcSet
+	known  bool
 }
 
 // peek is the one reader of a node's internals for tests: the slot table,
-// the waiters and the phase table entry at id.
+// the waiters, the phase table entry at id and the voters of id's realm.
 func peek(n *Node, id InstanceID) nodeState {
 	st := nodeState{accepted: make(map[InstanceID]AcceptedVal), held: make(map[InstanceID]bool),
 		pages: make(map[pageKey]bool), waiting: make(map[InstanceID]int)}
@@ -52,6 +56,7 @@ func peek(n *Node, id InstanceID) nodeState {
 	if ph := n.phases[id]; ph != nil {
 		st.round, st.voters = true, ph.voters
 	}
+	st.quorum, st.known = n.voters[id.realm()]
 	n.phMu.Unlock()
 	return st
 }

@@ -19,7 +19,10 @@ package paxos
 //  3. A decision needs no barrier: every vote it rests on is durable by 1
 //     and 2, so the decide broadcast (end) syncs nothing and the message
 //     loop never runs a barrier on behalf of the local proposer. The decide
-//     record itself rides a later barrier; losing it costs a re-learn.
+//     record itself rides a later barrier; losing it costs a re-learn. A
+//     realm's non-voter, sent no leased accept, writes only decide records
+//     and sends no phase response: its loop runs a barrier once
+//     maxCommitBatch records wait uncovered, which bounds the re-learns.
 //
 // What is deliberately NOT persisted: the proposer side. Leases, value pins
 // and refusal-ballot hints are performance state — a recovered node simply
@@ -43,7 +46,8 @@ const (
 )
 
 // maxCommitBatch bounds how many queued requests one durability barrier may
-// absorb before responses flush (group commit).
+// absorb before responses flush (group commit), and how many records the
+// message loop leaves uncovered when no response asks for a barrier.
 const maxCommitBatch = 64
 
 // walAppend appends one record, failing stop on error: an acceptor that

@@ -264,12 +264,16 @@ func TestHedgeFollowsObservedInterval(t *testing.T) {
 		}
 	})
 
+	// A leased accept goes to the realm's voter alone (DESIGN.md §8), so
+	// which follower sees the lossy slot's accept is the voter's business:
+	// the taps below find it from the accepts they see.
 	t.Run("instant links: first hedge at nudgeEvery", func(t *testing.T) {
 		var (
 			lose    atomic.Int64
 			mu      sync.Mutex
-			voted   time.Time // replica 2 is sent the accept of the lossy slot
-			probeAt time.Time // its first probe for that slot
+			voter   = groups.Process(-1) // the follower sent the lossy slot's accept
+			voted   time.Time            // when it was sent
+			probeAt time.Time            // its first probe for that slot
 		)
 		lose.Store(-1)
 		nw := &tapNet{Transport: net.New(3), onSend: func(from, to groups.Process, mt net.MsgType, body any) bool {
@@ -279,11 +283,11 @@ func TestHedgeFollowsObservedInterval(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
-			case mt == wire.TPaxAccept && to == 2:
-				voted = time.Now()
-			case mt == wire.TPaxLearn && from == 2 && probeAt.IsZero():
+			case mt == wire.TPaxAccept && to != 0 && voter < 0:
+				voter, voted = to, time.Now()
+			case mt == wire.TPaxLearn && from == voter && probeAt.IsZero():
 				probeAt = time.Now()
-			case mt == wire.TPaxDecide && to == 2 && probeAt.IsZero():
+			case mt == wire.TPaxDecide && to == voter && probeAt.IsZero():
 				return false // the broadcast is lost; the answer to the probe is not
 			}
 			return true
@@ -295,16 +299,79 @@ func TestHedgeFollowsObservedInterval(t *testing.T) {
 		appendAll(t, reps, 9, 9)
 		mu.Lock()
 		defer mu.Unlock()
-		if voted.IsZero() || probeAt.IsZero() {
-			t.Fatalf("no vote or no probe seen for the lossy slot (hedges %d)", hedges(counts[2]))
+		if voter < 0 || probeAt.IsZero() {
+			t.Fatalf("no vote or no probe seen for the lossy slot (voter p%d)", voter)
 		}
 		// Not before nudgeEvery; how long after is this host's timers and
 		// whatever else it is running — only it must not be the idle trickle.
 		if d := probeAt.Sub(voted); d < nudgeEvery || d > idleProbe/10 {
-			t.Errorf("first hedge %v after the vote; want nudgeEvery = %v (hedge delay %v)", d, nudgeEvery, reps[2].hedgeDelay())
+			t.Errorf("first hedge %v after the vote; want nudgeEvery = %v (hedge delay %v)", d, nudgeEvery, reps[voter].hedgeDelay())
 		}
-		if idleProbes(counts[2]) != 0 {
-			t.Errorf("%d idle probes; want the hedge alone", idleProbes(counts[2]))
+		if idleProbes(counts[voter]) != 0 {
+			t.Errorf("%d idle probes; want the hedge alone", idleProbes(counts[voter]))
+		}
+	})
+
+	// A non-voter is sent no accept, so a lost decide leaves it no evidence
+	// that the slot exists: it heals on the next slot's decision, which shows
+	// the gap (a hedge, as in TestGapArmsHedge), or — when no slot follows —
+	// at idleProbe (TestLostAcceptAndDecideHealWhenIdle). That is the "on
+	// evidence, or not for a second" contract of the idle-and-loss suite.
+	t.Run("instant links: a non-voter heals on the next slot's gap", func(t *testing.T) {
+		var (
+			lose   atomic.Int64
+			mu     sync.Mutex
+			sentTo = make(map[int64]groups.ProcSet) // slot → followers sent its accept
+			lossy  = groups.Process(-1)             // the non-voter that lost the decide
+		)
+		lose.Store(-1)
+		nw := &tapNet{Transport: net.New(3), onSend: func(_, to groups.Process, mt net.MsgType, body any) bool {
+			s := slotOf(body)
+			if s < 0 {
+				return true
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case mt == wire.TPaxAccept:
+				sentTo[s] = sentTo[s].Add(to)
+			case mt == wire.TPaxDecide && s == lose.Load() && to != 0 && !sentTo[s].Has(to) && lossy < 0:
+				lossy = to
+				return false
+			}
+			return true
+		}}
+		defer nw.Close()
+		reps, counts := quietCluster(nw, 3, nil)
+		// Until the leader has closed a quorum with its own vote in it, its
+		// accepts go to the whole scope: append until one went to one follower.
+		next := 1
+		for settled := false; !settled; next++ {
+			if next > 20 {
+				t.Fatalf("after %d slots every accept still goes to both followers", next)
+			}
+			appendAll(t, reps, next, next)
+			mu.Lock()
+			settled = sentTo[int64(reps[0].Slot()-1)].Count() == 1
+			mu.Unlock()
+		}
+		lose.Store(int64(reps[0].Slot()))
+		for _, id := range []int{next, next + 1} {
+			if _, ok := reps[0].Append(logobj.MsgDatum(msg.ID(id))).Wait(); !ok {
+				t.Fatalf("append %d failed", id)
+			}
+		}
+		mu.Lock()
+		p := lossy
+		mu.Unlock()
+		if p < 0 {
+			t.Fatalf("no decide of the lossy slot went to a non-voter")
+		}
+		if !reps[p].SyncWait(next+1, idleProbe/4) {
+			t.Fatalf("non-voter p%d did not heal within %v: applied %d — it is waiting for the idle trickle", p, idleProbe/4, reps[p].Applied())
+		}
+		if hedges(counts[p]) == 0 || idleProbes(counts[p]) != 0 {
+			t.Errorf("non-voter p%d healed with %d hedges and %d idle probes; want a hedge on the gap", p, hedges(counts[p]), idleProbes(counts[p]))
 		}
 	})
 }

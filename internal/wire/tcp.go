@@ -166,9 +166,13 @@ func (t *TCP) Send(from, to groups.Process, mt net.MsgType, body any) {
 	fb := getFrame()
 	frame, err := AppendPacket((*fb)[:0], net.Packet{From: from, To: to, Type: mt, Body: body})
 	if err != nil {
-		// An unencodable body is a caller bug; surface it loudly rather
-		// than silently degrading the protocol to local-only delivery.
-		panic(err)
+		// An unencodable body (a type no codec is registered for) is a
+		// caller bug, but one packet of it must not take the process down:
+		// it is dropped like any lost packet and counted where a run report
+		// shows it.
+		putFrame(fb)
+		obs.Inc(&t.wire.EncodeErrors)
+		return
 	}
 	*fb = frame
 	obs.Inc(&t.wire.FramesEncoded)

@@ -188,6 +188,29 @@ func TestTCPCoalescedFlushCounters(t *testing.T) {
 	}
 }
 
+// TestUnencodableBodyIsACountedDrop sends what no codec can frame — a body
+// type that is not a wire body, and a type tag nothing is registered for —
+// and checks each is dropped and counted, not a panic, and the link still
+// carries the next registered packet.
+func TestUnencodableBodyIsACountedDrop(t *testing.T) {
+	f, err := wire.NewFabric(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	type unregistered struct{ X int }
+	f.Send(0, 1, wire.TPaxLearn, unregistered{X: 1})
+	f.Send(0, 1, net.MsgType(0xee), paxos.LearnReq{})
+	want := paxos.LearnReq{Inst: paxos.InstanceID{Realm: 7}}
+	f.Send(0, 1, wire.TPaxLearn, want)
+	if pkt := recvPacket(t, f.Inbox(1)); pkt.Body.(paxos.LearnReq) != want {
+		t.Fatalf("the packet after the drops = %+v; want %+v", pkt.Body, want)
+	}
+	if rep := f.WireReport(); rep.EncodeErrors != 2 || rep.FramesEncoded != 1 {
+		t.Fatalf("encode_errors/frames_encoded = %d/%d; want 2/1", rep.EncodeErrors, rep.FramesEncoded)
+	}
+}
+
 // TestRemoteInboxIsNil documents the endpoint contract: only the owned
 // process's inbox exists locally.
 func TestRemoteInboxIsNil(t *testing.T) {
