@@ -1,8 +1,8 @@
-// Command loadsim is the live bench driver: it runs named workload
-// scenarios (internal/workload) against the live backend, unattended, and
-// reduces each run to one self-describing SLO row (internal/benchfmt) that
-// cmd/benchgate gates against the committed baseline, keyed by the row's
-// identity.
+// Command loadsim is the live bench campaign: it runs named workload
+// scenarios (internal/workload) unattended through live.Run, the one driver
+// of a live run, and collects each run's self-describing SLO row
+// (internal/benchfmt) that cmd/benchgate gates against the committed
+// baseline, keyed by the row's identity.
 //
 // loadsim offers load open-loop: every arrival has an intended send time
 // fixed by (scenario, seed) before the run starts, and latency is measured
@@ -30,10 +30,10 @@
 // file replaces the catalog with a JSON list, -load-scale stretches or
 // shrinks every scenario's arrival count (soak vs smoke), and -seed replays
 // a different stream. Every run's delivered trace is checked against the
-// specification. Soak scenarios additionally run with the replog applied-op
-// journal armed and diff every replica's journal against its own paxos
-// decision snapshot on exit — the ROADMAP item-8 flake hunt rides along
-// with every campaign.
+// specification, and a commuting mix must have taken the fast path. Soak
+// scenarios additionally run with the replog applied-op journal armed and
+// diff every replica's journal against its own paxos decision snapshot on
+// exit — the ROADMAP item-8 flake hunt rides along with every campaign.
 package main
 
 import (
@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/cliconf"
+	"repro/internal/live"
 	"repro/internal/workload"
 )
 
@@ -61,9 +62,8 @@ func main() {
 
 // campaign resolves the scenario list and runs it in order, printing the
 // SLO table as rows complete so an unattended log shows progress. Any
-// scenario failure (delivery timeout, journal diff) aborts the campaign
-// with an error — a partial BENCH document would gate green on whatever
-// happened to finish.
+// failed verdict aborts the campaign with an error — a partial BENCH
+// document would gate green on whatever happened to finish.
 func campaign(w *os.File, cc cliconf.Common) error {
 	catalog := workload.Catalog()
 	if cc.ScenarioFile != "" {
@@ -82,7 +82,7 @@ func campaign(w *os.File, cc cliconf.Common) error {
 		"scenario", "n", "k", "tpt", "offered/s", "goodput/s", "p50 ms", "p99 ms", "p999 ms", "pkts/dlv", "batch", "fast", "soak", "idle pk/s", "idle ms/s")
 	for _, sc := range scs {
 		sc = sc.Scale(cc.LoadScale)
-		row, err := runScenario(sc, cc.Seed, cc.Transport, cc.Timeout)
+		row, err := live.Run(sc, live.Env{Seed: cc.Seed, Transport: cc.Transport})
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
@@ -101,9 +101,9 @@ func campaign(w *os.File, cc cliconf.Common) error {
 	fmt.Fprintf(w, "\nlatency is measured from each arrival's intended send time (open loop):\n")
 	fmt.Fprintf(w, "goodput below offered/s means the backlog went into the tail columns,\n")
 	fmt.Fprintf(w, "not into a slowed-down load generator; a burst row has no offered rate and\n")
-	fmt.Fprintf(w, "its latency is time-to-drain. A tail percentile with fewer than %d samples\n", minTailSamples)
+	fmt.Fprintf(w, "its latency is time-to-drain. A tail percentile with fewer than %d samples\n", live.MinTailSamples)
 	fmt.Fprintf(w, "beyond it is left out. The idle columns are packets sent and CPU-ms burnt\n")
-	fmt.Fprintf(w, "per second over the %v of silence after the last delivery; batch is the\n", idleLinger)
+	fmt.Fprintf(w, "per second over the %v of silence after the last delivery; batch is the\n", live.IdleLinger)
 	fmt.Fprintf(w, "mean requests each Algorithm-1 delivery carried. Replay any\n")
 	fmt.Fprintf(w, "row with its (scenario, seed): the stream_digest column certifies the\n")
 	fmt.Fprintf(w, "same workload.\n")

@@ -4,10 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/benchfmt"
 	"repro/internal/cliconf"
+	"repro/internal/live"
 	"repro/internal/workload"
 )
 
@@ -21,7 +21,6 @@ func cliconfFor(scFile, out string) cliconf.Common {
 		Transport:    "mem",
 		JSON:         out,
 		Seed:         1,
-		Timeout:      60 * time.Second,
 	}
 }
 
@@ -41,7 +40,7 @@ func tinySteady() workload.Scenario {
 // certificate, and an open-loop latency summary covering every delivery.
 func TestRunScenarioProducesSLORow(t *testing.T) {
 	sc := tinySteady()
-	row, err := runScenario(sc, 7, "mem", 60*time.Second)
+	row, err := live.Run(sc, live.Env{Seed: 7, Transport: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func catalogRow(t *testing.T, name string, count int) workload.Scenario {
 // p999 does not.
 func TestRunScenarioBurstRow(t *testing.T) {
 	sc := catalogRow(t, "burst-n5", 400)
-	row, err := runScenario(sc, 1, "mem", 60*time.Second)
+	row, err := live.Run(sc, live.Env{Seed: 1, Transport: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestRunScenarioBurstRow(t *testing.T) {
 // the row must show the nemesis at work.
 func TestRunScenarioChaosRow(t *testing.T) {
 	sc := catalogRow(t, "burst-chaos", 150)
-	row, err := runScenario(sc, 1, "mem", 60*time.Second)
+	row, err := live.Run(sc, live.Env{Seed: 1, Transport: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,51 +132,6 @@ func TestRunScenarioChaosRow(t *testing.T) {
 	}
 }
 
-// TestEnvLiftsFaults checks the environment of a chaos row injects faults
-// until liftFaults and none after it.
-func TestEnvLiftsFaults(t *testing.T) {
-	sc := catalogRow(t, "burst-chaos", 1)
-	e, err := openEnv(sc, "mem", 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.close()
-	if e.chaos == nil {
-		t.Fatal("chaos_seed did not wrap the transport")
-	}
-	go func() { // drain p1's inbox so sends never block
-		for range e.nw.Inbox(1) {
-		}
-	}()
-	injections := func() uint64 {
-		st := e.chaos.Stats()
-		return st.Duplicated + st.Delayed + st.DroppedRandom
-	}
-	for i := 0; i < 4000; i++ {
-		e.nw.Send(0, 1, 0, nil)
-	}
-	before := injections()
-	if before == 0 {
-		t.Fatal("4000 packets under the mild fault mix saw no injection")
-	}
-	e.liftFaults()
-	for i := 0; i < 4000; i++ {
-		e.nw.Send(0, 1, 0, nil)
-	}
-	if after := injections(); after != before {
-		t.Fatalf("faults still injected after liftFaults: %d -> %d", before, after)
-	}
-	plain, err := openEnv(catalogRow(t, "burst-n3", 1), "mem", 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.close()
-	if plain.chaos != nil || plain.storage != nil {
-		t.Fatal("a plain scenario got a nemesis or file WALs")
-	}
-	plain.liftFaults() // no nemesis: must be a no-op, not a nil dereference
-}
-
 // TestRunScenarioFileRow runs the fsync'd file-WAL burst scaled down: the
 // row carries its backing and a measured replay, and the temporary WAL
 // directory is gone afterwards.
@@ -185,7 +139,7 @@ func TestRunScenarioFileRow(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	sc := catalogRow(t, "burst-file", 30)
-	row, err := runScenario(sc, 1, "mem", 60*time.Second)
+	row, err := live.Run(sc, live.Env{Seed: 1, Transport: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +163,11 @@ func TestRunScenarioFileRow(t *testing.T) {
 // multicast count; a different seed moves the digest.
 func TestRunScenarioReplaysIdenticalStream(t *testing.T) {
 	sc := tinySteady()
-	a, err := runScenario(sc, 3, "mem", 60*time.Second)
+	a, err := live.Run(sc, live.Env{Seed: 3, Transport: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runScenario(sc, 3, "mem", 60*time.Second)
+	b, err := live.Run(sc, live.Env{Seed: 3, Transport: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +175,7 @@ func TestRunScenarioReplaysIdenticalStream(t *testing.T) {
 		t.Fatalf("same (scenario, seed) reran a different stream: %s/%d vs %s/%d",
 			a.StreamDigest, a.Multicasts, b.StreamDigest, b.Multicasts)
 	}
-	c, err := runScenario(sc, 4, "mem", 60*time.Second)
+	c, err := live.Run(sc, live.Env{Seed: 4, Transport: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +196,7 @@ func TestRunScenarioSoakJournal(t *testing.T) {
 		ConflictRate: 0.3,
 		Soak:         true,
 	}
-	row, err := runScenario(sc, 5, "mem", 60*time.Second)
+	row, err := live.Run(sc, live.Env{Seed: 5, Transport: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,22 +18,23 @@
 // harness runs concurrent appends on one replicated log and checks that
 // decisions and applied orders agree across replicas: "replog" under the
 // link-fault schedule, "powercycle" on WAL-backed replicas that a power
-// schedule kill -9s and reboots mid-run. The chain harness runs the full
-// Algorithm 1 protocol on the live backend over a chain of overlapping
-// groups and checks the atomic-multicast specification: "multicast" is the
-// vanilla protocol, "commute" the Generic variant on mixed
-// conflicting/commuting traffic.
+// schedule kill -9s and reboots mid-run. The chain workloads run
+// live.ChainUnderPlan's scenario through live.Run, loadsim's driver:
+// Algorithm 1 on a chain of overlapping groups whose middle members crash,
+// checked against the atomic-multicast specification — "multicast" the
+// vanilla protocol, "commute" the Generic variant on mixed traffic.
 //
 // The last line on stdout is the verdict, one JSON object:
 //
 //	{"workload":"replog","seed":7,"n":5,"ok":true,"error":""}
 //
-// Exit status 1 means a safety or liveness violation (the chain harness
+// Exit status 1 means a safety or liveness violation (a chain workload
 // ships its run report on stderr first), 2 a usage error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,18 +46,14 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/cliconf"
-	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/groups"
 	"repro/internal/live"
 	"repro/internal/logobj"
 	"repro/internal/msg"
 	"repro/internal/net"
-	"repro/internal/obs"
 	"repro/internal/paxos"
 	"repro/internal/replog"
 	"repro/internal/storage"
-	wl "repro/internal/workload"
 )
 
 // workload is one named nemesis target: the generator of its seeded fault
@@ -76,9 +73,9 @@ var workloads = []workload{
 	{"powercycle", "the same on WAL-backed replicas that are kill -9ed and rebooted mid-run; checks recovery keeps the decided prefix intact",
 		chaos.NewPowerPlan, logWorkload(true)},
 	{"multicast", "Algorithm 1 over the live backend on a chain of overlapping groups; checks the full specification",
-		chaos.NewPlan, chainWorkload(nil)},
+		chaos.NewPlan, runChain(1)},
 	{"commute", "generic multicast with mixed conflicting/commuting traffic under chaos; checks the conflict-aware specification",
-		chaos.NewPlan, chainWorkload(commuteMix)},
+		chaos.NewPlan, runChain(0.3)},
 }
 
 func lookupWorkload(name string) (workload, bool) {
@@ -334,124 +331,26 @@ func logWorkload(durable bool) func(chaos.Plan) error {
 // anything an appender reaches.
 const fenceID msg.ID = 1 << 40
 
-// chainScenario builds the shared multicast chaos scenario: a chain of
-// overlapping 3-member groups {0,1,2},{2,3,4},... over n processes, with
-// the unique middle member of every group crashing on a staggered schedule
-// (the shared members stay up, so every group and every pairwise
-// intersection keeps a majority).
-func chainScenario(n int) (*groups.Topology, *failure.Pattern, error) {
-	if n < 3 || n%2 == 0 {
-		return nil, nil, fmt.Errorf("this workload needs an odd -n >= 3 (chain of overlapping 3-member groups), got %d", n)
-	}
-	topo, err := wl.TopoSpec{Kind: wl.TopoChain, Groups: (n - 1) / 2}.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	pat := failure.NewPattern(n)
-	ct := failure.Time(120)
-	for p := 1; p < n; p += 2 {
-		pat = pat.WithCrash(groups.Process(p), ct)
-		ct += 60
-	}
-	return topo, pat, nil
-}
-
-// commuteMix is the commute workload's class function: 7 multicasts in 10
-// commute with everything (ClassFree, the coordination-free fast path), the
-// rest cycle through 3 keyed conflict classes that must stay totally ordered.
-func commuteMix(i int) msg.Class {
-	if i%10 >= 7 {
-		return msg.Class(1 + i%3)
-	}
-	return msg.ClassFree
-}
-
-// chainWorkload returns the run function of a multicast workload: the full
-// protocol on the live backend under the plan over the chain scenario.
-// classOf gives the i-th multicast its conflict class; nil is the vanilla
-// protocol (every message conflicts with every other), anything else runs
-// the Generic variant and the conflict-aware checkers — total order within
-// conflicting pairs, free divergence elsewhere. Correct members multicast
-// until the nemesis quiesces; then every multicast must be delivered at
-// every correct destination member, the whole trace must pass the
-// specification checkers, and a run that sent commuting messages must have
-// fast-delivered some.
-func chainWorkload(classOf func(i int) msg.Class) func(chaos.Plan) error {
+// runChain returns the run function of a chain workload: the plan over
+// live.ChainUnderPlan's chain at conflictRate, judged by live.Run. A failed
+// verdict ships its run report on stderr: the counters say where the work
+// went, the timeline tail what the protocol was doing when it stalled.
+func runChain(conflictRate float64) func(chaos.Plan) error {
 	return func(plan chaos.Plan) error {
-		n := plan.N
-		topo, pat, err := chainScenario(n)
+		sc, env, err := live.ChainUnderPlan(plan, conflictRate)
 		if err != nil {
 			return err
 		}
-		opt := core.Options{Rec: obs.NewRecorder(obs.Options{WallClock: true})}
-		if classOf != nil {
-			opt.Variant = core.Generic
-			opt.Conflict = msg.ClassesConflict
+		row, err := live.Run(sc, env)
+		var f *live.Failure
+		if errors.As(err, &f) {
+			fmt.Fprintf(os.Stderr, "%s\nevent timeline (tail):\n", f.Report.String())
+			f.Report.WriteTimeline(os.Stderr, 60)
 		}
-		c := chaos.Wrap(net.New(n), plan.Seed)
-		sys := live.NewSystem(topo, pat, c, live.Config{Opt: opt})
-		sys.Start()
-		defer sys.Stop()
-
-		// On failure, ship the run report with the error: the counters say
-		// where the work went (paxos rounds, probes, chaos injections) and the
-		// timeline tail says what the protocol was doing when it stalled.
-		fail := func(format string, args ...any) error {
-			sys.Stop()
-			rep := sys.Report()
-			fmt.Fprintf(os.Stderr, "%s\n", rep.String())
-			if len(rep.Events) > 0 {
-				fmt.Fprintln(os.Stderr, "event timeline (tail):")
-				rep.WriteTimeline(os.Stderr, 60)
-			}
-			return fmt.Errorf(format, args...)
+		if err == nil {
+			fmt.Printf("workload: %d multicasts, %d deliveries (%d fast), %d chaos injections\n",
+				row.Multicasts, row.Deliveries, row.FastDeliveries, row.ChaosInjections)
 		}
-
-		nm := &chaos.Nemesis{C: c, Plan: plan}
-		nmDone := nm.Go()
-
-		// Round-robin multicasts from the correct (even-numbered) members of
-		// each group until the fault schedule quiesces.
-		sent, free := 0, 0
-	loop:
-		for i := 0; ; i++ {
-			k := i % topo.NumGroups()
-			src := groups.Process(2 * k)
-			if i%2 == 1 {
-				src = groups.Process(2*k + 2)
-			}
-			class := msg.ClassAll
-			if classOf != nil {
-				class = classOf(i)
-			}
-			if class == msg.ClassFree {
-				free++
-			}
-			sys.MulticastClassed(src, groups.GroupID(k), nil, class)
-			sent++
-			select {
-			case <-nmDone:
-				break loop
-			case <-time.After(35 * time.Millisecond):
-			}
-		}
-
-		if !sys.AwaitDelivery(90 * time.Second) {
-			return fail("post-quiesce delivery incomplete: %d multicasts sent", sent)
-		}
-		sys.Stop()
-		var fast int64
-		if rep := sys.Report(); rep.Conflict != nil {
-			fast = rep.Conflict.FastDeliveries
-		}
-		fmt.Printf("workload: %d multicasts (%d commuting), %d fast deliveries, stats %+v\n",
-			sent, free, fast, c.Stats())
-		if free > 0 && fast == 0 {
-			return fail("commuting messages were sent but no delivery skipped coordination")
-		}
-		if vs := sys.Check(); len(vs) > 0 {
-			return fail("specification violated: %v", vs)
-		}
-		return nil
+		return err
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 	"time"
 
@@ -62,5 +63,35 @@ func TestChainWorkloadRejectsEvenN(t *testing.T) {
 	w, _ := lookupWorkload("multicast")
 	if err := w.run(chaos.NewPlan(1, 4, time.Millisecond)); err == nil {
 		t.Fatal("an even -n was accepted by the chain workload")
+	}
+}
+
+// TestCLIOutputGolden pins what a user of the command sees, byte for byte,
+// against files captured from the command itself:
+// `nemesis -workload multicast -n 7 -duration 300ms -seed 7 -print` prints
+// the plan (main prints exactly Plan.String() before anything else), and
+// the same run without -print ends with its verdict line.
+func TestCLIOutputGolden(t *testing.T) {
+	const seed, n, d = 7, 7, 300 * time.Millisecond
+	w, _ := lookupWorkload("multicast")
+	plan := w.plan(seed, n, d)
+	want, err := os.ReadFile("testdata/multicast-n7-300ms-seed7.print")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.String(); got != string(want) {
+		t.Fatalf("-print output moved:\n%s\nwant:\n%s", got, want)
+	}
+	if testing.Short() {
+		return
+	}
+	want, err = os.ReadFile("testdata/multicast-n7-300ms-seed7.verdict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	execute(&out, w, plan)
+	if out.String() != string(want) {
+		t.Fatalf("verdict line %q, want %q", out.String(), want)
 	}
 }

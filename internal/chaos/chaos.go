@@ -75,7 +75,7 @@ type Chaos struct {
 	seq    map[link]uint64
 	parts  []partition
 	down   map[groups.Process]bool
-	pipes  map[link]chan delayed
+	pipes  map[link]*pipe
 	closed bool
 
 	// Power-cycle hooks (see OnPowerCycle): what the harness does when a
@@ -98,6 +98,15 @@ type delayed struct {
 // pipeDepth bounds a link's delay queue; overflow drops are counted.
 const pipeDepth = 4096
 
+// pipe is one link's delay queue, under Chaos.mu: a FIFO that grows with
+// what it holds, up to pipeDepth, so a link that carried a few delayed
+// packets holds a few entries. One goroutine drains it in order (runPipe);
+// wake tells that goroutine the queue is no longer empty.
+type pipe struct {
+	q    []delayed
+	wake chan struct{}
+}
+
 // Wrap builds the nemesis transport over inner. All fault decisions derive
 // from seed.
 func Wrap(inner net.Transport, seed int64) *Chaos {
@@ -106,7 +115,7 @@ func Wrap(inner net.Transport, seed int64) *Chaos {
 		seed:  seed,
 		seq:   make(map[link]uint64),
 		down:  make(map[groups.Process]bool),
-		pipes: make(map[link]chan delayed),
+		pipes: make(map[link]*pipe),
 		done:  make(chan struct{}),
 	}
 }
@@ -353,53 +362,70 @@ func (c *Chaos) deliver(l link, pkt net.Packet, delay time.Duration, reorder boo
 		}()
 		return
 	}
-	pipe, piped := c.pipes[l]
+	q, piped := c.pipes[l]
 	if !piped && delay > 0 {
 		// First delayed packet on this link: open its FIFO pipe. Once a
 		// pipe exists, every later packet of the link goes through it, so
 		// fresh zero-delay packets cannot overtake still-queued ones.
-		pipe = make(chan delayed, pipeDepth)
-		c.pipes[l] = pipe
+		q = &pipe{wake: make(chan struct{}, 1)}
+		c.pipes[l] = q
 		piped = true
 		c.wg.Add(1)
-		go c.runPipe(pipe)
+		go c.runPipe(q)
 	}
-	c.mu.Unlock()
 	if !piped {
+		c.mu.Unlock()
 		c.forward(pkt)
 		return
 	}
+	full := len(q.q) == pipeDepth
+	if !full {
+		q.q = append(q.q, delayed{pkt: pkt, at: time.Now().Add(delay)})
+	}
+	c.mu.Unlock()
 	if delay > 0 {
 		obs.Inc(&c.stats.Delayed)
 	}
-	select {
-	case pipe <- delayed{pkt: pkt, at: time.Now().Add(delay)}:
-	default:
+	if full {
 		obs.Inc(&c.stats.DroppedOverflow)
+		return
+	}
+	select {
+	case q.wake <- struct{}{}:
+	default: // a wakeup is already pending
 	}
 }
 
 // runPipe drains one link's delay queue in order, sleeping each packet to
 // its delivery time — per-link FIFO is preserved because the sleeps happen
 // sequentially.
-func (c *Chaos) runPipe(pipe chan delayed) {
+func (c *Chaos) runPipe(p *pipe) {
 	defer c.wg.Done()
 	for {
-		select {
-		case d := <-pipe:
-			if wait := time.Until(d.at); wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-t.C:
-				case <-c.done:
-					t.Stop()
-					return
-				}
+		c.mu.Lock()
+		if len(p.q) == 0 {
+			c.mu.Unlock()
+			select {
+			case <-p.wake:
+				continue
+			case <-c.done:
+				return
 			}
-			c.forward(d.pkt)
-		case <-c.done:
-			return
 		}
+		d := p.q[0]
+		p.q[0] = delayed{} // the packet is this loop's now
+		p.q = p.q[1:]
+		c.mu.Unlock()
+		if wait := time.Until(d.at); wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+			case <-c.done:
+				t.Stop()
+				return
+			}
+		}
+		c.forward(d.pkt)
 	}
 }
 

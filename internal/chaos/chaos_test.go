@@ -281,3 +281,33 @@ func TestNemesisRunQuiesces(t *testing.T) {
 		t.Fatalf("transport still faulty after nemesis quiesced")
 	}
 }
+
+// TestPipeHoldsWhatItCarries checks a delay pipe is sized by its link's
+// traffic: a link that carried a few delayed packets holds a few entries,
+// and one flooded past pipeDepth still counts the excess as overflow.
+func TestPipeHoldsWhatItCarries(t *testing.T) {
+	c := Wrap(net.New(3), 5)
+	defer c.Close()
+	c.SetFaults(Faults{DelayMin: time.Hour, DelayMax: time.Hour})
+	for i := 0; i < 3; i++ {
+		c.Send(0, 1, tM, i)
+	}
+	const extra = 10
+	for i := 0; i < pipeDepth+extra; i++ {
+		c.Send(0, 2, tM, i)
+	}
+	c.mu.Lock()
+	held, queued := cap(c.pipes[link{0, 1}].q), len(c.pipes[link{0, 2}].q)
+	c.mu.Unlock()
+	if held > 4 {
+		t.Errorf("a link that carried 3 delayed packets holds %d entries", held)
+	}
+	if queued != pipeDepth {
+		t.Errorf("flooded pipe holds %d packets, want pipeDepth = %d", queued, pipeDepth)
+	}
+	// The drain may already hold the link's first packet in its sleep, which
+	// frees one place in the ring.
+	if got := c.Stats().DroppedOverflow; got != extra && got != extra-1 {
+		t.Errorf("DroppedOverflow = %d, want %d (or %d with one packet asleep in the drain)", got, extra, extra-1)
+	}
+}

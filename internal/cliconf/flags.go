@@ -82,8 +82,8 @@ var flagSpecs = []struct {
 	{ToolAmcastd, func(fs *flag.FlagSet, c *Common) {
 		fs.StringVar(&c.Peers, "peers", "", "comma-separated host:port per process, indexed by ID")
 	}},
-	{ToolAmcastd | ToolLoadsim, func(fs *flag.FlagSet, c *Common) {
-		fs.DurationVar(&c.Timeout, "timeout", 60*time.Second, "how long to wait for delivery to complete (amcastd: local delivery; loadsim: per-scenario drain)")
+	{ToolAmcastd, func(fs *flag.FlagSet, c *Common) {
+		fs.DurationVar(&c.Timeout, "timeout", 60*time.Second, "how long to wait for local delivery to complete")
 	}},
 	{ToolAmcastd, func(fs *flag.FlagSet, c *Common) {
 		fs.DurationVar(&c.Linger, "linger", 2*time.Second, "how long to stay up after local delivery so peers can finish")

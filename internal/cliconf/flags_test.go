@@ -4,7 +4,6 @@ import (
 	"flag"
 	"io"
 	"testing"
-	"time"
 
 	"repro/internal/cliconf"
 )
@@ -20,13 +19,14 @@ func bind(tool cliconf.Tool) (*flag.FlagSet, *cliconf.Common) {
 func has(fs *flag.FlagSet, name string) bool { return fs.Lookup(name) != nil }
 
 // TestLoadsimFlagSurface pins which shared flags the loadsim tool consumes:
-// the campaign flags plus the shared seed/timeout/transport/json,
-// and none of the daemon or topology-spec flags.
+// the campaign flags plus the shared seed/transport/json, and none of the
+// daemon or topology-spec flags (every live run waits for delivery under
+// one deadline, so -timeout is amcastd's alone).
 func TestLoadsimFlagSurface(t *testing.T) {
 	fs, _ := bind(cliconf.ToolLoadsim)
 	for _, name := range []string{
 		"scenarios", "scenario-file", "load-scale",
-		"transport", "json", "seed", "timeout",
+		"transport", "json", "seed",
 	} {
 		if !has(fs, name) {
 			t.Errorf("loadsim is missing shared flag -%s", name)
@@ -34,7 +34,7 @@ func TestLoadsimFlagSurface(t *testing.T) {
 	}
 	for _, name := range []string{
 		"groups", "msgs", "crash", "variant", "delay",
-		"id", "peers", "linger", "data-dir", "fsync", "report",
+		"id", "peers", "linger", "data-dir", "fsync", "report", "timeout",
 	} {
 		if has(fs, name) {
 			t.Errorf("loadsim declares -%s, which it does not consume", name)
@@ -53,14 +53,13 @@ func TestLoadsimFlagParsing(t *testing.T) {
 		"-transport", "tcp",
 		"-json", "out.json",
 		"-seed", "42",
-		"-timeout", "90s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Scenarios != "steady,hot-group" || c.ScenarioFile != "campaign.json" ||
 		c.LoadScale != 0.25 || c.Transport != "tcp" || c.JSON != "out.json" ||
-		c.Seed != 42 || c.Timeout != 90*time.Second {
+		c.Seed != 42 {
 		t.Fatalf("parsed values did not land: %+v", c)
 	}
 }
@@ -73,7 +72,7 @@ func TestLoadsimFlagDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Scenarios != "all" || c.LoadScale != 1 || c.Transport != "mem" ||
-		c.Seed != 1 || c.Timeout != 60*time.Second {
+		c.Seed != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
 }

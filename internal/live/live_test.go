@@ -49,76 +49,35 @@ func TestLiveFigure1EndToEnd(t *testing.T) {
 }
 
 // chainTopo is a 7-process chain of three 3-member groups
-// (g0={0,1,2}, g1={2,3,4}, g2={4,5,6}): every group keeps a majority after
-// one member crashes, so paxos inside each hosting group stays live — the
-// quorum-preserving crash schedules below rely on it. (Figure 1 has
-// 2-member groups, which tolerate no crash under majorities.)
+// (g0={0,1,2}, g1={2,3,4}, g2={4,5,6}).
 func chainTopo(t *testing.T) *groups.Topology { return benchChain(t, 3) }
 
 // TestLiveChaosSeeds replays seeded nemesis schedules (drops, duplication,
 // delays, partitions, down/up cycles — all derived from the seed, see
 // chaos.NewPlan) against the full protocol while one member of each group
-// crashes permanently mid-run. Safety must hold over the entire trace —
-// every delivery that happened during the chaos is checked — and after the
-// plan quiesces every correct destination member must deliver everything.
-func TestLiveChaosSeeds(t *testing.T) {
+// crashes permanently mid-run: ChainUnderPlan at n = 7 over 300 ms, through
+// Run. Safety must hold over the entire trace — every delivery that
+// happened during the chaos is checked — and after the plan quiesces every
+// correct destination member must deliver everything.
+func TestLiveChaosSeeds(t *testing.T) { chainSeeds(t, 1) }
+
+// chainSeeds runs ChainUnderPlan at n = 7 over 300 ms for seeds 1–10 (1–3
+// under -short) at the given conflict rate; Run's verdict is the test's.
+func chainSeeds(t *testing.T, conflictRate float64) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if testing.Short() {
 		seeds = seeds[:3]
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosSeed(t, seed)
+			sc, env, err := ChainUnderPlan(chaos.NewPlan(seed, 7, 300*time.Millisecond), conflictRate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(sc, env); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
 		})
-	}
-}
-
-func runChaosSeed(t *testing.T, seed int64) {
-	topo := chainTopo(t)
-	// Quorum-preserving crashes: one member per group, staggered. Ticks
-	// are milliseconds (live's tickEvery), so the crashes land
-	// inside the 300ms plan window.
-	pat := failure.NewPattern(7).
-		WithCrash(1, 120).
-		WithCrash(3, 180).
-		WithCrash(5, 240)
-	c := chaos.Wrap(net.New(7), seed)
-	sys := NewSystem(topo, pat, c, Config{})
-	sys.Start()
-	defer sys.Stop()
-
-	plan := chaos.NewPlan(seed, 7, 300*time.Millisecond)
-	nm := &chaos.Nemesis{C: c, Plan: plan}
-	nmDone := nm.Go()
-
-	// Multicasts from correct senders only (crashed senders would leave
-	// unappended requests with no termination obligation — legal, but not
-	// what this test measures), spread across the plan window.
-	senders := []struct {
-		p groups.Process
-		g groups.GroupID
-	}{{0, 0}, {2, 1}, {6, 2}, {2, 0}, {4, 1}, {4, 2}}
-	i := 0
-issue:
-	for {
-		s := senders[i%len(senders)]
-		sys.Multicast(s.p, s.g, []byte{byte(i)})
-		i++
-		select {
-		case <-nmDone:
-			break issue
-		case <-time.After(35 * time.Millisecond):
-		}
-	}
-
-	if !sys.AwaitDelivery(90 * time.Second) {
-		sys.Stop()
-		t.Fatalf("seed %d: no full delivery after quiesce (%d multicasts, %d deliveries, stats %+v)",
-			seed, sys.Sh.Reg.Len(), len(sys.Sh.Deliveries()), c.Stats())
-	}
-	sys.Stop()
-	for _, v := range sys.Check() {
-		t.Errorf("seed %d: specification violation: %v", seed, v)
 	}
 }
 

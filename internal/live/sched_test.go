@@ -2,7 +2,6 @@ package live
 
 import (
 	"runtime"
-	"syscall"
 	"testing"
 	"time"
 
@@ -170,16 +169,6 @@ func TestAnnounceWakesOwnedMembers(t *testing.T) {
 	}
 }
 
-// cpuTime is the process's user+system CPU time so far.
-func cpuTime(t *testing.T) time.Duration {
-	t.Helper()
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		t.Fatal(err)
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
-}
-
 // TestIdleBudget is the genuineness of silence, as a budget: on the
 // benchmark's chain (k = 4, nine processes, fifteen replicas), after forty
 // multicasts have warmed every log and lease, four seconds in which nobody
@@ -209,9 +198,9 @@ func TestIdleBudget(t *testing.T) {
 	time.Sleep(200 * time.Millisecond) // stragglers: stable tuples nobody waits for, last hedges
 	runtime.GC()
 
-	before, cpu0, t0 := sys.Report(), cpuTime(t), time.Now()
+	before, cpu0, t0 := sys.Report(), cpuTime(), time.Now()
 	time.Sleep(silence)
-	after, cpu, secs := sys.Report(), cpuTime(t)-cpu0, time.Since(t0).Seconds()
+	after, cpu, secs := sys.Report(), cpuTime()-cpu0, time.Since(t0).Seconds()
 
 	cpuMs := float64(cpu) / float64(time.Millisecond) / secs
 	packets := float64(after.Net.Packets-before.Net.Packets) / secs

@@ -85,11 +85,6 @@ func NewGen(sc Scenario, seed int64) (*Gen, error) {
 // mutate — Topology is immutable by construction).
 func (g *Gen) Topology() *groups.Topology { return g.topo }
 
-// Generic reports whether the stream carries a commuting mix (some
-// messages tagged ClassFree or keyed), which a driver must run under the
-// Generic protocol variant.
-func (g *Gen) Generic() bool { return g.sc.ConflictRate < 1 }
-
 // Next returns the next arrival of the stream, or ok=false when the
 // scenario's Count is exhausted.
 func (g *Gen) Next() (Arrival, bool) {
